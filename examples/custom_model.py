@@ -13,7 +13,7 @@ Run:  python examples/custom_model.py
 
 from repro import evaluate, register_board, register_model, sweep
 from repro import unregister_board, unregister_model
-from repro.workloads import REGISTRY
+from repro.workloads import available_models
 
 # A small edge CNN in the JSON dict schema (this could equally live in a
 # .json file and be registered with `repro models register edge_net.json`,
@@ -60,7 +60,7 @@ def main() -> None:
     model = register_model(EDGE_NET)
     board = register_board(EDGE_BOARD)
     print(f"registered model {model!r} and board {board!r}")
-    print(f"models now: {', '.join(REGISTRY.model_names())}")
+    print(f"models now: {', '.join(available_models())}")
 
     # Registered names work everywhere a zoo/Table II name does.
     report = evaluate(model, board, "segmentedrr", ce_count=2)

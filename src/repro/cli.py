@@ -60,8 +60,10 @@ from repro.dse.campaign import (
     resume_campaign,
     run_campaign,
 )
+from repro.rules.registry import ruleset_summary
 from repro.synth.simulator import SynthesisSimulator
 from repro.synth.validate import ValidationRecord
+from repro.workloads.registry import model_summary
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -547,27 +549,13 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def _cmd_models_list(args: argparse.Namespace) -> int:
-    names = workloads.available_models()
+    entries = [workloads.REGISTRY.models.entry(n) for n in workloads.available_models()]
     if getattr(args, "json", False):
-        catalog = []
-        for name in names:
-            stats = collect_stats(workloads.load_model(name))
-            catalog.append(
-                {
-                    "name": name,
-                    "display_name": stats.name,
-                    "conv_layers": stats.conv_layer_count,
-                    "gmacs": round(stats.gmacs, 3),
-                    "weights_millions": round(stats.weights_millions, 3),
-                    "custom": not workloads.REGISTRY.is_builtin_model(name),
-                    "source": workloads.REGISTRY.model_source(name),
-                }
-            )
+        catalog = [{**model_summary(entry), "source": entry.source} for entry in entries]
         print(json.dumps({"models": catalog}, indent=2))
         return 0
-    stats = [collect_stats(workloads.load_model(name)) for name in names]
-    print(stats_table(stats))
-    custom = [name for name in names if not workloads.REGISTRY.is_builtin_model(name)]
+    print(stats_table([collect_stats(entry.value) for entry in entries]))
+    custom = [entry.name for entry in entries if not entry.builtin]
     if custom:
         print(f"custom: {', '.join(custom)}", file=sys.stderr)
     return 0
@@ -579,7 +567,7 @@ def _cmd_models_register(args: argparse.Namespace) -> int:
     line = f"registered model {name!r} ({graph.num_conv_layers} conv layers)"
     if not args.no_save:
         path = workloads.save_workload(
-            "model", name, workloads.REGISTRY.model_definition(name)
+            "model", name, workloads.REGISTRY.models.entry(name).definition
         )
         line += f" -> {path}"
     print(line)
@@ -587,23 +575,18 @@ def _cmd_models_register(args: argparse.Namespace) -> int:
 
 
 def _cmd_boards_list(args: argparse.Namespace) -> int:
-    names = workloads.available_boards()
+    entries = [workloads.REGISTRY.boards.entry(n) for n in workloads.available_boards()]
     if getattr(args, "json", False):
-        print(
-            json.dumps(
-                {"boards": [workloads.REGISTRY.board_definition(n) for n in names]},
-                indent=2,
-            )
-        )
+        print(json.dumps({"boards": [entry.definition for entry in entries]}, indent=2))
         return 0
     header = f"{'board':<12}{'DSPs':>8}{'BRAM MiB':>10}{'BW GB/s':>9}"
     print(header)
     print("-" * len(header))
-    for name in names:
-        board = workloads.get_board(name)
-        suffix = "" if workloads.REGISTRY.is_builtin_board(name) else "  (custom)"
+    for entry in entries:
+        board = entry.value
+        suffix = "" if entry.builtin else "  (custom)"
         print(
-            f"{name:<12}{board.dsp_count:>8}{board.bram_bytes / 2**20:>10.1f}"
+            f"{entry.name:<12}{board.dsp_count:>8}{board.bram_bytes / 2**20:>10.1f}"
             f"{board.bandwidth_gbps:>9.1f}{suffix}"
         )
     return 0
@@ -618,7 +601,7 @@ def _cmd_boards_register(args: argparse.Namespace) -> int:
     )
     if not args.no_save:
         path = workloads.save_workload(
-            "board", name, workloads.REGISTRY.board_definition(name)
+            "board", name, workloads.REGISTRY.boards.entry(name).definition
         )
         line += f" -> {path}"
     print(line)
@@ -626,37 +609,27 @@ def _cmd_boards_register(args: argparse.Namespace) -> int:
 
 
 def _cmd_rules_list(args: argparse.Namespace) -> int:
-    names = rules_registry.available_rulesets()
+    rulesets = rules_registry.REGISTRY
+    entries = [rulesets.entry(name) for name in rulesets.names()]
     if getattr(args, "json", False):
         catalog = []
-        for name in names:
-            definition = rules_registry.ruleset_definition(name)
-            catalog.append(
-                {
-                    "name": name,
-                    "description": definition.get("description", ""),
-                    "rule_count": len(definition.get("rules", [])),
-                    "custom": not rules_registry.REGISTRY.is_builtin_ruleset(name),
-                    "source": rules_registry.REGISTRY.ruleset_source(name),
-                    "definition": definition,
-                }
-            )
+        for entry in entries:
+            # The CLI listing also names each ruleset's source, just
+            # before its definition.
+            summary = ruleset_summary(entry)
+            definition = summary.pop("definition")
+            catalog.append({**summary, "source": entry.source, "definition": definition})
         print(json.dumps({"rulesets": catalog}, indent=2))
         return 0
     header = f"{'ruleset':<24}{'rules':>6}  description"
     print(header)
     print("-" * len(header))
-    for name in names:
-        definition = rules_registry.ruleset_definition(name)
-        suffix = (
-            ""
-            if rules_registry.REGISTRY.is_builtin_ruleset(name)
-            else "  (custom)"
-        )
-        description = definition.get("description", "")
+    for entry in entries:
+        summary = ruleset_summary(entry)
+        suffix = "  (custom)" if summary["custom"] else ""
         print(
-            f"{name:<24}{len(definition.get('rules', [])):>6}  "
-            f"{description[:60]}{suffix}"
+            f"{entry.name:<24}{summary['rule_count']:>6}  "
+            f"{summary['description'][:60]}{suffix}"
         )
     return 0
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import threading
 import time
@@ -71,6 +70,7 @@ from repro.hw.datatypes import (
 )
 from repro.rules import REGISTRY as RULES
 from repro.rules.engine import evaluate_rules, has_failures
+from repro.utils.atomic import write_atomic
 from repro.utils.errors import MCCMError, reject_unknown_fields
 from repro.workloads import REGISTRY
 
@@ -88,21 +88,6 @@ class CampaignError(MCCMError):
 
 
 # --- JSON plumbing ------------------------------------------------------------
-
-
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    """Write-then-rename so a SIGKILL mid-write never corrupts a checkpoint."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError as error:
-        # An unwritable checkpoint path is a user-input problem; keep it
-        # inside the library's error hierarchy (the CLI exits 2 cleanly).
-        raise CampaignError(f"cannot write checkpoint {path}: {error}") from None
 
 
 def _rng_state_to_json(state: tuple) -> list:
@@ -174,8 +159,8 @@ class CampaignCell:
         # models/boards (and the paper's abbreviations). Unknown names raise
         # UnknownWorkloadError — still an MCCMError, but with suggestions,
         # and the service maps it to a 404.
-        model = REGISTRY.canonical_model_name(data["model"])
-        board = REGISTRY.canonical_board_name(data["board"])
+        model = REGISTRY.models.canonical(data["model"])
+        board = REGISTRY.boards.canonical(data["board"])
         ce_counts = data.get("ce_counts")
         if ce_counts is not None:
             if (
@@ -230,7 +215,7 @@ class CampaignSpec:
             # Canonicalize eagerly so the fingerprint is spelling-stable;
             # unknown names raise UnknownWorkloadError (service: 404).
             object.__setattr__(
-                self, "rules", RULES.canonical_ruleset_name(self.rules)
+                self, "rules", RULES.canonical(self.rules)
             )
         if self.strategy not in STRATEGY_NAMES:
             raise CampaignError(
@@ -789,10 +774,12 @@ class Campaign:
         models: Dict[str, Any] = {}
         boards: Dict[str, Any] = {}
         for cell in self.spec.cells:
-            if not REGISTRY.is_builtin_model(cell.model):
-                models[cell.model] = REGISTRY.model_definition(cell.model)
-            if not REGISTRY.is_builtin_board(cell.board):
-                boards[cell.board] = REGISTRY.board_definition(cell.board)
+            model = REGISTRY.models.entry(cell.model)
+            if not model.builtin:
+                models[cell.model] = model.definition
+            board = REGISTRY.boards.entry(cell.board)
+            if not board.builtin:
+                boards[cell.board] = board.definition
         return {"models": models, "boards": boards}
 
     @staticmethod
@@ -804,8 +791,8 @@ class Campaign:
         replacing either side would break the bit-identical-resume contract.
         """
         for kind, register in (
-            ("models", REGISTRY.register_model),
-            ("boards", REGISTRY.register_board),
+            ("models", REGISTRY.models.register),
+            ("boards", REGISTRY.boards.register),
         ):
             for name, definition in (data.get(kind) or {}).items():
                 try:
@@ -825,10 +812,10 @@ class Campaign:
         process that never saw the user's rule files. Built-in rulesets
         need no embedding.
         """
-        name = self.spec.rules
-        if name is None or RULES.is_builtin_ruleset(name):
+        if self.spec.rules is None:
             return {}
-        return {name: RULES.ruleset_definition(name)}
+        entry = RULES.entry(self.spec.rules)
+        return {} if entry.builtin else {entry.name: entry.definition}
 
     @staticmethod
     def _restore_rulesets(data: Mapping[str, Any]) -> None:
@@ -839,7 +826,7 @@ class Campaign:
         """
         for name, definition in data.items():
             try:
-                RULES.register_ruleset(definition, name=name, source="checkpoint")
+                RULES.register(definition, name=name, source="checkpoint")
             except MCCMError as error:
                 raise CampaignError(
                     f"checkpoint embeds ruleset {name!r} that cannot be "
@@ -857,9 +844,22 @@ class Campaign:
         }
 
     def save(self) -> None:
-        """Atomically persist the current state (no-op without a path)."""
-        if self.checkpoint_path is not None:
-            _atomic_write_json(self.checkpoint_path, self.checkpoint_dict())
+        """Atomically persist the current state (no-op without a path).
+
+        Write-then-rename, so a SIGKILL mid-write never corrupts the
+        checkpoint.
+        """
+        if self.checkpoint_path is None:
+            return
+        data = json.dumps(self.checkpoint_dict()).encode("utf-8")
+        try:
+            write_atomic(self.checkpoint_path, data)
+        except OSError as error:
+            # An unwritable checkpoint path is a user-input problem; keep it
+            # inside the library's error hierarchy (the CLI exits 2 cleanly).
+            raise CampaignError(
+                f"cannot write checkpoint {self.checkpoint_path}: {error}"
+            ) from None
 
     # --- interrogation -------------------------------------------------------
     def result(self) -> CampaignResult:
@@ -982,7 +982,7 @@ class Campaign:
         if self.spec.rules is None:
             return list(evaluated)
         cell = self.spec.cells[index]
-        ruleset = RULES.ruleset(self.spec.rules)
+        ruleset = RULES.get(self.spec.rules)
         board = REGISTRY.board(cell.board, precision=cell.precision)
         return [
             (design, report)

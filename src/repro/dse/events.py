@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
+from repro.utils.atomic import write_atomic
 from repro.utils.errors import MCCMError
 
 #: Every event type the campaign runner emits, in rough lifecycle order.
@@ -244,13 +245,8 @@ class EventLog:
         except OSError as error:
             raise EventLogError(f"cannot stat event log {self.path}: {error}") from None
         if size != len(prefix):
-            tmp = self.path.with_name(self.path.name + ".tmp")
             try:
-                with open(tmp, "wb") as handle:
-                    handle.write(prefix)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.path)
+                write_atomic(self.path, prefix)
             except OSError as error:
                 raise EventLogError(
                     f"cannot reconcile event log {self.path}: {error}"

@@ -50,27 +50,27 @@ from repro.rules.schema import (
 
 def available_rulesets() -> List[str]:
     """Canonical names of every registered ruleset (built-in and custom)."""
-    return REGISTRY.ruleset_names()
+    return REGISTRY.names()
 
 
 def get_ruleset(name: str) -> RuleSet:
     """Resolve a registered ruleset by name."""
-    return REGISTRY.ruleset(name)
+    return REGISTRY.get(name)
 
 
 def register_ruleset(ruleset: RuleSetLike, **kwargs) -> str:
     """Register a ruleset with the process-wide registry."""
-    return REGISTRY.register_ruleset(ruleset, **kwargs)
+    return REGISTRY.register(ruleset, **kwargs)
 
 
 def unregister_ruleset(name: str) -> None:
     """Remove a custom ruleset from the process-wide registry."""
-    REGISTRY.unregister_ruleset(name)
+    REGISTRY.unregister(name)
 
 
 def ruleset_definition(name: str) -> Dict[str, Any]:
     """The canonical JSON dict of a registered ruleset."""
-    return REGISTRY.ruleset_definition(name)
+    return REGISTRY.entry(name).definition
 
 
 def generation() -> int:

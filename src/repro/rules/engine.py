@@ -43,7 +43,7 @@ def resolve_ruleset(
         return RuleSet.from_dict(rules)
     if isinstance(rules, str):
         target = registry if registry is not None else _registry.REGISTRY
-        return target.ruleset(rules)
+        return target.get(rules)
     raise RuleError(
         "rules must be a ruleset name, a ruleset-schema dict, or a RuleSet, "
         f"got {type(rules).__name__}"
@@ -55,7 +55,7 @@ def _resolve_board(report: Any, board: Optional[FPGABoard]) -> FPGABoard:
         return board
     from repro.workloads import REGISTRY as WORKLOADS
 
-    if WORKLOADS.has_board(report.board_name):
+    if report.board_name in WORKLOADS.boards:
         return WORKLOADS.board(report.board_name)
     raise RuleError(
         f"rule needs the FPGA board, but board {report.board_name!r} is not "

@@ -1,10 +1,11 @@
-"""The process-wide ruleset registry, mirroring the workload registry.
+"""The process-wide ruleset registry.
 
 Rulesets flow through the stack exactly like models and boards do: the
 CLI, the HTTP service, and DSE campaigns resolve them by name through one
-shared, thread-safe registry; a persistent *rule directory*
-(``$MCCM_RULE_DIR``, default ``~/.mccm/rules``) carries CLI registrations
-across invocations; unknown names raise
+shared :class:`~repro.utils.registry.Registry` — the same generic class
+behind the workload registry, so lookups, idempotence, conflicts and the
+persistent *rule directory* (``$MCCM_RULE_DIR``, default ``~/.mccm/rules``)
+behave identically. Unknown names raise
 :class:`~repro.utils.errors.UnknownWorkloadError` (kind ``"ruleset"``,
 with did-you-mean suggestions) and collisions raise
 :class:`~repro.utils.errors.WorkloadConflictError`, so the service keeps
@@ -18,21 +19,13 @@ path for the historical on-chip feasibility boolean (see
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.rules.schema import RuleSet
-from repro.utils.errors import (
-    MCCMError,
-    RuleError,
-    UnknownWorkloadError,
-    WorkloadConflictError,
-)
+from repro.utils.errors import RuleError
+from repro.utils.registry import Codec, Definition, Entry, Registry, save_definition
 
 RuleSetLike = Union[RuleSet, Mapping[str, Any], str, Path]
 
@@ -67,38 +60,46 @@ _BUILTIN_RESOURCES_DEF: Dict[str, Any] = {
 }
 
 
-def _digest(definition: Mapping[str, Any]) -> str:
-    canonical = json.dumps(definition, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _read_json_file(path: Union[str, Path]) -> Dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as error:
-        raise RuleError(f"cannot read ruleset file {path}: {error}") from None
-    except json.JSONDecodeError as error:
-        raise RuleError(f"ruleset file {path} is not valid JSON: {error}") from None
-    if not isinstance(data, dict):
+def _parse_ruleset(ruleset: Any, name: Optional[str]) -> Tuple[str, RuleSet, Definition]:
+    if isinstance(ruleset, RuleSet):
+        parsed = ruleset
+    elif isinstance(ruleset, Mapping):
+        parsed = RuleSet.from_dict(ruleset)
+    else:
         raise RuleError(
-            f"ruleset file {path} must hold a JSON object, got {type(data).__name__}"
+            "register_ruleset accepts a RuleSet, a ruleset-schema "
+            f"dict, or a JSON file path, got {type(ruleset).__name__}"
         )
-    return data
+    if name is not None:
+        parsed = RuleSet.from_dict({**parsed.to_dict(), "name": name})
+    return parsed.name, parsed, parsed.to_dict()
 
 
-@dataclass
-class _RuleSetRecord:
-    name: str
-    builtin: bool
-    source: str
-    ruleset: RuleSet
-
-    def define(self) -> Dict[str, Any]:
-        return self.ruleset.to_dict()
+def _reserved_ruleset_name(key: str) -> Optional[str]:
+    if key.startswith(BUILTIN_PREFIX):
+        return (
+            f"ruleset name {key!r} is reserved: the '{BUILTIN_PREFIX}' "
+            "namespace belongs to pre-registered rulesets"
+        )
+    return None
 
 
-class RuleRegistry:
+RULESET_CODEC: Codec[RuleSet] = Codec(
+    kind="ruleset",
+    error=RuleError,
+    parse=_parse_ruleset,
+    define=RuleSet.to_dict,
+    builtins=lambda: {
+        BUILTIN_RESOURCES: lambda: RuleSet.from_dict(_BUILTIN_RESOURCES_DEF)
+    },
+    builtin_source="builtin",
+    builtin_owner="a built-in ruleset",
+    directory="rule directory",
+    reserved=_reserved_ruleset_name,
+)
+
+
+class RuleRegistry(Registry[RuleSet]):
     """Thread-safe ruleset resolution for the entire system.
 
     One process-wide instance (:data:`REGISTRY`) backs the Python API, the
@@ -108,186 +109,19 @@ class RuleRegistry:
     """
 
     def __init__(self, include_builtins: bool = True) -> None:
-        self._lock = threading.RLock()
-        self._rulesets: Dict[str, _RuleSetRecord] = {}
-        self._generation = 0
-        if include_builtins:
-            builtin = RuleSet.from_dict(_BUILTIN_RESOURCES_DEF)
-            self._rulesets[builtin.name] = _RuleSetRecord(
-                name=builtin.name, builtin=True, source="builtin", ruleset=builtin
-            )
+        super().__init__(RULESET_CODEC, include_builtins)
 
-    @property
-    def generation(self) -> int:
-        """Mutation counter: bumped on every (re)registration or removal."""
-        with self._lock:
-            return self._generation
 
-    def _bump(self) -> None:
-        self._generation += 1
-
-    # --- resolution -----------------------------------------------------------
-    def has_ruleset(self, name: str) -> bool:
-        with self._lock:
-            return str(name).strip().lower() in self._rulesets
-
-    def canonical_ruleset_name(self, name: str) -> str:
-        with self._lock:
-            key = str(name).strip().lower()
-            if key not in self._rulesets:
-                raise UnknownWorkloadError("ruleset", name, self._rulesets)
-            return key
-
-    def ruleset(self, name: str) -> RuleSet:
-        with self._lock:
-            record = self._rulesets.get(str(name).strip().lower())
-            if record is None:
-                raise UnknownWorkloadError("ruleset", name, self._rulesets)
-            return record.ruleset
-
-    def ruleset_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._rulesets)
-
-    def ruleset_definition(self, name: str) -> Dict[str, Any]:
-        with self._lock:
-            record = self._rulesets.get(str(name).strip().lower())
-            if record is None:
-                raise UnknownWorkloadError("ruleset", name, self._rulesets)
-            return record.define()
-
-    def is_builtin_ruleset(self, name: str) -> bool:
-        with self._lock:
-            record = self._rulesets.get(str(name).strip().lower())
-            if record is None:
-                raise UnknownWorkloadError("ruleset", name, self._rulesets)
-            return record.builtin
-
-    def ruleset_source(self, name: str) -> str:
-        with self._lock:
-            record = self._rulesets.get(str(name).strip().lower())
-            if record is None:
-                raise UnknownWorkloadError("ruleset", name, self._rulesets)
-            return record.source
-
-    def custom_rulesets(self) -> Dict[str, Dict[str, Any]]:
-        """``name -> definition`` for every non-builtin ruleset (checkpoints)."""
-        with self._lock:
-            return {
-                name: record.define()
-                for name, record in sorted(self._rulesets.items())
-                if not record.builtin
-            }
-
-    # --- registration ---------------------------------------------------------
-    def register_ruleset(
-        self,
-        ruleset: RuleSetLike,
-        *,
-        name: Optional[str] = None,
-        replace: bool = False,
-        source: str = "api",
-    ) -> str:
-        """Register a ruleset; returns its canonical registry name.
-
-        ``ruleset`` may be a built :class:`RuleSet`, its JSON dict schema,
-        or a path to a JSON file. ``name`` overrides the ruleset's own
-        name as the registry key. Re-registering identical content is an
-        idempotent no-op; different content under an existing name needs
-        ``replace=True``; the ``builtin:`` namespace is always reserved.
-        """
-        if isinstance(ruleset, RuleSet):
-            parsed = ruleset
-        else:
-            if isinstance(ruleset, (str, Path)):
-                data: Mapping[str, Any] = _read_json_file(ruleset)
-                if source == "api":
-                    source = str(ruleset)
-            elif isinstance(ruleset, Mapping):
-                data = ruleset
-            else:
-                raise RuleError(
-                    "register_ruleset accepts a RuleSet, a ruleset-schema "
-                    f"dict, or a JSON file path, got {type(ruleset).__name__}"
-                )
-            parsed = RuleSet.from_dict(data)
-        if name is not None:
-            renamed = RuleSet.from_dict({**parsed.to_dict(), "name": name})
-            parsed = renamed
-        key = parsed.name
-        definition = parsed.to_dict()
-        with self._lock:
-            if key.startswith(BUILTIN_PREFIX) and not self._is_same_builtin(
-                key, definition
-            ):
-                raise WorkloadConflictError(
-                    f"ruleset name {key!r} is reserved: the '{BUILTIN_PREFIX}' "
-                    "namespace belongs to pre-registered rulesets"
-                )
-            existing = self._rulesets.get(key)
-            if existing is not None:
-                if _digest(existing.define()) == _digest(definition):
-                    return key  # idempotent re-registration
-                if existing.builtin:
-                    raise WorkloadConflictError(
-                        f"ruleset name {key!r} is reserved by a built-in ruleset"
-                    )
-                if not replace:
-                    raise WorkloadConflictError(
-                        f"ruleset {key!r} is already registered with different "
-                        "content; pass replace=True to overwrite it"
-                    )
-            self._rulesets[key] = _RuleSetRecord(
-                name=key, builtin=False, source=source, ruleset=parsed
-            )
-            self._bump()
-        return key
-
-    def _is_same_builtin(self, key: str, definition: Mapping[str, Any]) -> bool:
-        existing = self._rulesets.get(key)
-        return existing is not None and _digest(existing.define()) == _digest(
-            definition
-        )
-
-    def unregister_ruleset(self, name: str) -> None:
-        """Remove a custom ruleset (built-ins cannot be removed)."""
-        with self._lock:
-            key = str(name).strip().lower()
-            record = self._rulesets.get(key)
-            if record is None:
-                raise UnknownWorkloadError("ruleset", name, self._rulesets)
-            if record.builtin:
-                raise WorkloadConflictError(
-                    f"built-in ruleset {key!r} cannot be unregistered"
-                )
-            del self._rulesets[key]
-            self._bump()
-
-    # --- the persistent rule directory ----------------------------------------
-    def load_directory(self, path: Union[str, Path]) -> List[str]:
-        """Register every ``*.json`` directly under ``path``.
-
-        A missing directory is a no-op. Files load in sorted order with
-        ``replace=True`` (the directory is the source of truth for the
-        names it holds); a malformed file raises :class:`RuleError`
-        naming it, so users know exactly what to fix or delete.
-        """
-        root = Path(path)
-        registered: List[str] = []
-        if not root.is_dir():
-            return registered
-        for file in sorted(root.glob("*.json")):
-            try:
-                registered.append(
-                    self.register_ruleset(file, replace=True, source=str(file))
-                )
-            except WorkloadConflictError:
-                raise
-            except MCCMError as error:
-                raise RuleError(
-                    f"rule directory entry {file} failed to load: {error}"
-                ) from None
-        return registered
+def ruleset_summary(entry: Entry[RuleSet]) -> Dict[str, Any]:
+    """One ruleset's ``GET /rules`` / ``repro rules list --json`` entry."""
+    definition = entry.definition
+    return {
+        "name": entry.name,
+        "description": definition.get("description", ""),
+        "rule_count": len(definition.get("rules", [])),
+        "custom": not entry.builtin,
+        "definition": definition,
+    }
 
 
 #: The process-wide registry every front-end shares.
@@ -315,19 +149,14 @@ def save_ruleset(
     definition: Mapping[str, Any],
     path: Optional[Union[str, Path]] = None,
 ) -> Path:
-    """Persist one canonical ruleset definition as ``<dir>/<name>.json``.
+    """Atomically persist one canonical ruleset definition as ``<dir>/<name>.json``.
 
     ``:`` in ruleset names is replaced by ``__`` in the file name (colons
-    are not portable across filesystems); :meth:`RuleRegistry.load_directory`
-    reads the name back from the JSON body, not the file name.
+    are not portable across filesystems); loading reads the name back from
+    the JSON body, not the file name.
     """
     root = Path(path) if path is not None else default_rule_dir()
     try:
-        root.mkdir(parents=True, exist_ok=True)
-        target = root / f"{name.replace(':', '__')}.json"
-        with open(target, "w", encoding="utf-8") as handle:
-            json.dump(definition, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        return save_definition(root / f"{name.replace(':', '__')}.json", definition)
     except OSError as error:
         raise RuleError(f"cannot save ruleset {name!r} to {root}: {error}") from None
-    return target

@@ -7,7 +7,7 @@ just to fail again.
 
 The disk cache writes one JSON document per key, sharded into 256
 two-hex-digit subdirectories to keep directory listings sane at DSE scale,
-and writes atomically (tempfile + fsync + rename) so concurrent readers —
+and writes atomically (:func:`repro.utils.atomic.write_atomic`) so concurrent readers —
 including sibling worker processes sharing the directory — never observe
 torn files.  A sqlite index alongside the entries makes entry counts O(1)
 for the service /healthz endpoint instead of a directory walk.
@@ -16,9 +16,7 @@ for the service /healthz endpoint instead of a directory walk.
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -27,6 +25,7 @@ from typing import Optional, Union
 
 from repro.core.cost.export import report_from_dict, report_to_dict
 from repro.core.cost.results import CostReport
+from repro.utils.atomic import write_atomic
 from repro.utils.errors import MCCMError
 
 #: Format marker stored inside every disk-cache document.
@@ -170,7 +169,7 @@ class _CacheIndex:
 class DiskCache:
     """One-JSON-file-per-key persistent store under a cache directory.
 
-    Safe to share between processes: writes are tempfile + fsync + rename,
+    Safe to share between processes: writes go through ``write_atomic``,
     so a reader (or a worker that crashed mid-write and restarted) either
     sees a complete document or nothing.
     """
@@ -220,28 +219,12 @@ class DiskCache:
         }
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(payload, stream)
-                # Flush + fsync before the rename: without it a crash can
-                # leave the rename durable but the contents empty, which a
-                # sibling worker would then read as a torn entry.
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, json.dumps(payload).encode("utf-8"))
         self._index.record(key)
 
     def _entry_paths(self):
-        # Exclude .tmp-* files a killed run may have orphaned mid-write.
+        # Exclude hidden temp files a killed run may have orphaned
+        # mid-write (older versions named them .tmp-*.json).
         return (
             path
             for path in self.directory.glob("*/*.json")

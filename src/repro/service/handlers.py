@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -27,7 +26,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 
 import repro
 from repro.api import sweep
-from repro.cnn.stats import collect_stats
 from repro.core.architectures import TEMPLATES, build_template
 from repro.core.cost.export import report_to_dict
 from repro.core.notation import ArchitectureSpec, parse_notation
@@ -46,6 +44,7 @@ from repro.runtime.fingerprint import context_fingerprint
 from repro.rules import BUILTIN_RESOURCES
 from repro.rules import REGISTRY as RULES
 from repro.rules.engine import evaluate_rules
+from repro.rules.registry import ruleset_summary
 from repro.service.schema import (
     BoardRegisterRequest,
     CampaignRequest,
@@ -57,8 +56,10 @@ from repro.service.schema import (
     SweepRequest,
     precision_to_dict,
 )
+from repro.utils.atomic import write_atomic
 from repro.utils.errors import ResourceError
 from repro.workloads import REGISTRY
+from repro.workloads.registry import model_summary
 
 Response = Tuple[int, Dict[str, Any]]
 
@@ -117,27 +118,6 @@ class StreamingResponse:
     chunks: Iterator[bytes]
     status: int = 200
     content_type: str = "application/x-ndjson"
-
-
-def _write_json_atomic(path: Path, payload: Dict[str, Any], *, fsync: bool = True) -> None:
-    """Write one JSON document so concurrent readers never see it torn."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=".tmp-", suffix=".json"
-    )
-    try:
-        with os.fdopen(handle, "w") as stream:
-            json.dump(payload, stream)
-            if fsync:
-                stream.flush()
-                os.fsync(stream.fileno())
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
 
 
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
@@ -430,7 +410,11 @@ class ServiceState:
             return
         self._last_status_write = now
         try:
-            _write_json_atomic(self._status_path, self.worker_status(), fsync=False)
+            write_atomic(
+                self._status_path,
+                json.dumps(self.worker_status()).encode("utf-8"),
+                fsync=False,
+            )
         except OSError:
             pass
 
@@ -516,8 +500,10 @@ class ServiceState:
         """Mirror one job's wire snapshot into the shared campaigns dir."""
         if self.shared_dir is None:
             return
-        _write_json_atomic(
-            self.campaigns_dir / f"{job.id}.json", job.to_dict(), fsync=False
+        write_atomic(
+            self.campaigns_dir / f"{job.id}.json",
+            json.dumps(job.to_dict()).encode("utf-8"),
+            fsync=False,
         )
 
     def _discard_campaign_snapshot(self, campaign_id: str) -> None:
@@ -571,7 +557,7 @@ class ServiceState:
         embedded service) bumps the generation, so the next request rebuilds
         the catalog instead of serving a stale listing.
         """
-        generation = REGISTRY.generation
+        generation = REGISTRY.models.generation
         with self._catalog_lock:
             if (
                 self._model_catalog is not None
@@ -580,19 +566,9 @@ class ServiceState:
                 return self._model_catalog
         # Build outside the lock: racing requests may duplicate the work,
         # but never block each other behind graph construction.
-        catalog = []
-        for name in REGISTRY.model_names():
-            stats = collect_stats(REGISTRY.model(name))
-            catalog.append(
-                {
-                    "name": name,
-                    "display_name": stats.name,
-                    "conv_layers": stats.conv_layer_count,
-                    "gmacs": round(stats.gmacs, 3),
-                    "weights_millions": round(stats.weights_millions, 3),
-                    "custom": not REGISTRY.is_builtin_model(name),
-                }
-            )
+        catalog = [
+            model_summary(REGISTRY.models.entry(name)) for name in REGISTRY.models.names()
+        ]
         with self._catalog_lock:
             self._model_catalog = catalog
             self._catalog_generation = generation
@@ -815,27 +791,15 @@ def handle_models(state: ServiceState) -> Response:
 
 def handle_boards(state: ServiceState) -> Response:
     boards = []
-    for name in REGISTRY.board_names():
-        definition = REGISTRY.board_definition(name)
-        definition["custom"] = not REGISTRY.is_builtin_board(name)
-        boards.append(definition)
+    for name in REGISTRY.boards.names():
+        entry = REGISTRY.boards.entry(name)
+        boards.append({**entry.definition, "custom": not entry.builtin})
     return 200, {"boards": boards}
 
 
 def handle_rules_list(state: ServiceState) -> Response:
     """``GET /rules``: every registered constraint ruleset, with definitions."""
-    rulesets = []
-    for name in RULES.ruleset_names():
-        definition = RULES.ruleset_definition(name)
-        rulesets.append(
-            {
-                "name": name,
-                "description": definition.get("description", ""),
-                "rule_count": len(definition.get("rules", [])),
-                "custom": not RULES.is_builtin_ruleset(name),
-                "definition": definition,
-            }
-        )
+    rulesets = [ruleset_summary(RULES.entry(name)) for name in RULES.names()]
     return 200, {"rulesets": rulesets}
 
 
@@ -852,30 +816,21 @@ def handle_model_register(
     Conflicts surface as 409 ``workload_conflict``; malformed graphs as
     400 ``shape_error``. Returns 201 with the catalog entry.
     """
-    name = REGISTRY.register_model(
+    name = REGISTRY.models.register(
         request.definition, replace=request.replace, source="http"
     )
-    stats = collect_stats(REGISTRY.model(name))
-    return 201, {
-        "name": name,
-        "display_name": stats.name,
-        "conv_layers": stats.conv_layer_count,
-        "gmacs": round(stats.gmacs, 3),
-        "weights_millions": round(stats.weights_millions, 3),
-        "custom": True,
-    }
+    return 201, model_summary(REGISTRY.models.entry(name))
 
 
 def handle_board_register(
     state: ServiceState, request: BoardRegisterRequest
 ) -> Response:
     """``POST /boards``: register a user-defined FPGA board (in-memory)."""
-    name = REGISTRY.register_board(
+    name = REGISTRY.boards.register(
         request.definition, replace=request.replace, source="http"
     )
-    definition = REGISTRY.board_definition(name)
-    definition["custom"] = True
-    return 201, definition
+    entry = REGISTRY.boards.entry(name)
+    return 201, {**entry.definition, "custom": not entry.builtin}
 
 
 def handle_ruleset_register(
@@ -886,17 +841,8 @@ def handle_ruleset_register(
     Conflicts surface as 409 ``workload_conflict``; malformed rule schemas
     as 400 ``rule_error``. Returns 201 with the catalog entry.
     """
-    name = RULES.register_ruleset(
-        request.definition, replace=request.replace, source="http"
-    )
-    definition = RULES.ruleset_definition(name)
-    return 201, {
-        "name": name,
-        "description": definition.get("description", ""),
-        "rule_count": len(definition.get("rules", [])),
-        "custom": True,
-        "definition": definition,
-    }
+    name = RULES.register(request.definition, replace=request.replace, source="http")
+    return 201, ruleset_summary(RULES.entry(name))
 
 
 def _verdict_dicts(request, report, board) -> list:

@@ -177,7 +177,7 @@ def _model_field(payload: Mapping[str, Any]) -> str:
     name = _string_field(payload, "model").lower()
     try:
         # Live registry state: a model registered a request ago resolves here.
-        return REGISTRY.canonical_model_name(name)
+        return REGISTRY.models.canonical(name)
     except UnknownWorkloadError as error:
         raise RequestError(
             str(error),
@@ -190,7 +190,7 @@ def _model_field(payload: Mapping[str, Any]) -> str:
 def _board_field(payload: Mapping[str, Any]) -> str:
     name = _string_field(payload, "board").lower()
     try:
-        return REGISTRY.canonical_board_name(name)
+        return REGISTRY.boards.canonical(name)
     except UnknownWorkloadError as error:
         raise RequestError(
             str(error),
@@ -206,7 +206,7 @@ def _ruleset_field(payload: Mapping[str, Any]) -> Optional[str]:
         return None
     name = _string_field(payload, "rules").lower()
     try:
-        return RULES.canonical_ruleset_name(name)
+        return RULES.canonical(name)
     except UnknownWorkloadError as error:
         raise RequestError(
             str(error),

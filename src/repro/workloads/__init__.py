@@ -41,32 +41,32 @@ def get_board(name: str, *, precision: Optional[Precision] = None) -> FPGABoard:
 
 def available_models() -> List[str]:
     """Canonical names of every registered model (built-in and custom)."""
-    return REGISTRY.model_names()
+    return REGISTRY.models.names()
 
 
 def available_boards() -> List[str]:
     """Canonical names of every registered board (built-in and custom)."""
-    return REGISTRY.board_names()
+    return REGISTRY.boards.names()
 
 
 def register_model(model: ModelLike, **kwargs) -> str:
     """Register a custom CNN with the process-wide registry."""
-    return REGISTRY.register_model(model, **kwargs)
+    return REGISTRY.models.register(model, **kwargs)
 
 
 def register_board(board: BoardLike, **kwargs) -> str:
     """Register a custom board with the process-wide registry."""
-    return REGISTRY.register_board(board, **kwargs)
+    return REGISTRY.boards.register(board, **kwargs)
 
 
 def unregister_model(name: str) -> None:
     """Remove a custom model from the process-wide registry."""
-    REGISTRY.unregister_model(name)
+    REGISTRY.models.unregister(name)
 
 
 def unregister_board(name: str) -> None:
     """Remove a custom board from the process-wide registry."""
-    REGISTRY.unregister_board(name)
+    REGISTRY.boards.unregister(name)
 
 
 def generation() -> int:

@@ -7,19 +7,21 @@ registry entries so arbitrary user workloads flow through the whole stack
 — the batch runtime, the caches, DSE campaigns, and the HTTP service —
 without any layer knowing whether a name is built-in or user-defined.
 
-* Built-in zoo models and paper boards are pre-registered (lazily built,
-  never replaceable — their names and abbreviations are reserved).
+:class:`WorkloadRegistry` holds one generic
+:class:`~repro.utils.registry.Registry` per kind (``.models``,
+``.boards``); this module only contributes their codecs:
+
+* Built-in zoo models and paper boards are pre-registered (lazily built;
+  their names and the paper's abbreviations are reserved).
 * Custom models arrive as :class:`~repro.cnn.graph.CNNGraph` objects, the
   JSON dict schema of :mod:`repro.cnn.serialize`, or paths to JSON files.
 * Custom boards arrive as :class:`~repro.hw.boards.FPGABoard` objects or a
   JSON schema validated here (including optional ``supported_precisions``
   checked against :mod:`repro.hw.datatypes`).
-* Every mutation bumps :meth:`WorkloadRegistry.generation`, which callers
-  (the service's model catalog) use to invalidate derived state.
 * A *workload directory* (``$MCCM_WORKLOAD_DIR``, default
   ``~/.mccm/workloads``) persists registrations across CLI runs:
-  ``repro models register`` drops canonical JSON there and every CLI
-  invocation loads it back.
+  ``repro models register`` atomically drops canonical JSON there and
+  every CLI invocation loads it back.
 
 Lookups raise :class:`~repro.utils.errors.UnknownWorkloadError` (a
 ``KeyError`` subclass carrying did-you-mean suggestions); registration
@@ -28,28 +30,21 @@ conflicts raise :class:`~repro.utils.errors.WorkloadConflictError`.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import functools
 import os
 import re
-import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.cnn.graph import CNNGraph
 from repro.cnn.serialize import graph_from_dict, graph_to_dict
+from repro.cnn.stats import collect_stats
 from repro.cnn.zoo import ABBREVIATIONS, _BUILDERS
 from repro.cnn.zoo import load_model as _zoo_load
 from repro.hw.boards import BOARDS, DEFAULT_CLOCK_HZ, FPGABoard
 from repro.hw.datatypes import DATATYPES, Precision, get_datatype
-from repro.utils.errors import (
-    MCCMError,
-    UnknownWorkloadError,
-    WorkloadConflictError,
-    WorkloadError,
-    reject_unknown_fields,
-)
+from repro.utils.errors import WorkloadError, reject_unknown_fields
+from repro.utils.registry import Codec, Definition, Entry, Registry, save_definition
 from repro.utils.units import mib_to_bytes
 
 ModelLike = Union[CNNGraph, Mapping[str, Any], str, Path]
@@ -70,11 +65,6 @@ def _normalize_name(name: str, kind: str) -> str:
             "plus '._-' (they become cache keys, file names, and URL payloads)"
         )
     return key
-
-
-def _digest(definition: Mapping[str, Any]) -> str:
-    canonical = json.dumps(definition, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # --- the board JSON schema ----------------------------------------------------
@@ -186,58 +176,78 @@ def board_to_dict(
     return payload
 
 
-# --- registry records ---------------------------------------------------------
+# --- the per-kind codecs ------------------------------------------------------
 
 
-@dataclass
-class _ModelRecord:
-    name: str
-    builtin: bool
-    source: str
-    loader: Callable[[], CNNGraph]
-    graph: Optional[CNNGraph] = None
-    definition: Optional[Dict[str, Any]] = None
-
-    def load(self) -> CNNGraph:
-        if self.graph is None:
-            self.graph = self.loader()
-        return self.graph
-
-    def define(self) -> Dict[str, Any]:
-        if self.definition is None:
-            self.definition = graph_to_dict(self.load())
-        return self.definition
-
-
-@dataclass
-class _BoardRecord:
-    name: str
-    builtin: bool
-    source: str
-    board: FPGABoard
-    supported_precisions: Optional[Tuple[str, ...]] = None
-
-    def define(self) -> Dict[str, Any]:
-        return board_to_dict(self.board, self.supported_precisions)
-
-
-def _read_json_file(path: Union[str, Path], kind: str) -> Dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as error:
-        raise WorkloadError(f"cannot read {kind} file {path}: {error}") from None
-    except json.JSONDecodeError as error:
-        raise WorkloadError(f"{kind} file {path} is not valid JSON: {error}") from None
-    if not isinstance(data, dict):
+def _parse_model(model: Any, name: Optional[str]) -> Tuple[str, CNNGraph, Definition]:
+    if isinstance(model, CNNGraph):
+        graph = model
+    elif isinstance(model, Mapping):
+        graph = graph_from_dict(dict(model))
+    else:
         raise WorkloadError(
-            f"{kind} file {path} must hold a JSON object, got {type(data).__name__}"
+            "register_model accepts a CNNGraph, a model-schema dict, "
+            f"or a JSON file path, got {type(model).__name__}"
         )
-    return data
+    key = _normalize_name(name if name is not None else graph.name, "model")
+    # Canonicalize through the round-trip so the stored definition (and
+    # its digest) never depends on user key order or defaults.
+    return key, graph, graph_to_dict(graph)
+
+
+def _parse_board(board: Any, name: Optional[str]) -> Tuple[str, FPGABoard, Definition]:
+    precisions: Optional[Tuple[str, ...]] = None
+    if isinstance(board, FPGABoard):
+        parsed = board
+    elif isinstance(board, Mapping):
+        parsed, precisions = board_from_dict(board)
+    else:
+        raise WorkloadError(
+            "register_board accepts an FPGABoard, a board-schema "
+            f"dict, or a JSON file path, got {type(board).__name__}"
+        )
+    key = _normalize_name(name if name is not None else parsed.name, "board")
+    return key, parsed, board_to_dict(parsed, precisions)
+
+
+def _reserved_model_name(key: str) -> Optional[str]:
+    if key in ABBREVIATIONS:
+        return (
+            f"model name {key!r} is reserved (paper abbreviation for "
+            f"{ABBREVIATIONS[key]!r})"
+        )
+    return None
+
+
+MODEL_CODEC: Codec[CNNGraph] = Codec(
+    kind="model",
+    error=WorkloadError,
+    parse=_parse_model,
+    define=graph_to_dict,
+    # Bind through the zoo's lru-cached loader so the registry and direct
+    # zoo users share graph objects.
+    builtins=lambda: {name: functools.partial(_zoo_load, name) for name in _BUILDERS},
+    builtin_source="zoo",
+    builtin_owner="the built-in zoo",
+    directory="workload directory",
+    aliases=ABBREVIATIONS,
+    reserved=_reserved_model_name,
+)
+
+BOARD_CODEC: Codec[FPGABoard] = Codec(
+    kind="board",
+    error=WorkloadError,
+    parse=_parse_board,
+    define=board_to_dict,
+    builtins=lambda: {name: (lambda board=board: board) for name, board in BOARDS.items()},
+    builtin_source="paper",
+    builtin_owner="the paper's Table II",
+    directory="workload directory",
+)
 
 
 class WorkloadRegistry:
-    """Thread-safe model/board resolution for the entire system.
+    """Models and boards for the entire system: one generic registry each.
 
     One process-wide instance (:data:`REGISTRY`) backs the Python API, the
     CLI, the HTTP service, and DSE campaigns; fresh instances exist for
@@ -246,194 +256,17 @@ class WorkloadRegistry:
     """
 
     def __init__(self, include_builtins: bool = True) -> None:
-        self._lock = threading.RLock()
-        self._models: Dict[str, _ModelRecord] = {}
-        self._boards: Dict[str, _BoardRecord] = {}
-        self._model_aliases: Dict[str, str] = {}
-        self._generation = 0
-        if include_builtins:
-            for name, builder in _BUILDERS.items():
-                self._models[name] = _ModelRecord(
-                    name=name,
-                    builtin=True,
-                    source="zoo",
-                    # Bind through the zoo's lru-cached loader so the
-                    # registry and direct zoo users share graph objects.
-                    loader=(lambda key=name: _zoo_load(key)),
-                )
-            self._model_aliases.update(ABBREVIATIONS)
-            for name, board in BOARDS.items():
-                self._boards[name] = _BoardRecord(
-                    name=name, builtin=True, source="paper", board=board
-                )
+        self.models: Registry[CNNGraph] = Registry(MODEL_CODEC, include_builtins)
+        self.boards: Registry[FPGABoard] = Registry(BOARD_CODEC, include_builtins)
 
-    # --- bookkeeping ---------------------------------------------------------
     @property
     def generation(self) -> int:
-        """Mutation counter: bumped on every (re)registration or removal.
-
-        Derived state (the service's model catalog) caches against this and
-        rebuilds when it moves.
-        """
-        with self._lock:
-            return self._generation
-
-    def _bump(self) -> None:
-        self._generation += 1
-
-    # --- model resolution -----------------------------------------------------
-    def _canonical_model_key(self, name: str) -> str:
-        key = str(name).strip().lower()
-        return self._model_aliases.get(key, key)
-
-    def canonical_model_name(self, name: str) -> str:
-        """Resolve a name or paper abbreviation to its canonical form."""
-        with self._lock:
-            key = self._canonical_model_key(name)
-            if key not in self._models:
-                raise UnknownWorkloadError("model", name, self._models)
-            return key
-
-    def has_model(self, name: str) -> bool:
-        with self._lock:
-            return self._canonical_model_key(name) in self._models
+        """Mutation counter over both kinds (each mutation bumps it)."""
+        return self.models.generation + self.boards.generation
 
     def model(self, name: str) -> CNNGraph:
         """Build (or fetch the cached) model graph by name or abbreviation."""
-        with self._lock:
-            record = self._models.get(self._canonical_model_key(name))
-            if record is None:
-                raise UnknownWorkloadError("model", name, self._models)
-            return record.load()
-
-    def model_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._models)
-
-    def model_definition(self, name: str) -> Dict[str, Any]:
-        """The JSON dict schema of a registered model (built-in or custom)."""
-        with self._lock:
-            record = self._models.get(self._canonical_model_key(name))
-            if record is None:
-                raise UnknownWorkloadError("model", name, self._models)
-            return record.define()
-
-    def is_builtin_model(self, name: str) -> bool:
-        with self._lock:
-            record = self._models.get(self._canonical_model_key(name))
-            if record is None:
-                raise UnknownWorkloadError("model", name, self._models)
-            return record.builtin
-
-    def model_source(self, name: str) -> str:
-        with self._lock:
-            record = self._models.get(self._canonical_model_key(name))
-            if record is None:
-                raise UnknownWorkloadError("model", name, self._models)
-            return record.source
-
-    def custom_models(self) -> Dict[str, Dict[str, Any]]:
-        """``name -> definition`` for every non-builtin model (checkpoints)."""
-        with self._lock:
-            return {
-                name: record.define()
-                for name, record in sorted(self._models.items())
-                if not record.builtin
-            }
-
-    # --- model registration ---------------------------------------------------
-    def register_model(
-        self,
-        model: ModelLike,
-        *,
-        name: Optional[str] = None,
-        replace: bool = False,
-        source: str = "api",
-    ) -> str:
-        """Register a user-defined CNN; returns its canonical registry name.
-
-        ``model`` may be a built :class:`CNNGraph`, the JSON dict schema of
-        :mod:`repro.cnn.serialize`, or a path to a JSON file. ``name``
-        overrides the graph's own name as the registry key. Re-registering
-        identical content is an idempotent no-op; different content under an
-        existing name needs ``replace=True``; built-in names (and the
-        paper's abbreviations) are always reserved.
-        """
-        if isinstance(model, CNNGraph):
-            graph = model
-            definition = graph_to_dict(graph)
-        else:
-            if isinstance(model, (str, Path)):
-                data: Mapping[str, Any] = _read_json_file(model, "model")
-                if source == "api":
-                    source = str(model)
-            elif isinstance(model, Mapping):
-                data = model
-            else:
-                raise WorkloadError(
-                    "register_model accepts a CNNGraph, a model-schema dict, "
-                    f"or a JSON file path, got {type(model).__name__}"
-                )
-            graph = graph_from_dict(dict(data))
-            # Canonicalize through the round-trip so the stored definition
-            # (and its digest) never depends on user key order or defaults.
-            definition = graph_to_dict(graph)
-        key = _normalize_name(name if name is not None else graph.name, "model")
-        with self._lock:
-            if key in self._model_aliases:
-                raise WorkloadConflictError(
-                    f"model name {key!r} is reserved (paper abbreviation for "
-                    f"{self._model_aliases[key]!r})"
-                )
-            existing = self._models.get(key)
-            if existing is not None:
-                if existing.builtin:
-                    raise WorkloadConflictError(
-                        f"model name {key!r} is reserved by the built-in zoo"
-                    )
-                if _digest(existing.define()) == _digest(definition):
-                    return key  # idempotent re-registration
-                if not replace:
-                    raise WorkloadConflictError(
-                        f"model {key!r} is already registered with different "
-                        "content; pass replace=True to overwrite it"
-                    )
-            self._models[key] = _ModelRecord(
-                name=key,
-                builtin=False,
-                source=source,
-                loader=lambda: graph,
-                graph=graph,
-                definition=definition,
-            )
-            self._bump()
-        return key
-
-    def unregister_model(self, name: str) -> None:
-        """Remove a custom model (built-ins cannot be removed)."""
-        with self._lock:
-            key = self._canonical_model_key(name)
-            record = self._models.get(key)
-            if record is None:
-                raise UnknownWorkloadError("model", name, self._models)
-            if record.builtin:
-                raise WorkloadConflictError(
-                    f"built-in model {key!r} cannot be unregistered"
-                )
-            del self._models[key]
-            self._bump()
-
-    # --- board resolution -----------------------------------------------------
-    def has_board(self, name: str) -> bool:
-        with self._lock:
-            return str(name).strip().lower() in self._boards
-
-    def canonical_board_name(self, name: str) -> str:
-        with self._lock:
-            key = str(name).strip().lower()
-            if key not in self._boards:
-                raise UnknownWorkloadError("board", name, self._boards)
-            return key
+        return self.models.get(name)
 
     def board(self, name: str, *, precision: Optional[Precision] = None) -> FPGABoard:
         """Look up a board; optionally enforce its precision restriction.
@@ -442,148 +275,42 @@ class WorkloadRegistry:
         request's :class:`Precision` here rejects unsupported datatypes with
         a :class:`WorkloadError` before any evaluation work happens.
         """
-        with self._lock:
-            record = self._boards.get(str(name).strip().lower())
-            if record is None:
-                raise UnknownWorkloadError("board", name, self._boards)
-            if precision is not None and record.supported_precisions is not None:
-                supported = set(record.supported_precisions)
-                for role in ("weights", "activations"):
-                    datatype = getattr(precision, role)
-                    if datatype.name not in supported:
-                        raise WorkloadError(
-                            f"board {record.name!r} does not support {role} "
-                            f"datatype {datatype.name!r}; supported: "
-                            f"{sorted(supported)}"
-                        )
-            return record.board
-
-    def board_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._boards)
-
-    def board_definition(self, name: str) -> Dict[str, Any]:
-        with self._lock:
-            record = self._boards.get(str(name).strip().lower())
-            if record is None:
-                raise UnknownWorkloadError("board", name, self._boards)
-            return record.define()
-
-    def is_builtin_board(self, name: str) -> bool:
-        with self._lock:
-            record = self._boards.get(str(name).strip().lower())
-            if record is None:
-                raise UnknownWorkloadError("board", name, self._boards)
-            return record.builtin
-
-    def custom_boards(self) -> Dict[str, Dict[str, Any]]:
-        """``name -> definition`` for every non-builtin board (checkpoints)."""
-        with self._lock:
-            return {
-                name: record.define()
-                for name, record in sorted(self._boards.items())
-                if not record.builtin
-            }
-
-    # --- board registration ---------------------------------------------------
-    def register_board(
-        self,
-        board: BoardLike,
-        *,
-        name: Optional[str] = None,
-        replace: bool = False,
-        source: str = "api",
-    ) -> str:
-        """Register a user-defined board; returns its canonical name.
-
-        ``board`` may be an :class:`FPGABoard`, the JSON schema validated by
-        :func:`board_from_dict`, or a path to a JSON file. Conflict rules
-        match :meth:`register_model`.
-        """
-        precisions: Optional[Tuple[str, ...]] = None
-        if isinstance(board, FPGABoard):
-            parsed = board
-        else:
-            if isinstance(board, (str, Path)):
-                data: Mapping[str, Any] = _read_json_file(board, "board")
-                if source == "api":
-                    source = str(board)
-            elif isinstance(board, Mapping):
-                data = board
-            else:
-                raise WorkloadError(
-                    "register_board accepts an FPGABoard, a board-schema "
-                    f"dict, or a JSON file path, got {type(board).__name__}"
-                )
-            parsed, precisions = board_from_dict(data)
-        key = _normalize_name(name if name is not None else parsed.name, "board")
-        definition = board_to_dict(parsed, precisions)
-        with self._lock:
-            existing = self._boards.get(key)
-            if existing is not None:
-                if existing.builtin:
-                    raise WorkloadConflictError(
-                        f"board name {key!r} is reserved by the paper's Table II"
+        entry = self.boards.entry(name)
+        if precision is not None and "supported_precisions" in entry.definition:
+            supported = entry.definition["supported_precisions"]
+            for role in ("weights", "activations"):
+                datatype = getattr(precision, role)
+                if datatype.name not in supported:
+                    raise WorkloadError(
+                        f"board {entry.name!r} does not support {role} "
+                        f"datatype {datatype.name!r}; supported: "
+                        f"{sorted(supported)}"
                     )
-                if _digest(existing.define()) == _digest(definition):
-                    return key
-                if not replace:
-                    raise WorkloadConflictError(
-                        f"board {key!r} is already registered with different "
-                        "content; pass replace=True to overwrite it"
-                    )
-            self._boards[key] = _BoardRecord(
-                name=key,
-                builtin=False,
-                source=source,
-                board=parsed,
-                supported_precisions=precisions,
-            )
-            self._bump()
-        return key
+        return entry.value
 
-    def unregister_board(self, name: str) -> None:
-        """Remove a custom board (built-ins cannot be removed)."""
-        with self._lock:
-            key = str(name).strip().lower()
-            record = self._boards.get(key)
-            if record is None:
-                raise UnknownWorkloadError("board", name, self._boards)
-            if record.builtin:
-                raise WorkloadConflictError(
-                    f"built-in board {key!r} cannot be unregistered"
-                )
-            del self._boards[key]
-            self._bump()
-
-    # --- the persistent workload directory ------------------------------------
     def load_directory(self, path: Union[str, Path]) -> List[str]:
         """Register every ``models/*.json`` and ``boards/*.json`` under ``path``.
 
-        Missing directories are a no-op. Files are loaded in sorted order
-        with ``replace=True`` (the directory is the source of truth for the
-        names it holds); a malformed file raises :class:`WorkloadError`
-        naming it, so users know exactly what to fix or delete.
+        Missing directories are a no-op; see
+        :meth:`~repro.utils.registry.Registry.load_directory`.
         """
         root = Path(path)
-        registered: List[str] = []
-        for subdir, register in (
-            ("models", self.register_model),
-            ("boards", self.register_board),
-        ):
-            folder = root / subdir
-            if not folder.is_dir():
-                continue
-            for file in sorted(folder.glob("*.json")):
-                try:
-                    registered.append(register(file, replace=True, source=str(file)))
-                except WorkloadConflictError:
-                    raise
-                except MCCMError as error:
-                    raise WorkloadError(
-                        f"workload directory entry {file} failed to load: {error}"
-                    ) from None
-        return registered
+        return self.models.load_directory(root / "models") + self.boards.load_directory(
+            root / "boards"
+        )
+
+
+def model_summary(entry: Entry[CNNGraph]) -> Dict[str, Any]:
+    """One model's ``GET /models`` / ``repro models list --json`` entry."""
+    stats = collect_stats(entry.value)
+    return {
+        "name": entry.name,
+        "display_name": stats.name,
+        "conv_layers": stats.conv_layer_count,
+        "gmacs": round(stats.gmacs, 3),
+        "weights_millions": round(stats.weights_millions, 3),
+        "custom": not entry.builtin,
+    }
 
 
 #: The process-wide registry every front-end shares.
@@ -612,17 +339,11 @@ def save_workload(
     definition: Mapping[str, Any],
     path: Optional[Union[str, Path]] = None,
 ) -> Path:
-    """Persist one canonical definition as ``<dir>/<kind>s/<name>.json``."""
+    """Atomically persist one canonical definition as ``<dir>/<kind>s/<name>.json``."""
     if kind not in ("model", "board"):
         raise WorkloadError(f"kind must be 'model' or 'board', got {kind!r}")
     root = Path(path) if path is not None else default_workload_dir()
-    folder = root / f"{kind}s"
     try:
-        folder.mkdir(parents=True, exist_ok=True)
-        target = folder / f"{name}.json"
-        with open(target, "w", encoding="utf-8") as handle:
-            json.dump(definition, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        return save_definition(root / f"{kind}s" / f"{name}.json", definition)
     except OSError as error:
         raise WorkloadError(f"cannot save {kind} {name!r} to {root}: {error}") from None
-    return target

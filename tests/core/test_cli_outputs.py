@@ -200,9 +200,9 @@ class TestWorkloadCli:
     def _cleanup():
         from repro import workloads
 
-        for name in list(workloads.REGISTRY.custom_models()):
+        for name in list(workloads.REGISTRY.models.customs()):
             workloads.unregister_model(name)
-        for name in list(workloads.REGISTRY.custom_boards()):
+        for name in list(workloads.REGISTRY.boards.customs()):
             workloads.unregister_board(name)
 
     def test_model_file_bit_identical_to_registered_name(self, tmp_path, capsys):

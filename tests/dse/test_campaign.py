@@ -356,9 +356,9 @@ class TestCustomWorkloadCampaigns:
              "bandwidth_gbps": 8.0}
         )
         yield workloads
-        for name in list(workloads.REGISTRY.custom_models()):
+        for name in list(workloads.REGISTRY.models.customs()):
             workloads.unregister_model(name)
-        for name in list(workloads.REGISTRY.custom_boards()):
+        for name in list(workloads.REGISTRY.boards.customs()):
             workloads.unregister_board(name)
 
     def test_checkpoint_embeds_custom_definitions(self, custom_workloads, tmp_path):
@@ -386,8 +386,8 @@ class TestCustomWorkloadCampaigns:
         assert fronts_of(resumed) == fronts_of(reference)
         assert resumed.front_csv() == reference.front_csv()
         # The checkpoint restored the registrations on load.
-        assert custom_workloads.REGISTRY.has_model("campnet")
-        assert custom_workloads.REGISTRY.has_board("campboard")
+        assert "campnet" in custom_workloads.REGISTRY.models
+        assert "campboard" in custom_workloads.REGISTRY.boards
 
     def test_resume_refuses_conflicting_live_registration(
         self, custom_workloads, tmp_path
@@ -453,7 +453,7 @@ class TestRulesConstrainedCampaigns:
             replace=True,
         )
         yield "camp-slo"
-        if rules.REGISTRY.has_ruleset("camp-slo"):
+        if "camp-slo" in rules.REGISTRY:
             rules.unregister_ruleset("camp-slo")
 
     def _spec(self, ruleset):
@@ -516,7 +516,7 @@ class TestRulesConstrainedCampaigns:
         assert fronts_of(resumed) == fronts_of(reference)
         assert resumed.front_csv() == reference.front_csv()
         # The checkpoint restored the ruleset registration on load...
-        assert rules.REGISTRY.has_ruleset(slo_ruleset)
+        assert slo_ruleset in rules.REGISTRY
         # ...and the resumed front still honors the constraint.
         assert all(
             report.buffer_requirement_mib <= slo_threshold

@@ -386,66 +386,66 @@ class TestFeasibilityDuality:
 
 class TestRegistry:
     def test_builtin_pre_registered(self, registry):
-        assert registry.ruleset_names() == [BUILTIN_RESOURCES]
-        assert registry.is_builtin_ruleset(BUILTIN_RESOURCES)
-        assert registry.ruleset_source(BUILTIN_RESOURCES) == "builtin"
+        assert registry.names() == [BUILTIN_RESOURCES]
+        assert registry.entry(BUILTIN_RESOURCES).builtin
+        assert registry.entry(BUILTIN_RESOURCES).source == "builtin"
 
     def test_builtin_namespace_reserved(self, registry):
         with pytest.raises(WorkloadConflictError, match="reserved"):
-            registry.register_ruleset(ruleset(rule(), name="builtin:mine"))
+            registry.register(ruleset(rule(), name="builtin:mine"))
 
     def test_builtin_cannot_change_or_vanish(self, registry):
         with pytest.raises(WorkloadConflictError):
-            registry.register_ruleset(
+            registry.register(
                 ruleset(rule(), name=BUILTIN_RESOURCES), replace=True
             )
         with pytest.raises(WorkloadConflictError):
-            registry.unregister_ruleset(BUILTIN_RESOURCES)
+            registry.unregister(BUILTIN_RESOURCES)
 
     def test_builtin_identical_reregistration_is_idempotent(self, registry):
         generation = registry.generation
-        definition = registry.ruleset_definition(BUILTIN_RESOURCES)
-        assert registry.register_ruleset(definition) == BUILTIN_RESOURCES
+        definition = registry.entry(BUILTIN_RESOURCES).definition
+        assert registry.register(definition) == BUILTIN_RESOURCES
         assert registry.generation == generation
 
     def test_register_and_lookup(self, registry):
-        name = registry.register_ruleset(ruleset(rule(), name="edge"))
+        name = registry.register(ruleset(rule(), name="edge"))
         assert name == "edge"
-        assert registry.ruleset("EDGE").name == "edge"
-        assert registry.canonical_ruleset_name(" Edge ") == "edge"
+        assert registry.get("EDGE").name == "edge"
+        assert registry.canonical(" Edge ") == "edge"
 
     def test_unknown_name_suggests(self, registry):
-        registry.register_ruleset(ruleset(rule(), name="edge"))
+        registry.register(ruleset(rule(), name="edge"))
         with pytest.raises(UnknownWorkloadError) as excinfo:
-            registry.ruleset("edgy")
+            registry.get("edgy")
         assert excinfo.value.workload_kind == "ruleset"
         assert excinfo.value.suggestion == "edge"
 
     def test_conflict_needs_replace(self, registry):
-        registry.register_ruleset(ruleset(rule(), name="edge"))
+        registry.register(ruleset(rule(), name="edge"))
         changed = ruleset(rule(threshold=99), name="edge")
         with pytest.raises(WorkloadConflictError, match="replace=True"):
-            registry.register_ruleset(changed)
-        registry.register_ruleset(changed, replace=True)
-        assert registry.ruleset("edge").rules[0].threshold == 99.0
+            registry.register(changed)
+        registry.register(changed, replace=True)
+        assert registry.get("edge").rules[0].threshold == 99.0
 
     def test_identical_reregistration_is_idempotent(self, registry):
         definition = ruleset(rule(), name="edge")
-        registry.register_ruleset(definition)
+        registry.register(definition)
         generation = registry.generation
-        registry.register_ruleset(definition)
+        registry.register(definition)
         assert registry.generation == generation
 
     def test_custom_rulesets_excludes_builtins(self, registry):
-        registry.register_ruleset(ruleset(rule(), name="edge"))
-        customs = registry.custom_rulesets()
+        registry.register(ruleset(rule(), name="edge"))
+        customs = registry.customs()
         assert list(customs) == ["edge"]
         assert customs["edge"]["rules"][0]["name"] == "r"
 
     def test_rename_on_register(self, registry):
-        name = registry.register_ruleset(ruleset(rule(), name="edge"), name="prod")
+        name = registry.register(ruleset(rule(), name="edge"), name="prod")
         assert name == "prod"
-        assert not registry.has_ruleset("edge")
+        assert "edge" not in registry
 
 
 class TestPersistence:
@@ -455,7 +455,7 @@ class TestPersistence:
         assert target.name == "edge.json"
         loaded = load_rule_dir(tmp_path, registry=registry)
         assert loaded == ["edge"]
-        assert registry.ruleset_definition("edge") == definition
+        assert registry.entry("edge").definition == definition
 
     def test_colon_names_map_to_portable_files(self, tmp_path):
         definition = RuleSet.from_dict(ruleset(rule(), name="a:b")).to_dict()

@@ -120,12 +120,10 @@ class TestDiskCache:
     def test_put_fsyncs_before_rename(self, tmp_path, report, monkeypatch):
         import os as os_module
 
-        from repro.runtime import cache as cache_module
-
         synced = []
         real_fsync = os_module.fsync
         monkeypatch.setattr(
-            cache_module.os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
+            os_module, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
         )
         DiskCache(tmp_path / "cache").put("9a" * 32, CacheEntry(report=report))
         assert synced, "put() must fsync the tempfile before renaming it"

@@ -44,9 +44,9 @@ def service():
         yield running
     # POST /rules registers into the process-wide registry; scrub it so
     # later test modules see a pristine one.
-    for name in RULES.ruleset_names():
-        if not RULES.is_builtin_ruleset(name):
-            RULES.unregister_ruleset(name)
+    for name in RULES.names():
+        if not RULES.entry(name).builtin:
+            RULES.unregister(name)
 
 
 @pytest.fixture(scope="module")

@@ -467,9 +467,9 @@ class TestWorkloadRegistration:
         from repro import workloads
 
         yield workloads
-        for name in list(workloads.REGISTRY.custom_models()):
+        for name in list(workloads.REGISTRY.models.customs()):
             workloads.unregister_model(name)
-        for name in list(workloads.REGISTRY.custom_boards()):
+        for name in list(workloads.REGISTRY.boards.customs()):
             workloads.unregister_board(name)
 
     @staticmethod

@@ -41,26 +41,26 @@ BOARD_DEF = {
 
 class TestBuiltins:
     def test_models_match_zoo(self, registry):
-        assert registry.model_names() == available_models()
+        assert registry.models.names() == available_models()
         assert registry.model("resnet50") is load_model("resnet50")
 
     def test_abbreviations_resolve(self, registry):
-        assert registry.canonical_model_name("res50") == "resnet50"
+        assert registry.models.canonical("res50") == "resnet50"
         assert registry.model("RES50") is registry.model("resnet50")
 
     def test_boards_match_table_ii(self, registry):
-        assert registry.board_names() == sorted(BOARDS)
+        assert registry.boards.names() == sorted(BOARDS)
         assert registry.board("zc706") is BOARDS["zc706"]
 
     def test_builtins_are_flagged(self, registry):
-        assert registry.is_builtin_model("xception")
-        assert registry.is_builtin_board("vcu110")
+        assert registry.models.entry("xception").builtin
+        assert registry.boards.entry("vcu110").builtin
 
     def test_builtins_cannot_be_removed(self, registry):
         with pytest.raises(WorkloadConflictError):
-            registry.unregister_model("resnet50")
+            registry.models.unregister("resnet50")
         with pytest.raises(WorkloadConflictError):
-            registry.unregister_board("zc706")
+            registry.boards.unregister("zc706")
 
 
 class TestUnknownNames:
@@ -82,72 +82,72 @@ class TestUnknownNames:
 
 class TestModelRegistration:
     def test_register_graph_object(self, registry):
-        name = registry.register_model(build_tiny_cnn())
+        name = registry.models.register(build_tiny_cnn())
         assert name == "tinynet"
         assert registry.model("tinynet").num_conv_layers == 8
-        assert "tinynet" in registry.model_names()
-        assert not registry.is_builtin_model("tinynet")
+        assert "tinynet" in registry.models.names()
+        assert not registry.models.entry("tinynet").builtin
 
     def test_register_dict_and_file_agree(self, registry, tmp_path):
         definition = tiny_definition()
-        from_dict = registry.register_model(definition, name="fromdict")
+        from_dict = registry.models.register(definition, name="fromdict")
         path = tmp_path / "model.json"
         path.write_text(json.dumps(definition))
-        from_file = registry.register_model(path, name="fromfile")
-        assert registry.model_definition(from_dict)["layers"] == (
-            registry.model_definition(from_file)["layers"]
+        from_file = registry.models.register(path, name="fromfile")
+        assert registry.models.entry(from_dict).definition["layers"] == (
+            registry.models.entry(from_file).definition["layers"]
         )
 
     def test_idempotent_reregistration(self, registry):
-        registry.register_model(tiny_definition())
+        registry.models.register(tiny_definition())
         generation = registry.generation
-        assert registry.register_model(tiny_definition()) == "tinynet"
+        assert registry.models.register(tiny_definition()) == "tinynet"
         assert registry.generation == generation  # no-op
 
     def test_conflicting_content_needs_replace(self, registry):
-        registry.register_model(tiny_definition())
+        registry.models.register(tiny_definition())
         edited = tiny_definition()
         edited["layers"][1]["kernel_size"] = [5, 5]  # c1: 3x3 -> 5x5
         with pytest.raises(WorkloadConflictError):
-            registry.register_model(edited)
-        registry.register_model(edited, replace=True)
+            registry.models.register(edited)
+        registry.models.register(edited, replace=True)
         assert registry.model("tinynet").conv_specs()[0].kernel_height == 5
 
     def test_builtin_names_and_abbreviations_reserved(self, registry):
         with pytest.raises(WorkloadConflictError):
-            registry.register_model(tiny_definition(), name="resnet50")
+            registry.models.register(tiny_definition(), name="resnet50")
         abbreviation = next(iter(ABBREVIATIONS))
         with pytest.raises(WorkloadConflictError):
-            registry.register_model(tiny_definition(), name=abbreviation)
+            registry.models.register(tiny_definition(), name=abbreviation)
 
     def test_bad_names_rejected(self, registry):
         for bad in ("", "has space", "sl/ash", "-leading"):
             with pytest.raises(WorkloadError):
-                registry.register_model(tiny_definition(), name=bad)
+                registry.models.register(tiny_definition(), name=bad)
 
     def test_malformed_definition_rejected(self, registry):
         from repro.utils.errors import ShapeError
 
         with pytest.raises(ShapeError):
-            registry.register_model({"name": "broken", "layers": []})
+            registry.models.register({"name": "broken", "layers": []})
 
     def test_unregister(self, registry):
-        registry.register_model(tiny_definition())
-        registry.unregister_model("tinynet")
-        assert not registry.has_model("tinynet")
+        registry.models.register(tiny_definition())
+        registry.models.unregister("tinynet")
+        assert "tinynet" not in registry.models
         with pytest.raises(UnknownWorkloadError):
-            registry.unregister_model("tinynet")
+            registry.models.unregister("tinynet")
 
     def test_custom_models_lists_definitions(self, registry):
-        registry.register_model(tiny_definition())
-        customs = registry.custom_models()
+        registry.models.register(tiny_definition())
+        customs = registry.models.customs()
         assert list(customs) == ["tinynet"]
         assert customs["tinynet"]["name"] == "tinynet"
 
 
 class TestBoardRegistration:
     def test_register_schema_dict(self, registry):
-        name = registry.register_board(BOARD_DEF)
+        name = registry.boards.register(BOARD_DEF)
         board = registry.board(name)
         assert name == "edgeboard"
         assert board.dsp_count == 512
@@ -157,10 +157,10 @@ class TestBoardRegistration:
     def test_register_board_object_and_file(self, registry, tmp_path):
         board = FPGABoard(name="objboard", dsp_count=256,
                           bram_bytes=1 << 20, bandwidth_gbps=4.0)
-        assert registry.register_board(board) == "objboard"
+        assert registry.boards.register(board) == "objboard"
         path = tmp_path / "board.json"
         path.write_text(json.dumps(BOARD_DEF))
-        assert registry.register_board(path) == "edgeboard"
+        assert registry.boards.register(path) == "edgeboard"
 
     def test_round_trip_codec(self):
         board, precisions = board_from_dict(
@@ -192,7 +192,7 @@ class TestBoardRegistration:
             board_from_dict({**BOARD_DEF, **mutation})
 
     def test_precision_restriction_enforced(self, registry):
-        registry.register_board(
+        registry.boards.register(
             {**BOARD_DEF, "supported_precisions": ["int8"]}
         )
         int8 = Precision(weights=INT8, activations=INT8)
@@ -202,14 +202,14 @@ class TestBoardRegistration:
 
     def test_builtin_board_names_reserved(self, registry):
         with pytest.raises(WorkloadConflictError):
-            registry.register_board({**BOARD_DEF, "name": "zc706"})
+            registry.boards.register({**BOARD_DEF, "name": "zc706"})
 
     def test_conflict_and_replace(self, registry):
-        registry.register_board(BOARD_DEF)
+        registry.boards.register(BOARD_DEF)
         bigger = {**BOARD_DEF, "dsp_count": 1024}
         with pytest.raises(WorkloadConflictError):
-            registry.register_board(bigger)
-        registry.register_board(bigger, replace=True)
+            registry.boards.register(bigger)
+        registry.boards.register(bigger, replace=True)
         assert registry.board("edgeboard").dsp_count == 1024
 
 
@@ -227,13 +227,13 @@ class TestContentDerivedFingerprints:
 
     def test_edited_model_changes_cache_context(self, registry):
         board = registry.board("zc706")
-        registry.register_model(tiny_definition())
+        registry.models.register(tiny_definition())
         before = context_fingerprint(
             registry.model("tinynet"), board, DEFAULT_PRECISION
         )
         edited = tiny_definition()
         edited["layers"][1]["kernel_size"] = [5, 5]
-        registry.register_model(edited, replace=True)
+        registry.models.register(edited, replace=True)
         after = context_fingerprint(
             registry.model("tinynet"), board, DEFAULT_PRECISION
         )
@@ -264,7 +264,7 @@ class TestWorkloadDirectory:
         (tmp_path / "boards" / "edgeboard.json").write_text(json.dumps(BOARD_DEF))
         registered = registry.load_directory(tmp_path)
         assert sorted(registered) == ["edgeboard", "tinynet"]
-        assert registry.has_model("tinynet") and registry.has_board("edgeboard")
+        assert "tinynet" in registry.models and "edgeboard" in registry.boards
 
     def test_missing_directory_is_noop(self, registry, tmp_path):
         assert registry.load_directory(tmp_path / "absent") == []
@@ -283,19 +283,19 @@ class TestWorkloadDirectory:
         path = save_workload("model", "tinynet", tiny_definition(), tmp_path)
         assert path == tmp_path / "models" / "tinynet.json"
         registry.load_directory(tmp_path)
-        assert registry.has_model("tinynet")
+        assert "tinynet" in registry.models
 
 
 class TestGeneration:
     def test_mutations_bump_generation(self, registry):
         start = registry.generation
-        registry.register_model(tiny_definition())
+        registry.models.register(tiny_definition())
         after_model = registry.generation
         assert after_model > start
-        registry.register_board(BOARD_DEF)
+        registry.boards.register(BOARD_DEF)
         after_board = registry.generation
         assert after_board > after_model
-        registry.unregister_model("tinynet")
+        registry.models.unregister("tinynet")
         assert registry.generation > after_board
 
 
@@ -316,7 +316,7 @@ class TestThreeRegistrationPathsAgree:
         api_report = evaluate(graph, "zc706", "segmentedrr", ce_count=2)
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(tiny_definition()))
-        file_name = registry.register_model(path)
+        file_name = registry.models.register(path)
         file_report = evaluate(
             registry.model(file_name), "zc706", "segmentedrr", ce_count=2
         )
