@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 
 import repro
 from repro.api import sweep
+from repro.cnn.graph import CNNGraph
 from repro.core.architectures import TEMPLATES, build_template
 from repro.core.cost.export import report_to_dict
 from repro.core.notation import ArchitectureSpec, parse_notation
@@ -37,6 +38,7 @@ from repro.dse.events import (
     EventLog,
     read_events,
 )
+from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import Precision
 from repro.runtime import BatchEvaluator, RunStats
 from repro.runtime.cache import DiskCache
@@ -295,6 +297,11 @@ class ServiceState:
         #: two names for the same registered graph share one warm evaluator,
         #: while a re-registered (edited) graph gets a fresh context.
         self._evaluators: Dict[str, Tuple[BatchEvaluator, threading.Lock]] = {}
+        #: Resolved (graph, board, precision) -> its context fingerprint,
+        #: valid for workload-registry generation ``_context_generation``.
+        #: Guarded by ``_registry_lock``.
+        self._context_keys: Dict[Tuple[CNNGraph, FPGABoard, Precision], str] = {}
+        self._context_generation: Optional[int] = None
         self._counter_lock = threading.Lock()
         self.request_counts: Dict[str, int] = {}
         self.error_count = 0
@@ -585,15 +592,30 @@ class ServiceState:
         evaluation; contexts are independent, so requests for different
         (model, board, precision) triples still run concurrently.
 
-        Names resolve through the workload registry and the evaluator map
+        Names resolve through the workload registry on every call (unknown
+        names and unsupported precisions fail here), and the evaluator map
         is keyed by the runtime's *content-derived* context fingerprint —
         the same path every other layer uses.
+
+        The fingerprint reruns shape inference and hashes the whole
+        context, so it is memoized per resolved (graph, board, precision).
+        Keyed on objects, not on how a request spelled the names, the memo
+        stays bounded by what is registered. A registry mutation clears
+        it, since ``replace=True`` may hand back the same graph object
+        with edited content.
         """
         graph = REGISTRY.model(model)
         fpga = REGISTRY.board(board, precision=precision)
-        key = context_fingerprint(graph, fpga, precision)
+        generation = REGISTRY.generation
         evicted = []
         with self._registry_lock:
+            if generation != self._context_generation:
+                self._context_keys.clear()
+                self._context_generation = generation
+            context = (graph, fpga, precision)
+            key = self._context_keys.get(context)
+            if key is None:
+                key = self._context_keys[context] = context_fingerprint(*context)
             entry = self._evaluators.pop(key, None)
             if entry is None:
                 # Graph construction is cached by the registry, so building

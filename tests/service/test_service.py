@@ -7,9 +7,13 @@ mixed requests return correct, request-matched results with 100% cache
 hits on replay.
 """
 
+import http.client
 import json
 import socket
+import statistics
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -22,11 +26,39 @@ from repro.api import sweep as api_sweep
 from repro.cnn.zoo import available_models
 from repro.dse import CustomDesignSpace, DesignEvaluator, random_search
 from repro.hw.boards import available_boards
-from repro.hw.datatypes import INT8, Precision
-from repro.service import EvaluationService, ServiceClient, ServiceError
+from repro.hw.datatypes import DEFAULT_PRECISION, INT8, Precision
+from repro.service import EvaluationService, ServiceClient, ServiceError, handlers, schema
+from repro.service.handlers import ServiceState
+from repro.utils.errors import UnknownWorkloadError
 
 MODEL = "squeezenet"
 BOARD = "zc706"
+
+
+def assert_warm_keepalive_under_10ms(url, requests=50):
+    """``GET /healthz``, then a repeated ``POST /evaluate``: after one
+    untimed request, ``requests`` more on one keep-alive connection must
+    have a median round trip under 10 ms. The header and body go out as
+    two writes; with Nagle on, delayed ACK held the body ~40 ms."""
+    host, port = url.replace("http://", "").split(":")
+    evaluate = {"model": MODEL, "board": BOARD, "architecture": "segmentedrr", "ce_count": 2}
+    for method, path, body in (("GET", "/healthz", None), ("POST", "/evaluate", evaluate)):
+        data = json.dumps(body).encode("utf-8") if body is not None else None
+        headers = {"Content-Type": "application/json"} if body is not None else {}
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        seconds = []
+        try:
+            for _ in range(requests + 1):
+                start = time.perf_counter()
+                connection.request(method, path, body=data, headers=headers)
+                response = connection.getresponse()
+                response.read()
+                seconds.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        median_ms = 1000.0 * statistics.median(seconds[1:])
+        assert median_ms < 10.0, f"{method} {path}: median {median_ms:.1f} ms"
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +129,80 @@ class TestEvaluate:
         assert not result.feasible
         assert result.report is None
         assert "ResourceError" in result.reason
+
+
+class TestWireLatency:
+    def test_warm_keepalive_round_trip_under_10ms(self, service):
+        assert_warm_keepalive_under_10ms(service.url)
+
+
+class TestContextMemo:
+    """``evaluator_for`` fingerprints each resolved context once."""
+
+    @pytest.fixture
+    def fingerprint_calls(self, monkeypatch):
+        calls = []
+        original = handlers.context_fingerprint
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(handlers, "context_fingerprint", counting)
+        return calls
+
+    def test_fingerprint_once_per_context(self, fingerprint_calls):
+        with EvaluationService(port=0) as service:
+            client = ServiceClient(service.url)
+            for _ in range(3):
+                client.evaluate(MODEL, BOARD, "segmentedrr", ce_count=2)
+                client.sweep(MODEL, BOARD, architectures=["segmented"], ce_counts=[2, 3])
+                client.dse(MODEL, BOARD, samples=5, seed=1)
+            assert len(fingerprint_calls) == 1
+            client.evaluate(
+                MODEL, BOARD, "segmentedrr", ce_count=2,
+                precision=Precision(weights=INT8, activations=INT8),
+            )
+            assert len(fingerprint_calls) == 2
+
+    def test_name_spellings_share_one_context(self, fingerprint_calls):
+        state = ServiceState()
+        try:
+            evaluators = [
+                state.evaluator_for(name, BOARD, DEFAULT_PRECISION)[0]
+                for name in ("SqueezeNet", " squeezenet ", "sqz")
+            ]
+            assert len(fingerprint_calls) == 1
+            assert all(evaluator is evaluators[0] for evaluator in evaluators)
+            assert state.evaluator_count == 1
+        finally:
+            state.close()
+
+    def test_concurrent_lookups_fingerprint_each_context_once(self, fingerprint_calls):
+        state = ServiceState()
+        precisions = (DEFAULT_PRECISION, Precision(weights=INT8, activations=INT8))
+        seen = []
+
+        def lookups():
+            for index in range(40):
+                precision = precisions[index % 2]
+                seen.append((precision, state.evaluator_for(MODEL, BOARD, precision)[0]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lookups) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            state.close()
+        assert len(seen) == 8 * 40
+        assert len({(precision, id(evaluator)) for precision, evaluator in seen}) == 2
+        assert len(fingerprint_calls) == 2
 
 
 class TestErrorPayloads:
@@ -556,6 +662,60 @@ class TestWorkloadRegistration:
             precision={"weights": "int8", "activations": "int8"},
         )
         assert result.feasible
+        # A warm context on the board must not let the unsupported
+        # precision past the check.
+        with pytest.raises(ServiceError) as excinfo:
+            client.evaluate(MODEL, "int8board", "segmentedrr", ce_count=2)
+        assert excinfo.value.status == 400
+        assert excinfo.value.kind == "workload_error"
+
+    def test_replaced_model_gets_a_new_context(self, client, clean_workloads):
+        from repro.cnn.serialize import graph_from_dict
+
+        client.register_model(self._definition())
+        first = client.evaluate("svcnet", BOARD, "segmentedrr", ce_count=2)
+        edited = self._definition()
+        edited["layers"][1]["kernel_size"] = [5, 5]
+        client.register_model(edited, replace=True)
+        second = client.evaluate("svcnet", BOARD, "segmentedrr", ce_count=2)
+        assert second.report == api_evaluate(
+            graph_from_dict(edited), BOARD, "segmentedrr", ce_count=2
+        )
+        assert second.report != first.report
+        assert second.raw["fingerprint"] != first.raw["fingerprint"]
+
+    def test_graph_edited_in_place_and_replaced_gets_a_new_context(self, clean_workloads):
+        from repro.cnn.zoo.common import NetBuilder
+
+        net = NetBuilder("growing", (32, 32, 3))
+        net.conv(16, kernel=3, stride=2, name="c1")
+        graph = net.build()
+        clean_workloads.register_model(graph)
+        state = ServiceState()
+        try:
+            first, _lock = state.evaluator_for("growing", BOARD, DEFAULT_PRECISION)
+            net.conv(32, kernel=3, name="c2")  # same object, new content
+            clean_workloads.register_model(graph, replace=True)
+            second, _lock = state.evaluator_for("growing", BOARD, DEFAULT_PRECISION)
+            assert second is not first
+            assert state.evaluator_count == 2
+        finally:
+            state.close()
+
+    def test_unknown_names_still_404_after_warm_hits(self, clean_workloads):
+        clean_workloads.register_model(self._definition())
+        state = ServiceState()
+        try:
+            state.evaluator_for("svcnet", BOARD, DEFAULT_PRECISION)
+            clean_workloads.unregister_model("svcnet")
+            for name in ("svcnet", "squeezene"):
+                with pytest.raises(UnknownWorkloadError) as excinfo:
+                    state.evaluator_for(name, BOARD, DEFAULT_PRECISION)
+                assert schema.classify_error(excinfo.value) == (404, "unknown_workload")
+            payload = schema.error_payload(excinfo.value)["error"]
+            assert payload["suggestion"] == MODEL
+        finally:
+            state.close()
 
     def test_evaluator_contexts_are_bounded(self, clean_workloads):
         # Content-keyed contexts would otherwise accumulate across model or

@@ -19,6 +19,7 @@ from repro.api import evaluate as api_evaluate
 from repro.api import sweep as api_sweep
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.loadtest import spawn_server, stop_server
+from tests.service.test_service import assert_warm_keepalive_under_10ms
 
 MODEL = "squeezenet"
 BOARD = "zc706"
@@ -246,6 +247,16 @@ class TestCampaignsAcrossWorkers:
         assert serving_pids - {owner_pid}, (
             f"stream only ever served by the owning worker {owner_pid}"
         )
+
+
+def test_fleet_worker_keepalive_round_trip_under_10ms():
+    """Fleet workers serve with the same handler class, so the
+    delayed-ACK stall fix must hold behind ``--workers`` too."""
+    process, url = spawn_server(1, startup_timeout=60.0)
+    try:
+        assert_warm_keepalive_under_10ms(url)
+    finally:
+        stop_server(process)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
