@@ -44,7 +44,7 @@ def test_runtime_scaling(results_dir, tmp_path):
     space = CustomDesignSpace(graph.conv_specs())
     cache_dir = tmp_path / "cache"
 
-    # Warm the process-global memoization (tiling/parallelism LRUs) first;
+    # Warm the process-global memoization (parallelism/divisor LRUs) first;
     # forked workers inherit it, so timing a cold serial run against warm
     # workers would overstate the parallel speedup.
     _timed_run(DesignEvaluator(graph, board), space)

@@ -11,10 +11,9 @@ determines the minimum resident *weights tile* used by the buffer model
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
 from repro.cnn.graph import ConvSpec
-from repro.core.parallelism import Dimension, ParallelismStrategy
+from repro.core.parallelism import ParallelismStrategy
 
 
 class Dataflow(enum.Enum):
@@ -29,7 +28,6 @@ class Dataflow(enum.Enum):
 DEFAULT_DATAFLOW = Dataflow.OUTPUT_STATIONARY
 
 
-@lru_cache(maxsize=262144)
 def weights_tile_elements(
     spec: ConvSpec, strategy: ParallelismStrategy, dataflow: Dataflow
 ) -> int:
@@ -43,12 +41,11 @@ def weights_tile_elements(
     """
     if dataflow is Dataflow.WEIGHT_STATIONARY:
         return spec.weight_count
-    pk = strategy.degree(Dimension.FILTERS)
+    pk = strategy.degrees6[0]  # Dimension.FILTERS
     per_filter = spec.channels * spec.kernel_height * spec.kernel_width
     return min(spec.weight_count, max(1, pk) * per_filter)
 
 
-@lru_cache(maxsize=65536)
 def ifm_row_elements(spec: ConvSpec) -> int:
     """Elements of one IFM row band needed to produce one OFM row.
 

@@ -17,6 +17,7 @@ processes.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -142,8 +143,10 @@ def _divisor_candidates(extents: Iterable[int], budget: int, cap: int = 24) -> L
     """Candidate unrolling degrees: divisors of the given extents, bounded.
 
     Divisors of the actual layer extents are the only degrees that can avoid
-    ragged edges, so the search is restricted to their union (plus 1),
-    keeping the largest ``cap`` candidates under the PE budget.
+    ragged edges, so the search is restricted to their union (plus 1) under
+    the PE budget. When that union has more than ``cap`` values, an evenly
+    spaced spread of ``cap`` of them (starting at 1) is kept, plus the
+    largest: at most ``cap + 1`` ascending candidates.
     """
     candidates = {1}
     for extent in extents:
@@ -163,49 +166,49 @@ def _search_cached(
     budget: int,
     layer_key: Tuple[Tuple[int, int, int, int, int, int, int], ...],
 ) -> Tuple[Tuple[str, int], ...]:
-    """Cached core of :func:`choose_parallelism`; see its docstring."""
-    filters = [k for (k, _, _, _, _, _, _) in layer_key]
-    heights = [h for (_, _, h, _, _, _, _) in layer_key]
-    widths = [w for (_, _, _, w, _, _, _) in layer_key]
+    """Cached core of :func:`choose_parallelism`; see its docstring.
 
-    k_candidates = _divisor_candidates(filters, budget)
-    h_candidates = _divisor_candidates(heights, budget)
-    w_candidates = _divisor_candidates(widths, budget)
+    The winner is the lowest-cost (K, H, W) triple under the budget, then
+    the most parallel, then the first in ascending (K, H, W) scan order.
+    Two exact reductions keep the search small without changing it:
 
-    # The triple loop below evaluates |K| x |H| x |W| candidate strategies
-    # over every layer. Hoist everything that does not depend on the full
-    # (pk, ph, pw) triple: the C*R*S multiplier per layer, and the per-layer
-    # ceiling tables for each candidate degree, so the innermost loop is a
-    # single multiply-accumulate per layer instead of three ceil_div calls.
-    crs = [c * r * s for (_k, c, _h, _w, r, s, _m) in layer_key]
-    k_ceils = [[-(-k // pk) for k in filters] for pk in k_candidates]
-    h_ceils = [[-(-h // ph) for h in heights] for ph in h_candidates]
-    w_ceils = [[-(-w // pw) for w in widths] for pw in w_candidates]
+    * The cost is the integer sum of ``C*R*S * ceil(K/pk) * ceil(H/ph) *
+      ceil(W/pw)`` over the layers, so layers sharing a (K, H, W) shape
+      fold into one term weighted by their summed ``C*R*S``.
+    * Every term is non-increasing in pw, so for each (pk, ph) the largest
+      W candidate that fits the budget costs no more than any smaller one
+      and is strictly more parallel: it is the only pw that can win, and
+      the K x H x W triple loop becomes a K x H frontier scan.
+    """
+    weights: Dict[Tuple[int, int, int], int] = {}
+    for k, c, h, w, r, s, _macs in layer_key:
+        shape = (k, h, w)
+        weights[shape] = weights.get(shape, 0) + c * r * s
+
+    k_candidates = _divisor_candidates([k for k, _, _ in weights], budget)
+    h_candidates = _divisor_candidates([h for _, h, _ in weights], budget)
+    w_candidates = _divisor_candidates([w for _, _, w in weights], budget)
 
     best_cost = None
     best = (1, 1, 1)
     best_par = 1
-    for i, pk in enumerate(k_candidates):
-        if pk > budget:
-            continue
-        partial_k = [m * ceil for m, ceil in zip(crs, k_ceils[i])]
-        for j, ph in enumerate(h_candidates):
-            if pk * ph > budget:
-                continue
-            partial_kh = [m * ceil for m, ceil in zip(partial_k, h_ceils[j])]
-            for m_index, pw in enumerate(w_candidates):
-                par = pk * ph * pw
-                if par > budget:
-                    continue
-                cost = 0
-                for partial, ceil in zip(partial_kh, w_ceils[m_index]):
-                    cost += partial * ceil
-                if best_cost is None or cost < best_cost or (
-                    cost == best_cost and par > best_par
-                ):
-                    best_cost = cost
-                    best = (pk, ph, pw)
-                    best_par = par
+    for pk in k_candidates:
+        partial_k = [(m * -(-k // pk), h, w) for (k, h, w), m in weights.items()]
+        for ph in h_candidates:
+            pkh = pk * ph
+            if pkh > budget:
+                break  # candidates ascend: no larger ph fits either
+            pw = w_candidates[bisect_right(w_candidates, budget // pkh) - 1]
+            cost = 0
+            for partial, h, w in partial_k:
+                cost += partial * -(-h // ph) * -(-w // pw)
+            par = pkh * pw
+            if best_cost is None or cost < best_cost or (
+                cost == best_cost and par > best_par
+            ):
+                best_cost = cost
+                best = (pk, ph, pw)
+                best_par = par
     pk, ph, pw = best
     return (("K", pk), ("H", ph), ("W", pw))
 

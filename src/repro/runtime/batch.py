@@ -47,7 +47,7 @@ from repro.core.notation import ArchitectureSpec
 from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import DEFAULT_PRECISION, Precision
 from repro.runtime.cache import CacheEntry, DiskCache, LRUCache
-from repro.runtime.fingerprint import context_fingerprint, spec_fingerprint
+from repro.runtime.fingerprint import spec_fingerprint
 from repro.runtime.segcache import DEFAULT_SEGMENT_ENTRIES, SegmentCostCache
 from repro.runtime.tensor import get_backend
 from repro.utils.errors import MCCMError, ResourceError
@@ -291,7 +291,7 @@ class BatchEvaluator:
         self.progress = progress
         self._builder = MultipleCEBuilder(graph, board, precision)
         self._model = default_model()
-        self._context = context_fingerprint(graph, board, precision)
+        self._context = self._builder.context
         self._memory = LRUCache(max_entries=cache_entries)
         self._disk = DiskCache(cache_dir) if cache_dir is not None else None
         if segment_cache is not None:

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 from repro.cnn.graph import ConvSpec
 from repro.cnn.layers import LayerKind
+from repro.cnn.zoo import load_model
 from repro.core.parallelism import (
     Dimension,
     ParallelismStrategy,
+    _divisor_candidates,
+    _search_cached,
     choose_parallelism,
     dimension_extent,
     layer_cycles,
@@ -180,3 +183,120 @@ class TestChooseParallelism:
     def test_deterministic(self):
         specs = [make_spec(k=48, h=14, w=14)]
         assert choose_parallelism(96, specs) == choose_parallelism(96, specs)
+
+
+# --- exactness oracle for the frontier search ----------------------------------
+
+
+def reference_search(budget, layer_key):
+    """The brute-force K x H x W triple-loop search, kept as the oracle."""
+    filters = [k for (k, _, _, _, _, _, _) in layer_key]
+    heights = [h for (_, _, h, _, _, _, _) in layer_key]
+    widths = [w for (_, _, _, w, _, _, _) in layer_key]
+
+    k_candidates = _divisor_candidates(filters, budget)
+    h_candidates = _divisor_candidates(heights, budget)
+    w_candidates = _divisor_candidates(widths, budget)
+
+    # The triple loop below evaluates |K| x |H| x |W| candidate strategies
+    # over every layer. Hoist everything that does not depend on the full
+    # (pk, ph, pw) triple: the C*R*S multiplier per layer, and the per-layer
+    # ceiling tables for each candidate degree, so the innermost loop is a
+    # single multiply-accumulate per layer instead of three ceil_div calls.
+    crs = [c * r * s for (_k, c, _h, _w, r, s, _m) in layer_key]
+    k_ceils = [[-(-k // pk) for k in filters] for pk in k_candidates]
+    h_ceils = [[-(-h // ph) for h in heights] for ph in h_candidates]
+    w_ceils = [[-(-w // pw) for w in widths] for pw in w_candidates]
+
+    best_cost = None
+    best = (1, 1, 1)
+    best_par = 1
+    for i, pk in enumerate(k_candidates):
+        if pk > budget:
+            continue
+        partial_k = [m * ceil for m, ceil in zip(crs, k_ceils[i])]
+        for j, ph in enumerate(h_candidates):
+            if pk * ph > budget:
+                continue
+            partial_kh = [m * ceil for m, ceil in zip(partial_k, h_ceils[j])]
+            for m_index, pw in enumerate(w_candidates):
+                par = pk * ph * pw
+                if par > budget:
+                    continue
+                cost = 0
+                for partial, ceil in zip(partial_kh, w_ceils[m_index]):
+                    cost += partial * ceil
+                if best_cost is None or cost < best_cost or (
+                    cost == best_cost and par > best_par
+                ):
+                    best_cost = cost
+                    best = (pk, ph, pw)
+                    best_par = par
+    pk, ph, pw = best
+    return (("K", pk), ("H", ph), ("W", pw))
+
+
+def layer_key(specs):
+    """The search key :func:`choose_parallelism` builds from ``specs``."""
+    return tuple(
+        (s.filters, s.channels, s.out_height, s.out_width, s.kernel_height,
+         s.kernel_width, s.macs)
+        for s in specs
+    )
+
+
+#: Layer extents: tiny ones (many cost ties), ragged ones (primes and
+#: other awkward sizes), and highly composite ones whose divisor sets
+#: exceed the 24-candidate cap, so the evenly spaced spread is searched.
+extents = st.one_of(
+    st.integers(1, 8),
+    st.integers(1, 600),
+    st.sampled_from([720, 1680, 5040]),
+)
+
+
+@st.composite
+def layer_keys(draw):
+    """Layer sets drawn from a few (K, H, W) shapes, so shapes repeat with
+    different C x R x S weights, plus verbatim duplicate layers."""
+    shapes = draw(st.lists(st.tuples(extents, extents, extents), min_size=1, max_size=4))
+    layers = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(shapes),
+                st.integers(1, 64),
+                st.sampled_from([1, 3, 5]),
+                st.sampled_from([1, 3, 5]),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    key = [(k, c, h, w, r, s, k * c * h * w * r * s) for (k, h, w), c, r, s in layers]
+    duplicates = draw(st.integers(0, len(key)))
+    return tuple(key + key[:duplicates])
+
+
+@pytest.mark.fuzz
+class TestFrontierSearchExactness:
+    """The shape-folded frontier search returns the triple loop's answer."""
+
+    @given(budget=st.integers(1, 5000), key=layer_keys())
+    def test_matches_triple_loop(self, budget, key):
+        assert _search_cached.__wrapped__(budget, key) == reference_search(budget, key)
+
+    @pytest.mark.parametrize("budget", [1, 7, 190, 2513])
+    def test_matches_triple_loop_on_resnet152(self, budget):
+        key = layer_key(load_model("resnet152").conv_specs())
+        assert _search_cached.__wrapped__(budget, key) == reference_search(budget, key)
+
+    def test_cost_ties_go_to_more_parallel_then_first_scanned(self):
+        # (1, 2, 1) and (2, 1, 1) both cost 2 at parallelism 2: the first
+        # scanned wins. (1, 2, 1) and (3, 1, 1) both cost 4: the more
+        # parallel one wins.
+        first = ((2, 1, 2, 1, 1, 1, 4),)
+        parallel = ((1, 1, 2, 1, 1, 1, 2), (3, 1, 2, 1, 1, 1, 6))
+        for budget, key, (pk, ph, pw) in ((2, first, (1, 2, 1)), (3, parallel, (3, 1, 1))):
+            expected = (("K", pk), ("H", ph), ("W", pw))
+            assert reference_search(budget, key) == expected
+            assert _search_cached.__wrapped__(budget, key) == expected
