@@ -10,8 +10,9 @@ segment cache must never lose:
 
 * composed reports are **bit-identical** to the cold path's, and
 * segment-cached evaluation is decisively faster than a full rebuild
-  (>= 2x as a contention-proof floor; >= 5x — comfortably below the
-  ~20x measured on a quiet host — under ``MCCM_REQUIRE_SPEEDUP=1``).
+  (>= 2x as a contention-proof floor; >= 5x under
+  ``MCCM_REQUIRE_SPEEDUP=1`` — below the ~6–10x measured on a 2-vCPU
+  host with Python 3.11).
 """
 
 import os
@@ -59,12 +60,6 @@ def test_hotpath(results_dir):
         result["fingerprint_cached"]["ms_per_design"]
         <= result["segment_cached"]["ms_per_design"]
     )
-    # The population-kernel rung shares the warm segment table, so it must
-    # at least keep pace with per-design segment-cached evaluation (its
-    # detailed gates live in test_population_kernel.py).
-    kernel = result["population_kernel"]
-    assert kernel["speedup_vs_cold"] >= 2.0
-    assert kernel["kernel"].get("vector_composed", 0) > 0
 
 
 def test_hotpath_bit_identity_detailed(results_dir):

@@ -215,8 +215,6 @@ def sweep(
     *,
     jobs: Union[int, str] = 1,
     cache_dir: Optional[Union[str, Path]] = None,
-    population_kernel: Union[bool, str] = "auto",
-    tensor_backend: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
     runtime: Optional[BatchEvaluator] = None,
     rules: Optional[RulesLike] = None,
@@ -226,19 +224,14 @@ def sweep(
     Defaults to the paper's setup — the three Section II-C architectures and
     CE counts 2..11 (Section V-A3). Instances whose CE count is infeasible
     for the CNN (e.g. SegmentedRR with more CEs than layers) are recorded in
-    the result's ``skipped`` list instead of being silently dropped —
-    including members a *batched* (population-kernel) evaluation marks
-    infeasible, which land in ``skipped`` with the same reasons as the
-    scalar path.
+    the result's ``skipped`` list instead of being silently dropped, as
+    are instances the evaluation itself finds infeasible (with reason
+    ``"ResourceError: <message>"``).
 
     ``jobs``/``cache_dir`` route the evaluations through a parallel,
     memoizing :class:`~repro.runtime.BatchEvaluator`; ``jobs=1`` (default)
     evaluates serially with results identical to the historical path, and
     ``jobs="auto"`` lets the runtime fork only when it would win.
-    ``population_kernel``/``tensor_backend`` control whether the grid is
-    composed through the vectorized population kernel
-    (:mod:`repro.core.cost.vector`); reports are bit-identical on every
-    setting.
 
     ``rules`` evaluates a constraint ruleset against every produced report
     and attaches verdicts, exactly as in :func:`evaluate`. Verdicts are
@@ -256,11 +249,6 @@ def sweep(
                 "pass either an explicit runtime or jobs/cache_dir, not both "
                 "(the runtime already fixes its own parallelism and cache)"
             )
-        if population_kernel != "auto" or tensor_backend is not None:
-            raise ValueError(
-                "pass either an explicit runtime or population-kernel "
-                "settings, not both (the runtime already fixes its kernel)"
-            )
         if runtime.context != context_fingerprint(graph, fpga, precision):
             raise ValueError(
                 "the explicit runtime was built for a different "
@@ -272,8 +260,6 @@ def sweep(
         precision,
         jobs=jobs,
         cache_dir=cache_dir,
-        population_kernel=population_kernel,
-        tensor_backend=tensor_backend,
     )
     names = list(architectures) if architectures is not None else list(PAPER_ARCHITECTURES)
     counts = list(ce_counts) if ce_counts is not None else list(PAPER_CE_COUNTS)

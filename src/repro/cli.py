@@ -34,9 +34,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
+from repro.utils.atomic import write_atomic
 from repro.utils.errors import MCCMError
 
 from repro import rules as rules_registry
@@ -334,15 +334,17 @@ def _print_campaign(result, verbose_front: bool = True) -> None:
             )
 
 
+def _write_output(path: str, text: str, what: str) -> None:
+    """Write an ``--output``-style file atomically; failures exit 2."""
+    try:
+        write_atomic(path, text.encode("utf-8"))
+    except OSError as error:
+        raise MCCMError(f"cannot write {what} {path}: {error}") from None
+
+
 def _finish_campaign(result, args: argparse.Namespace) -> int:
     if args.front_csv:
-        try:
-            with open(args.front_csv, "w", encoding="utf-8") as handle:
-                handle.write(result.front_csv())
-        except OSError as error:
-            raise MCCMError(
-                f"cannot write front CSV {args.front_csv}: {error}"
-            ) from None
+        _write_output(args.front_csv, result.front_csv(), "front CSV")
         print(f"[campaign] front written to {args.front_csv}", file=sys.stderr)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
@@ -540,7 +542,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             jobs=args.jobs,
         )
     if args.output is not None:
-        Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
+        text = json.dumps(result, indent=2) + "\n"
+        _write_output(args.output, text, "loadtest result")
     if args.json:
         print(json.dumps(result, indent=2))
     else:

@@ -55,22 +55,7 @@ class MCCM:
         footprints = self._block_footprints(accelerator, segment_cache)
         plan = self._allocate(accelerator, footprints)
         evaluations = self._evaluate_blocks(accelerator, plan, segment_cache)
-        return self._compose(accelerator, footprints, plan, evaluations)
 
-    def _compose(
-        self,
-        accelerator: "Accelerator",
-        footprints: Sequence[Footprint],
-        plan: AllocationPlan,
-        evaluations: Sequence[BlockEvaluation],
-    ) -> CostReport:
-        """The design-level Eq. 2/3/8/9 composition over evaluated blocks.
-
-        Split out of :meth:`evaluate` so the population kernel
-        (:mod:`repro.core.cost.vector`) can reuse it verbatim as the
-        scalar reference for designs its vectorized composition does not
-        cover; the report is identical either way.
-        """
         latency = sum(evaluation.latency_cycles for evaluation in evaluations)
         accesses = AccessBreakdown()
         for evaluation in evaluations:

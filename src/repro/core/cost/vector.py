@@ -1,125 +1,24 @@
-"""Batched population scoring over precomputed per-segment cost tables.
+"""The cache-miss evaluator: every design a cache could not answer.
 
-The scalar path (:meth:`MCCM.evaluate`) walks one design at a time:
-build blocks, compute Eq. 4/5 footprints, allocate BRAM, evaluate each
-block, then run the design-level Eq. 2/3/8/9 composition. For a
-population (an NSGA-II generation, a sweep grid) almost all of that work
-is shared — designs over one CNN partition the same layer list, so their
-segments repeat — and the per-design remainder is a handful of closed-form
-reductions.
-
-:class:`PopulationKernel` restructures the batch accordingly:
-
-1. **Table phase** (per design, memoized): building a design's blocks and
-   costing its segments routes through a
-   :class:`~repro.runtime.segcache.SegmentCostCache` — a dense, lazily
-   filled table keyed by segment signature × parallelism outcome ×
-   allocation. The first design that touches a (layer-range, CE-count)
-   cell pays for it; every later design in the population reads the
-   table.
-2. **Compose phase** (vectorized): the design-level reductions — latency
-   sums, slowest-stage intervals, Eq. 9 access totals, the Eq. 8 buffer
-   requirement, the bandwidth floor — run as column-wise array operations
-   over the whole population at once, through a pluggable tensor backend
-   (numpy when available, a pure-Python fallback otherwise; see
-   :mod:`repro.runtime.tensor`).
-
-Bit-exactness contract
-----------------------
-Reports are **byte-identical** to the scalar path, not merely close.
-That constrains the vectorization:
-
-* float columns accumulate **sequentially** (``acc = acc + col_j``),
-  mirroring Python's left-to-right ``sum()`` — pairwise/blocked
-  summation (``np.sum``) is *not* used because it rounds differently;
-* padding entries are exact identities (``0.0`` for sums; for running
-  maxima all padded quantities are non-negative, so ``0.0`` never wins);
-* integer columns use 64-bit lanes, guarded: any design whose integer
-  inputs reach 2**53 (where int64→float64 conversion starts rounding and
-  numpy's convert-then-divide diverges from CPython's correctly-rounded
-  int/float division) or whose block count exceeds
-  :data:`MAX_VECTOR_BLOCKS` (int64 sum headroom) is routed to the scalar
-  :meth:`MCCM._compose` instead;
-* designs with CE-sharing block groups (serialized segments) keep their
-  per-group dict reductions and also take the scalar compose.
-
-The routed designs produce identical reports by construction — they run
-the very code the oracle compares against. ``tests/core/test_vector_oracle.py``
-locks the contract in with hypothesis-generated populations.
-
-This module is part of the stdlib-only core: the numpy-backed ops object
-is *injected* (duck-typed ``backend``), never imported here.
+Fingerprint misses of a :class:`~repro.runtime.batch.BatchEvaluator` —
+inline batches and each pool worker alike — are evaluated here, one
+design at a time: :meth:`MultipleCEBuilder.build` lowers the spec to an
+accelerator and :meth:`MCCM.evaluate` costs it, both stages sharing one
+optional :class:`~repro.runtime.segcache.SegmentCostCache` so designs
+that repeat a segment (every DSE neighbourhood, most sweeps) reuse its
+build and costing work. The module and class keep their names because
+the benchmark's tracer (``perfbench/tracing.py``) wraps
+``PopulationKernel.evaluate`` by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.core.cost.allocation import AllocationPlan
-from repro.core.cost.model import MCCM, Footprint, default_model
-from repro.core.cost.results import AccessBreakdown, BlockEvaluation, CostReport
+from repro.core.cost.model import default_model
+from repro.core.cost.results import CostReport
 from repro.utils.errors import ResourceError
-
-#: Largest block count the vectorized compose accepts. Per-value inputs
-#: are bounded by 2**53, so int64 column sums stay below 2**62 — no
-#: overflow, and extraction back to Python ints is exact. Real designs
-#: have a handful of blocks; this is a safety rail, not a budget.
-MAX_VECTOR_BLOCKS = 512
-
-#: int64→float64 conversions are exact up to this bound; beyond it the
-#: numpy convert-then-divide bandwidth floor could round differently from
-#: CPython's correctly-rounded big-int division.
-_EXACT_INT = 2 ** 53
-
-#: Designs per vectorized compose call: bounds the transient column
-#: storage for very large populations without affecting results.
-DEFAULT_CHUNK = 1024
-
-
-class PurePythonOps:
-    """The stdlib tensor backend: columns are plain Python lists.
-
-    Python floats *are* IEEE-754 doubles and Python ints are exact, so
-    elementwise ``+`` / ``max`` / ``/`` here reproduce the scalar path's
-    arithmetic trivially. The numpy backend
-    (:class:`repro.runtime.tensor.NumpyOps`) implements the same eight
-    operations over float64/int64 arrays.
-    """
-
-    name = "python"
-
-    @staticmethod
-    def floats(values: Sequence[float]) -> List[float]:
-        return [float(value) for value in values]
-
-    @staticmethod
-    def ints(values: Sequence[int]) -> List[int]:
-        return list(values)
-
-    @staticmethod
-    def bools(values: Sequence[bool]) -> List[bool]:
-        return list(values)
-
-    @staticmethod
-    def add(a, b):
-        return [x + y for x, y in zip(a, b)]
-
-    @staticmethod
-    def maximum(a, b):
-        return [x if x >= y else y for x, y in zip(a, b)]
-
-    @staticmethod
-    def divide(a, scalar):
-        return [x / scalar for x in a]
-
-    @staticmethod
-    def where(mask, a, b):
-        return [x if m else y for m, x, y in zip(mask, a, b)]
-
-    @staticmethod
-    def tolist(column) -> list:
-        return list(column)
 
 
 @dataclass(frozen=True)
@@ -134,285 +33,45 @@ class PopulationOutcome:
         return self.report is not None
 
 
-@dataclass
-class _Prepared:
-    """A design that survived the table phase, awaiting composition."""
-
-    index: int
-    accelerator: Any
-    footprints: Sequence[Footprint]
-    plan: AllocationPlan
-    evaluations: Sequence[BlockEvaluation]
-
-
 class PopulationKernel:
-    """Batched MCCM evaluation with a vectorized design-level composition.
+    """Builds and costs designs for one evaluation context.
 
     Parameters
     ----------
     builder:
         The :class:`~repro.core.builder.MultipleCEBuilder` for the
         evaluation context (one CNN × board × precision).
-    model:
-        The :class:`MCCM` instance; default the shared one.
     segment_cache:
         Duck-typed segment table (see
-        :class:`~repro.runtime.segcache.SegmentCostCache`). Optional —
-        without it every design pays its own segment work and only the
-        composition is vectorized.
-    backend:
-        Tensor ops provider; default :class:`PurePythonOps`. Use
-        :func:`repro.runtime.tensor.get_backend` to pick numpy when
-        available.
-    chunk_size:
-        Designs per vectorized compose call.
+        :class:`~repro.runtime.segcache.SegmentCostCache`) shared by the
+        build and cost stages; ``None`` evaluates every design cold.
     """
 
-    def __init__(
-        self,
-        builder,
-        model: Optional[MCCM] = None,
-        segment_cache=None,
-        backend=None,
-        chunk_size: int = DEFAULT_CHUNK,
-    ) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    def __init__(self, builder, segment_cache=None) -> None:
         self.builder = builder
-        self.model = model if model is not None else default_model()
+        self.model = default_model()
         self.segment_cache = segment_cache
-        self.backend = backend if backend is not None else PurePythonOps()
-        self.chunk_size = chunk_size
-        #: Lifetime counters: designs seen, compose-path split, infeasible.
-        self.designs = 0
-        self.vector_composed = 0
-        self.scalar_composed = 0
-        self.infeasible = 0
 
-    def info(self) -> dict:
-        """Introspection snapshot (CLI ``bench``, service ``/healthz``)."""
-        return {
-            "backend": getattr(self.backend, "name", type(self.backend).__name__),
-            "designs": self.designs,
-            "vector_composed": self.vector_composed,
-            "scalar_composed": self.scalar_composed,
-            "infeasible": self.infeasible,
-        }
-
-    # --- the batched evaluation ----------------------------------------------
     def evaluate(self, specs: Sequence) -> List[PopulationOutcome]:
-        """Evaluate a population of :class:`ArchitectureSpec`, in order.
+        """Evaluate :class:`ArchitectureSpec` designs, in order.
 
-        Infeasible designs (``ResourceError``) yield an outcome whose
-        ``reason`` matches the scalar path's formatting exactly; other
-        errors propagate, as they do scalarly.
+        Only resource exhaustion marks a design infeasible; its outcome's
+        ``reason`` reads ``"ResourceError: <message>"``. Other
+        :class:`~repro.utils.errors.MCCMError` subclasses (shape, notation
+        or validation problems) mean a bad request or a genuine bug and
+        propagate — caching them as "infeasible" would persist a bogus
+        verdict.
         """
-        spec_list = list(specs)
-        outcomes: List[Optional[PopulationOutcome]] = [None] * len(spec_list)
-        for start in range(0, len(spec_list), self.chunk_size):
-            chunk = spec_list[start : start + self.chunk_size]
-            self._evaluate_chunk(chunk, start, outcomes)
-        self.designs += len(spec_list)
-        return outcomes  # type: ignore[return-value]
-
-    def _evaluate_chunk(self, chunk, offset, outcomes) -> None:
-        prepared: List[_Prepared] = []
-        for position, spec in enumerate(chunk):
-            index = offset + position
+        cache = self.segment_cache
+        outcomes: List[PopulationOutcome] = []
+        for spec in specs:
             try:
-                accelerator = self.builder.build(spec, cache=self.segment_cache)
-                footprints = self.model._block_footprints(
-                    accelerator, self.segment_cache
-                )
-                plan = self.model._allocate(accelerator, footprints)
-                evaluations = self.model._evaluate_blocks(
-                    accelerator, plan, self.segment_cache
-                )
+                accelerator = self.builder.build(spec, cache=cache)
+                report = self.model.evaluate(accelerator, segment_cache=cache)
             except ResourceError as error:
-                self.infeasible += 1
-                outcomes[index] = PopulationOutcome(
-                    report=None, reason=f"{type(error).__name__}: {error}"
+                outcomes.append(
+                    PopulationOutcome(None, f"{type(error).__name__}: {error}")
                 )
-                continue
-            prepared.append(_Prepared(index, accelerator, footprints, plan, evaluations))
-
-        regular = []
-        for item in prepared:
-            if self._vectorizable(item):
-                regular.append(item)
             else:
-                self.scalar_composed += 1
-                outcomes[item.index] = PopulationOutcome(
-                    report=self.model._compose(
-                        item.accelerator, item.footprints, item.plan, item.evaluations
-                    )
-                )
-        if regular:
-            self._compose_vector(regular, outcomes)
-
-    # --- eligibility for the vectorized compose -------------------------------
-    @staticmethod
-    def _vectorizable(item: _Prepared) -> bool:
-        """Whether the array compose reproduces this design bit-for-bit.
-
-        Anything here that answers ``False`` is not a correctness bug —
-        the design simply composes through the scalar reference path.
-        """
-        accelerator = item.accelerator
-        count = len(item.evaluations)
-        if count < 1 or count > MAX_VECTOR_BLOCKS:
-            return False
-        # CE-sharing groups serialize segments: their interval/requirement
-        # reductions are per-group dict folds, kept scalar.
-        if len(set(accelerator.block_groups)) != count:
-            return False
-        bytes_per_cycle = accelerator.board.bytes_per_cycle
-        if not isinstance(bytes_per_cycle, float) and bytes_per_cycle > _EXACT_INT:
-            return False
-        for evaluation, (_mandatory, ideal) in zip(item.evaluations, item.footprints):
-            if not isinstance(evaluation.latency_cycles, float):
-                return False
-            if not isinstance(evaluation.throughput_interval_cycles, float):
-                return False
-            if evaluation.accesses.weight_bytes > _EXACT_INT:
-                return False
-            if evaluation.accesses.fm_bytes > _EXACT_INT:
-                return False
-            if ideal > _EXACT_INT:
-                return False
-        for size in accelerator.inter_segment_bytes:
-            if size > _EXACT_INT:
-                return False
-        return True
-
-    # --- the vectorized design-level composition ------------------------------
-    def _compose_vector(self, regular: List[_Prepared], outcomes) -> None:
-        """Array form of :meth:`MCCM._compose` over ``regular`` designs.
-
-        Columns are indexed by block position ``j`` and padded past each
-        design's block count with exact identities (``0.0`` / ``0``).
-        Float accumulation is sequential in ``j`` to mirror ``sum()``.
-        """
-        xp = self.backend
-        counts = [len(item.evaluations) for item in regular]
-        max_blocks = max(counts)
-
-        def float_column(j, pick):
-            return xp.floats(
-                [
-                    pick(item.evaluations[j]) if j < counts[k] else 0.0
-                    for k, item in enumerate(regular)
-                ]
-            )
-
-        def int_column(j, pick):
-            return xp.ints(
-                [
-                    pick(item, j) if j < counts[k] else 0
-                    for k, item in enumerate(regular)
-                ]
-            )
-
-        latency = float_column(0, lambda e: e.latency_cycles)
-        interval_max = float_column(0, lambda e: e.throughput_interval_cycles)
-        weights = int_column(0, lambda item, j: item.evaluations[j].accesses.weight_bytes)
-        fms = int_column(0, lambda item, j: item.evaluations[j].accesses.fm_bytes)
-        ideal_sum = int_column(0, lambda item, j: item.footprints[j][1])
-        for j in range(1, max_blocks):
-            latency = xp.add(latency, float_column(j, lambda e: e.latency_cycles))
-            interval_max = xp.maximum(
-                interval_max, float_column(j, lambda e: e.throughput_interval_cycles)
-            )
-            weights = xp.add(
-                weights,
-                int_column(j, lambda item, j: item.evaluations[j].accesses.weight_bytes),
-            )
-            fms = xp.add(
-                fms, int_column(j, lambda item, j: item.evaluations[j].accesses.fm_bytes)
-            )
-            ideal_sum = xp.add(ideal_sum, int_column(j, lambda item, j: item.footprints[j][1]))
-
-        def interface_column(j):
-            return xp.ints(
-                [
-                    item.accelerator.inter_segment_bytes[j] if j < counts[k] - 1 else 0
-                    for k, item in enumerate(regular)
-                ]
-            )
-
-        interface_sum = interface_column(0) if max_blocks > 1 else xp.ints([0] * len(regular))
-        interface_max = interface_sum
-        for j in range(1, max_blocks - 1):
-            column = interface_column(j)
-            interface_sum = xp.add(interface_sum, column)
-            interface_max = xp.maximum(interface_max, column)
-
-        pipelined = [item.accelerator.coarse_pipelined for item in regular]
-        multi = [count > 1 for count in counts]
-        # Eq. 2/3: pipelined multi-block designs run at the slowest stage;
-        # a lone block's interval is its own; sequential multi-block
-        # designs take the full latency. Padding keeps interval_max exact
-        # for single-block designs (intervals are non-negative).
-        sequential = xp.bools([m and not p for m, p in zip(multi, pipelined)])
-        interval = xp.where(sequential, latency, interval_max)
-
-        total_bytes = xp.add(weights, fms)
-        total_list = xp.tolist(total_bytes)
-        oversize = {
-            k for k, total in enumerate(total_list) if total > _EXACT_INT
-        }
-        if oversize:
-            # Access totals crossed the exact-conversion bound only in
-            # aggregate; their bandwidth floor must use CPython division.
-            for k in sorted(oversize, reverse=True):
-                item = regular[k]
-                self.scalar_composed += 1
-                outcomes[item.index] = PopulationOutcome(
-                    report=self.model._compose(
-                        item.accelerator, item.footprints, item.plan, item.evaluations
-                    )
-                )
-            keep = [k for k in range(len(regular)) if k not in oversize]
-            if not keep:
-                return
-            self._compose_vector([regular[k] for k in keep], outcomes)
-            return
-
-        bytes_per_cycle = regular[0].accelerator.board.bytes_per_cycle
-        bandwidth_floor = xp.divide(total_bytes, bytes_per_cycle)
-        interval = xp.maximum(interval, bandwidth_floor)
-
-        # Eq. 8: ideal block buffers plus inter-segment interfaces —
-        # double-buffered (2 x sum) under coarse pipelining, one reused
-        # worst-case buffer otherwise.
-        doubled = xp.add(interface_sum, interface_sum)
-        interface_term = xp.where(xp.bools(pipelined), doubled, interface_max)
-        requirement = xp.add(ideal_sum, interface_term)
-
-        latency_list = xp.tolist(latency)
-        interval_list = xp.tolist(interval)
-        requirement_list = xp.tolist(requirement)
-        weight_list = xp.tolist(weights)
-        fm_list = xp.tolist(fms)
-        for k, item in enumerate(regular):
-            accelerator = item.accelerator
-            self.vector_composed += 1
-            outcomes[item.index] = PopulationOutcome(
-                report=CostReport(
-                    accelerator_name=accelerator.name,
-                    model_name=accelerator.model_name,
-                    board_name=accelerator.board.name,
-                    clock_hz=accelerator.board.clock_hz,
-                    latency_cycles=latency_list[k],
-                    throughput_interval_cycles=interval_list[k],
-                    buffer_requirement_bytes=requirement_list[k],
-                    buffer_allocated_bytes=item.plan.total_block_bytes,
-                    accesses=AccessBreakdown(
-                        weight_bytes=weight_list[k], fm_bytes=fm_list[k]
-                    ),
-                    blocks=tuple(item.evaluations),
-                    total_pes=accelerator.total_pes,
-                    fits_onchip=item.plan.fits_onchip,
-                    notation=accelerator.spec.to_notation(),
-                )
-            )
+                outcomes.append(PopulationOutcome(report))
+        return outcomes

@@ -172,10 +172,8 @@ class EvolutionEngine:
     (the campaign passes the shared
     :class:`~repro.dse.sampler.DesignEvaluator`, so fingerprint/segment
     caches persist across generations). Each generation is submitted as
-    **one** batched call, which lets the runtime score it through the
-    vectorized population kernel (:mod:`repro.core.cost.vector`) — a
-    default-sized generation clears the kernel's auto threshold, and
-    reports are bit-identical to per-design evaluation regardless.
+    **one** batched call, so the runtime answers repeated designs from
+    its fingerprint cache and shares segment work across the rest.
     Checkpointable state is exactly
     ``(generation, population, rng state)`` — restore those three and the
     remaining generations replay bit-identically.

@@ -74,8 +74,6 @@ class DesignEvaluator:
         jobs: Union[int, str] = "auto",
         cache_dir: Optional[Union[str, Path]] = None,
         segment_cache_entries: Optional[int] = None,
-        population_kernel: Union[bool, str] = "auto",
-        tensor_backend: Optional[str] = None,
         runtime: Optional[BatchEvaluator] = None,
     ) -> None:
         self._runtime = runtime or BatchEvaluator(
@@ -85,8 +83,6 @@ class DesignEvaluator:
             jobs=jobs,
             cache_dir=cache_dir,
             segment_cache_entries=segment_cache_entries,
-            population_kernel=population_kernel,
-            tensor_backend=tensor_backend,
         )
 
     @property
@@ -109,24 +105,10 @@ class DesignEvaluator:
         """Cost many designs at once.
 
         Every searcher generation lands here in one call, so the runtime
-        can route it through the batched population kernel (inline
-        batches of ``POPULATION_MIN_BATCH``+ misses) or the worker pool;
-        reports are identical either way.
+        can answer repeats from its caches and fan the misses out over
+        the worker pool; reports are identical either way.
         """
         return self._runtime.evaluate_designs(designs, progress=progress)
-
-    def evaluate_population(
-        self,
-        designs: List[CustomDesign],
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Optional[CostReport]]:
-        """Cost a population, forcing the batched kernel (no threshold)."""
-        return [
-            item.report
-            for item in self._runtime.evaluate_population(
-                [design.to_spec() for design in designs], progress=progress
-            )
-        ]
 
     def close(self) -> None:
         self._runtime.close()

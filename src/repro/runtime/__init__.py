@@ -6,14 +6,12 @@ cache-key and worker-pool design.
 """
 
 from repro.runtime.batch import (
-    POPULATION_MIN_BATCH,
     BatchEvaluator,
     BatchItem,
     ProgressCallback,
     RunStats,
 )
 from repro.runtime.cache import CacheEntry, DiskCache, LRUCache
-from repro.runtime.tensor import available_backends, get_backend
 from repro.runtime.fingerprint import (
     CACHE_SCHEMA_VERSION,
     context_fingerprint,
@@ -25,9 +23,6 @@ from repro.runtime.segcache import SegmentCostCache, segment_key
 __all__ = [
     "SegmentCostCache",
     "segment_key",
-    "available_backends",
-    "get_backend",
-    "POPULATION_MIN_BATCH",
     "BatchEvaluator",
     "BatchItem",
     "ProgressCallback",

@@ -8,11 +8,13 @@ spend them *well*:
   memoized through an in-memory LRU plus an optional on-disk JSON cache,
   so sweeps, local search, and repeated CLI runs never re-evaluate a
   design they have already seen;
-* fingerprint misses are evaluated **incrementally** through a
-  per-evaluator :class:`~repro.runtime.segcache.SegmentCostCache`:
-  designs sharing segments (every DSE neighbourhood, most sweeps) share
-  the per-segment build and costing work, with composed reports
-  bit-identical to the cold path;
+* fingerprint misses are evaluated by one
+  :class:`~repro.core.cost.vector.PopulationKernel` per evaluator (and
+  per pool worker), **incrementally** through a
+  :class:`~repro.runtime.segcache.SegmentCostCache`: designs sharing
+  segments (every DSE neighbourhood, most sweeps) share the per-segment
+  build and costing work, with composed reports bit-identical to the
+  cold path;
 * cache misses fan out over a ``multiprocessing`` worker pool with
   chunked dispatch, while results stream back to the caller **in request
   order** so downstream code stays deterministic;
@@ -36,21 +38,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-import os
-
 from repro.cnn.graph import CNNGraph
 from repro.core.builder import MultipleCEBuilder
-from repro.core.cost.model import default_model
 from repro.core.cost.results import CostReport
-from repro.core.cost.vector import PopulationKernel
+from repro.core.cost.vector import PopulationKernel, PopulationOutcome
 from repro.core.notation import ArchitectureSpec
 from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import DEFAULT_PRECISION, Precision
 from repro.runtime.cache import CacheEntry, DiskCache, LRUCache
 from repro.runtime.fingerprint import spec_fingerprint
 from repro.runtime.segcache import DEFAULT_SEGMENT_ENTRIES, SegmentCostCache
-from repro.runtime.tensor import get_backend
-from repro.utils.errors import MCCMError, ResourceError
 from repro.utils.mathutils import ceil_div
 
 #: ``progress(completed, total)`` — invoked after each item of a batch.
@@ -63,42 +60,6 @@ AUTO_FORK_MIN_MISSES = 128
 
 #: ``jobs="auto"``: misses each forked worker should have to chew on.
 AUTO_MISSES_PER_WORKER = 32
-
-#: ``population_kernel="auto"``: smallest inline miss count routed through
-#: the batched :class:`~repro.core.cost.vector.PopulationKernel`. Below
-#: this the kernel's column setup outweighs what it amortizes; a default
-#: NSGA-II generation (32 designs) clears it comfortably.
-POPULATION_MIN_BATCH = 16
-
-#: Environment override for the population-kernel routing mode.
-POPULATION_KERNEL_ENV = "MCCM_POPULATION_KERNEL"
-
-
-def _population_mode(value: Union[bool, str]) -> str:
-    """Normalize the ``population_kernel`` setting to auto/on/off/force.
-
-    ``force`` pins batches inline and always routes them through the
-    kernel — what :meth:`BatchEvaluator.evaluate_population` sets for the
-    duration of a call, also accepted from the env var / constructor for
-    experiments.
-    """
-    if value is True:
-        return "on"
-    if value is False:
-        return "off"
-    if isinstance(value, str):
-        key = value.strip().lower()
-        if key in ("auto", "on", "off", "force"):
-            return key
-        if key in ("1", "true", "yes"):
-            return "on"
-        if key in ("0", "false", "no"):
-            return "off"
-    raise MCCMError(
-        f'population_kernel must be "auto", "on", "off", "force", or a '
-        f"bool, got {value!r}"
-    )
-
 
 @dataclass
 class RunStats:
@@ -168,12 +129,12 @@ class BatchItem:
 
 
 # --- worker-process plumbing -------------------------------------------------
-# Workers rebuild the (builder, model, segment cache) triple once at pool
-# start; tasks then carry only the lightweight ArchitectureSpec. The segment
-# cache is worker-local — segments memoize within each worker's share of the
-# batch without any cross-process synchronization.
+# Each worker builds one kernel (builder, model, worker-local segment cache)
+# at pool start; tasks then carry only the lightweight ArchitectureSpec.
+# Segments memoize within each worker's share of the batch without any
+# cross-process synchronization.
 
-_WORKER_STATE: Optional[Tuple[MultipleCEBuilder, object, Optional[SegmentCostCache]]] = None
+_WORKER_KERNEL: Optional[PopulationKernel] = None
 
 
 def _worker_init(
@@ -182,32 +143,20 @@ def _worker_init(
     precision: Precision,
     segment_entries: int = DEFAULT_SEGMENT_ENTRIES,
 ) -> None:
-    global _WORKER_STATE
+    global _WORKER_KERNEL
     segcache = SegmentCostCache(segment_entries) if segment_entries > 0 else None
-    _WORKER_STATE = (MultipleCEBuilder(graph, board, precision), default_model(), segcache)
+    _WORKER_KERNEL = PopulationKernel(
+        MultipleCEBuilder(graph, board, precision), segment_cache=segcache
+    )
 
 
-def _evaluate_with(
-    builder: MultipleCEBuilder,
-    model,
-    spec: ArchitectureSpec,
-    segcache: Optional[SegmentCostCache] = None,
-) -> CacheEntry:
-    # Only resource exhaustion marks a design infeasible. Other MCCMError
-    # subclasses (shape/notation/validation problems) indicate a bad request
-    # or a genuine bug and must propagate — caching them as "infeasible"
-    # would persist a bogus verdict.
-    try:
-        report = model.evaluate(builder.build(spec, cache=segcache), segment_cache=segcache)
-    except ResourceError as error:
-        return CacheEntry(report=None, reason=f"{type(error).__name__}: {error}")
-    return CacheEntry(report=report)
+def _as_entry(outcome: PopulationOutcome) -> CacheEntry:
+    return CacheEntry(report=outcome.report, reason=outcome.reason)
 
 
 def _worker_evaluate(spec: ArchitectureSpec) -> CacheEntry:
-    assert _WORKER_STATE is not None, "worker pool not initialized"
-    builder, model, segcache = _WORKER_STATE
-    return _evaluate_with(builder, model, spec, segcache)
+    assert _WORKER_KERNEL is not None, "worker pool not initialized"
+    return _as_entry(_WORKER_KERNEL.evaluate([spec])[0])
 
 
 class BatchEvaluator:
@@ -243,19 +192,6 @@ class BatchEvaluator:
         benchmarking the difference).
     progress:
         Default per-batch progress callback; overridable per call.
-    population_kernel:
-        Routing of inline batches through the batched
-        :class:`~repro.core.cost.vector.PopulationKernel`: ``"auto"``
-        (default — batches of :data:`POPULATION_MIN_BATCH`+ misses),
-        ``"on"``/``True`` (any batch of 2+), ``"off"``/``False`` (never),
-        ``"force"`` (always, pinning batches inline — what
-        :meth:`evaluate_population` uses). ``$MCCM_POPULATION_KERNEL``
-        overrides the default. Reports are bit-identical on every
-        setting.
-    tensor_backend:
-        Tensor backend name for the kernel (``"numpy"``, ``"python"``,
-        ``"auto"``); default auto-detection (see
-        :func:`repro.runtime.tensor.get_backend`).
     """
 
     def __init__(
@@ -271,8 +207,6 @@ class BatchEvaluator:
         segment_cache: Optional[SegmentCostCache] = None,
         segment_cache_entries: Optional[int] = None,
         progress: Optional[ProgressCallback] = None,
-        population_kernel: Union[bool, str] = "auto",
-        tensor_backend: Optional[str] = None,
     ) -> None:
         if segment_cache_entries is None:
             segment_cache_entries = DEFAULT_SEGMENT_ENTRIES
@@ -290,7 +224,6 @@ class BatchEvaluator:
         self.chunk_size = chunk_size
         self.progress = progress
         self._builder = MultipleCEBuilder(graph, board, precision)
-        self._model = default_model()
         self._context = self._builder.context
         self._memory = LRUCache(max_entries=cache_entries)
         self._disk = DiskCache(cache_dir) if cache_dir is not None else None
@@ -303,11 +236,7 @@ class BatchEvaluator:
         self._segment_entries = (
             self._segcache.max_entries if self._segcache is not None else 0
         )
-        if population_kernel == "auto" and os.environ.get(POPULATION_KERNEL_ENV):
-            population_kernel = os.environ[POPULATION_KERNEL_ENV]
-        self._population_mode = _population_mode(population_kernel)
-        self._tensor_backend = tensor_backend
-        self._population_kernel: Optional[PopulationKernel] = None
+        self._kernel = PopulationKernel(self._builder, segment_cache=self._segcache)
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._pool_jobs = 0
         self.last_run = RunStats(jobs=self.jobs)
@@ -322,38 +251,6 @@ class BatchEvaluator:
     def segment_cache(self) -> Optional[SegmentCostCache]:
         """This evaluator's segment cache (``None`` when disabled)."""
         return self._segcache
-
-    @property
-    def population_kernel(self) -> PopulationKernel:
-        """The batched compose kernel (created on first use, then reused).
-
-        Shares this evaluator's builder, model, and segment cache, so the
-        table phase and the per-design path fill the same memo structures.
-        """
-        if self._population_kernel is None:
-            self._population_kernel = PopulationKernel(
-                self._builder,
-                self._model,
-                segment_cache=self._segcache,
-                backend=get_backend(self._tensor_backend),
-            )
-        return self._population_kernel
-
-    def _use_population_kernel(self, miss_count: int, use_jobs: int) -> bool:
-        """Whether this batch's misses route through the batched kernel.
-
-        Only the inline (``use_jobs == 1``) path is eligible — a forked
-        pool already amortizes differently and the kernel is serial. The
-        threshold keeps one-off evaluations on the plain path; results
-        are bit-identical either way.
-        """
-        if self._population_mode == "off" or miss_count == 0 or use_jobs > 1:
-            return False
-        if self._population_mode == "force":
-            return True
-        if self._population_mode == "on":
-            return miss_count >= 2
-        return miss_count >= POPULATION_MIN_BATCH
 
     def _effective_jobs(self, miss_count: int) -> int:
         """Workers to use for a batch with ``miss_count`` fingerprint misses.
@@ -467,27 +364,13 @@ class BatchEvaluator:
                 pending_seen.add(key)
                 pending.append((key, spec))
 
-        if self._population_mode == "force":
-            # evaluate_population: the kernel is serial and inline; never
-            # hand its batch to the worker pool.
-            use_jobs = 1
-        else:
-            use_jobs = self._effective_jobs(len(pending))
+        use_jobs = self._effective_jobs(len(pending))
         if use_jobs > 1 and self._pool is not None:
             # An existing pool is reused whatever size this batch resolved
             # to; record the worker count that will actually run.
             use_jobs = self._pool_jobs
         stats.jobs = use_jobs
-        if self._use_population_kernel(len(pending), use_jobs):
-            outcomes = self.population_kernel.evaluate(
-                [spec for _key, spec in pending]
-            )
-            entries = (
-                CacheEntry(report=outcome.report, reason=outcome.reason)
-                for outcome in outcomes
-            )
-        else:
-            entries = self._dispatch([spec for _key, spec in pending], use_jobs)
+        entries = self._dispatch([spec for _key, spec in pending], use_jobs)
         inflight = zip((key for key, _spec in pending), entries)
 
         yielded = set()
@@ -522,18 +405,13 @@ class BatchEvaluator:
             self.totals.absorb(stats)
 
     def _dispatch(
-        self, specs: Sequence[ArchitectureSpec], jobs: Optional[int] = None
+        self, specs: Sequence[ArchitectureSpec], jobs: int
     ) -> Iterator[CacheEntry]:
         """Evaluate cache misses — inline when serial, pooled when not."""
         if not specs:
             return iter(())
-        if jobs is None:
-            jobs = self.jobs
         if jobs == 1 or len(specs) == 1:
-            return (
-                _evaluate_with(self._builder, self._model, spec, self._segcache)
-                for spec in specs
-            )
+            return map(_as_entry, self._kernel.evaluate(specs))
         pool = self._ensure_pool(jobs)
         if self.chunk_size is not None:
             chunk = self.chunk_size
@@ -555,29 +433,6 @@ class BatchEvaluator:
     def evaluate_spec(self, spec: ArchitectureSpec) -> Optional[CostReport]:
         """Evaluate one spec through the cache (no pool round-trip)."""
         return self.evaluate_specs([spec])[0]
-
-    def evaluate_population(
-        self,
-        specs: Iterable[ArchitectureSpec],
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[BatchItem]:
-        """Evaluate a whole population through the batched kernel.
-
-        Identical results to :meth:`stream` — fingerprint hits still come
-        from the caches — but every miss is composed by the
-        :class:`~repro.core.cost.vector.PopulationKernel` regardless of
-        the auto threshold and the worker pool. This is the explicit
-        entry point for callers that already hold a full generation or
-        grid in hand; :meth:`stream` routes through the same kernel
-        automatically for inline batches of
-        :data:`POPULATION_MIN_BATCH`+ misses.
-        """
-        previous = self._population_mode
-        self._population_mode = "force"
-        try:
-            return list(self.stream(specs, progress=progress))
-        finally:
-            self._population_mode = previous
 
     def evaluate_entry(self, spec: ArchitectureSpec) -> CacheEntry:
         """Like :meth:`evaluate_spec` but keeps the infeasibility reason."""
@@ -620,7 +475,4 @@ class BatchEvaluator:
             info["disk_misses"] = self._disk.misses
         if self._segcache is not None:
             info["segment_cache"] = self._segcache.info()
-        info["population_mode"] = self._population_mode
-        if self._population_kernel is not None:
-            info["population_kernel"] = self._population_kernel.info()
         return info

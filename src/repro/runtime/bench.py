@@ -17,10 +17,6 @@ one measurement per rung of the cache hierarchy:
   variations.
 * **fingerprint-cached** — the same batch replayed against the warm
   evaluator: pure fingerprint hits, the service's replay path.
-* **population kernel** — the batch scored as one population through the
-  vectorized compose kernel over the warm segment table (a steady-state
-  DSE generation's path; see :func:`run_population_benchmark` for the
-  kernel-focused benchmark with backend comparisons).
 
 The harness verifies that all report streams are bit-identical before
 reporting any timing, so a "fast but wrong" regression cannot produce a
@@ -34,11 +30,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.api import resolve_board, resolve_model
 from repro.dse.space import CustomDesignSpace
 from repro.runtime.batch import BatchEvaluator
+from repro.utils.atomic import write_atomic
+from repro.utils.errors import MCCMError
 
 #: ``--quick`` acceptance gate: segment-cached evaluation must beat the
 #: cold path by at least this factor. Deliberately far below the measured
@@ -81,8 +79,8 @@ def run_hotpath_benchmark(
 ) -> dict:
     """Time cold vs segment-cached vs fingerprint-cached evaluation.
 
-    Returns a JSON-ready dict; ``identical`` is True only when all three
-    evaluation paths produced bit-identical report streams.
+    Returns a JSON-ready dict; ``identical`` is True only when every rung
+    produced a bit-identical report stream.
     """
     graph = resolve_model(model)
     fpga = resolve_board(board)
@@ -111,20 +109,7 @@ def run_hotpath_benchmark(
 
     fp_reports, fp_time = _timed_batch(seg_evaluator, specs)
 
-    # Population-kernel rung: a fresh fingerprint cache over the same warm
-    # segment table, every miss composed by the batched kernel.
-    kernel_evaluator = BatchEvaluator(
-        graph, fpga, jobs=1, segment_cache=warm_evaluator.segment_cache
-    )
-    kernel_start = time.perf_counter()
-    kernel_reports = [
-        item.report for item in kernel_evaluator.evaluate_population(specs)
-    ]
-    kernel_time = time.perf_counter() - kernel_start
-
-    identical = (
-        cold_reports == warm_reports == seg_reports == fp_reports == kernel_reports
-    )
+    identical = cold_reports == warm_reports == seg_reports == fp_reports
     count = len(specs)
     seg_cache = seg_evaluator.segment_cache
     feasible = sum(1 for report in cold_reports if report is not None)
@@ -136,8 +121,6 @@ def run_hotpath_benchmark(
     warm_ms = per_design(warm_time)
     seg_ms = per_design(seg_time)
     fp_ms = per_design(fp_time)
-    kernel_ms = per_design(kernel_time)
-    kernel_info = kernel_evaluator.cache_info().get("population_kernel", {})
     return {
         "model": model,
         "board": board,
@@ -162,116 +145,6 @@ def run_hotpath_benchmark(
             "ms_per_design": fp_ms,
             "speedup_vs_cold": cold_ms / fp_ms if fp_ms else float("inf"),
         },
-        "population_kernel": {
-            "elapsed_seconds": kernel_time,
-            "ms_per_design": kernel_ms,
-            "speedup_vs_cold": cold_ms / kernel_ms if kernel_ms else float("inf"),
-            "kernel": kernel_info,
-        },
-        "host_cpus": os.cpu_count() or 1,
-    }
-
-
-def run_population_benchmark(
-    model: str = DEFAULT_MODEL,
-    board: str = DEFAULT_BOARD,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> dict:
-    """Time population scoring through the vectorized kernel.
-
-    Four rungs, all over the same seeded design population:
-
-    * **cold_scalar** — per-design evaluation, no segment table, process
-      caches cleared: the pre-kernel cost of a cold population.
-    * **table_build** — a fresh kernel evaluator on cold tables: the
-      first generation's cost, table fills included. Honest framing: the
-      table phase dominates here, so this rung is roughly cold-scalar
-      speed; the kernel pays for itself from the second population on.
-    * **population_numpy** / **population_python** — a fresh fingerprint
-      cache over the warm table, whole population composed by the kernel
-      per backend: the steady state of every DSE generation after the
-      first. The numpy rung is ``None`` when numpy is not importable —
-      its check must *skip*, not fabricate a number.
-
-    All produced report streams are verified bit-identical before any
-    timing is reported.
-    """
-    from repro.runtime.tensor import numpy_or_none
-
-    graph = resolve_model(model)
-    fpga = resolve_board(board)
-    space = CustomDesignSpace(graph.conv_specs())
-    designs = list(space.sample(samples, seed=seed))
-    specs = [design.to_spec() for design in designs]
-    if not specs:
-        raise ValueError("benchmark sample is empty")
-
-    clear_process_caches()
-    cold_reports, cold_time = _timed_batch(
-        BatchEvaluator(
-            graph, fpga, jobs=1, segment_cache_entries=0, population_kernel="off"
-        ),
-        specs,
-    )
-
-    clear_process_caches()
-    build_evaluator = BatchEvaluator(graph, fpga, jobs=1)
-    build_start = time.perf_counter()
-    build_reports = [
-        item.report for item in build_evaluator.evaluate_population(specs)
-    ]
-    build_time = time.perf_counter() - build_start
-    warm_table = build_evaluator.segment_cache
-
-    def population_rung(backend: str) -> Tuple[list, float, dict]:
-        evaluator = BatchEvaluator(
-            graph, fpga, jobs=1, segment_cache=warm_table, tensor_backend=backend
-        )
-        start = time.perf_counter()
-        reports = [item.report for item in evaluator.evaluate_population(specs)]
-        elapsed = time.perf_counter() - start
-        return reports, elapsed, evaluator.cache_info().get("population_kernel", {})
-
-    python_reports, python_time, python_info = population_rung("python")
-    have_numpy = numpy_or_none() is not None
-    if have_numpy:
-        numpy_reports, numpy_time, numpy_info = population_rung("numpy")
-    else:
-        numpy_reports, numpy_time, numpy_info = None, None, None
-
-    identical = cold_reports == build_reports == python_reports
-    if have_numpy:
-        identical = identical and cold_reports == numpy_reports
-    count = len(specs)
-    feasible = sum(1 for report in cold_reports if report is not None)
-
-    def rung(elapsed: Optional[float], extra: Optional[dict] = None) -> Optional[dict]:
-        if elapsed is None:
-            return None
-        ms = 1000.0 * elapsed / count
-        cold_ms = 1000.0 * cold_time / count
-        entry = {
-            "elapsed_seconds": elapsed,
-            "ms_per_design": ms,
-            "speedup_vs_cold": cold_ms / ms if ms else float("inf"),
-        }
-        if extra is not None:
-            entry["kernel"] = extra
-        return entry
-
-    return {
-        "model": model,
-        "board": board,
-        "samples": count,
-        "feasible": feasible,
-        "seed": seed,
-        "identical": identical,
-        "numpy_available": have_numpy,
-        "cold_scalar": rung(cold_time),
-        "table_build": rung(build_time),
-        "population_python": rung(python_time, python_info),
-        "population_numpy": rung(numpy_time, numpy_info),
         "host_cpus": os.cpu_count() or 1,
     }
 
@@ -280,7 +153,6 @@ def format_hotpath_result(result: dict) -> str:
     """Human-readable rendering of :func:`run_hotpath_benchmark` output."""
     seg = result["segment_cached"]
     fp = result["fingerprint_cached"]
-    kernel = result["population_kernel"]
     cache = seg.get("cache") or {}
     warm = result["warmup"]
     lines = [
@@ -295,9 +167,6 @@ def format_hotpath_result(result: dict) -> str:
         f"{seg['speedup_vs_cold']:6.1f}x vs cold",
         f"fingerprint-cached:    {fp['ms_per_design']:8.3f} ms/design   "
         f"{fp['speedup_vs_cold']:6.1f}x vs cold",
-        f"population kernel:     {kernel['ms_per_design']:8.3f} ms/design   "
-        f"{kernel['speedup_vs_cold']:6.1f}x vs cold   "
-        f"({kernel.get('kernel', {}).get('backend', '?')} backend)",
         "",
         f"segment cache: {cache.get('entries', 0)} entries, "
         f"{cache.get('hits', 0)} hits / {cache.get('misses', 0)} misses "
@@ -309,12 +178,17 @@ def format_hotpath_result(result: dict) -> str:
 
 
 def write_hotpath_json(result: dict, path: str) -> None:
-    """Write the benchmark result where CI / the benchmark suite expect it."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as stream:
-        json.dump(result, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    """Write the benchmark result where CI / the benchmark suite expect it.
+
+    Creates missing parent directories; a path that cannot be written
+    raises :class:`MCCMError`.
+    """
+    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        write_atomic(path, text.encode("utf-8"))
+    except OSError as error:
+        raise MCCMError(f"cannot write benchmark result {path}: {error}") from None
 
 
 def check_hotpath_result(

@@ -401,7 +401,6 @@ class ServiceState:
             "errors": errors,
             "runtime": self.runtime_totals().to_dict(),
             "segment_cache": self.segment_cache_totals(),
-            "population_kernel": self.population_kernel_totals(),
         }
 
     def write_worker_status(self, force: bool = False) -> None:
@@ -670,36 +669,6 @@ class ServiceState:
                 totals[key] += info[key]
         return totals
 
-    def population_kernel_totals(self) -> Dict[str, int]:
-        """Aggregate population-kernel counters across every evaluator.
-
-        ``/sweep`` and ``/dse`` batches route through the vectorized
-        kernel automatically once they clear its threshold; these
-        counters show how much of the service's work it composed.
-        """
-        totals = {
-            "designs": 0,
-            "vector_composed": 0,
-            "scalar_composed": 0,
-            "infeasible": 0,
-        }
-        backends = set()
-        with self._registry_lock:
-            kernels = [
-                evaluator._population_kernel
-                for evaluator, _lock in self._evaluators.values()
-            ]
-        for kernel in kernels:
-            if kernel is None:
-                continue
-            info = kernel.info()
-            backends.add(info["backend"])
-            for key in totals:
-                totals[key] += info[key]
-        result: Dict[str, object] = dict(totals)
-        result["backends"] = sorted(backends)
-        return result  # type: ignore[return-value]
-
     @property
     def evaluator_count(self) -> int:
         with self._registry_lock:
@@ -765,7 +734,6 @@ def handle_healthz(state: ServiceState) -> Response:
         "errors": errors,
         "runtime": totals.to_dict(),
         "segment_cache": state.segment_cache_totals(),
-        "population_kernel": state.population_kernel_totals(),
     }
     if state.cache_dir is not None:
         payload["shared_cache"] = {
@@ -798,12 +766,6 @@ def handle_healthz(state: ServiceState) -> Response:
         payload["segment_cache"] = _sum_counter_dicts(
             w.get("segment_cache", {}) for w in workers
         )
-        kernel = _sum_counter_dicts(w.get("population_kernel", {}) for w in workers)
-        backends = set()
-        for worker in workers:
-            backends.update(worker.get("population_kernel", {}).get("backends", []))
-        kernel["backends"] = sorted(backends)
-        payload["population_kernel"] = kernel
     return 200, payload
 
 

@@ -7,7 +7,7 @@ Three things live here:
   ``dev`` (25 examples, the default for local runs and tier-1 CI) and
   ``ci`` (200 examples, selected by the differential-fuzz CI step via
   ``--hypothesis-profile=ci``);
-* the **shrinking-friendly strategies** the vectorized-kernel oracle
+* the **shrinking-friendly strategies** the differential cost oracle
   uses (:mod:`tests.core.test_vector_oracle`): random tiny CNNs, boards,
   precisions, and :class:`~repro.dse.space.CustomDesign` populations.
   Strategies shrink toward the smallest CNN, the fewest designs, and the
@@ -151,7 +151,7 @@ def precision():
     return DEFAULT_PRECISION
 
 
-# --- strategies for the vectorized-kernel differential oracle -----------------
+# --- strategies for the differential cost oracle -----------------------------
 
 
 @st.composite

@@ -79,8 +79,8 @@ class TestSweep:
             assert report.accesses.total_bytes > 0
 
 
-class TestSweepPopulationKernel:
-    """The batched population kernel is invisible in sweep results."""
+class TestSweepStarvedBoard:
+    """A starved board's sweep has both reports and skips, on every path."""
 
     def _starved_board(self):
         # Tight enough that high CE counts fail allocation while low
@@ -92,10 +92,11 @@ class TestSweepPopulationKernel:
             bandwidth_gbps=1.0,
         )
 
-    def test_skipped_identical_under_kernel(self, tiny_cnn):
+    def test_skipped_identical_to_cold_path(self, tiny_cnn):
         board = self._starved_board()
-        scalar = sweep(tiny_cnn, board, population_kernel="off")
-        batched = sweep(tiny_cnn, board, population_kernel="on")
+        cold = BatchEvaluator(tiny_cnn, board, jobs=1, segment_cache_entries=0)
+        scalar = sweep(tiny_cnn, board, runtime=cold)
+        batched = sweep(tiny_cnn, board)
         assert len(batched.skipped) == len(scalar.skipped)
         assert [
             (skip.architecture, skip.ce_count, skip.reason)
@@ -109,11 +110,6 @@ class TestSweepPopulationKernel:
         ]
 
     def test_starved_sweep_actually_skips(self, tiny_cnn):
-        result = sweep(tiny_cnn, self._starved_board(), population_kernel="on")
+        result = sweep(tiny_cnn, self._starved_board())
         assert result.skipped, "board not starved enough to exercise skips"
         assert result, "board too starved: no feasible configs left"
-
-    def test_explicit_runtime_rejects_kernel_settings(self, tiny_cnn, roomy_board):
-        runtime = BatchEvaluator(tiny_cnn, roomy_board, jobs=1)
-        with pytest.raises(ValueError):
-            sweep(tiny_cnn, roomy_board, runtime=runtime, population_kernel="on")

@@ -163,6 +163,16 @@ class TestExitCodes:
         assert code == 2
         assert "unknown model" in capsys.readouterr().err
 
+    def test_bench_unwritable_output(self, tmp_path, capsys):
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("")
+        code = main(
+            ["bench", "--quick", "--model", MODEL, "--board", BOARD,
+             "--output", str(blocker / "x.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+
 
 class TestServeParser:
     def test_defaults(self):

@@ -1,23 +1,19 @@
-"""Differential oracle: the vectorized kernel vs the scalar cost model.
+"""Differential oracle: segment-cached evaluation vs the cold cost model.
 
-The population kernel's contract is *byte-identical* reports — the same
-discipline that made the PR 3 segment cache trustworthy. Hypothesis
-generates random (CNN, board, precision) contexts and random
-:class:`CustomDesign` populations (always including the degenerate
-single-segment and max-CE designs), and every example asserts that four
-independent evaluation paths agree byte for byte on
-``json.dumps(report_to_dict(...), sort_keys=True)``:
+Every cache miss is evaluated by :class:`~repro.core.cost.vector.PopulationKernel`
+through a :class:`~repro.runtime.segcache.SegmentCostCache`, whose
+contract is *byte-identical* reports. Hypothesis generates random (CNN,
+board, precision) contexts and random :class:`CustomDesign` populations
+(always including the degenerate single-segment and max-CE designs), and
+every example asserts that two independent evaluation paths agree byte
+for byte on ``json.dumps(report_to_dict(...), sort_keys=True)``:
 
-1. **scalar** — per-design evaluation, segment memoization disabled;
-2. **segment-cached** — per-design through a fresh segment table;
-3. **vectorized / pure-Python** — the population kernel on the stdlib
-   list backend;
-4. **vectorized / numpy** — the population kernel on float64/int64
-   arrays (present only where numpy imports; the no-numpy CI leg runs
-   the remaining three).
+1. **cold** — per-design evaluation, segment memoization disabled;
+2. **segment-cached** — the same population through a fresh segment
+   table, so later designs reuse the segments earlier ones costed.
 
 Infeasible members must agree too: same ``None`` report, same reason
-string, on every path.
+string, on both paths.
 
 Strategies live in ``tests/conftest.py`` (shared, shrinking-friendly);
 the example budget comes from the hypothesis profiles registered there
@@ -31,12 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost.export import report_to_dict
-from repro.core.cost.vector import PopulationKernel, PurePythonOps
-from repro.core.notation import ArchitectureSpec, BlockSpec
 from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import DEFAULT_PRECISION
 from repro.runtime.batch import BatchEvaluator
-from repro.runtime.tensor import get_backend, numpy_or_none
 from tests.conftest import (
     oracle_boards,
     oracle_cnns,
@@ -45,9 +38,6 @@ from tests.conftest import (
 )
 
 pytestmark = pytest.mark.fuzz
-
-#: Tensor backends testable in this interpreter.
-BACKENDS = ["python"] + (["numpy"] if numpy_or_none() is not None else [])
 
 
 def _canonical(item) -> str:
@@ -62,126 +52,28 @@ def _evaluate(graph, board, precision, specs, **kwargs):
     return [_canonical(item) for item in evaluator.stream(specs)]
 
 
-def _evaluate_population(graph, board, precision, specs, backend):
-    evaluator = BatchEvaluator(
-        graph, board, precision, jobs=1, tensor_backend=backend
-    )
-    return [_canonical(item) for item in evaluator.evaluate_population(specs)]
-
-
 @given(oracle_cnns(), oracle_boards(), oracle_precisions(), st.data())
-def test_population_kernel_matches_scalar(graph, board, precision, data):
-    """All evaluation paths agree byte-for-byte on random populations."""
+def test_segment_cached_matches_cold(graph, board, precision, data):
+    """Both evaluation paths agree byte-for-byte on random populations."""
     population = data.draw(oracle_populations(len(graph.conv_specs())))
     specs = [design.to_spec() for design in population]
 
-    scalar = _evaluate(
-        graph,
-        board,
-        precision,
-        specs,
-        segment_cache_entries=0,
-        population_kernel="off",
-    )
-    segcached = _evaluate(graph, board, precision, specs, population_kernel="off")
-    assert segcached == scalar
-    for backend in BACKENDS:
-        vectorized = _evaluate_population(graph, board, precision, specs, backend)
-        assert vectorized == scalar, f"{backend} kernel diverged from scalar"
+    cold = _evaluate(graph, board, precision, specs, segment_cache_entries=0)
+    segcached = _evaluate(graph, board, precision, specs)
+    assert segcached == cold
 
 
 @given(oracle_cnns(), st.data())
 @settings(max_examples=10)
-def test_population_kernel_infeasible_members(graph, data):
-    """A starved board marks members infeasible identically on all paths."""
+def test_infeasible_members_match_cold(graph, data):
+    """A starved board marks members infeasible identically on both paths."""
     population = data.draw(oracle_populations(len(graph.conv_specs())))
     starved = FPGABoard(
         name="starved", dsp_count=8, bram_bytes=16 * 1024, bandwidth_gbps=1.0
     )
     specs = [design.to_spec() for design in population]
-    scalar = _evaluate(
-        graph,
-        starved,
-        DEFAULT_PRECISION,
-        specs,
-        segment_cache_entries=0,
-        population_kernel="off",
+    cold = _evaluate(
+        graph, starved, DEFAULT_PRECISION, specs, segment_cache_entries=0
     )
-    for backend in BACKENDS:
-        vectorized = _evaluate_population(
-            graph, starved, DEFAULT_PRECISION, specs, backend
-        )
-        assert vectorized == scalar
-
-
-# --- deterministic routing checks (no hypothesis) -----------------------------
-
-
-def test_shared_ce_designs_route_to_scalar_compose(tiny_cnn, roomy_board):
-    """CE-sharing groups are composed scalarly — and still identically."""
-    from repro.core.builder import MultipleCEBuilder
-    from repro.core.cost.model import default_model
-
-    num_layers = len(tiny_cnn.conv_specs())
-    spec = ArchitectureSpec(
-        name="SharedCE",
-        blocks=(
-            BlockSpec(1, 2, 1, ce_id=1),
-            BlockSpec(3, num_layers, 1, ce_id=1),
-        ),
-        coarse_pipelined=True,
-    )
-    builder = MultipleCEBuilder(tiny_cnn, roomy_board)
-    reference = default_model().evaluate(builder.build(spec))
-
-    for backend in BACKENDS:
-        kernel = PopulationKernel(
-            MultipleCEBuilder(tiny_cnn, roomy_board), backend=get_backend(backend)
-        )
-        outcomes = kernel.evaluate([spec])
-        assert kernel.scalar_composed == 1
-        assert kernel.vector_composed == 0
-        assert report_to_dict(outcomes[0].report) == report_to_dict(reference)
-
-
-def test_oversize_access_totals_route_to_scalar_compose(tiny_cnn, roomy_board):
-    """Designs whose integer inputs cross 2**53 skip the array compose."""
-    from repro.core.builder import MultipleCEBuilder
-    from repro.core.cost import vector
-
-    num_layers = len(tiny_cnn.conv_specs())
-    spec = ArchitectureSpec(
-        name="Plain", blocks=(BlockSpec(1, num_layers, 2),), coarse_pipelined=True
-    )
-    kernel = PopulationKernel(
-        MultipleCEBuilder(tiny_cnn, roomy_board), backend=PurePythonOps()
-    )
-    original = vector._EXACT_INT
-    try:
-        # Lower the guard instead of constructing a >8-PiB CNN.
-        vector._EXACT_INT = 0
-        kernel.evaluate([spec])
-    finally:
-        vector._EXACT_INT = original
-    assert kernel.scalar_composed == 1
-    assert kernel.vector_composed == 0
-
-
-def test_kernel_counts_vector_composed(tiny_cnn, roomy_board):
-    from repro.core.builder import MultipleCEBuilder
-
-    num_layers = len(tiny_cnn.conv_specs())
-    specs = [
-        ArchitectureSpec(
-            name=f"P{count}",
-            blocks=(BlockSpec(1, num_layers, count),),
-            coarse_pipelined=True,
-        )
-        for count in (2, 3, 4)
-    ]
-    kernel = PopulationKernel(MultipleCEBuilder(tiny_cnn, roomy_board))
-    outcomes = kernel.evaluate(specs)
-    assert all(outcome.feasible for outcome in outcomes)
-    assert kernel.vector_composed == 3
-    assert kernel.designs == 3
-    assert kernel.info()["backend"] == "python"
+    segcached = _evaluate(graph, starved, DEFAULT_PRECISION, specs)
+    assert segcached == cold

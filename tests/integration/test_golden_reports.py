@@ -11,9 +11,9 @@ On a deliberate change, regenerate and review the diff:
     pytest tests/integration/test_golden_reports.py --regen-golden
     git diff tests/data/golden_reports/
 
-The corpus is also a cross-path anchor: the batched population kernel
-must reproduce the same bytes on both tensor backends, which ties the
-golden files to the differential oracle's guarantee.
+The corpus is also a cross-path anchor: one batched, segment-cached
+``BatchEvaluator`` pass per board must reproduce the same bytes, which
+ties the golden files to the differential oracle's guarantee.
 """
 
 import json
@@ -177,30 +177,25 @@ def test_verdicts_never_perturb_golden_bytes(architecture, board, request):
     assert report_to_json(stripped) + "\n" == golden
 
 
-def test_golden_reports_match_population_kernel(request):
-    """The batched kernel reproduces the corpus bytes on every backend."""
+def test_golden_reports_match_batch_evaluation(request):
+    """One batched evaluation per board reproduces the corpus bytes."""
     if request.config.getoption("--regen-golden"):
         pytest.skip("corpus being regenerated")
     from repro.api import resolve_board, resolve_model
     from repro.core.architectures import build_template
     from repro.runtime.batch import BatchEvaluator
-    from repro.runtime.tensor import available_backends
 
     graph = resolve_model(MODEL)
-    for backend in available_backends():
-        for board_name in PAPER_BOARDS:
-            board = resolve_board(board_name)
-            evaluator = BatchEvaluator(
-                graph, board, jobs=1, tensor_backend=backend
+    specs = [
+        build_template(architecture, graph.conv_specs(), CE_COUNT)
+        for architecture in PAPER_ARCHITECTURES
+    ]
+    for board_name in PAPER_BOARDS:
+        evaluator = BatchEvaluator(graph, resolve_board(board_name), jobs=1)
+        reports = evaluator.evaluate_specs(specs)
+        for architecture, report in zip(PAPER_ARCHITECTURES, reports):
+            golden = _golden_path(architecture, board_name).read_text()
+            assert report_to_json(report) + "\n" == golden, (
+                f"batched evaluation diverged from golden "
+                f"{MODEL}/{architecture}/{board_name}"
             )
-            specs = [
-                build_template(architecture, graph.conv_specs(), CE_COUNT)
-                for architecture in PAPER_ARCHITECTURES
-            ]
-            items = evaluator.evaluate_population(specs)
-            for architecture, item in zip(PAPER_ARCHITECTURES, items):
-                golden = _golden_path(architecture, board_name).read_text()
-                assert report_to_json(item.report) + "\n" == golden, (
-                    f"{backend} kernel diverged from golden "
-                    f"{MODEL}/{architecture}/{board_name}"
-                )

@@ -1,14 +1,12 @@
 """Property-based suite for the constraint-rule engine.
 
 Three machine-checked properties, over the same random (CNN, board,
-precision) contexts the vectorized-kernel oracle uses
+precision) contexts the differential cost oracle uses
 (strategies in ``tests/conftest.py``):
 
 * **Purity** — evaluating rules never perturbs a report: the canonical
   JSON bytes of every report are identical before and after rule
-  evaluation, on the scalar path, the segment-cached path, and the
-  population-kernel path on every available tensor backend (the no-numpy
-  CI leg runs the pure-Python remainder);
+  evaluation, on the cold path and the segment-cached path;
 * **Monotonicity** — tightening a numeric threshold never flips a
   verdict from fail to pass, and never decreases the exceedance;
 * **Round-trip** — random rules, rulesets, and produced verdicts
@@ -39,7 +37,6 @@ from repro.rules import (
 )
 from repro.rules.schema import EQUALITY_OPS, NUMERIC_OPS, SET_OPS
 from repro.runtime.batch import BatchEvaluator
-from repro.runtime.tensor import numpy_or_none
 from tests.conftest import (
     oracle_boards,
     oracle_cnns,
@@ -48,9 +45,6 @@ from tests.conftest import (
 )
 
 pytestmark = pytest.mark.fuzz
-
-#: Tensor backends testable in this interpreter.
-BACKENDS = ["python"] + (["numpy"] if numpy_or_none() is not None else [])
 
 #: A fixed mixed-kind SLO ruleset touching every observation code path:
 #: plain numerics, the board-relative BRAM fraction, the feasibility
@@ -121,35 +115,16 @@ def test_rules_leave_reports_byte_identical(graph, board, precision, data):
     )
     specs = [design.to_spec() for design in population]
 
-    scalar = BatchEvaluator(
-        graph,
-        board,
-        precision,
-        jobs=1,
-        segment_cache_entries=0,
-        population_kernel="off",
-    )
-    items = list(scalar.stream(specs))
+    cold = BatchEvaluator(graph, board, precision, jobs=1, segment_cache_entries=0)
+    items = list(cold.stream(specs))
     before = [_canonical(item) for item in items]
     _judge_all(items, board, precision)
     assert [_canonical(item) for item in items] == before
 
-    segcached = BatchEvaluator(
-        graph, board, precision, jobs=1, population_kernel="off"
-    )
+    segcached = BatchEvaluator(graph, board, precision, jobs=1)
     cached_items = list(segcached.stream(specs))
     _judge_all(cached_items, board, precision)
     assert [_canonical(item) for item in cached_items] == before
-
-    for backend in BACKENDS:
-        vectorized = BatchEvaluator(
-            graph, board, precision, jobs=1, tensor_backend=backend
-        )
-        kernel_items = list(vectorized.evaluate_population(specs))
-        _judge_all(kernel_items, board, precision)
-        assert [_canonical(item) for item in kernel_items] == before, (
-            f"rules perturbed reports on the {backend} population kernel"
-        )
 
 
 # --- monotonicity -------------------------------------------------------------
@@ -160,9 +135,7 @@ def _single_report(graph, board, precision):
     spec = CustomDesign(
         pipelined_layers=0, cuts=(), num_layers=len(graph.conv_specs())
     ).to_spec()
-    evaluator = BatchEvaluator(
-        graph, board, precision, jobs=1, population_kernel="off"
-    )
+    evaluator = BatchEvaluator(graph, board, precision, jobs=1)
     (item,) = list(evaluator.stream([spec]))
     assume(item.report is not None)
     return item.report

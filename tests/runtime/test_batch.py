@@ -224,44 +224,3 @@ class TestAutoJobs:
             auto = evaluator.evaluate_specs(specs)
         assert auto == serial
         assert evaluator.last_run.jobs >= 1
-
-
-class TestPopulationKernelRouting:
-    """Mode normalization and the env-var knob for the population kernel."""
-
-    def test_modes_normalize(self, context):
-        from repro.runtime.batch import _population_mode
-
-        assert _population_mode(True) == "on"
-        assert _population_mode(False) == "off"
-        assert _population_mode(" Force ") == "force"
-        assert _population_mode("1") == "on"
-        assert _population_mode("no") == "off"
-
-    def test_unknown_mode_is_an_mccm_error(self, context):
-        from repro.utils.errors import MCCMError
-
-        cnn, board = context
-        with pytest.raises(MCCMError, match="population_kernel"):
-            BatchEvaluator(cnn, board, population_kernel="vectorize-harder")
-
-    def test_env_override_including_force(self, context, specs, monkeypatch):
-        from repro.runtime.batch import POPULATION_KERNEL_ENV
-
-        cnn, board = context
-        monkeypatch.setenv(POPULATION_KERNEL_ENV, "force")
-        forced = BatchEvaluator(cnn, board)
-        assert forced.cache_info()["population_mode"] == "force"
-        reference = BatchEvaluator(
-            cnn, board, population_kernel="off"
-        ).evaluate_specs(specs)
-        assert forced.evaluate_specs(specs) == reference
-        assert forced.population_kernel.vector_composed > 0
-
-    def test_explicit_param_beats_env(self, context, monkeypatch):
-        from repro.runtime.batch import POPULATION_KERNEL_ENV
-
-        cnn, board = context
-        monkeypatch.setenv(POPULATION_KERNEL_ENV, "off")
-        evaluator = BatchEvaluator(cnn, board, population_kernel="on")
-        assert evaluator.cache_info()["population_mode"] == "on"
