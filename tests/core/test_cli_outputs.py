@@ -173,6 +173,52 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot write")
 
+    def test_bench_output_creates_parent_dirs(self, tmp_path, capsys):
+        target = tmp_path / "nested" / "results" / "hotpath.json"
+        code = main(
+            ["bench", "--samples", "8", "--model", MODEL, "--board", BOARD,
+             "--output", str(target), "--json"]
+        )
+        assert code == 0
+        assert json.loads(target.read_text()) == json.loads(capsys.readouterr().out)
+        # Written atomically: no temp file is left next to the result.
+        assert [path.name for path in target.parent.iterdir()] == ["hotpath.json"]
+
+    def _campaign_spec(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "cli-front", "seed": 3, "strategy": "evolve",
+            "population": 4, "generations": 1, "cost_metric": "buffers",
+            "cells": [{"model": MODEL, "board": BOARD, "ce_counts": [2, 3]}],
+        }))
+        return spec
+
+    def test_campaign_front_csv_written(self, tmp_path, capsys):
+        from repro.dse.campaign import campaign_status
+
+        checkpoint = tmp_path / "checkpoint.json"
+        front = tmp_path / "out" / "front.csv"
+        front.parent.mkdir()
+        code = main(
+            ["campaign", "run", "--spec", str(self._campaign_spec(tmp_path)),
+             "--checkpoint", str(checkpoint), "--front-csv", str(front),
+             "--jobs", "1"]
+        )
+        assert code == 0
+        expected = campaign_status(checkpoint).front_csv().encode("utf-8")
+        assert front.read_bytes() == expected
+        assert [path.name for path in front.parent.iterdir()] == ["front.csv"]
+
+    def test_campaign_unwritable_front_csv(self, tmp_path, capsys):
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("")
+        code = main(
+            ["campaign", "run", "--spec", str(self._campaign_spec(tmp_path)),
+             "--front-csv", str(blocker / "front.csv"), "--jobs", "1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write front CSV")
+
 
 class TestServeParser:
     def test_defaults(self):

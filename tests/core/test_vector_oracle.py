@@ -5,15 +5,18 @@ through a :class:`~repro.runtime.segcache.SegmentCostCache`, whose
 contract is *byte-identical* reports. Hypothesis generates random (CNN,
 board, precision) contexts and random :class:`CustomDesign` populations
 (always including the degenerate single-segment and max-CE designs), and
-every example asserts that two independent evaluation paths agree byte
-for byte on ``json.dumps(report_to_dict(...), sort_keys=True)``:
+every example asserts that independent evaluation paths agree byte for
+byte on ``json.dumps(report_to_dict(...), sort_keys=True)``:
 
 1. **cold** — per-design evaluation, segment memoization disabled;
 2. **segment-cached** — the same population through a fresh segment
-   table, so later designs reuse the segments earlier ones costed.
+   table, so later designs reuse the segments earlier ones costed;
+3. **bare model** — ``MultipleCEBuilder.build`` + ``MCCM.evaluate``
+   called directly, without the kernel or any cache, as the reference
+   the kernel itself is checked against.
 
 Infeasible members must agree too: same ``None`` report, same reason
-string, on both paths.
+string, on every path.
 
 Strategies live in ``tests/conftest.py`` (shared, shrinking-friendly);
 the example budget comes from the hypothesis profiles registered there
@@ -77,3 +80,143 @@ def test_infeasible_members_match_cold(graph, data):
     )
     segcached = _evaluate(graph, starved, DEFAULT_PRECISION, specs)
     assert segcached == cold
+
+
+# --- the kernel against the cost model called directly -------------------------
+
+
+def _scalar_reference(graph, board, precision, specs):
+    """Canonical bytes from ``build`` + ``MCCM.evaluate``, no kernel, no cache."""
+    from repro.core.builder import MultipleCEBuilder
+    from repro.core.cost.model import default_model
+    from repro.utils.errors import ResourceError
+
+    builder = MultipleCEBuilder(graph, board, precision)
+    model = default_model()
+    canonical = []
+    for spec in specs:
+        try:
+            report = model.evaluate(builder.build(spec))
+        except ResourceError as error:
+            canonical.append(
+                json.dumps({"infeasible": f"ResourceError: {error}"}, sort_keys=True)
+            )
+        else:
+            canonical.append(json.dumps(report_to_dict(report), sort_keys=True))
+    return canonical
+
+
+def _kernel_canonical(graph, board, precision, specs, segment_cache=None):
+    from repro.core.builder import MultipleCEBuilder
+    from repro.core.cost.vector import PopulationKernel
+
+    kernel = PopulationKernel(
+        MultipleCEBuilder(graph, board, precision), segment_cache=segment_cache
+    )
+    return [_canonical(outcome) for outcome in kernel.evaluate(specs)]
+
+
+@given(oracle_cnns(), oracle_boards(), oracle_precisions(), st.data())
+def test_population_kernel_matches_scalar(graph, board, precision, data):
+    """The kernel, cold and segment-cached, matches the bare cost model."""
+    from repro.runtime.segcache import SegmentCostCache
+
+    population = data.draw(oracle_populations(len(graph.conv_specs())))
+    specs = [design.to_spec() for design in population]
+
+    scalar = _scalar_reference(graph, board, precision, specs)
+    assert _kernel_canonical(graph, board, precision, specs) == scalar
+    segcached = _kernel_canonical(
+        graph, board, precision, specs, segment_cache=SegmentCostCache()
+    )
+    assert segcached == scalar
+
+
+@given(oracle_cnns(), st.data())
+@settings(max_examples=10)
+def test_population_kernel_infeasible_members(graph, data):
+    """Kernel reasons read ``"ResourceError: <message>"`` like the bare model."""
+    from repro.runtime.segcache import SegmentCostCache
+
+    population = data.draw(oracle_populations(len(graph.conv_specs())))
+    starved = FPGABoard(
+        name="starved", dsp_count=8, bram_bytes=16 * 1024, bandwidth_gbps=1.0
+    )
+    specs = [design.to_spec() for design in population]
+    scalar = _scalar_reference(graph, starved, DEFAULT_PRECISION, specs)
+    kernel = _kernel_canonical(
+        graph, starved, DEFAULT_PRECISION, specs, segment_cache=SegmentCostCache()
+    )
+    assert kernel == scalar
+
+
+# --- deterministic kernel checks (no hypothesis) -------------------------------
+
+
+def test_shared_ce_designs_match_scalar(tiny_cnn, roomy_board):
+    """CE-sharing groups cost the same through the kernel as directly."""
+    from repro.core.notation import ArchitectureSpec, BlockSpec
+    from repro.runtime.segcache import SegmentCostCache
+
+    num_layers = len(tiny_cnn.conv_specs())
+    spec = ArchitectureSpec(
+        name="SharedCE",
+        blocks=(
+            BlockSpec(1, 2, 1, ce_id=1),
+            BlockSpec(3, num_layers, 1, ce_id=1),
+        ),
+        coarse_pipelined=True,
+    )
+    scalar = _scalar_reference(tiny_cnn, roomy_board, DEFAULT_PRECISION, [spec])
+    assert "infeasible" not in scalar[0]
+    cold = _kernel_canonical(tiny_cnn, roomy_board, DEFAULT_PRECISION, [spec])
+    assert cold == scalar
+    cache = SegmentCostCache()
+    for _ in range(2):  # the second pass is answered from the segment table
+        assert (
+            _kernel_canonical(
+                tiny_cnn, roomy_board, DEFAULT_PRECISION, [spec], segment_cache=cache
+            )
+            == scalar
+        )
+    assert cache.hits > 0
+
+
+def test_kernel_reuses_segments_across_designs(tiny_cnn, roomy_board):
+    """Designs that share segments share their costing, bytes unchanged."""
+    from repro.core.architectures import build_template
+    from repro.runtime.segcache import SegmentCostCache
+
+    conv_specs = tiny_cnn.conv_specs()
+    specs = [build_template("segmented", conv_specs, n) for n in (2, 3, 4)]
+    cache = SegmentCostCache()
+    first = _kernel_canonical(
+        tiny_cnn, roomy_board, DEFAULT_PRECISION, specs, segment_cache=cache
+    )
+    computed = cache.evaluations
+    assert computed > 0
+    second = _kernel_canonical(
+        tiny_cnn, roomy_board, DEFAULT_PRECISION, specs, segment_cache=cache
+    )
+    assert second == first
+    assert cache.evaluations == computed  # nothing re-costed
+    assert first == _scalar_reference(tiny_cnn, roomy_board, DEFAULT_PRECISION, specs)
+
+
+def test_kernel_outcomes_keep_request_order(tiny_cnn):
+    """Feasible and infeasible members come back in request order."""
+    from repro.core.architectures import build_template
+    from repro.core.builder import MultipleCEBuilder
+    from repro.core.cost.vector import PopulationKernel
+
+    starved = FPGABoard(
+        name="starved", dsp_count=4, bram_bytes=4 * 1024, bandwidth_gbps=0.1
+    )
+    conv_specs = tiny_cnn.conv_specs()
+    specs = [build_template("segmented", conv_specs, n) for n in (8, 2, 8, 3)]
+    outcomes = PopulationKernel(MultipleCEBuilder(tiny_cnn, starved)).evaluate(specs)
+    assert [outcome.feasible for outcome in outcomes] == [False, True, False, True]
+    assert outcomes[0].reason == outcomes[2].reason
+    assert outcomes[0].reason.startswith("ResourceError: ")
+    assert "8 CEs exceed" in outcomes[0].reason
+    assert all(outcome.reason is None for outcome in outcomes if outcome.feasible)

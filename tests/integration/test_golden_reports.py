@@ -177,25 +177,49 @@ def test_verdicts_never_perturb_golden_bytes(architecture, board, request):
     assert report_to_json(stripped) + "\n" == golden
 
 
-def test_golden_reports_match_batch_evaluation(request):
+def _template_specs(graph):
+    from repro.core.architectures import build_template
+
+    return [
+        build_template(architecture, graph.conv_specs(), CE_COUNT)
+        for architecture in PAPER_ARCHITECTURES
+    ]
+
+
+def _assert_golden(reports, board_name, path_name):
+    for architecture, report in zip(PAPER_ARCHITECTURES, reports):
+        golden = _golden_path(architecture, board_name).read_text()
+        assert report_to_json(report) + "\n" == golden, (
+            f"{path_name} evaluation diverged from golden "
+            f"{MODEL}/{architecture}/{board_name}"
+        )
+
+
+@pytest.mark.parametrize("board_name", PAPER_BOARDS)
+def test_golden_reports_match_batch_evaluation(board_name, request):
     """One batched evaluation per board reproduces the corpus bytes."""
     if request.config.getoption("--regen-golden"):
         pytest.skip("corpus being regenerated")
     from repro.api import resolve_board, resolve_model
-    from repro.core.architectures import build_template
     from repro.runtime.batch import BatchEvaluator
 
     graph = resolve_model(MODEL)
-    specs = [
-        build_template(architecture, graph.conv_specs(), CE_COUNT)
-        for architecture in PAPER_ARCHITECTURES
-    ]
+    evaluator = BatchEvaluator(graph, resolve_board(board_name), jobs=1)
+    reports = evaluator.evaluate_specs(_template_specs(graph))
+    _assert_golden(reports, board_name, "batched")
+
+
+def test_golden_reports_match_pooled_evaluation(request):
+    """Pool workers, each with its own kernel, reproduce the corpus bytes."""
+    if request.config.getoption("--regen-golden"):
+        pytest.skip("corpus being regenerated")
+    from repro.api import resolve_board, resolve_model
+    from repro.runtime.batch import BatchEvaluator
+
+    graph = resolve_model(MODEL)
+    specs = _template_specs(graph)
     for board_name in PAPER_BOARDS:
-        evaluator = BatchEvaluator(graph, resolve_board(board_name), jobs=1)
-        reports = evaluator.evaluate_specs(specs)
-        for architecture, report in zip(PAPER_ARCHITECTURES, reports):
-            golden = _golden_path(architecture, board_name).read_text()
-            assert report_to_json(report) + "\n" == golden, (
-                f"batched evaluation diverged from golden "
-                f"{MODEL}/{architecture}/{board_name}"
-            )
+        with BatchEvaluator(graph, resolve_board(board_name), jobs=2) as evaluator:
+            reports = evaluator.evaluate_specs(specs)
+            assert evaluator.last_run.jobs == 2
+        _assert_golden(reports, board_name, "pooled")

@@ -224,3 +224,103 @@ class TestAutoJobs:
             auto = evaluator.evaluate_specs(specs)
         assert auto == serial
         assert evaluator.last_run.jobs >= 1
+
+
+class TestMissPath:
+    """Every fingerprint miss is built and costed by one PopulationKernel."""
+
+    @staticmethod
+    def _spy(evaluator, monkeypatch):
+        calls = []
+        kernel = evaluator._kernel
+        original = kernel.evaluate
+
+        def evaluate(specs):
+            calls.append(list(specs))
+            return original(specs)
+
+        monkeypatch.setattr(kernel, "evaluate", evaluate)
+        return calls
+
+    def test_inline_batch_is_one_kernel_call(self, context, specs, monkeypatch):
+        cnn, board = context
+        evaluator = BatchEvaluator(cnn, board, jobs=1)
+        calls = self._spy(evaluator, monkeypatch)
+        reports = evaluator.evaluate_specs(specs)
+        assert calls == [list(specs)]
+        assert reports == BatchEvaluator(
+            cnn, board, jobs=1, segment_cache_entries=0
+        ).evaluate_specs(specs)
+
+    def test_single_miss_goes_through_kernel(self, context, specs, monkeypatch):
+        cnn, board = context
+        evaluator = BatchEvaluator(cnn, board, jobs=1)
+        calls = self._spy(evaluator, monkeypatch)
+        assert evaluator.evaluate_spec(specs[0]) is not None
+        assert calls == [[specs[0]]]
+
+    def test_hits_and_duplicates_never_reach_kernel(self, context, specs, monkeypatch):
+        cnn, board = context
+        evaluator = BatchEvaluator(cnn, board, jobs=1)
+        calls = self._spy(evaluator, monkeypatch)
+        evaluator.evaluate_specs(list(specs) + list(specs))
+        assert calls == [list(specs)]  # duplicates within the batch: once
+        evaluator.evaluate_specs(specs)
+        assert len(calls) == 1  # all fingerprint hits
+
+    def test_kernel_shares_the_evaluator_segment_cache(self, context, specs):
+        cnn, board = context
+        evaluator = BatchEvaluator(cnn, board, jobs=1)
+        assert evaluator._kernel.segment_cache is evaluator.segment_cache
+        evaluator.evaluate_specs(specs)
+        assert evaluator.cache_info()["segment_cache"]["evaluations"] > 0
+        cold = BatchEvaluator(cnn, board, jobs=1, segment_cache_entries=0)
+        assert cold.segment_cache is None
+        assert cold._kernel.segment_cache is None
+
+    def test_cache_info_has_no_kernel_keys(self, context, specs):
+        cnn, board = context
+        evaluator = BatchEvaluator(cnn, board, jobs=1)
+        evaluator.evaluate_specs(specs)
+        assert set(evaluator.cache_info()) == {
+            "memory_entries",
+            "memory_hits",
+            "memory_misses",
+            "jobs",
+            "segment_cache",
+        }
+
+    def test_worker_state_is_one_kernel(self, context, monkeypatch):
+        from repro.core.cost.vector import PopulationKernel
+        from repro.hw.datatypes import DEFAULT_PRECISION
+        from repro.runtime import batch
+        from repro.runtime.segcache import SegmentCostCache
+
+        cnn, board = context
+        monkeypatch.setattr(batch, "_WORKER_KERNEL", None)
+        batch._worker_init(cnn, board, DEFAULT_PRECISION, 64)
+        kernel = batch._WORKER_KERNEL
+        assert isinstance(kernel, PopulationKernel)
+        assert isinstance(kernel.segment_cache, SegmentCostCache)
+        assert kernel.segment_cache.max_entries == 64
+        batch._worker_init(cnn, board, DEFAULT_PRECISION, 0)
+        assert batch._WORKER_KERNEL.segment_cache is None
+
+    def test_worker_entries_match_inline(self, context, specs, monkeypatch):
+        from repro.hw.boards import FPGABoard
+        from repro.runtime import batch
+
+        cnn, _board = context
+        starved = FPGABoard(
+            name="starved", dsp_count=4, bram_bytes=4 * 1024, bandwidth_gbps=0.1
+        )
+        mixed = [build_template("segmented", cnn.conv_specs(), n) for n in (8, 2)]
+        inline = BatchEvaluator(cnn, starved, jobs=1)
+        monkeypatch.setattr(batch, "_WORKER_KERNEL", None)
+        batch._worker_init(cnn, starved, inline.precision)
+        for spec in mixed:
+            entry = batch._worker_evaluate(spec)
+            expected = inline.evaluate_entry(spec)
+            assert entry.report == expected.report
+            assert entry.reason == expected.reason
+        assert batch._worker_evaluate(mixed[0]).reason.startswith("ResourceError: ")

@@ -158,6 +158,20 @@ class TestCli:
         assert printed["stages"] == saved["stages"]
         assert printed["peak_rps"] > 0.0
 
+    def test_loadtest_unwritable_output(self, capsys, tmp_path):
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("")
+        with EvaluationService(port=0) as service:
+            code = main([
+                "loadtest", "--url", service.url, "--rates", "40",
+                "--duration", "0.3", "--client-threads", "4",
+                "--output", str(blocker / "loadtest.json"),
+            ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot write loadtest result"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
