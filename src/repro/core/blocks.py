@@ -10,42 +10,71 @@
 Both expose the same evaluation interface: ideal and mandatory buffer
 bytes, and ``evaluate(allocated_bytes, ...)`` returning a
 :class:`~repro.core.cost.results.BlockEvaluation`.
+
+Everything a block's cost depends on except the allocation and the
+boundary traffic — the per-layer byte terms, Eq. 1 cycles, the rounds with
+their Eq. 2/3 cycles, and the Eq. 4/5 footprints — is computed once, on
+first use, into the block's ``layout``. Blocks are frozen, so a layout can
+never go stale, and a block whose costs a segment cache already holds
+never builds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import List, NamedTuple, Sequence, Tuple
 
 from repro.cnn.graph import ConvSpec
-from repro.core.cost.accesses import (
-    LayerAccess,
-    pipelined_weight_accesses,
-    single_ce_accesses,
-)
+from repro.core.cost.accesses import pipelined_weight_traffic, single_ce_traffic
 from repro.core.cost.buffers import (
-    per_ce_max_weight_bytes,
-    pipelined_buffer_requirement,
-    pipelined_fm_tile_bytes,
-    pipelined_mandatory_bytes,
-    single_ce_buffer_requirement,
-    single_ce_mandatory_bytes,
+    PositionBytes,
+    pipelined_footprint,
+    pipelined_position_bytes,
+    single_ce_buffers,
+    single_ce_streaming_bytes,
 )
 from repro.core.cost.results import AccessBreakdown, BlockEvaluation, SegmentCost
+from repro.core.cost.terms import LayerTerms, layer_terms, pipelined_terms
 from repro.core.engine import ComputeEngine
-from repro.core.tiling import build_schedule, select_tile_count
+from repro.core.tiling import pipeline_cycles, select_tile_count, tile_cycle_runs
 from repro.hw.datatypes import Precision
 from repro.utils.errors import ResourceError
 
 
-def _sum_accesses(accesses: Sequence[LayerAccess]) -> AccessBreakdown:
-    total = AccessBreakdown()
-    for access in accesses:
-        total = total + access.breakdown()
-    return total
+class SingleCELayout(NamedTuple):
+    """What a :class:`SingleCEBlock` costs with, computed once."""
+
+    terms: List[LayerTerms]
+    #: Eq. 1 cycles of each layer, and their sum.
+    cycles: List[int]
+    compute_cycles: int
+    layer_indices: Tuple[int, ...]
+    macs: int
+    #: Eq. 4's FM and weights-tile buffers.
+    components: Tuple[int, int]
+    mandatory: int
+    ideal: int
 
 
-@dataclass
+def single_ce_layout(block: "SingleCEBlock") -> SingleCELayout:
+    """Everything about ``block`` that does not depend on its allocation."""
+    terms = layer_terms(block.specs, block.engine, block.precision)
+    cycles = [block.engine.layer_cycles(spec) for spec in block.specs]
+    components = single_ce_buffers(terms)
+    return SingleCELayout(
+        terms=terms,
+        cycles=cycles,
+        compute_cycles=sum(cycles),
+        layer_indices=tuple(spec.index for spec in block.specs),
+        macs=block.macs,
+        components=components,
+        mandatory=single_ce_streaming_bytes(terms),
+        ideal=sum(components),
+    )
+
+
+@dataclass(frozen=True)
 class SingleCEBlock:
     """A single-CE building block: CE ``engine`` processes ``specs`` in order."""
 
@@ -80,13 +109,17 @@ class SingleCEBlock:
     def macs(self) -> int:
         return sum(spec.macs for spec in self.specs)
 
+    @cached_property
+    def layout(self) -> SingleCELayout:
+        return single_ce_layout(self)
+
     def ideal_buffer_bytes(self) -> int:
         """Eq. 4 requirement for guaranteed-minimum accesses."""
-        return single_ce_buffer_requirement(self.specs, self.engine, self.precision)
+        return self.layout.ideal
 
     def mandatory_buffer_bytes(self) -> int:
         """Smallest allocation the block can stream through."""
-        return single_ce_mandatory_bytes(self.specs, self.engine, self.precision)
+        return self.layout.mandatory
 
     def buffer_components(self) -> List[int]:
         """The physical buffers making up the Eq. 4 requirement, in bytes.
@@ -95,13 +128,7 @@ class SingleCEBlock:
         Consumers that model implementation effects (e.g. the synthesis
         substitute's BRAM-block quantization) operate per component.
         """
-        act = self.precision.activation_bytes
-        wbytes = self.precision.weight_bytes
-        max_fms = max(spec.fms_elements for spec in self.specs) * act
-        max_tile = max(
-            self.engine.weights_tile_elements(spec) for spec in self.specs
-        ) * wbytes
-        return [max_fms, max_tile]
+        return list(self.layout.components)
 
     def evaluate(
         self,
@@ -124,41 +151,33 @@ class SingleCEBlock:
         are attributed to the first/last layer's memory time here so the
         fine-grained breakdown (Fig. 6) sees them.
         """
-        accesses = single_ce_accesses(
-            self.specs,
-            self.engine,
-            allocated_bytes,
-            self.precision,
-            input_onchip=True,
-            output_onchip=True,
-        )
-        compute_cycles = 0
+        layout = self.layout
+        bytes_per_cycle = self.bytes_per_cycle
+        traffic = single_ce_traffic(layout.terms, allocated_bytes)
+        weight_bytes = 0
+        fm_bytes = input_extra_bytes + output_extra_bytes
         wall_cycles = 0.0
-        last = len(self.specs) - 1
-        for position, (spec, access) in enumerate(zip(self.specs, accesses)):
-            layer_compute = self.engine.layer_cycles(spec)
-            layer_bytes = access.total_bytes
+        last = len(traffic) - 1
+        for position, ((weights, ifm, ofm), cycles) in enumerate(zip(traffic, layout.cycles)):
+            weight_bytes += weights
+            fm_bytes += ifm + ofm
+            layer_bytes = weights + ifm + ofm
             if position == 0:
                 layer_bytes += input_extra_bytes
             if position == last:
                 layer_bytes += output_extra_bytes
-            layer_memory = layer_bytes / self.bytes_per_cycle
-            compute_cycles += layer_compute
-            wall_cycles += max(float(layer_compute), layer_memory)
-        breakdown = _sum_accesses(accesses) + AccessBreakdown(
-            fm_bytes=input_extra_bytes + output_extra_bytes
-        )
-        memory_cycles = breakdown.total_bytes / self.bytes_per_cycle
+            wall_cycles += max(float(cycles), layer_bytes / bytes_per_cycle)
+        breakdown = AccessBreakdown(weight_bytes=weight_bytes, fm_bytes=fm_bytes)
         segment = SegmentCost(
             index=segment_index,
             label=self.name,
-            layer_indices=tuple(spec.index for spec in self.specs),
-            compute_cycles=compute_cycles,
-            memory_cycles=memory_cycles,
+            layer_indices=layout.layer_indices,
+            compute_cycles=layout.compute_cycles,
+            memory_cycles=breakdown.total_bytes / bytes_per_cycle,
             accesses=breakdown,
             pe_count=self.pe_count,
-            macs=self.macs,
-            buffer_requirement_bytes=self.ideal_buffer_bytes(),
+            macs=layout.macs,
+            buffer_requirement_bytes=layout.ideal,
         )
         return BlockEvaluation(
             name=self.name,
@@ -167,13 +186,124 @@ class SingleCEBlock:
             latency_cycles=wall_cycles,
             throughput_interval_cycles=wall_cycles,
             accesses=breakdown,
-            buffer_requirement_bytes=self.ideal_buffer_bytes(),
+            buffer_requirement_bytes=layout.ideal,
             buffer_allocated_bytes=allocated_bytes,
             pe_count=self.pe_count,
         )
 
 
-@dataclass
+class PipelinedRound(NamedTuple):
+    """One round of a :class:`PipelinedCEsBlock`: its layers on CE
+    positions ``0 .. len(specs) - 1`` and everything but its weight traffic."""
+
+    specs: Tuple[ConvSpec, ...]
+    tile_count: int
+    #: weightsSz of each layer, the input of Eq. 7.
+    weights: List[int]
+    #: Eq. 2 latency and Eq. 3 bottleneck, in cycles.
+    latency: int
+    bottleneck: int
+    layer_indices: Tuple[int, ...]
+    macs: int
+    pe_count: int
+    #: Eq. 5 requirement of this round alone.
+    requirement: int
+
+
+class PipelinedLayout(NamedTuple):
+    """What a :class:`PipelinedCEsBlock` costs with, computed once."""
+
+    rounds: List[PipelinedRound]
+    positions: PositionBytes
+    #: The FM double-buffers every CE position reserves.
+    fm_buffer_bytes: int
+    mandatory: int
+    ideal: int
+
+
+def pipelined_layout(block: "PipelinedCEsBlock") -> PipelinedLayout:
+    """Everything about ``block`` that does not depend on its allocation."""
+    ce_count = block.ce_count
+    rounds: List[PipelinedRound] = []
+    round_terms = []
+    for start in range(0, len(block.specs), ce_count):
+        specs = block.specs[start : start + ce_count]
+        tile_count = select_tile_count(specs)
+        terms = pipelined_terms(specs, tile_count, block.precision)
+        engines = block.engines[: len(specs)]
+        latency, bottleneck = pipeline_cycles(
+            [
+                tile_cycle_runs(spec, engine.layer_cycles(spec), tile_count)
+                for spec, engine in zip(specs, engines)
+            ],
+            tile_count,
+        )
+        # One layer per position, so the round's terms are its positions.
+        requirement = pipelined_footprint(tuple(zip(*terms)), 1)[1]
+        rounds.append(
+            PipelinedRound(
+                specs=specs,
+                tile_count=tile_count,
+                weights=[layer.weights for layer in terms],
+                latency=latency,
+                bottleneck=bottleneck,
+                layer_indices=tuple(spec.index for spec in specs),
+                macs=sum(spec.macs for spec in specs),
+                pe_count=sum(engine.pe_count for engine in engines),
+                requirement=requirement,
+            )
+        )
+        round_terms.append(terms)
+    positions = pipelined_position_bytes(round_terms, ce_count)
+    mandatory, ideal = pipelined_footprint(positions, len(rounds))
+    return PipelinedLayout(
+        rounds=rounds,
+        positions=positions,
+        fm_buffer_bytes=2 * sum(positions[1]),
+        mandatory=mandatory,
+        ideal=ideal,
+    )
+
+
+def split_weight_budget(demands: Sequence[int], weight_budget: int) -> List[int]:
+    """Split a weight-buffer budget across CE positions.
+
+    Proportional to each position's ``demands`` (its worst-round weight
+    footprint), capped at that footprint (surplus flows to still-hungry
+    positions).
+    """
+    remaining = max(0, weight_budget)
+    allocation = [0] * len(demands)
+    unsatisfied = list(range(len(demands)))
+    while remaining > 0 and unsatisfied:
+        total_demand = sum(demands[j] - allocation[j] for j in unsatisfied)
+        if total_demand <= 0:
+            break
+        if total_demand <= remaining:
+            for j in unsatisfied:
+                allocation[j] = demands[j]
+            remaining -= total_demand
+            break
+        progressed = False
+        for j in list(unsatisfied):
+            share = remaining * (demands[j] - allocation[j]) // total_demand
+            grant = min(share, demands[j] - allocation[j])
+            if grant > 0:
+                allocation[j] += grant
+                progressed = True
+        remaining = max(0, weight_budget - sum(allocation))
+        unsatisfied = [j for j in unsatisfied if allocation[j] < demands[j]]
+        if not progressed:
+            # Sub-integer shares left; hand the remainder to the neediest.
+            if unsatisfied:
+                j = max(unsatisfied, key=lambda j: demands[j] - allocation[j])
+                grant = min(remaining, demands[j] - allocation[j])
+                allocation[j] += grant
+            break
+    return allocation
+
+
+@dataclass(frozen=True)
 class PipelinedCEsBlock:
     """A pipelined-CEs building block: ``engines[j]`` owns every
     ``(round, position j)`` layer; rounds execute back to back."""
@@ -189,6 +319,11 @@ class PipelinedCEsBlock:
             raise ResourceError(f"{self.name}: block has no layers")
         if not self.engines:
             raise ResourceError(f"{self.name}: block has no engines")
+        if len(self.specs) < len(self.engines):
+            raise ResourceError(
+                f"{self.name}: {len(self.specs)} layer(s) cannot occupy "
+                f"{len(self.engines)} pipelined CEs"
+            )
         if self.bytes_per_cycle <= 0:
             raise ResourceError(f"{self.name}: bandwidth must be positive")
 
@@ -206,28 +341,24 @@ class PipelinedCEsBlock:
     def macs(self) -> int:
         return sum(spec.macs for spec in self.specs)
 
+    @cached_property
+    def layout(self) -> PipelinedLayout:
+        return pipelined_layout(self)
+
     def rounds(self) -> List[Tuple[ConvSpec, ...]]:
         """Layer groups processed CE-count at a time (Section III-B)."""
-        ce_count = self.ce_count
-        return [
-            tuple(self.specs[start : start + ce_count])
-            for start in range(0, len(self.specs), ce_count)
-        ]
+        return [round_.specs for round_ in self.layout.rounds]
 
     def tile_counts(self) -> List[int]:
-        return [select_tile_count(round_specs) for round_specs in self.rounds()]
+        return [round_.tile_count for round_ in self.layout.rounds]
 
     def ideal_buffer_bytes(self) -> int:
         """Eq. 5 requirement (worst case across rounds for multi-round)."""
-        return pipelined_buffer_requirement(
-            self.rounds(), self.tile_counts(), self.ce_count, self.precision
-        )
+        return self.layout.ideal
 
     def mandatory_buffer_bytes(self) -> int:
         """FM double-buffers plus one streaming weights tile per CE."""
-        return pipelined_mandatory_bytes(
-            self.rounds(), self.tile_counts(), self.ce_count, self.precision
-        )
+        return self.layout.mandatory
 
     def buffer_components(self) -> List[int]:
         """The physical buffers making up the Eq. 5 requirement, in bytes.
@@ -235,63 +366,18 @@ class PipelinedCEsBlock:
         Per CE position: a weight buffer (doubled for multi-round prefetch)
         and two FM tile buffers (double buffering).
         """
-        rounds = self.rounds()
-        tile_counts = self.tile_counts()
+        layout = self.layout
+        weights, fm_tiles, _ = layout.positions
+        weight_copies = 1 if len(layout.rounds) == 1 else 2
         components: List[int] = []
-        if len(rounds) == 1:
-            tile_count = tile_counts[0]
-            for spec in rounds[0]:
-                components.append(spec.weight_count * self.precision.weight_bytes)
-                fm_tile = pipelined_fm_tile_bytes(spec, tile_count, self.precision)
-                components.extend([fm_tile, fm_tile])
-            return components
-        weight_demands = per_ce_max_weight_bytes(rounds, self.ce_count, self.precision)
-        for position in range(self.ce_count):
-            fm_tile = max(
-                pipelined_fm_tile_bytes(round_specs[position], tile_counts[r], self.precision)
-                for r, round_specs in enumerate(rounds)
-                if position < len(round_specs)
-            )
-            components.extend([weight_demands[position], weight_demands[position]])
-            components.extend([fm_tile, fm_tile])
+        for position in range(len(layout.rounds[0].specs)):
+            components.extend([weights[position]] * weight_copies)
+            components.extend([fm_tiles[position], fm_tiles[position]])
         return components
 
     def _weight_buffer_split(self, weight_budget: int) -> List[int]:
-        """Split the block's weight-buffer budget across CE positions.
-
-        Proportional to each CE's worst-round weight footprint, capped at
-        that footprint (surplus flows to still-hungry CEs).
-        """
-        demands = per_ce_max_weight_bytes(self.rounds(), self.ce_count, self.precision)
-        remaining = max(0, weight_budget)
-        allocation = [0] * self.ce_count
-        unsatisfied = list(range(self.ce_count))
-        while remaining > 0 and unsatisfied:
-            total_demand = sum(demands[j] - allocation[j] for j in unsatisfied)
-            if total_demand <= 0:
-                break
-            if total_demand <= remaining:
-                for j in unsatisfied:
-                    allocation[j] = demands[j]
-                remaining -= total_demand
-                break
-            progressed = False
-            for j in list(unsatisfied):
-                share = remaining * (demands[j] - allocation[j]) // total_demand
-                grant = min(share, demands[j] - allocation[j])
-                if grant > 0:
-                    allocation[j] += grant
-                    progressed = True
-            remaining = max(0, weight_budget - sum(allocation))
-            unsatisfied = [j for j in unsatisfied if allocation[j] < demands[j]]
-            if not progressed:
-                # Sub-integer shares left; hand the remainder to the neediest.
-                if unsatisfied:
-                    j = max(unsatisfied, key=lambda j: demands[j] - allocation[j])
-                    grant = min(remaining, demands[j] - allocation[j])
-                    allocation[j] += grant
-                break
-        return allocation
+        """:func:`split_weight_budget` over this block's CE positions."""
+        return split_weight_budget(self.layout.positions[0], weight_budget)
 
     def evaluate(
         self,
@@ -309,62 +395,42 @@ class PipelinedCEsBlock:
         Boundary FM transfers (``input_extra_bytes`` to the first round,
         ``output_extra_bytes`` to the last) are charged per Eq. 9.
         """
-        rounds = self.rounds()
-        tile_counts = self.tile_counts()
-        fm_reserved = 2 * sum(
-            max(
-                pipelined_fm_tile_bytes(round_specs[pos], tile_counts[r], self.precision)
-                for r, round_specs in enumerate(rounds)
-                if pos < len(round_specs)
-            )
-            for pos in range(self.ce_count)
+        layout = self.layout
+        bytes_per_cycle = self.bytes_per_cycle
+        weight_buffers = self._weight_buffer_split(
+            max(0, allocated_bytes - layout.fm_buffer_bytes)
         )
-        weight_budget = max(0, allocated_bytes - fm_reserved)
-        weight_buffers = self._weight_buffer_split(weight_budget)
-
         segments: List[SegmentCost] = []
         latency = 0.0
         interval = 0.0
-        total_access = AccessBreakdown()
-        for round_index, (round_specs, tile_count) in enumerate(zip(rounds, tile_counts)):
-            cycles = [
-                self.engines[pos].layer_cycles(spec) for pos, spec in enumerate(round_specs)
-            ]
-            schedule = build_schedule(round_specs, cycles, tile_count)
-            accesses = pipelined_weight_accesses(
-                round_specs, tile_count, weight_buffers, self.precision
+        total_weight_bytes = 0
+        last = len(layout.rounds) - 1
+        for round_index, round_ in enumerate(layout.rounds):
+            weight_bytes = sum(
+                pipelined_weight_traffic(round_.weights, round_.tile_count, weight_buffers)
             )
-            breakdown = _sum_accesses(accesses)
             boundary_bytes = 0
             if round_index == 0:
                 boundary_bytes += input_extra_bytes
-            if round_index == len(rounds) - 1:
+            if round_index == last:
                 boundary_bytes += output_extra_bytes
-            breakdown = breakdown + AccessBreakdown(fm_bytes=boundary_bytes)
-            memory_cycles = breakdown.total_bytes / self.bytes_per_cycle
-            compute_latency = schedule.latency_cycles()
-            round_time = max(float(compute_latency), memory_cycles)
-            busy = schedule.bottleneck_cycles()
-            round_interval = max(float(busy), memory_cycles)
-            latency += round_time
-            interval += round_interval
-            total_access = total_access + breakdown
-            round_pes = sum(
-                self.engines[pos].pe_count for pos in range(len(round_specs))
-            )
+            memory_cycles = (weight_bytes + boundary_bytes) / bytes_per_cycle
+            latency += max(float(round_.latency), memory_cycles)
+            interval += max(float(round_.bottleneck), memory_cycles)
+            total_weight_bytes += weight_bytes
             segments.append(
                 SegmentCost(
                     index=segment_index + round_index,
                     label=f"{self.name}.r{round_index + 1}",
-                    layer_indices=tuple(spec.index for spec in round_specs),
-                    compute_cycles=compute_latency,
+                    layer_indices=round_.layer_indices,
+                    compute_cycles=round_.latency,
                     memory_cycles=memory_cycles,
-                    accesses=breakdown,
-                    pe_count=round_pes,
-                    macs=sum(spec.macs for spec in round_specs),
-                    buffer_requirement_bytes=pipelined_buffer_requirement(
-                        [round_specs], [tile_count], self.ce_count, self.precision
+                    accesses=AccessBreakdown(
+                        weight_bytes=weight_bytes, fm_bytes=boundary_bytes
                     ),
+                    pe_count=round_.pe_count,
+                    macs=round_.macs,
+                    buffer_requirement_bytes=round_.requirement,
                 )
             )
         return BlockEvaluation(
@@ -373,8 +439,11 @@ class PipelinedCEsBlock:
             segments=tuple(segments),
             latency_cycles=latency,
             throughput_interval_cycles=interval,
-            accesses=total_access,
-            buffer_requirement_bytes=self.ideal_buffer_bytes(),
+            accesses=AccessBreakdown(
+                weight_bytes=total_weight_bytes,
+                fm_bytes=input_extra_bytes + output_extra_bytes,
+            ),
+            buffer_requirement_bytes=layout.ideal,
             buffer_allocated_bytes=allocated_bytes,
             pe_count=self.pe_count,
         )

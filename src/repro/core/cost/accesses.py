@@ -14,14 +14,12 @@ otherwise, which keeps every byte counted exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.cnn.graph import ConvSpec
-from repro.core.cost.results import AccessBreakdown
-from repro.core.dataflow import ifm_row_elements, ofm_row_elements
+from repro.core.cost.terms import LayerTerms, layer_terms, pipelined_terms
 from repro.core.engine import ComputeEngine
 from repro.hw.datatypes import Precision
-from repro.utils.mathutils import ceil_div
 
 
 @dataclass(frozen=True)
@@ -41,84 +39,53 @@ class LayerAccess:
     def total_bytes(self) -> int:
         return self.weight_bytes + self.fm_bytes
 
-    def breakdown(self) -> AccessBreakdown:
-        return AccessBreakdown(weight_bytes=self.weight_bytes, fm_bytes=self.fm_bytes)
 
-
-def _os_local_input_stationary(
-    weight_bytes: int, ifm_bytes: int, ifm_buffer_bytes: int
-) -> int:
-    """Eq. 6 first option: IFM elements loaded once, weights re-streamed.
-
-    Weights pass over the chip once per resident IFM chunk:
-    ``weightsSz * ceil(IFMsSz / IFMsBufferSz) + IFMsSz``.
-    """
-    passes = ceil_div(ifm_bytes, max(1, ifm_buffer_bytes))
-    return weight_bytes * passes + ifm_bytes
-
-
-def _os_local_weight_stationary(
-    weight_bytes: int, ifm_bytes: int, weight_buffer_bytes: int
-) -> int:
-    """Eq. 6 second option: weights loaded once, IFM re-streamed.
-
-    ``IFMsSz * ceil(weightsSz / weightsBufferSz) + weightsSz``.
-    """
-    passes = ceil_div(weight_bytes, max(1, weight_buffer_bytes))
-    return ifm_bytes * passes + weight_bytes
-
-
-def single_ce_accesses(
-    specs: Sequence[ConvSpec],
-    engine: ComputeEngine,
+def single_ce_traffic(
+    terms: Sequence[LayerTerms],
     buffer_bytes: int,
-    precision: Precision,
     input_onchip: bool = True,
     output_onchip: bool = True,
-) -> List[LayerAccess]:
+) -> List[Tuple[int, int, int]]:
     """Eq. 6 applied to every layer a single-CE block processes.
 
-    A forward pass decides, layer by layer, whether the produced OFM can
-    stay on-chip for the next layer (a one-layer lookahead checks the
-    consumer's working set also fits). When an IFM is off-chip the model
-    takes the cheaper of the two Eq. 6 options — OS local-input-stationary
-    vs OS local-weight-stationary — each sized with the best split of the
-    remaining budget, which is the "Multiple-CE Builder heuristics identify
-    the buffer sizes that minimize accesses in each option" step.
+    Returns each layer's ``(weight, ifm, ofm)`` off-chip bytes. A forward
+    pass decides, layer by layer, whether the produced OFM can stay on-chip
+    for the next layer (a one-layer lookahead checks the consumer's working
+    set also fits). When an IFM is off-chip the model takes the cheaper of
+    the two Eq. 6 options, each sized with the best split of the remaining
+    budget, which is the "Multiple-CE Builder heuristics identify the
+    buffer sizes that minimize accesses in each option" step:
+
+    * OS local-input-stationary: IFM elements loaded once, weights
+      re-streamed once per resident IFM chunk,
+      ``weightsSz * ceil(IFMsSz / IFMsBufferSz) + IFMsSz``;
+    * OS local-weight-stationary: weights loaded once, IFM re-streamed,
+      ``IFMsSz * ceil(weightsSz / weightsBufferSz) + weightsSz``.
 
     ``input_onchip`` / ``output_onchip`` describe the block interfaces: when
     the composition layer keeps the inter-segment FMs on-chip (or charges
     their spill separately per Eq. 9), the boundary layers see them as free.
     """
-    act = precision.activation_bytes
-    wbytes = precision.weight_bytes
-    results: List[LayerAccess] = []
+    results: List[Tuple[int, int, int]] = []
     prev_ofm_onchip = input_onchip
-    last = len(specs) - 1
-
-    for position, spec in enumerate(specs):
-        weight_total = spec.weight_count * wbytes
-        ifm_total = spec.ifm_elements * act
-        ofm_total = spec.ofm_elements * act
-        ofm_live = ofm_total * spec.fms_copies
-        wtile_min = engine.weights_tile_elements(spec) * wbytes
-        row_in = ifm_row_elements(spec) * act
-        row_out = ofm_row_elements(spec) * act
+    last = len(terms) - 1
+    for position, layer in enumerate(terms):
+        weight_total, ifm_total, ofm_total, ofm_live, wtile_min, row_in, row_out = layer
 
         # --- decide whether this layer's OFM stays on-chip -------------------
         if position == last:
             keep_ofm = output_onchip
         else:
-            consumer = specs[position + 1]
-            consumer_wtile = engine.weights_tile_elements(consumer) * wbytes
-            consumer_row_out = ofm_row_elements(consumer) * act
+            consumer = terms[position + 1]
             producer_fits = (
                 (ifm_total if prev_ofm_onchip else row_in)
                 + ofm_live
                 + wtile_min
                 <= buffer_bytes
             )
-            consumer_fits = ofm_live + consumer_wtile + consumer_row_out <= buffer_bytes
+            consumer_fits = (
+                ofm_live + consumer.weights_tile + consumer.ofm_row <= buffer_bytes
+            )
             keep_ofm = producer_fits and consumer_fits
 
         # --- per-layer traffic (Eq. 6) ---------------------------------------
@@ -131,29 +98,57 @@ def single_ce_accesses(
             ifm_access = 0
         else:
             working = max(1, buffer_bytes - ofm_reserve)
-            ifm_buffer = max(row_in, working - wtile_min)
-            weight_buffer = max(wtile_min, working - row_in)
-            option_is = _os_local_input_stationary(weight_total, ifm_total, ifm_buffer)
-            option_ws = _os_local_weight_stationary(weight_total, ifm_total, weight_buffer)
-            if option_is <= option_ws:
-                passes = ceil_div(ifm_total, max(1, ifm_buffer))
-                weight_access = weight_total * passes
+            ifm_passes = -(-ifm_total // max(row_in, working - wtile_min))
+            weight_passes = -(-weight_total // max(wtile_min, working - row_in))
+            if (
+                weight_total * ifm_passes + ifm_total
+                <= ifm_total * weight_passes + weight_total
+            ):
+                weight_access = weight_total * ifm_passes
                 ifm_access = ifm_total
             else:
-                passes = ceil_div(weight_total, max(1, weight_buffer))
                 weight_access = weight_total
-                ifm_access = ifm_total * passes
+                ifm_access = ifm_total * weight_passes
 
-        results.append(
-            LayerAccess(
-                layer_index=spec.index,
-                weight_bytes=weight_access,
-                ifm_bytes=ifm_access,
-                ofm_bytes=ofm_access,
-            )
-        )
+        results.append((weight_access, ifm_access, ofm_access))
         prev_ofm_onchip = keep_ofm
     return results
+
+
+def single_ce_accesses(
+    specs: Sequence[ConvSpec],
+    engine: ComputeEngine,
+    buffer_bytes: int,
+    precision: Precision,
+    input_onchip: bool = True,
+    output_onchip: bool = True,
+) -> List[LayerAccess]:
+    """:func:`single_ce_traffic` of ``specs`` on ``engine``, per layer."""
+    traffic = single_ce_traffic(
+        layer_terms(specs, engine, precision), buffer_bytes, input_onchip, output_onchip
+    )
+    return [
+        LayerAccess(spec.index, weight_bytes, ifm_bytes, ofm_bytes)
+        for spec, (weight_bytes, ifm_bytes, ofm_bytes) in zip(specs, traffic)
+    ]
+
+
+def pipelined_weight_traffic(
+    weights: Sequence[int], tile_count: int, weight_buffer_bytes: Sequence[int]
+) -> List[int]:
+    """Eq. 7 for one pipelined pass (one round): each layer's weight bytes.
+
+    A layer's CE is active in ``tile_count`` stages. Weights that fit in the
+    CE's weight buffer are loaded once (``offCh(weights_i, 1)`` is always 1);
+    the remainder must be re-fetched in every stage. FMs move only through
+    the on-chip double buffers, so their off-chip traffic is zero here.
+    """
+    traffic = []
+    for position, weight_total in enumerate(weights):
+        buffer = weight_buffer_bytes[position] if position < len(weight_buffer_bytes) else 0
+        resident = min(weight_total, max(0, buffer))
+        traffic.append(resident + (weight_total - resident) * tile_count)
+    return traffic
 
 
 def pipelined_weight_accesses(
@@ -162,29 +157,15 @@ def pipelined_weight_accesses(
     weight_buffer_bytes: Sequence[int],
     precision: Precision,
 ) -> List[LayerAccess]:
-    """Eq. 7 for one pipelined pass (one round).
-
-    A layer's CE is active in ``tile_count`` stages. Weights that fit in the
-    CE's weight buffer are loaded once (``offCh(weights_i, 1)`` is always 1);
-    the remainder must be re-fetched in every stage. FMs move only through
-    the on-chip double buffers, so their off-chip traffic is zero here.
-    """
-    results: List[LayerAccess] = []
-    for position, spec in enumerate(round_specs):
-        weight_total = spec.weight_count * precision.weight_bytes
-        buffer = weight_buffer_bytes[position] if position < len(weight_buffer_bytes) else 0
-        resident = min(weight_total, max(0, buffer))
-        streamed = weight_total - resident
-        weight_access = resident + streamed * tile_count
-        results.append(
-            LayerAccess(
-                layer_index=spec.index,
-                weight_bytes=weight_access,
-                ifm_bytes=0,
-                ofm_bytes=0,
-            )
-        )
-    return results
+    """:func:`pipelined_weight_traffic` of one round's layers, per layer."""
+    terms = pipelined_terms(round_specs, tile_count, precision)
+    traffic = pipelined_weight_traffic(
+        [layer.weights for layer in terms], tile_count, weight_buffer_bytes
+    )
+    return [
+        LayerAccess(spec.index, weight_bytes, 0, 0)
+        for spec, weight_bytes in zip(round_specs, traffic)
+    ]
 
 
 def minimum_accesses_bytes(specs: Sequence[ConvSpec], precision: Precision) -> int:

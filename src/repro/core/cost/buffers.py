@@ -5,62 +5,130 @@ These compute the buffer sizes that *guarantee minimum off-chip accesses*
 assuming unlimited on-chip memory — the paper's Section IV-A2 definition.
 Whether the budget actually accommodates them is the allocator's problem
 (:mod:`repro.core.cost.allocation`).
+
+Each model reads the per-layer byte terms of :mod:`repro.core.cost.terms`;
+the spec-level functions build those terms and apply the same code.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.cnn.graph import ConvSpec
-from repro.core.dataflow import ifm_row_elements, ofm_row_elements
+from repro.core.cost.terms import (  # noqa: F401 (pipelined_fm_tile_bytes is re-exported)
+    LayerTerms,
+    PipelinedTerms,
+    layer_terms,
+    pipelined_fm_tile_bytes,
+    pipelined_terms,
+)
 from repro.core.engine import ComputeEngine
-from repro.core.tiling import tile_ofm_elements
+from repro.core.tiling import select_tile_count
 from repro.hw.datatypes import Precision
 
+#: Per CE position: the largest weights, FM tile and streaming weights tile
+#: over the rounds that position processes.
+PositionBytes = Tuple[List[int], List[int], List[int]]
 
-def single_ce_buffer_requirement(
-    specs: Sequence[ConvSpec], engine: ComputeEngine, precision: Precision
-) -> int:
-    """Eq. 4: largest layer FMs plus the largest weights tile, in bytes.
+
+def single_ce_buffers(terms: Sequence[LayerTerms]) -> Tuple[int, int]:
+    """Eq. 4's two buffers: the largest layer FMs and the largest weights tile.
 
     Buffers are reused across layers because a single-CE processes them one
-    at a time; the FM term uses :attr:`ConvSpec.fms_elements`, which already
-    multiplies OFM copies for residual connections.
+    at a time; the FM term counts the OFM's residual copies.
     """
-    if not specs:
-        return 0
-    max_fms = max(spec.fms_elements for spec in specs) * precision.activation_bytes
-    max_tile = max(engine.weights_tile_elements(spec) for spec in specs) * precision.weight_bytes
-    return max_fms + max_tile
+    return (
+        max(layer.ifm + layer.live_ofm for layer in terms),
+        max(layer.weights_tile for layer in terms),
+    )
 
 
-def single_ce_mandatory_bytes(
-    specs: Sequence[ConvSpec], engine: ComputeEngine, precision: Precision
-) -> int:
+def single_ce_streaming_bytes(terms: Sequence[LayerTerms]) -> int:
     """Smallest buffer a single-CE block can stream through.
 
     One IFM row band, one OFM row, and one weights tile for the worst layer.
     Below this the engine cannot make forward progress, so the allocator
     never hands out less.
     """
+    return max(layer.ifm_band + layer.ofm_row + layer.weights_tile for layer in terms)
+
+
+def single_ce_buffer_requirement(
+    specs: Sequence[ConvSpec], engine: ComputeEngine, precision: Precision
+) -> int:
+    """Eq. 4: largest layer FMs plus the largest weights tile, in bytes."""
     if not specs:
         return 0
-    act = precision.activation_bytes
-    w = precision.weight_bytes
-    worst = 0
-    for spec in specs:
-        needed = (
-            ifm_row_elements(spec) * act
-            + ofm_row_elements(spec) * act
-            + engine.weights_tile_elements(spec) * w
-        )
-        worst = max(worst, needed)
-    return worst
+    return sum(single_ce_buffers(layer_terms(specs, engine, precision)))
 
 
-def pipelined_fm_tile_bytes(spec: ConvSpec, tile_count: int, precision: Precision) -> int:
-    """FMsBufferSz of Eq. 5: one OFM tile of ``spec`` (largest tile)."""
-    return tile_ofm_elements(spec, tile_count, 0) * precision.activation_bytes
+def single_ce_mandatory_bytes(
+    specs: Sequence[ConvSpec], engine: ComputeEngine, precision: Precision
+) -> int:
+    """:func:`single_ce_streaming_bytes` of ``specs`` on ``engine``."""
+    if not specs:
+        return 0
+    return single_ce_streaming_bytes(layer_terms(specs, engine, precision))
+
+
+def pipelined_position_bytes(
+    round_terms: Sequence[Sequence[PipelinedTerms]], ce_count: int
+) -> PositionBytes:
+    """Largest weights, FM tile and weights tile of each CE position."""
+    weights = [0] * ce_count
+    fm_tiles = [0] * ce_count
+    weight_tiles = [0] * ce_count
+    for terms in round_terms:
+        for position, (layer_weights, fm_tile, weights_tile) in enumerate(terms):
+            if weights[position] < layer_weights:
+                weights[position] = layer_weights
+            if fm_tiles[position] < fm_tile:
+                fm_tiles[position] = fm_tile
+            if weight_tiles[position] < weights_tile:
+                weight_tiles[position] = weights_tile
+    return weights, fm_tiles, weight_tiles
+
+
+def pipelined_footprint(positions: PositionBytes, round_count: int) -> Tuple[int, int]:
+    """``(mandatory, ideal)`` bytes of a pipelined block of ``round_count`` rounds.
+
+    Ideal is Eq. 5, generalized to multi-round (SegmentedRR) blocks. A
+    single pass needs ``sum_i (weightsSz_i + 2 * FMsBufferSz_i)``: every
+    pipelined layer's weights stay resident after first load and every
+    CE-to-CE interface is double-buffered. With multiple rounds (Section
+    IV-B2) the same physical buffers serve every round, so each CE's weight
+    buffer and FM double-buffer must fit the *largest* tiles across the
+    rounds it processes. Weight buffers are themselves doubled: round-robin
+    blocks prefetch the next round's weights while computing the current
+    one (the tile-grained pipeline of Wei et al. [41] stalls otherwise),
+    which is why the SegmentedRR pattern has the largest buffer footprint
+    in Table I.
+
+    Mandatory is the smallest workable buffer: the FM double-buffers plus
+    one weights tile per CE. The FM double-buffers are not optional —
+    tile-grained pipelining cannot run without them ("the buffer sizes are
+    tailored to the available on-chip memory", Section IV-A3) — while
+    weights can stream.
+    """
+    weights, fm_tiles, weight_tiles = positions
+    fm_buffers = 2 * sum(fm_tiles)
+    weight_copies = 1 if round_count == 1 else 2
+    return fm_buffers + sum(weight_tiles), weight_copies * sum(weights) + fm_buffers
+
+
+def _positions(
+    rounds: Sequence[Sequence[ConvSpec]],
+    tile_counts: Sequence[int],
+    ce_count: int,
+    precision: Precision,
+) -> PositionBytes:
+    return pipelined_position_bytes(
+        [
+            pipelined_terms(round_specs, tile_count, precision)
+            for round_specs, tile_count in zip(rounds, tile_counts)
+        ],
+        ce_count,
+    )
 
 
 def pipelined_buffer_requirement(
@@ -69,40 +137,11 @@ def pipelined_buffer_requirement(
     ce_count: int,
     precision: Precision,
 ) -> int:
-    """Eq. 5, generalized to multi-round (SegmentedRR) blocks.
-
-    Single pass (one round): ``sum_i (weightsSz_i + 2 * FMsBufferSz_i)`` —
-    every pipelined layer's weights stay resident after first load and every
-    CE-to-CE interface is double-buffered.
-
-    Multiple rounds (Section IV-B2): the same physical buffers serve every
-    round, so each CE's weight buffer and FM double-buffer must fit the
-    *largest* tiles across the rounds it processes (worst case). Weight
-    buffers are themselves doubled: round-robin blocks prefetch the next
-    round's weights while computing the current one (the tile-grained
-    pipeline of Wei et al. [41] stalls otherwise), which is why the
-    SegmentedRR pattern has the largest buffer footprint in Table I.
-    """
+    """Eq. 5 requirement of the given rounds (see :func:`pipelined_footprint`)."""
     if not rounds:
         return 0
-    if len(rounds) == 1:
-        total = 0
-        tile_count = tile_counts[0]
-        for spec in rounds[0]:
-            total += spec.weight_count * precision.weight_bytes
-            total += 2 * pipelined_fm_tile_bytes(spec, tile_count, precision)
-        return total
-    per_ce_weights = [0] * ce_count
-    per_ce_fm = [0] * ce_count
-    for round_specs, tile_count in zip(rounds, tile_counts):
-        for position, spec in enumerate(round_specs):
-            per_ce_weights[position] = max(
-                per_ce_weights[position], spec.weight_count * precision.weight_bytes
-            )
-            per_ce_fm[position] = max(
-                per_ce_fm[position], pipelined_fm_tile_bytes(spec, tile_count, precision)
-            )
-    return 2 * sum(per_ce_weights) + 2 * sum(per_ce_fm)
+    positions = _positions(rounds, tile_counts, ce_count, precision)
+    return pipelined_footprint(positions, len(rounds))[1]
 
 
 def pipelined_mandatory_bytes(
@@ -111,40 +150,18 @@ def pipelined_mandatory_bytes(
     ce_count: int,
     precision: Precision,
 ) -> int:
-    """Smallest workable pipelined-block buffer: FM double-buffers plus one
-    weights tile per CE.
-
-    The FM double-buffers are not optional — tile-grained pipelining cannot
-    run without them ("the buffer sizes are tailored to the available
-    on-chip memory", Section IV-A3) — while weights can stream.
-    """
+    """Smallest workable buffer of the given rounds (see
+    :func:`pipelined_footprint`)."""
     if not rounds:
         return 0
-    per_ce_fm = [0] * ce_count
-    per_ce_tile = [0] * ce_count
-    for round_specs, tile_count in zip(rounds, tile_counts):
-        for position, spec in enumerate(round_specs):
-            per_ce_fm[position] = max(
-                per_ce_fm[position], pipelined_fm_tile_bytes(spec, tile_count, precision)
-            )
-            tile_w = (
-                spec.channels
-                * spec.kernel_height
-                * spec.kernel_width
-                * precision.weight_bytes
-            )
-            per_ce_tile[position] = max(per_ce_tile[position], min(
-                tile_w, spec.weight_count * precision.weight_bytes
-            ))
-    return 2 * sum(per_ce_fm) + sum(per_ce_tile)
+    positions = _positions(rounds, tile_counts, ce_count, precision)
+    return pipelined_footprint(positions, len(rounds))[0]
 
 
 def per_ce_max_weight_bytes(
     rounds: Sequence[Sequence[ConvSpec]], ce_count: int, precision: Precision
 ) -> List[int]:
     """Largest per-round weight footprint of each CE position, in bytes."""
-    per_ce = [0] * ce_count
-    for round_specs in rounds:
-        for position, spec in enumerate(round_specs):
-            per_ce[position] = max(per_ce[position], spec.weight_count * precision.weight_bytes)
-    return per_ce
+    # The tile counts only size the FM tiles, which are dropped here.
+    tile_counts = [select_tile_count(round_specs) for round_specs in rounds]
+    return _positions(rounds, tile_counts, ce_count, precision)[0]

@@ -54,9 +54,9 @@ def ifm_row_elements(spec: ConvSpec) -> int:
     The IFM spatial size is reconstructed from the layer's IFM element count
     so the estimate stays consistent for strided and padded layers.
     """
-    ifm_rows = max(1, round((spec.ifm_elements / max(1, spec.channels)) ** 0.5))
-    row = spec.ifm_elements // max(1, ifm_rows)
-    return max(1, min(spec.ifm_elements, row * spec.kernel_height))
+    ifm = spec.ifm_elements
+    ifm_rows = round((ifm / spec.channels) ** 0.5) or 1
+    return max(1, min(ifm, ifm // ifm_rows * spec.kernel_height))
 
 
 def ofm_row_elements(spec: ConvSpec) -> int:

@@ -17,7 +17,6 @@ from typing import List, Tuple
 
 from repro.cnn.graph import ConvSpec
 from repro.cnn.layers import LayerKind
-from repro.core.blocks import _sum_accesses
 from repro.core.cost.accesses import single_ce_accesses
 from repro.core.cost.buffers import single_ce_mandatory_bytes
 from repro.core.cost.results import AccessBreakdown, BlockEvaluation, SegmentCost
@@ -40,7 +39,7 @@ def has_mixed_conv_types(specs: Tuple[ConvSpec, ...]) -> bool:
     return bool(depthwise) and bool(standard)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualEngineBlock:
     """A single-CE-role block with two type-specialized sub-engines.
 
@@ -250,8 +249,11 @@ class DualEngineBlock:
             wall_cycles += max(float(layer_cycles), layer_bytes / self.bytes_per_cycle)
             position += 1
 
-        breakdown = _sum_accesses(accesses) + AccessBreakdown(
-            fm_bytes=input_extra_bytes + output_extra_bytes
+        breakdown = AccessBreakdown(
+            weight_bytes=sum(access.weight_bytes for access in accesses),
+            fm_bytes=sum(access.fm_bytes for access in accesses)
+            + input_extra_bytes
+            + output_extra_bytes,
         )
         memory_cycles = breakdown.total_bytes / self.bytes_per_cycle
         segment = SegmentCost(

@@ -22,7 +22,7 @@ from repro.core.parallelism import (
 from repro.utils.errors import ResourceError
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComputeEngine:
     """A dedicated convolution engine.
 

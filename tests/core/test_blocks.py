@@ -1,5 +1,7 @@
 """Tests for the single-CE and pipelined-CEs building blocks."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.blocks import PipelinedCEsBlock, SingleCEBlock
@@ -101,6 +103,14 @@ class TestPipelinedCEsBlock:
                 bytes_per_cycle=BPC,
             )
 
+    def test_rejects_more_engines_than_layers(self):
+        engines = tuple(ComputeEngine.fitted(f"CE{i}", 4, [make_spec()]) for i in range(3))
+        with pytest.raises(ResourceError, match="cannot occupy"):
+            PipelinedCEsBlock(
+                name="B", engines=engines, specs=(make_spec(index=0), make_spec(index=1)),
+                precision=DEFAULT_PRECISION, bytes_per_cycle=BPC,
+            )
+
     def test_rounds_partition_layers(self):
         block = make_pipelined(layer_count=7, ce_count=3)
         rounds = block.rounds()
@@ -147,3 +157,40 @@ class TestPipelinedCEsBlock:
     def test_pe_count_sums_engines(self):
         block = make_pipelined(ce_count=2, pes=64)
         assert block.pe_count == sum(engine.pe_count for engine in block.engines)
+
+
+class TestFrozen:
+    """Blocks and engines are frozen, so a block's cached layout can never
+    describe fields it no longer has."""
+
+    @pytest.mark.parametrize("field", ["specs", "engine", "bytes_per_cycle"])
+    def test_single_ce_block(self, field):
+        block = make_single()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(block, field, getattr(block, field))
+
+    @pytest.mark.parametrize("field", ["specs", "engines", "precision"])
+    def test_pipelined_block(self, field):
+        block = make_pipelined()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(block, field, getattr(block, field))
+
+    def test_dual_engine_block(self):
+        from tests.core.test_dual import make_block
+
+        block = make_block()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block.specs = block.specs[:2]
+
+    def test_compute_engine(self):
+        engine = make_single().engine
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            engine.pe_count = 1
+
+    def test_layout_is_built_once_and_replace_starts_afresh(self):
+        block = make_single()
+        assert block.layout is block.layout
+        narrowed = dataclasses.replace(block, specs=block.specs[:1])
+        assert narrowed.layout is not block.layout
+        assert narrowed.layout.layer_indices == (0,)
+        assert narrowed.evaluate(10**9).segments[0].layer_indices == (0,)

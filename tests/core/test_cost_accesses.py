@@ -6,7 +6,9 @@ from repro.core.cost.accesses import (
     minimum_accesses_bytes,
     pipelined_weight_accesses,
     single_ce_accesses,
+    single_ce_traffic,
 )
+from repro.core.cost.terms import LayerTerms
 from repro.core.engine import ComputeEngine
 from tests.core.test_parallelism import make_spec
 
@@ -83,6 +85,17 @@ class TestSingleCEAccesses:
         weight_total = spec.weight_count * precision.weight_bytes
         # Weights streamed once; the IFM may be re-read instead.
         assert accesses[0].weight_bytes == weight_total
+
+
+    def test_option_cost_tie_goes_to_input_stationary(self):
+        # 10 bytes of live OFM leave a working set of 100: 50 bytes hold
+        # either half the IFM or half the weights, so both options re-read
+        # one operand twice for the same 300 bytes.
+        layer = LayerTerms(
+            weights=100, ifm=100, ofm=10, live_ofm=10,
+            weights_tile=50, ifm_band=50, ofm_row=10,
+        )
+        assert single_ce_traffic([layer], 110, input_onchip=False) == [(200, 100, 0)]
 
 
 class TestPipelinedAccesses:

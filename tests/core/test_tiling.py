@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from repro.core.tiling import (
     MAX_TILES,
     MIN_TILES,
-    PipelineSchedule,
     build_schedule,
+    ce_busy_cycles,
     select_tile_count,
-    tile_cycles,
+    tile_cycle_runs,
     tile_ofm_elements,
     tile_rows,
 )
@@ -66,19 +66,29 @@ class TestTileCycles:
     def test_tile_sum_at_least_layer_total(self):
         spec = make_spec(h=14)
         full = 1000
-        total = sum(tile_cycles(spec, full, 4, t) for t in range(4))
-        assert total >= full
+        assert ce_busy_cycles(tile_cycle_runs(spec, full, 4)) >= full
 
     def test_empty_tile_is_free(self):
+        # Three one-row tiles, no partial tile, then one empty tile.
         spec = make_spec(h=3)
-        assert tile_cycles(spec, 999, 4, 3) == 0
+        assert tile_cycle_runs(spec, 999, 4) == (3, 333, 0)
+        assert build_schedule([spec], [999], 4).cycles == ((333, 333, 333, 0),)
 
     @given(st.integers(1, 64), st.integers(2, 8), st.integers(1, 10**6))
     @settings(max_examples=100)
     def test_proportional_to_rows(self, height, tiles, full):
         spec = make_spec(h=height)
-        total = sum(tile_cycles(spec, full, tiles, t) for t in range(tiles))
+        total = ce_busy_cycles(tile_cycle_runs(spec, full, tiles))
         assert full <= total <= full + tiles  # each tile rounds up at most 1
+
+    @given(st.integers(1, 512), st.integers(1, 8), st.integers(0, 10**6))
+    @settings(max_examples=100)
+    def test_runs_follow_tile_rows(self, height, tiles, full):
+        spec = make_spec(h=height)
+        expected = tuple(
+            -(-full * tile_rows(spec, tiles, t) // height) for t in range(tiles)
+        )
+        assert build_schedule([spec], [full], tiles).cycles == (expected,)
 
 
 def make_schedule(cycles_per_ce, tiles):

@@ -11,6 +11,7 @@ pressure, and never across evaluation contexts.
 import pytest
 
 from repro.api import resolve_board, resolve_model
+from repro.core import blocks
 from repro.core.architectures import TEMPLATES, build_template
 from repro.core.builder import MultipleCEBuilder
 from repro.core.cost.export import report_to_dict
@@ -121,6 +122,50 @@ class TestBitIdentity:
         names = [block.name for block in cached[1].blocks]
         assert names == ["B1", "B2", "B3"]
         assert [segment.index for segment in cached[1].segments] == [0, 1, 2]
+
+
+class TestLazyLayouts:
+    """Blocks lay themselves out (byte terms, Eq. 1-3 cycles, Eq. 4/5
+    footprints) on first use only, so a segment-cache hit costs none of it."""
+
+    @pytest.fixture
+    def layout_builds(self, monkeypatch):
+        builds = []
+        for name in ("single_ce_layout", "pipelined_layout"):
+            build = getattr(blocks, name)
+
+            def counting(block, build=build):
+                builds.append(block.name)
+                return build(block)
+
+            monkeypatch.setattr(blocks, name, counting)
+        return builds
+
+    def test_warm_replay_builds_no_layout(self, layout_builds):
+        graph = resolve_model("xception")
+        builder = MultipleCEBuilder(graph, resolve_board("vcu110"))
+        model = MCCM()
+        specs = [d.to_spec() for d in CustomDesignSpace(graph.conv_specs()).sample(24, seed=5)]
+        for template in sorted(TEMPLATES):
+            for ce_count in (2, 5, 11):
+                try:
+                    specs.append(build_template(template, builder.conv_specs, ce_count))
+                except ResourceError:
+                    continue
+        cache = SegmentCostCache()
+        warm = _reports(builder, model, specs, cache=cache)
+        assert layout_builds, "a cold pass must lay its blocks out"
+        layout_builds.clear()
+        replay = _reports(builder, model, specs, cache=cache)
+        assert layout_builds == []
+        _assert_identical(warm, replay)
+
+    def test_cold_evaluation_lays_each_block_out_once(self, layout_builds):
+        builder = MultipleCEBuilder(resolve_model("squeezenet"), resolve_board("zc706"))
+        spec = parse_notation("{L1-L6: CE1-CE3, L7-L12: CE4, L13-Last: CE5-CE6}", name="m")
+        accelerator = builder.build(spec)
+        MCCM().evaluate(accelerator)
+        assert sorted(layout_builds) == ["B1", "B2", "B3"]
 
 
 class TestEviction:
