@@ -119,6 +119,8 @@ class BatchItem:
 
     index: int
     spec: ArchitectureSpec
+    #: The fingerprint the evaluator caches ``spec`` under (``key_for``).
+    key: str
     report: Optional[CostReport]
     reason: Optional[str] = None
     cached: bool = False
@@ -396,6 +398,7 @@ class BatchEvaluator:
                 yield BatchItem(
                     index=index,
                     spec=spec,
+                    key=key,
                     report=entry.report,
                     reason=entry.reason,
                     cached=duplicate or key in cached_keys,

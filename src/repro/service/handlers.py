@@ -40,8 +40,8 @@ from repro.dse.events import (
 )
 from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import Precision
-from repro.runtime import BatchEvaluator, RunStats
-from repro.runtime.cache import DiskCache
+from repro.runtime import BatchEvaluator, BatchItem, RunStats
+from repro.runtime.cache import DiskCache, LRUCache
 from repro.runtime.fingerprint import context_fingerprint
 from repro.rules import BUILTIN_RESOURCES
 from repro.rules import REGISTRY as RULES
@@ -120,6 +120,40 @@ class StreamingResponse:
     chunks: Iterator[bytes]
     status: int = 200
     content_type: str = "application/x-ndjson"
+
+
+@dataclass(frozen=True)
+class RawJSON:
+    """JSON text standing in for a top-level payload value; the server
+    writes it into the reply as it is (see :func:`dump_payload`)."""
+
+    text: str
+
+
+def dump_payload(payload: Mapping[str, Any]) -> str:
+    """``json.dumps(payload)``, with each top-level :class:`RawJSON` value's
+    text put in where the value stands.
+
+    The plain members around a raw value are encoded as one dict per run
+    and joined with ``json.dumps``'s own separators, so the result is
+    byte for byte what ``json.dumps`` gives when each raw value is the
+    object its text was dumped from.
+    """
+    members: List[str] = []
+    run: Dict[str, Any] = {}
+    for key, value in payload.items():
+        if isinstance(value, RawJSON):
+            if run:
+                members.append(json.dumps(run)[1:-1])
+                run = {}
+            members.append(f"{json.dumps(key)}: {value.text}")
+        else:
+            run[key] = value
+    if not members:
+        return json.dumps(payload)
+    if run:
+        members.append(json.dumps(run)[1:-1])
+    return "{" + ", ".join(members) + "}"
 
 
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
@@ -254,6 +288,48 @@ class CampaignJob:
         }
 
 
+class EvaluationContext:
+    """One (CNN, board, precision) context: its shared evaluator, the lock
+    callers hold around any use of it, and two memos the same lock guards.
+
+    ``BatchEvaluator`` is not itself thread-safe (LRU bookkeeping,
+    ``last_run``). The memos let ``/evaluate`` answer a replayed design
+    without rebuilding or re-encoding anything, and hold at most
+    ``memo_entries`` entries each (the evaluator's LRU capacity):
+
+    * ``specs``: (architecture, ce_count) as requested -> resolved spec;
+    * ``reports``: fingerprint -> the report's JSON text, encoded for the
+      first answer that carried it.
+
+    Only ``/evaluate`` fills them: sweeps, DSE and campaigns encode nothing.
+    """
+
+    def __init__(self, evaluator: BatchEvaluator, memo_entries: int) -> None:
+        self.evaluator = evaluator
+        self.lock = threading.Lock()
+        self.specs = LRUCache(memo_entries)
+        self.reports = LRUCache(memo_entries)
+
+    def spec_for(self, architecture: str, ce_count: Optional[int]) -> ArchitectureSpec:
+        """:func:`_resolve_spec`, memoized (failures are not)."""
+        key = (architecture, ce_count)
+        spec = self.specs.get(key)
+        if spec is None:
+            spec = _resolve_spec(self.evaluator, architecture, ce_count)
+            self.specs.put(key, spec)
+        return spec
+
+    def report_json(self, item: BatchItem) -> Optional[RawJSON]:
+        """The wire form of ``item``'s report (None when infeasible)."""
+        if item.report is None:
+            return None
+        text = self.reports.get(item.key)
+        if text is None:
+            text = RawJSON(json.dumps(report_to_dict(item.report)))
+            self.reports.put(item.key, text)
+        return text
+
+
 class ServiceState:
     """Shared, thread-safe state behind all endpoints of one service.
 
@@ -293,10 +369,10 @@ class ServiceState:
         self.started = time.time()
         self._registry_lock = threading.Lock()
         #: runtime context fingerprint (graph content + board + precision)
-        #: -> (evaluator, per-evaluator evaluation lock). Content-keyed, so
-        #: two names for the same registered graph share one warm evaluator,
+        #: -> its evaluation context. Content-keyed, so two names for the
+        #: same registered graph share one warm evaluator (and its memos),
         #: while a re-registered (edited) graph gets a fresh context.
-        self._evaluators: Dict[str, Tuple[BatchEvaluator, threading.Lock]] = {}
+        self._evaluators: Dict[str, EvaluationContext] = {}
         #: Resolved (graph, board, precision) -> its context fingerprint,
         #: valid for workload-registry generation ``_context_generation``.
         #: Guarded by ``_registry_lock``.
@@ -583,13 +659,12 @@ class ServiceState:
     # --- evaluator registry --------------------------------------------------
     def evaluator_for(
         self, model: str, board: str, precision: Precision
-    ) -> Tuple[BatchEvaluator, threading.Lock]:
-        """The shared evaluator (and its lock) for one evaluation context.
+    ) -> EvaluationContext:
+        """The shared evaluation context for one (model, board, precision).
 
-        ``BatchEvaluator`` is not itself thread-safe (LRU bookkeeping,
-        ``last_run``), so callers must hold the returned lock around any
-        evaluation; contexts are independent, so requests for different
-        (model, board, precision) triples still run concurrently.
+        Callers must hold the context's ``lock`` around any use of its
+        evaluator or memos; contexts are independent, so requests for
+        different (model, board, precision) triples still run concurrently.
 
         Names resolve through the workload registry on every call (unknown
         names and unsupported precisions fail here), and the evaluator map
@@ -628,27 +703,27 @@ class ServiceState:
                     cache_dir=self.cache_dir,
                     segment_cache_entries=self.segment_cache_entries,
                 )
-                entry = (evaluator, threading.Lock())
+                entry = EvaluationContext(evaluator, self.cache_entries)
             # Re-insert at the end: the dict doubles as LRU order, so
             # re-registered (content-edited) workloads eventually push
             # their stale contexts out instead of leaking them.
             self._evaluators[key] = entry
             while len(self._evaluators) > MAX_EVALUATOR_CONTEXTS:
                 evicted.append(self._evaluators.pop(next(iter(self._evaluators))))
-        for stale_evaluator, stale_lock in evicted:
+        for stale in evicted:
             # Close outside the registry lock; taking the per-evaluator lock
             # waits out any request still using it (requests never acquire
             # the registry lock while holding an evaluator lock, so this
             # cannot deadlock).
-            with stale_lock:
-                stale_evaluator.close()
+            with stale.lock:
+                stale.evaluator.close()
         return entry
 
     def runtime_totals(self) -> RunStats:
         """Lifetime counters aggregated across every context's evaluator."""
         totals = RunStats(jobs=self.jobs if isinstance(self.jobs, int) else 1)
         with self._registry_lock:
-            evaluators = [evaluator for evaluator, _lock in self._evaluators.values()]
+            evaluators = [context.evaluator for context in self._evaluators.values()]
         for evaluator in evaluators:
             totals.absorb(evaluator.totals)
         return totals
@@ -658,8 +733,8 @@ class ServiceState:
         totals = {"entries": 0, "hits": 0, "misses": 0, "evaluations": 0}
         with self._registry_lock:
             caches = [
-                evaluator.segment_cache
-                for evaluator, _lock in self._evaluators.values()
+                context.evaluator.segment_cache
+                for context in self._evaluators.values()
             ]
         for cache in caches:
             if cache is None:
@@ -677,10 +752,10 @@ class ServiceState:
     def close(self) -> None:
         """Tear down every evaluator's worker pool (idempotent)."""
         with self._registry_lock:
-            evaluators = list(self._evaluators.values())
+            contexts = list(self._evaluators.values())
             self._evaluators.clear()
-        for evaluator, _lock in evaluators:
-            evaluator.close()
+        for context in contexts:
+            context.evaluator.close()
         if self._cache_probe is not None:
             self._cache_probe.close()
 
@@ -849,7 +924,13 @@ def _verdict_dicts(request, report, board) -> list:
 
 
 def handle_evaluate(state: ServiceState, request: EvaluateRequest) -> Response:
-    evaluator, lock = state.evaluator_for(request.model, request.board, request.precision)
+    """``POST /evaluate``: one design, through the context's shared cache.
+
+    A replayed design costs one fingerprint and a cache read: its spec and
+    its report's JSON text come from the context's memos, so only the
+    small envelope around the report is encoded per request.
+    """
+    context = state.evaluator_for(request.model, request.board, request.precision)
     base = {
         "model": request.model,
         "board": request.board,
@@ -858,34 +939,36 @@ def handle_evaluate(state: ServiceState, request: EvaluateRequest) -> Response:
         "precision": precision_to_dict(request.precision),
         "rules": request.rules if request.rules is not None else BUILTIN_RESOURCES,
     }
-    try:
-        spec = _resolve_spec(evaluator, request.architecture, request.ce_count)
-    except ResourceError as error:
-        # Infeasible before evaluation even starts (e.g. more CEs than
-        # layers): an answer, not an error — same contract as api.sweep.
-        base.update(
-            {"feasible": False, "cached": False, "report": None,
-             "reason": f"{type(error).__name__}: {error}", "verdicts": []}
-        )
-        return 200, base
-    with lock:
-        item = next(iter(evaluator.stream([spec])))
+    with context.lock:
+        try:
+            spec = context.spec_for(request.architecture, request.ce_count)
+        except ResourceError as error:
+            # Infeasible before evaluation even starts (e.g. more CEs than
+            # layers): an answer, not an error — same contract as api.sweep.
+            base.update(
+                {"feasible": False, "cached": False, "report": None,
+                 "reason": f"{type(error).__name__}: {error}", "verdicts": []}
+            )
+            return 200, base
+        item = next(iter(context.evaluator.stream([spec])))
+        report = context.report_json(item)
     base.update(
         {
             "feasible": item.feasible,
             "cached": item.cached,
-            "fingerprint": evaluator.key_for(spec),
-            "report": report_to_dict(item.report) if item.report is not None else None,
+            "fingerprint": item.key,
+            "report": report,
             "reason": item.reason,
-            "verdicts": _verdict_dicts(request, item.report, evaluator.board),
+            "verdicts": _verdict_dicts(request, item.report, context.evaluator.board),
         }
     )
     return 200, base
 
 
 def handle_sweep(state: ServiceState, request: SweepRequest) -> Response:
-    evaluator, lock = state.evaluator_for(request.model, request.board, request.precision)
-    with lock:
+    context = state.evaluator_for(request.model, request.board, request.precision)
+    evaluator = context.evaluator
+    with context.lock:
         result = sweep(
             evaluator.graph,
             evaluator.board,
@@ -1059,14 +1142,15 @@ def handle_campaign_path(
 
 
 def handle_dse(state: ServiceState, request: DseRequest) -> Response:
-    evaluator, lock = state.evaluator_for(request.model, request.board, request.precision)
+    context = state.evaluator_for(request.model, request.board, request.precision)
+    evaluator = context.evaluator
     space = CustomDesignSpace(evaluator.graph.conv_specs())
     # The DesignEvaluator is a veneer over the *shared* runtime; it is not
     # closed here because closing it would tear down the service's evaluator.
     design_evaluator = DesignEvaluator(
         evaluator.graph, evaluator.board, request.precision, runtime=evaluator
     )
-    with lock:
+    with context.lock:
         result = random_search(
             design_evaluator,
             space,

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qsl
 
 import repro
@@ -32,6 +34,68 @@ logger = logging.getLogger(__name__)
 
 #: Largest accepted request body; anything bigger gets a structured 413.
 MAX_BODY_BYTES = 1 << 20
+
+#: ``http.client``'s limits on a request head, answered with 431 as
+#: ``http.server`` does: bytes per header line, and lines per header
+#: block, the blank line that ends it included.
+MAX_HEADER_LINE = 65536
+MAX_HEADER_LINES = 100
+
+#: A line ``email.feedparser`` keeps in a header block: a field name of
+#: printable characters other than the colon (possibly none) and a colon,
+#: a continuation line, or a Unix ``From `` envelope line. Any other line
+#: ends the block.
+_HEADER_LINE = re.compile(r"From |[\041-\071\073-\176]*:|[\t ]")
+#: Lines as ``email.feedparser`` splits them: a lone CR ends a line too.
+_LINES = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def parse_header_block(text: str) -> Dict[str, str]:
+    """The header fields of a request head, read as ``http.server`` reads them.
+
+    ``text`` is the Latin-1 decoded block after the request line. The
+    result maps each lower-case field name to its first value, built the
+    way ``email.parser`` (policy ``compat32``) builds one: blanks after the
+    colon stripped, continuation lines appended with their line breaks,
+    trailing line breaks stripped. Malformed lines fare as they do there:
+    the first line that is not a header line ends the block, so a field
+    after it is not seen, and lines with an empty name or a ``From ``
+    envelope are skipped.
+    """
+    fields: List[List[str]] = []  # each: the name line, then continuation lines
+    field: Optional[List[str]] = None
+    for line in _LINES.findall(text):
+        if not _HEADER_LINE.match(line):
+            break
+        if line[0] in " \t":
+            if field is not None:
+                field.append(line)
+        elif line.startswith("From ") or line.startswith(":"):
+            field = None  # no field; continuation lines after it are dropped
+        else:
+            field = [line]
+            fields.append(field)
+    headers: Dict[str, str] = {}
+    for first, *continuations in fields:
+        name, value = first.split(":", 1)
+        value = value.lstrip(" \t") + "".join(continuations)
+        headers.setdefault(name.lower(), value.rstrip("\r\n"))
+    return headers
+
+
+def _version_number(version: str) -> Optional[Tuple[int, int]]:
+    """``HTTP/<major>.<minor>`` as integers; None where ``http.server``
+    answers 400 (no ``HTTP/`` prefix, or not two dot-separated groups of
+    at most ten digits)."""
+    if not version.startswith("HTTP/"):
+        return None
+    try:
+        major, minor = version[5:].split(".")
+        if all(part.isdigit() and len(part) <= 10 for part in (major, minor)):
+            return int(major), int(minor)
+    except ValueError:
+        pass
+    return None
 
 
 class _ThreadingServer(ThreadingHTTPServer):
@@ -74,15 +138,111 @@ DYNAMIC_ROUTES: Dict[str, Tuple[Tuple[str, Callable], ...]] = {
 class _RequestHandler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{repro.__version__}"
     protocol_version = "HTTP/1.1"
-    # TCP_NODELAY: a response goes out as a header write then a body write.
-    # With Nagle on, the body waits for the ACK of the headers, which a
-    # keep-alive client delays (~40 ms) while it waits for the rest of the
-    # reply — every warm request would stall on that, not on the work.
+    # TCP_NODELAY: a JSON reply goes out in one write, but a stream's head
+    # and chunks, a 100 Continue and the stdlib's error pages are several.
+    # With Nagle on, each write after the first waits for the ACK of the
+    # one before, which a keep-alive client delays (~40 ms) while it waits
+    # for the rest of the reply.
     disable_nagle_algorithm = True
+
+    #: Set by :meth:`parse_request`: lower-case field name -> first value.
+    headers: Dict[str, str]
 
     @property
     def state(self) -> ServiceState:
         return self.server.service_state  # type: ignore[attr-defined]
+
+    # --- request heads -------------------------------------------------------
+    def parse_request(self) -> bool:
+        """``BaseHTTPRequestHandler.parse_request`` without ``email.parser``.
+
+        The request line, the limits and every answer to a malformed head
+        are the stdlib's (``tests/service/test_framing.py`` pins them);
+        the header block goes through :func:`parse_header_block`, which
+        reads fields the way the stdlib's ``email.parser`` did at a
+        fraction of its cost.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})"
+                )
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({version[5:]})",
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})"
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})"
+                )
+                return False
+        self.command, self.path = command, path
+        if path.startswith("//"):
+            # As the stdlib does: clients read a leading "//" as another host.
+            self.path = "/" + path.lstrip("/")
+        block = self._read_header_block()
+        if block is None:
+            return False
+        self.headers = parse_header_block(block.decode("iso-8859-1"))
+        connection = self.headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _read_header_block(self) -> Optional[bytes]:
+        """The raw header block up to its blank line, or None once a limit
+        was hit and answered with the stdlib's 431."""
+        lines = []
+        while True:
+            line = self.rfile.readline(MAX_HEADER_LINE + 1)
+            if len(line) > MAX_HEADER_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {MAX_HEADER_LINE} bytes when reading header line",
+                )
+                return None
+            lines.append(line)
+            if len(lines) > MAX_HEADER_LINES:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    f"got more than {MAX_HEADER_LINES} headers",
+                )
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                return b"".join(lines)
 
     # --- plumbing ------------------------------------------------------------
     def _send_json(
@@ -92,7 +252,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         *,
         retry_after: Optional[int] = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        body = handlers.dump_payload(payload).encode("utf-8")
         if status >= 400:
             # An errored request may not have consumed its body; keeping the
             # connection alive would desync HTTP/1.1 pipelining.
@@ -108,8 +268,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
             # connection instead of stumbling over the silent hangup on
             # their next request.
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        reply = body
+        if self.request_version != "HTTP/0.9":  # HTTP/0.9 replies have no head
+            self._headers_buffer.extend((b"\r\n", body))
+            reply = b"".join(self._headers_buffer)
+            self._headers_buffer = []
+        try:
+            self.wfile.write(reply)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up before its reply: nothing is left to answer.
+            self.close_connection = True
 
     def _send_worker_header(self) -> None:
         """In a fleet, say which worker pid answered — clients (and the CI
@@ -151,7 +319,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             logger.exception("event stream failed mid-flight")
 
     def _read_body(self) -> Any:
-        length_header = self.headers.get("Content-Length")
+        length_header = self.headers.get("content-length")
         try:
             length = int(length_header or "")
         except ValueError:
@@ -182,7 +350,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         params: Dict[str, str] = {}
         for key, value in parse_qsl(raw_query, keep_blank_values=True):
             params.setdefault(key, value)
-        last_event_id = self.headers.get("Last-Event-Id")
+        last_event_id = self.headers.get("last-event-id")
         if last_event_id is not None and "after" not in params:
             params["after"] = last_event_id.strip()
         return params
@@ -226,15 +394,37 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return
 
         parser, handler = route
-
-        def produce() -> Tuple[int, Dict[str, Any]]:
-            if parser is None:
-                return handler(self.state)
-            return handler(self.state, parser(self._read_body()))
-
+        request: Tuple[Any, ...] = ()
+        if parser is not None:
+            # Read and validate the whole body before claiming an in-flight
+            # slot: a client that stalls mid-body must hold none, and a
+            # draining worker must not wait for it.
+            try:
+                request = (parser(self._read_body()),)
+            except Exception as error:
+                self._answer(path, self._error_response(path, error))
+                return
         # POSTs do model work; GETs are cheap introspection that must keep
         # answering (health checks, campaign polls) even under load.
-        self._invoke(path, produce, gated=method == "POST")
+        self._invoke(
+            path, lambda: handler(self.state, *request), gated=method == "POST"
+        )
+
+    def _error_response(
+        self, path: str, error: Exception
+    ) -> Tuple[int, Dict[str, Any]]:
+        """The shared error-to-JSON contract (call from an ``except`` block)."""
+        if isinstance(error, MCCMError):
+            status, _kind = schema.classify_error(error)
+            return status, schema.error_payload(error)
+        logger.exception("unhandled error serving %s", path)
+        return 500, schema.error_payload(error)
+
+    def _answer(self, path: str, result: Tuple[int, Dict[str, Any]]) -> None:
+        status, payload = result
+        self.state.count_request(path, ok=status < 400)
+        self.state.write_worker_status()
+        self._send_json(status, payload)
 
     def _refuse(self, path: str, error: schema.RequestError) -> None:
         """Answer a transient refusal (backpressure/draining) immediately."""
@@ -276,12 +466,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
         try:
             try:
                 result = produce()
-            except MCCMError as error:
-                status, _kind = schema.classify_error(error)
-                result = (status, schema.error_payload(error))
-            except Exception as error:  # pragma: no cover - defensive
-                logger.exception("unhandled error serving %s", path)
-                result = (500, schema.error_payload(error))
+            except Exception as error:
+                result = self._error_response(path, error)
             if isinstance(result, handlers.StreamingResponse):
                 # Streams hold this connection open for the campaign's
                 # lifetime; they stay tracked (draining waits them out —
@@ -291,10 +477,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 state.write_worker_status()
                 self._send_stream(result)
                 return
-            status, payload = result
-            self.state.count_request(path, ok=status < 400)
-            state.write_worker_status()
-            self._send_json(status, payload)
+            self._answer(path, result)
         finally:
             if gated:
                 state.end_request()
@@ -308,8 +491,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
     def log_message(self, format: str, *args: Any) -> None:
-        # Route the default access log through logging instead of stderr.
-        logger.info("%s - %s", self.address_string(), format % args)
+        # Route the default access log through logging instead of stderr,
+        # formatting each line only when someone reads it.
+        if logger.isEnabledFor(logging.INFO):
+            logger.info("%s - %s", self.address_string(), format % args)
 
 
 class EvaluationService:

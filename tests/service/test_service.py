@@ -9,8 +9,10 @@ hits on replay.
 
 import http.client
 import json
+import logging
 import socket
 import statistics
+import struct
 import sys
 import threading
 import time
@@ -28,6 +30,7 @@ from repro.dse import CustomDesignSpace, DesignEvaluator, random_search
 from repro.hw.boards import available_boards
 from repro.hw.datatypes import DEFAULT_PRECISION, INT8, Precision
 from repro.service import EvaluationService, ServiceClient, ServiceError, handlers, schema
+from repro.service import server as service_server
 from repro.service.handlers import ServiceState
 from repro.utils.errors import UnknownWorkloadError
 
@@ -38,8 +41,8 @@ BOARD = "zc706"
 def assert_warm_keepalive_under_10ms(url, requests=50):
     """``GET /healthz``, then a repeated ``POST /evaluate``: after one
     untimed request, ``requests`` more on one keep-alive connection must
-    have a median round trip under 10 ms. The header and body go out as
-    two writes; with Nagle on, delayed ACK held the body ~40 ms."""
+    have a median round trip under 10 ms. A reply split over two writes
+    with Nagle on waits ~40 ms for the client's delayed ACK."""
     host, port = url.replace("http://", "").split(":")
     evaluate = {"model": MODEL, "board": BOARD, "architecture": "segmentedrr", "ce_count": 2}
     for method, path, body in (("GET", "/healthz", None), ("POST", "/evaluate", evaluate)):
@@ -169,7 +172,7 @@ class TestContextMemo:
         state = ServiceState()
         try:
             evaluators = [
-                state.evaluator_for(name, BOARD, DEFAULT_PRECISION)[0]
+                state.evaluator_for(name, BOARD, DEFAULT_PRECISION).evaluator
                 for name in ("SqueezeNet", " squeezenet ", "sqz")
             ]
             assert len(fingerprint_calls) == 1
@@ -186,7 +189,7 @@ class TestContextMemo:
         def lookups():
             for index in range(40):
                 precision = precisions[index % 2]
-                seen.append((precision, state.evaluator_for(MODEL, BOARD, precision)[0]))
+                seen.append((precision, state.evaluator_for(MODEL, BOARD, precision).evaluator))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -693,10 +696,10 @@ class TestWorkloadRegistration:
         clean_workloads.register_model(graph)
         state = ServiceState()
         try:
-            first, _lock = state.evaluator_for("growing", BOARD, DEFAULT_PRECISION)
+            first = state.evaluator_for("growing", BOARD, DEFAULT_PRECISION).evaluator
             net.conv(32, kernel=3, name="c2")  # same object, new content
             clean_workloads.register_model(graph, replace=True)
-            second, _lock = state.evaluator_for("growing", BOARD, DEFAULT_PRECISION)
+            second = state.evaluator_for("growing", BOARD, DEFAULT_PRECISION).evaluator
             assert second is not first
             assert state.evaluator_count == 2
         finally:
@@ -735,9 +738,9 @@ class TestWorkloadRegistration:
                 state.evaluator_for("svcnet", "evictboard", DEFAULT_PRECISION)
             assert state.evaluator_count == MAX_EVALUATOR_CONTEXTS
             # The most recent context is still resolvable and warm.
-            evaluator, _lock = state.evaluator_for(
+            evaluator = state.evaluator_for(
                 "svcnet", "evictboard", DEFAULT_PRECISION
-            )
+            ).evaluator
             assert evaluator.board.dsp_count == 256 + MAX_EVALUATOR_CONTEXTS + 3
         finally:
             state.close()
@@ -799,6 +802,21 @@ class TestBackpressure:
             finally:
                 state.end_request()
 
+    def test_partial_body_holds_no_slot(self):
+        # The server reads a POST's whole body before claiming a slot, so a
+        # client that stalls mid-body cannot pin the budget.
+        with EvaluationService(port=0, max_inflight=1) as service:
+            client = ServiceClient(service.url)
+            with socket.create_connection((service.host, service.port), timeout=30) as stalled:
+                stalled.sendall(
+                    b"POST /evaluate HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+                    b'{"model": "squeezenet",'
+                )
+                time.sleep(0.2)  # let the server read the head and start on the body
+                assert client.healthz()["inflight"] == 0
+                assert client.evaluate(MODEL, BOARD, "segmented", 3).feasible
+
     def test_gets_stay_answerable_under_saturation(self):
         # Health checks and campaign polls must not be starved by model work.
         with EvaluationService(port=0, max_inflight=1) as service:
@@ -834,6 +852,37 @@ class TestDraining:
             assert excinfo.value.status == 503
         finally:
             service.stop()
+
+
+class TestHangups:
+    def test_client_hanging_up_before_its_reply_is_quiet(self, monkeypatch, capfd, caplog):
+        entered, release = threading.Event(), threading.Event()
+
+        def slow(state):
+            entered.set()
+            release.wait(30)
+            return 200, {"slow": True}
+
+        monkeypatch.setitem(service_server.ROUTES["GET"], "/slow", (None, slow))
+        with EvaluationService(port=0) as service:
+            sock = socket.create_connection((service.host, service.port), timeout=30)
+            sock.sendall(b"GET /slow HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            assert entered.wait(30)
+            # Hang up with a reset, so the reply's write fails at once.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            time.sleep(0.1)
+            release.set()
+            deadline = time.monotonic() + 30
+            while service.state.active_requests and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # a traceback would be printed by now
+            client = ServiceClient(service.url)
+            assert client.evaluate(MODEL, BOARD, "segmented", 3).feasible
+            assert client.healthz()["requests"]["/slow"] == 1
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        assert not [record for record in caplog.records if record.levelno >= logging.WARNING]
 
 
 class TestClientTransport:
