@@ -11,9 +11,9 @@ segment cache must never lose:
 * composed reports are **bit-identical** to the cold path's, and
 * segment-cached evaluation is decisively faster than a full rebuild
   (>= 2x as a contention-proof floor; >= 5x under
-  ``MCCM_REQUIRE_SPEEDUP=1`` — inside the ~4.5–5.3x measured on a 2-vCPU
-  host with Python 3.11 since block layouts made the cold rung faster,
-  so that opt-in gate can fail there).
+  ``MCCM_REQUIRE_SPEEDUP=1`` — above the ~3.7–4.2x measured on a 2-vCPU
+  host with Python 3.11 since the bounded Eq. 1 search made the cold
+  rung faster, so that opt-in gate fails there).
 """
 
 import os

@@ -174,15 +174,18 @@ class MultipleCEBuilder:
     def context(self) -> str:
         """Fingerprint of this builder's (CNN, board, precision) context.
 
-        Lazily computed (the fingerprint helper lives in the runtime layer,
-        imported only when needed); identical to the context fingerprint a
-        :class:`~repro.runtime.BatchEvaluator` over the same inputs uses.
+        Digested from the conv specs the builder copied at construction, so
+        it names exactly the layers :meth:`build` costs, even if the graph
+        is edited afterwards; for an unedited graph it equals
+        :func:`~repro.runtime.fingerprint.context_fingerprint`. Lazily
+        computed (the fingerprint helper lives in the runtime layer,
+        imported only when needed).
         """
         if self._context_fingerprint is None:
-            from repro.runtime.fingerprint import context_fingerprint
+            from repro.runtime.fingerprint import conv_context_fingerprint
 
-            self._context_fingerprint = context_fingerprint(
-                self.graph, self.board, self.precision
+            self._context_fingerprint = conv_context_fingerprint(
+                self._conv_specs, self.board, self.precision
             )
         return self._context_fingerprint
 

@@ -11,7 +11,11 @@ small or the layer shapes fit them better.
 Degree selection is a bounded search over divisors of the layer dimensions
 (degrees that divide the dimension exactly leave no ragged edge and thus no
 PE idling), minimizing the total Eq. 1 cycle count over the layers the CE
-processes.
+processes. The search is best-first and exact: it visits the K degrees in
+ascending order of a cycle floor no (H, W) pair of theirs can beat, stops
+once that floor exceeds the best cost found, and breaks cost ties
+explicitly, so it returns what a triple loop over every candidate
+(K, H, W) would (see :func:`_search_cached`).
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cnn.graph import ConvSpec
 from repro.utils.errors import ResourceError
-from repro.utils.mathutils import factors, prod
+from repro.utils.mathutils import _factors_cached, prod
 
 
 class Dimension(enum.Enum):
@@ -150,10 +154,9 @@ def _divisor_candidates(extents: Iterable[int], budget: int, cap: int = 24) -> L
     """
     candidates = {1}
     for extent in extents:
-        for divisor in factors(extent):
-            if divisor <= budget:
-                candidates.add(divisor)
+        candidates.update(_factors_cached(extent))
     ordered = sorted(candidates)
+    del ordered[bisect_right(ordered, budget) :]
     if len(ordered) > cap:
         # Keep a spread: always retain the smallest and largest.
         step = len(ordered) / cap
@@ -165,52 +168,90 @@ def _divisor_candidates(extents: Iterable[int], budget: int, cap: int = 24) -> L
 def _search_cached(
     budget: int,
     layer_key: Tuple[Tuple[int, int, int, int, int, int, int], ...],
-) -> Tuple[Tuple[str, int], ...]:
+) -> ParallelismStrategy:
     """Cached core of :func:`choose_parallelism`; see its docstring.
 
-    The winner is the lowest-cost (K, H, W) triple under the budget, then
-    the most parallel, then the first in ascending (K, H, W) scan order.
-    Two exact reductions keep the search small without changing it:
+    The winner is the (K, H, W) triple under the budget with the lowest
+    cost, then the highest parallelism pk*ph*pw, then the smallest
+    (pk, ph): the answer of a triple loop over the candidate lists.
+    Exact reductions find it while scoring few triples:
 
     * The cost is the integer sum of ``C*R*S * ceil(K/pk) * ceil(H/ph) *
       ceil(W/pw)`` over the layers, so layers sharing a (K, H, W) shape
-      fold into one term weighted by their summed ``C*R*S``.
-    * Every term is non-increasing in pw, so for each (pk, ph) the largest
-      W candidate that fits the budget costs no more than any smaller one
-      and is strictly more parallel: it is the only pw that can win, and
-      the K x H x W triple loop becomes a K x H frontier scan.
+      fold into one term weighted by their summed ``C*R*S``, and for a
+      given pk the shapes sharing an output plane (H, W) fold into one
+      weight ``a = sum(C*R*S * ceil(K/pk))``.
+    * Every term is non-increasing in pw, so for each (pk, ph) only the
+      largest W candidate under the budget can win: it costs no more than
+      any smaller one and is strictly more parallel.
+    * Each pk is a row whose (ph, pw) pairs satisfy ph*pw <= L with
+      ``L = budget // pk``. Since ``ceil(H/ph) * ceil(W/pw) >= H*W/L``,
+      no pair of the row costs less than its floor
+      ``sum(a * ceil(H*W / L))``, and a pair costs at least
+      ``sum(a * H*W) / (ph*pw)``.
+
+    Rows are visited in ascending floor, and the search stops at the first
+    floor above the best cost found; a pair whose area bound is above it
+    is skipped. Both bounds are strictly above a cost already reached, so
+    a pruned triple can neither beat nor tie the winner, and the explicit
+    tie-break makes the visiting order irrelevant.
     """
-    weights: Dict[Tuple[int, int, int], int] = {}
+    shapes: Dict[Tuple[int, int, int], int] = {}
     for k, c, h, w, r, s, _macs in layer_key:
         shape = (k, h, w)
-        weights[shape] = weights.get(shape, 0) + c * r * s
+        shapes[shape] = shapes.get(shape, 0) + c * r * s
 
-    k_candidates = _divisor_candidates([k for k, _, _ in weights], budget)
-    h_candidates = _divisor_candidates([h for _, h, _ in weights], budget)
-    w_candidates = _divisor_candidates([w for _, _, w in weights], budget)
+    k_candidates = _divisor_candidates({k for k, _, _ in shapes}, budget)
+    h_candidates = _divisor_candidates({h for _, h, _ in shapes}, budget)
+    w_candidates = _divisor_candidates({w for _, _, w in shapes}, budget)
 
-    best_cost = None
-    best = (1, 1, 1)
-    best_par = 1
+    # (K, C*R*S, H*W, plane) per shape, with planes numbered in first-seen order.
+    plane_index: Dict[Tuple[int, int], int] = {}
+    folded = [
+        (k, weight, h * w, plane_index.setdefault((h, w), len(plane_index)))
+        for (k, h, w), weight in shapes.items()
+    ]
+    planes = list(plane_index)
+
+    rows = []
     for pk in k_candidates:
-        partial_k = [(m * -(-k // pk), h, w) for (k, h, w), m in weights.items()]
+        limit = budget // pk
+        floor = area = 0
+        for k, weight, hw, _plane in folded:
+            a = weight * -(-k // pk)
+            floor += a * -(-hw // limit)
+            area += a * hw
+        rows.append((floor, pk, limit, area))
+    rows.sort()
+
+    # (cost, -parallelism, pk, ph, pw): the lexicographic minimum wins.
+    best: Optional[Tuple[int, int, int, int, int]] = None
+    for floor, pk, limit, area in rows:
+        if best is not None and floor > best[0]:
+            break  # rows ascend by floor: no later row can reach the best
+        weights = [0] * len(planes)
+        for k, weight, _hw, plane in folded:
+            weights[plane] += weight * -(-k // pk)
+        terms = [(a, h, w) for a, (h, w) in zip(weights, planes)]
         for ph in h_candidates:
-            pkh = pk * ph
-            if pkh > budget:
+            if ph > limit:
                 break  # candidates ascend: no larger ph fits either
-            pw = w_candidates[bisect_right(w_candidates, budget // pkh) - 1]
+            pw = w_candidates[bisect_right(w_candidates, limit // ph) - 1]
+            pair = ph * pw
+            if best is not None and area > best[0] * pair:
+                continue
             cost = 0
-            for partial, h, w in partial_k:
-                cost += partial * -(-h // ph) * -(-w // pw)
-            par = pkh * pw
-            if best_cost is None or cost < best_cost or (
-                cost == best_cost and par > best_par
-            ):
-                best_cost = cost
-                best = (pk, ph, pw)
-                best_par = par
-    pk, ph, pw = best
-    return (("K", pk), ("H", ph), ("W", pw))
+            for a, h, w in terms:
+                cost += a * -(-h // ph) * -(-w // pw)
+            candidate = (cost, -pk * pair, pk, ph, pw)
+            if best is None or candidate < best:
+                best = candidate
+    assert best is not None  # the row with the lowest floor always scores ph = 1
+    _, _, pk, ph, pw = best
+    degrees = {Dimension.FILTERS: pk, Dimension.OUT_HEIGHT: ph, Dimension.OUT_WIDTH: pw}
+    return ParallelismStrategy.from_dict(
+        {dimension: degree for dimension, degree in degrees.items() if degree > 1}
+    )
 
 
 def choose_parallelism(pe_budget: int, specs: Sequence[ConvSpec]) -> ParallelismStrategy:
@@ -238,8 +279,4 @@ def choose_parallelism(pe_budget: int, specs: Sequence[ConvSpec]) -> Parallelism
         )
         for spec in specs
     )
-    named = _search_cached(pe_budget, layer_key)
-    mapping = {"K": Dimension.FILTERS, "H": Dimension.OUT_HEIGHT, "W": Dimension.OUT_WIDTH}
-    return ParallelismStrategy.from_dict(
-        {mapping[name]: degree for name, degree in named if degree > 1}
-    )
+    return _search_cached(pe_budget, layer_key)

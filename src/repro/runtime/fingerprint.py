@@ -18,10 +18,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict
-from typing import Any, Dict
+from dataclasses import asdict, fields
+from typing import Any, Dict, Sequence
 
-from repro.cnn.graph import CNNGraph
+from repro.cnn.graph import CNNGraph, ConvSpec
 from repro.core.notation import ArchitectureSpec
 from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import Precision
@@ -44,8 +44,12 @@ def _spec_payload(spec: ArchitectureSpec) -> Dict[str, Any]:
     }
 
 
+#: ConvSpec's field names, in declaration order.
+_CONV_SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(ConvSpec))
+
+
 def context_payload(
-    graph: CNNGraph, board: FPGABoard, precision: Precision
+    conv_specs: Sequence[ConvSpec], board: FPGABoard, precision: Precision
 ) -> Dict[str, Any]:
     """The per-(CNN, board, precision) part of every fingerprint.
 
@@ -53,14 +57,18 @@ def context_payload(
     the cost model consumes, never the model's display name. Two
     registrations of the same graph under different names therefore share
     every cache entry, and an edited graph re-registered under its old name
-    can never collide with stale cached results.
+    can never collide with stale cached results. Each spec becomes the dict
+    ``dataclasses.asdict`` would give, read field by field without its deep
+    copies.
     """
     board_payload = asdict(board)
     # Same rule for boards: the resource budget is content, the name is not.
     board_payload.pop("name", None)
     return {
         "schema": CACHE_SCHEMA_VERSION,
-        "conv_specs": [asdict(spec) for spec in graph.conv_specs()],
+        "conv_specs": [
+            {name: getattr(spec, name) for name in _CONV_SPEC_FIELDS} for spec in conv_specs
+        ],
         "board": board_payload,
         "precision": asdict(precision),
     }
@@ -80,11 +88,18 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def conv_context_fingerprint(
+    conv_specs: Sequence[ConvSpec], board: FPGABoard, precision: Precision
+) -> str:
+    """Digest of the evaluation context whose CNN has these conv specs."""
+    return _digest(context_payload(conv_specs, board, precision))
+
+
 def context_fingerprint(
     graph: CNNGraph, board: FPGABoard, precision: Precision
 ) -> str:
     """Digest of the evaluation context (CNN + board + precision)."""
-    return _digest(context_payload(graph, board, precision))
+    return conv_context_fingerprint(graph.conv_specs(), board, precision)
 
 
 def spec_fingerprint(context: str, spec: ArchitectureSpec) -> str:

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.cnn.zoo.common import NetBuilder
 from repro.core.architectures import hybrid, segmented, segmented_rr
 from repro.core.blocks import PipelinedCEsBlock, SingleCEBlock
 from repro.core.builder import MultipleCEBuilder
 from repro.core.notation import ArchitectureSpec, BlockSpec, parse_notation
 from repro.hw.boards import FPGABoard
+from repro.hw.datatypes import DEFAULT_PRECISION
+from repro.runtime.fingerprint import context_fingerprint
+from repro.runtime.segcache import SegmentCostCache
 from repro.utils.errors import ResourceError
 
 
@@ -97,3 +101,25 @@ class TestInterfaces:
         accelerator = builder.build(hybrid(builder.conv_specs, 3))
         text = accelerator.describe()
         assert "B1" in text and "B2" in text
+
+
+class TestContext:
+    def test_context_names_the_layers_the_builder_costs(self, small_board):
+        # The builder copies the graph's conv specs when it is constructed;
+        # a conv added to the graph afterwards is not costed, so it must
+        # not be fingerprinted either.
+        net = NetBuilder("growing", (32, 32, 3))
+        for filters in (8, 16, 32):
+            net.conv(filters, kernel=3, name=f"c{filters}")
+        graph = net.build()
+        three_layers = context_fingerprint(graph, small_board, DEFAULT_PRECISION)
+        builder = MultipleCEBuilder(graph, small_board)
+        net.conv(64, kernel=3, name="c64")
+        four_layers = context_fingerprint(graph, small_board, DEFAULT_PRECISION)
+
+        assert len(builder.conv_specs) == 3
+        assert builder.context == three_layers != four_layers
+        cache = SegmentCostCache(64)
+        accelerator = builder.build(segmented(builder.conv_specs, 2), cache=cache)
+        assert sum(len(block.specs) for block in accelerator.blocks) == 3
+        assert cache.context == three_layers

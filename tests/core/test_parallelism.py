@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cnn.graph import ConvSpec
 from repro.cnn.layers import LayerKind
-from repro.cnn.zoo import load_model
+from repro.cnn.zoo import available_models, load_model
 from repro.core.parallelism import (
     Dimension,
     ParallelismStrategy,
@@ -18,6 +18,7 @@ from repro.core.parallelism import (
     layer_utilization,
 )
 from repro.utils.errors import ResourceError
+from repro.utils.mathutils import factors
 
 
 def make_spec(k=16, c=8, h=8, w=8, r=3, s=3, index=0):
@@ -185,7 +186,21 @@ class TestChooseParallelism:
         assert choose_parallelism(96, specs) == choose_parallelism(96, specs)
 
 
-# --- exactness oracle for the frontier search ----------------------------------
+# --- exactness oracle for the best-first search ----------------------------------
+
+
+def reference_divisor_candidates(extents, budget, cap=24):
+    """The per-divisor ``_divisor_candidates`` loop, kept as its oracle."""
+    candidates = {1}
+    for extent in extents:
+        for divisor in factors(extent):
+            if divisor <= budget:
+                candidates.add(divisor)
+    ordered = sorted(candidates)
+    if len(ordered) > cap:
+        step = len(ordered) / cap
+        ordered = sorted({ordered[int(i * step)] for i in range(cap)} | {ordered[-1], 1})
+    return ordered
 
 
 def reference_search(budget, layer_key):
@@ -194,9 +209,9 @@ def reference_search(budget, layer_key):
     heights = [h for (_, _, h, _, _, _, _) in layer_key]
     widths = [w for (_, _, _, w, _, _, _) in layer_key]
 
-    k_candidates = _divisor_candidates(filters, budget)
-    h_candidates = _divisor_candidates(heights, budget)
-    w_candidates = _divisor_candidates(widths, budget)
+    k_candidates = reference_divisor_candidates(filters, budget)
+    h_candidates = reference_divisor_candidates(heights, budget)
+    w_candidates = reference_divisor_candidates(widths, budget)
 
     # The triple loop below evaluates |K| x |H| x |W| candidate strategies
     # over every layer. Hoist everything that does not depend on the full
@@ -236,6 +251,15 @@ def reference_search(budget, layer_key):
     return (("K", pk), ("H", ph), ("W", pw))
 
 
+def search(budget, key):
+    """The uncached search's answer, in :func:`reference_search`'s form."""
+    strategy = _search_cached.__wrapped__(budget, key)
+    return tuple(
+        (dimension.value, strategy.degree(dimension))
+        for dimension in (Dimension.FILTERS, Dimension.OUT_HEIGHT, Dimension.OUT_WIDTH)
+    )
+
+
 def layer_key(specs):
     """The search key :func:`choose_parallelism` builds from ``specs``."""
     return tuple(
@@ -245,58 +269,103 @@ def layer_key(specs):
     )
 
 
+#: Highly composite extents whose divisor sets exceed the 24-candidate
+#: cap, so the evenly spaced spread is searched.
+COMPOSITE = (720, 1680, 5040)
+
 #: Layer extents: tiny ones (many cost ties), ragged ones (primes and
-#: other awkward sizes), and highly composite ones whose divisor sets
-#: exceed the 24-candidate cap, so the evenly spaced spread is searched.
+#: other awkward sizes), and highly composite ones.
 extents = st.one_of(
     st.integers(1, 8),
     st.integers(1, 600),
-    st.sampled_from([720, 1680, 5040]),
+    st.sampled_from(COMPOSITE),
 )
 
 
 @st.composite
 def layer_keys(draw):
-    """Layer sets drawn from a few (K, H, W) shapes, so shapes repeat with
-    different C x R x S weights, plus verbatim duplicate layers."""
-    shapes = draw(st.lists(st.tuples(extents, extents, extents), min_size=1, max_size=4))
-    layers = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(shapes),
-                st.integers(1, 64),
-                st.sampled_from([1, 3, 5]),
-                st.sampled_from([1, 3, 5]),
-            ),
-            min_size=1,
-            max_size=10,
-        )
+    """Layer sets over 2-4 output planes (H, W) carrying 2-6 (K, H, W)
+    shapes, every shape in at least one layer, so each key spans two or
+    more planes, planes hold several filter counts, and shapes repeat with
+    different C x R x S weights; plus verbatim duplicate layers."""
+    planes = draw(
+        st.lists(st.tuples(extents, extents), min_size=2, max_size=4, unique=True)
     )
-    key = [(k, c, h, w, r, s, k * c * h * w * r * s) for (k, h, w), c, r, s in layers]
+    extra = draw(st.lists(st.sampled_from(planes), max_size=6 - len(planes)))
+    shapes = [(draw(extents), h, w) for h, w in planes + extra]
+    crs = st.tuples(st.integers(1, 64), st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5]))
+    layers = [(shape, draw(crs)) for shape in shapes]
+    layers += draw(st.lists(st.tuples(st.sampled_from(shapes), crs), max_size=8))
+    key = [(k, c, h, w, r, s, k * c * h * w * r * s) for (k, h, w), (c, r, s) in layers]
     duplicates = draw(st.integers(0, len(key)))
     return tuple(key + key[:duplicates])
 
 
+@st.composite
+def composite_budgets(draw):
+    """A budget below, equal to, between or above the composite divisors."""
+    divisors = sorted({d for n in COMPOSITE for d in factors(n)})
+    anchor = draw(st.sampled_from(divisors))
+    return max(1, anchor + draw(st.integers(-1, 1)))
+
+
 @pytest.mark.fuzz
 class TestFrontierSearchExactness:
-    """The shape-folded frontier search returns the triple loop's answer."""
+    """The best-first search over the Eq. 1 frontier returns the triple
+    loop's answer."""
 
     @given(budget=st.integers(1, 5000), key=layer_keys())
     def test_matches_triple_loop(self, budget, key):
-        assert _search_cached.__wrapped__(budget, key) == reference_search(budget, key)
+        assert search(budget, key) == reference_search(budget, key)
 
     @pytest.mark.parametrize("budget", [1, 7, 190, 2513])
     def test_matches_triple_loop_on_resnet152(self, budget):
         key = layer_key(load_model("resnet152").conv_specs())
-        assert _search_cached.__wrapped__(budget, key) == reference_search(budget, key)
+        assert search(budget, key) == reference_search(budget, key)
+
+    @pytest.mark.parametrize("budget", [1, 7, 768, 900, 1800, 2520])
+    @pytest.mark.parametrize("model", available_models())
+    def test_matches_triple_loop_on_zoo_model(self, model, budget):
+        key = layer_key(load_model(model).conv_specs())
+        assert search(budget, key) == reference_search(budget, key)
 
     def test_cost_ties_go_to_more_parallel_then_first_scanned(self):
         # (1, 2, 1) and (2, 1, 1) both cost 2 at parallelism 2: the first
         # scanned wins. (1, 2, 1) and (3, 1, 1) both cost 4: the more
-        # parallel one wins.
+        # parallel one wins. (1, 3, 7) and (7, 3, 1) both cost 38 at
+        # parallelism 21; row pk=7 has floor 36 and row pk=1 floor 38, so
+        # the search visits pk=7 first, yet the first scanned still wins.
         first = ((2, 1, 2, 1, 1, 1, 4),)
         parallel = ((1, 1, 2, 1, 1, 1, 2), (3, 1, 2, 1, 1, 1, 6))
-        for budget, key, (pk, ph, pw) in ((2, first, (1, 2, 1)), (3, parallel, (3, 1, 1))):
+        out_of_order = ((7, 2, 6, 7, 1, 1, 588), (5, 2, 2, 5, 1, 1, 100))
+        for budget, key, (pk, ph, pw) in (
+            (2, first, (1, 2, 1)),
+            (3, parallel, (3, 1, 1)),
+            (21, out_of_order, (1, 3, 7)),
+        ):
             expected = (("K", pk), ("H", ph), ("W", pw))
             assert reference_search(budget, key) == expected
-            assert _search_cached.__wrapped__(budget, key) == expected
+            assert search(budget, key) == expected
+
+
+@pytest.mark.fuzz
+class TestDivisorCandidates:
+    """The set-union candidate lists equal the per-divisor loop's."""
+
+    @given(
+        extents=st.lists(extents, max_size=6),
+        budget=st.one_of(composite_budgets(), st.integers(1, 6000)),
+    )
+    def test_matches_per_divisor_loop(self, extents, budget):
+        assert _divisor_candidates(extents, budget) == reference_divisor_candidates(
+            extents, budget
+        )
+
+    @pytest.mark.parametrize("extent", COMPOSITE)
+    def test_composite_extents_exceed_the_cap(self, extent):
+        divisors = factors(extent)
+        assert len(divisors) > 24
+        for budget in (divisors[12] - 1, divisors[12], divisors[12] + 1, extent + 1):
+            candidates = _divisor_candidates([extent], budget)
+            assert candidates == reference_divisor_candidates([extent], budget)
+            assert candidates[0] == 1 and candidates[-1] <= budget
