@@ -336,21 +336,28 @@ class BatchEvaluator:
         self,
         specs: Iterable[ArchitectureSpec],
         progress: Optional[ProgressCallback] = None,
+        *,
+        keys: Optional[Sequence[str]] = None,
     ) -> Iterator[BatchItem]:
         """Evaluate ``specs``, yielding :class:`BatchItem` in request order.
 
         Cache hits yield immediately; misses are dispatched to the worker
         pool (when ``jobs > 1``) and merged back in order as they finish.
-        Duplicate specs within one batch are evaluated once.
+        Duplicate specs within one batch are evaluated once. ``keys`` are
+        the specs' fingerprints (:meth:`key_for`), in order, for a caller
+        that already holds them; by default they are computed here.
         """
         spec_list = list(specs)
         total = len(spec_list)
+        if keys is not None and len(keys) != total:
+            raise ValueError(f"{len(keys)} keys for {total} specs")
         callback = progress if progress is not None else self.progress
         stats = RunStats(submitted=total, jobs=self.jobs)
         self.last_run = stats
         start = time.perf_counter()
 
-        keys = [self.key_for(spec) for spec in spec_list]
+        if keys is None:
+            keys = [self.key_for(spec) for spec in spec_list]
         resolved: dict = {}
         cached_keys = set()
         pending: List[Tuple[str, ArchitectureSpec]] = []

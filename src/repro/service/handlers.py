@@ -290,16 +290,20 @@ class CampaignJob:
 
 class EvaluationContext:
     """One (CNN, board, precision) context: its shared evaluator, the lock
-    callers hold around any use of it, and two memos the same lock guards.
+    callers hold around any use of it, and three memos the same lock guards.
 
     ``BatchEvaluator`` is not itself thread-safe (LRU bookkeeping,
     ``last_run``). The memos let ``/evaluate`` answer a replayed design
-    without rebuilding or re-encoding anything, and hold at most
-    ``memo_entries`` entries each (the evaluator's LRU capacity):
+    without rebuilding, hashing, judging or re-encoding anything, and hold
+    at most ``memo_entries`` entries each (the evaluator's LRU capacity):
 
-    * ``specs``: (architecture, ce_count) as requested -> resolved spec;
+    * ``specs``: (architecture, ce_count) as requested -> the resolved
+      spec and its fingerprint;
     * ``reports``: fingerprint -> the report's JSON text, encoded for the
-      first answer that carried it.
+      first answer that carried it;
+    * ``verdicts``: (fingerprint, ruleset name) -> the verdict list's JSON
+      text, valid for one rule-registry generation (a ruleset replaced
+      under the same name must be judged again).
 
     Only ``/evaluate`` fills them: sweeps, DSE and campaigns encode nothing.
     """
@@ -309,15 +313,21 @@ class EvaluationContext:
         self.lock = threading.Lock()
         self.specs = LRUCache(memo_entries)
         self.reports = LRUCache(memo_entries)
+        self.verdicts = LRUCache(memo_entries)
+        self._verdicts_generation: Optional[int] = None
 
-    def spec_for(self, architecture: str, ce_count: Optional[int]) -> ArchitectureSpec:
-        """:func:`_resolve_spec`, memoized (failures are not)."""
+    def spec_for(
+        self, architecture: str, ce_count: Optional[int]
+    ) -> Tuple[ArchitectureSpec, str]:
+        """:func:`_resolve_spec` and the spec's fingerprint, memoized
+        (failures are not)."""
         key = (architecture, ce_count)
-        spec = self.specs.get(key)
-        if spec is None:
+        resolved = self.specs.get(key)
+        if resolved is None:
             spec = _resolve_spec(self.evaluator, architecture, ce_count)
-            self.specs.put(key, spec)
-        return spec
+            resolved = (spec, self.evaluator.key_for(spec))
+            self.specs.put(key, resolved)
+        return resolved
 
     def report_json(self, item: BatchItem) -> Optional[RawJSON]:
         """The wire form of ``item``'s report (None when infeasible)."""
@@ -327,6 +337,34 @@ class EvaluationContext:
         if text is None:
             text = RawJSON(json.dumps(report_to_dict(item.report)))
             self.reports.put(item.key, text)
+        return text
+
+    def verdicts_json(self, item: BatchItem, ruleset: str) -> Union[RawJSON, list]:
+        """The wire form of ``ruleset``'s verdicts on ``item``'s report.
+
+        Verdicts depend on the report, the ruleset and the context's board
+        and precision, so (fingerprint, ruleset name) keys them while the
+        rule registry's generation stands still. The generation is read
+        before the rules run: a ruleset replaced meanwhile leaves a memo
+        the next request drops.
+        """
+        if item.report is None:
+            return []
+        generation = RULES.generation
+        if generation != self._verdicts_generation:
+            self.verdicts.clear()
+            self._verdicts_generation = generation
+        key = (item.key, ruleset)
+        text = self.verdicts.get(key)
+        if text is None:
+            verdicts = evaluate_rules(
+                item.report,
+                ruleset,
+                board=self.evaluator.board,
+                precision=self.evaluator.precision,
+            )
+            text = RawJSON(json.dumps([verdict.to_dict() for verdict in verdicts]))
+            self.verdicts.put(key, text)
         return text
 
 
@@ -373,10 +411,12 @@ class ServiceState:
         #: same registered graph share one warm evaluator (and its memos),
         #: while a re-registered (edited) graph gets a fresh context.
         self._evaluators: Dict[str, EvaluationContext] = {}
-        #: Resolved (graph, board, precision) -> its context fingerprint,
-        #: valid for workload-registry generation ``_context_generation``.
-        #: Guarded by ``_registry_lock``.
+        #: Resolved (graph, board, precision), and the request's (model,
+        #: board, precision) as sent, -> its context fingerprint; both
+        #: valid for workload-registry generation ``_context_generation``
+        #: and guarded by ``_registry_lock`` (see :meth:`evaluator_for`).
         self._context_keys: Dict[Tuple[CNNGraph, FPGABoard, Precision], str] = {}
+        self._request_keys = LRUCache(cache_entries)
         self._context_generation: Optional[int] = None
         self._counter_lock = threading.Lock()
         self.request_counts: Dict[str, int] = {}
@@ -475,6 +515,7 @@ class ServiceState:
             "evaluators": self.evaluator_count,
             "requests": requests,
             "errors": errors,
+            "cpu_seconds": time.process_time(),
             "runtime": self.runtime_totals().to_dict(),
             "segment_cache": self.segment_cache_totals(),
         }
@@ -666,25 +707,40 @@ class ServiceState:
         evaluator or memos; contexts are independent, so requests for
         different (model, board, precision) triples still run concurrently.
 
-        Names resolve through the workload registry on every call (unknown
-        names and unsupported precisions fail here), and the evaluator map
-        is keyed by the runtime's *content-derived* context fingerprint —
-        the same path every other layer uses.
+        The evaluator map is keyed by the runtime's *content-derived*
+        context fingerprint — the same path every other layer uses. Two
+        memos find that key, both valid for one workload-registry
+        generation (a registration may change what a name means, and
+        ``replace=True`` may even hand back the same graph object with
+        edited content):
 
-        The fingerprint reruns shape inference and hashes the whole
-        context, so it is memoized per resolved (graph, board, precision).
-        Keyed on objects, not on how a request spelled the names, the memo
-        stays bounded by what is registered. A registry mutation clears
-        it, since ``replace=True`` may hand back the same graph object
-        with edited content.
+        * the request's (model, board, precision) as sent -> its key, so a
+          repeated request neither resolves names nor hashes anything. A
+          hit still moves the context to the LRU end; only names that
+          resolved are memoized, so unknown names and unsupported
+          precisions keep failing on every call;
+        * the resolved (graph, board, precision) -> its key, so spellings
+          of one context (``SqueezeNet``, ``sqz``) share one fingerprint
+          run, which reruns shape inference and hashes the whole context.
         """
+        request = (model, board, precision)
+        # Read before resolving: a registration racing this call then
+        # leaves a memo that the next call drops.
+        generation = REGISTRY.generation
+        with self._registry_lock:
+            if generation == self._context_generation:
+                key = self._request_keys.get(request)
+                entry = self._evaluators.pop(key, None) if key is not None else None
+                if entry is not None:
+                    self._evaluators[key] = entry
+                    return entry
         graph = REGISTRY.model(model)
         fpga = REGISTRY.board(board, precision=precision)
-        generation = REGISTRY.generation
         evicted = []
         with self._registry_lock:
             if generation != self._context_generation:
                 self._context_keys.clear()
+                self._request_keys.clear()
                 self._context_generation = generation
             context = (graph, fpga, precision)
             key = self._context_keys.get(context)
@@ -708,6 +764,7 @@ class ServiceState:
             # re-registered (content-edited) workloads eventually push
             # their stale contexts out instead of leaking them.
             self._evaluators[key] = entry
+            self._request_keys.put(request, key)
             while len(self._evaluators) > MAX_EVALUATOR_CONTEXTS:
                 evicted.append(self._evaluators.pop(next(iter(self._evaluators))))
         for stale in evicted:
@@ -807,6 +864,7 @@ def handle_healthz(state: ServiceState) -> Response:
         "draining": state.draining,
         "requests": requests,
         "errors": errors,
+        "cpu_seconds": time.process_time(),
         "runtime": totals.to_dict(),
         "segment_cache": state.segment_cache_totals(),
     }
@@ -825,6 +883,7 @@ def handle_healthz(state: ServiceState) -> Response:
         payload["worker_count"] = len(workers)
         payload["requests"] = _sum_counter_dicts(w.get("requests", {}) for w in workers)
         payload["errors"] = sum(w.get("errors", 0) for w in workers)
+        payload["cpu_seconds"] = sum(w.get("cpu_seconds", 0.0) for w in workers)
         payload["evaluators"] = sum(w.get("evaluators", 0) for w in workers)
         payload["inflight"] = sum(w.get("inflight", 0) for w in workers)
         runtime = _sum_counter_dicts(w.get("runtime", {}) for w in workers)
@@ -926,22 +985,23 @@ def _verdict_dicts(request, report, board) -> list:
 def handle_evaluate(state: ServiceState, request: EvaluateRequest) -> Response:
     """``POST /evaluate``: one design, through the context's shared cache.
 
-    A replayed design costs one fingerprint and a cache read: its spec and
-    its report's JSON text come from the context's memos, so only the
-    small envelope around the report is encoded per request.
+    A replayed design costs a cache read: its spec and fingerprint, its
+    report's JSON text and its verdicts' JSON text come from the context's
+    memos, so only the small envelope around them is encoded per request.
     """
     context = state.evaluator_for(request.model, request.board, request.precision)
+    rules = request.rules if request.rules is not None else BUILTIN_RESOURCES
     base = {
         "model": request.model,
         "board": request.board,
         "architecture": request.architecture,
         "ce_count": request.ce_count,
         "precision": precision_to_dict(request.precision),
-        "rules": request.rules if request.rules is not None else BUILTIN_RESOURCES,
+        "rules": rules,
     }
     with context.lock:
         try:
-            spec = context.spec_for(request.architecture, request.ce_count)
+            spec, key = context.spec_for(request.architecture, request.ce_count)
         except ResourceError as error:
             # Infeasible before evaluation even starts (e.g. more CEs than
             # layers): an answer, not an error — same contract as api.sweep.
@@ -950,8 +1010,9 @@ def handle_evaluate(state: ServiceState, request: EvaluateRequest) -> Response:
                  "reason": f"{type(error).__name__}: {error}", "verdicts": []}
             )
             return 200, base
-        item = next(iter(context.evaluator.stream([spec])))
+        item = next(iter(context.evaluator.stream([spec], keys=[key])))
         report = context.report_json(item)
+        verdicts = context.verdicts_json(item, rules)
     base.update(
         {
             "feasible": item.feasible,
@@ -959,7 +1020,7 @@ def handle_evaluate(state: ServiceState, request: EvaluateRequest) -> Response:
             "fingerprint": item.key,
             "report": report,
             "reason": item.reason,
-            "verdicts": _verdict_dicts(request, item.report, context.evaluator.board),
+            "verdicts": verdicts,
         }
     )
     return 200, base

@@ -20,6 +20,7 @@ import json
 import logging
 import re
 import threading
+import time
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -104,6 +105,13 @@ class _ThreadingServer(ThreadingHTTPServer):
     # clients connect at once; the service's whole point is concurrent
     # clients, so queue bursts instead.
     request_queue_size = 128
+    #: (second, ``Date`` header text) last formatted by a handler thread;
+    #: replaced whole, so a thread reads a consistent pair without a lock.
+    date_text: Tuple[int, str] = (-1, "")
+
+
+#: The ``request_counts`` key of every request to a path no route has.
+UNKNOWN_PATH = "<unknown>"
 
 #: method -> path -> (request parser or None, handler).
 ROUTES: Dict[str, Dict[str, Tuple[Optional[Callable], Callable]]] = {
@@ -257,27 +265,45 @@ class _RequestHandler(BaseHTTPRequestHandler):
             # An errored request may not have consumed its body; keeping the
             # connection alive would desync HTTP/1.1 pipelining.
             self.close_connection = True
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self._send_worker_header()
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        if self.close_connection:
-            # Announce the close explicitly so keep-alive clients drop the
-            # connection instead of stumbling over the silent hangup on
-            # their next request.
-            self.send_header("Connection", "close")
+        self.log_request(status)
         reply = body
         if self.request_version != "HTTP/0.9":  # HTTP/0.9 replies have no head
-            self._headers_buffer.extend((b"\r\n", body))
-            reply = b"".join(self._headers_buffer)
-            self._headers_buffer = []
+            # The lines send_response and send_header would buffer, in one
+            # string (tests/service/test_framing.py compares the bytes).
+            phrase = self.responses[status][0] if status in self.responses else ""
+            head = (
+                f"{self.protocol_version} {status:d} {phrase}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+            if self.state.worker_index is not None:
+                head += f"X-Repro-Worker: {self.state.pid}\r\n"
+            if retry_after is not None:
+                head += f"Retry-After: {retry_after}\r\n"
+            if self.close_connection:
+                # Announce the close explicitly so keep-alive clients drop
+                # the connection instead of stumbling over the silent
+                # hangup on their next request.
+                head += "Connection: close\r\n"
+            reply = (head + "\r\n").encode("latin-1") + body
         try:
             self.wfile.write(reply)
         except (BrokenPipeError, ConnectionResetError):
             # The client hung up before its reply: nothing is left to answer.
             self.close_connection = True
+
+    def date_time_string(self, timestamp: Optional[float] = None) -> str:
+        """The stdlib's ``Date`` text for now, formatted once per second."""
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        second = int(time.time())
+        cached = self.server.date_text
+        if cached[0] != second:
+            cached = (second, super().date_time_string(second))
+            self.server.date_text = cached
+        return cached[1]
 
     def _send_worker_header(self) -> None:
         """In a fleet, say which worker pid answered — clients (and the CI
@@ -389,7 +415,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
                         kind="unknown_endpoint",
                     )
                 )
-            self.state.count_request(path, ok=False)
+            # Every unknown path counts under one key, as campaign ids do
+            # under "<id>": a key per path would grow request_counts
+            # without bound. A 405 keeps its known path.
+            self.state.count_request(path if status == 405 else UNKNOWN_PATH, ok=False)
             self._send_json(status, payload)
             return
 

@@ -1,11 +1,14 @@
 """``POST /evaluate``'s per-context memos and the bytes they put on the wire.
 
-A replayed design is answered from two memos beside its context's
-evaluator (resolved spec; report JSON text) with the report spliced into
-the encoded envelope. These tests pin that the spliced body is exactly
-``json.dumps`` of its payload, that the report is the library's, and that
-the memos stay bounded, follow re-registered models and really skip the
-template build and the report encoding on a warm replay.
+A replayed design is answered from three memos beside its context's
+evaluator (resolved spec and fingerprint; report JSON text; verdict JSON
+text) with the texts spliced into the encoded envelope, and finds that
+context through a memo of the request's names. These tests pin that the
+spliced body is exactly ``json.dumps`` of its payload, that the report is
+the library's, and that the memos stay bounded, follow re-registered
+models and rulesets, keep name and precision errors, and really skip the
+template build, the hashing, the rules and the report encoding on a warm
+replay.
 """
 
 import http.client
@@ -21,8 +24,12 @@ from repro.cnn.serialize import graph_from_dict, graph_to_dict
 from repro.core.cost.export import report_to_dict
 from repro.dse.space import CustomDesignSpace
 from repro.hw.datatypes import DEFAULT_PRECISION
+from repro.rules import REGISTRY as RULES
+from repro.rules.engine import evaluate_rules
+from repro.runtime import batch
 from repro.service import EvaluationService, ServiceClient, handlers
 from repro.service.handlers import RawJSON, dump_payload
+from repro.workloads import REGISTRY as WORKLOADS
 
 MODEL = "squeezenet"
 BOARD = "zc706"
@@ -51,7 +58,7 @@ def designs():
     ]
 
 
-def post_evaluate(service, design):
+def post_evaluate(service, design, status=200):
     body = json.dumps({"model": MODEL, "board": BOARD, **design}).encode("utf-8")
     connection = http.client.HTTPConnection(service.host, service.port, timeout=30)
     try:
@@ -60,7 +67,7 @@ def post_evaluate(service, design):
         )
         response = connection.getresponse()
         data = response.read()
-        assert response.status == 200, data
+        assert response.status == status, data
         return data
     finally:
         connection.close()
@@ -127,16 +134,25 @@ class TestMemos:
             {"architecture": "segmented", "ce_count": 3},
             {"architecture": "segmentedrr", "ce_count": 2},
         ]
+        spellings = ["squeezenet", "SqueezeNet", "sqz"]
         with EvaluationService(port=0, cache_entries=2) as service:
             first = [post_evaluate(service, design) for design in cycle]
             for _ in range(2):
-                again = [post_evaluate(service, design) for design in cycle]
+                again = [
+                    post_evaluate(service, {**design, "model": model})
+                    for design, model in zip(cycle, spellings)
+                ]
                 context = service.state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION)
                 assert len(context.specs) <= 2
                 assert len(context.reports) <= 2
+                assert len(context.verdicts) <= 2
+                assert len(service.state._request_keys) <= 2
                 # Evicted designs are costed again, to the same answer.
                 assert [json.loads(data)["report"] for data in again] == [
                     json.loads(data)["report"] for data in first
+                ]
+                assert [json.loads(data)["verdicts"] for data in again] == [
+                    json.loads(data)["verdicts"] for data in first
                 ]
 
     def test_concurrent_replays_under_eviction(self):
@@ -175,6 +191,7 @@ class TestMemos:
                 sys.setswitchinterval(interval)
             context = service.state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION)
             assert len(context.specs) <= 2 and len(context.reports) <= 2
+            assert len(context.verdicts) <= 2
         assert failures == []
 
     def test_reregistered_model_gets_its_new_report(self):
@@ -194,11 +211,14 @@ class TestMemos:
                     for _ in range(2)
                 ]
                 assert before[1].cached
+                old = service.state.evaluator_for("memonet", BOARD, DEFAULT_PRECISION)
                 client.register_model(edited, replace=True)
                 after = [
                     client.evaluate("memonet", BOARD, "segmentedrr", ce_count=2)
                     for _ in range(2)
                 ]
+                new = service.state.evaluator_for("memonet", BOARD, DEFAULT_PRECISION)
+                assert new is not old
         finally:
             workloads.unregister_model("memonet")
         assert (after[0].cached, after[1].cached) == (False, True)
@@ -207,10 +227,18 @@ class TestMemos:
         assert after[0].report != before[0].report
 
     def test_warm_replays_build_and_encode_nothing(self, monkeypatch):
-        calls = {"build_template": 0, "report_to_dict": 0}
+        modules = {
+            "build_template": handlers,
+            "report_to_dict": handlers,
+            "evaluate_rules": handlers,
+            "spec_fingerprint": batch,
+            "model": WORKLOADS,  # name resolution
+            "board": WORKLOADS,
+        }
+        calls = dict.fromkeys(modules, 0)
 
         def counting(name):
-            original = getattr(handlers, name)
+            original = getattr(modules[name], name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -218,19 +246,88 @@ class TestMemos:
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(handlers, name, counting(name))
+        mix = designs()
+        for name, module in modules.items():
+            monkeypatch.setattr(module, name, counting(name))
         with EvaluationService(port=0) as service:
-            cold = [post_evaluate(service, design) for design in designs()]
-            assert calls["build_template"] > 0 and calls["report_to_dict"] > 0
+            cold = [post_evaluate(service, design) for design in mix]
+            assert all(calls.values()), calls
             calls.update(dict.fromkeys(calls, 0))
             for _ in range(3):
-                warm = [post_evaluate(service, design) for design in designs()]
+                warm = [post_evaluate(service, design) for design in mix]
             runtime = ServiceClient(service.url).healthz()["runtime"]
-        assert calls == {"build_template": 0, "report_to_dict": 0}
+        assert calls == dict.fromkeys(modules, 0)
         assert [json.loads(data)["report"] for data in warm] == [
             json.loads(data)["report"] for data in cold
         ]
         # Replays still go through the evaluator: its counters see them.
         assert runtime["submitted"] == 4 * len(cold)
         assert runtime["cache_hits"] == 3 * len(cold)
+
+    def test_replay_after_its_ruleset_is_replaced_gets_new_verdicts(self):
+        lenient = {
+            "name": "memo-slo",
+            "rules": [{"name": "latency", "metric": "latency_ms", "op": "<=", "threshold": 1000}],
+        }
+        strict = json.loads(json.dumps(lenient))
+        strict["rules"][0]["threshold"] = 0.001
+        design = {"architecture": "segmentedrr", "ce_count": 2, "rules": "memo-slo"}
+        try:
+            with EvaluationService(port=0) as service:
+                client = ServiceClient(service.url)
+                client.register_ruleset(lenient)
+                # The same design under the default ruleset first: each
+                # ruleset's verdicts are memoized on their own.
+                default = json.loads(post_evaluate(service, {**design, "rules": None}))
+                before = [json.loads(post_evaluate(service, design)) for _ in range(2)]
+                client.register_ruleset(strict, replace=True)
+                after = json.loads(post_evaluate(service, design))
+                client.close()
+        finally:
+            RULES.unregister("memo-slo")
+        report = api.evaluate(MODEL, BOARD, "segmentedrr", ce_count=2)
+        board = api.resolve_board(BOARD)
+        for answer, ruleset in ((before[1], lenient), (after, strict)):
+            assert answer["cached"] is True
+            assert answer["verdicts"] == [
+                verdict.to_dict()
+                for verdict in evaluate_rules(
+                    report, ruleset, board=board, precision=DEFAULT_PRECISION
+                )
+            ]
+        assert [answer["verdicts"][0]["passed"] for answer in (*before, after)] == [
+            True, True, False,
+        ]
+        assert {verdict["ruleset"] for verdict in default["verdicts"]} == {"builtin:resources"}
+
+    def test_warm_hits_keep_name_and_precision_errors(self):
+        from repro import workloads
+
+        board = {
+            "name": "int16board",
+            "dsp_count": 900,
+            "bram_mib": 2.4,
+            "bandwidth_gbps": 4.2,
+            "supported_precisions": ["int16"],
+        }
+        design = {"architecture": "segmentedrr", "ce_count": 2, "board": "int16board"}
+        int8 = {"weights": "int8", "activations": "int8"}
+        try:
+            with EvaluationService(port=0) as service:
+                client = ServiceClient(service.url)
+                client.register_board(board)
+                client.close()
+                for _ in range(2):
+                    post_evaluate(service, design)
+                errors = [
+                    json.loads(post_evaluate(service, request, status))["error"]["kind"]
+                    for request, status in (
+                        ({**design, "precision": int8}, 400),
+                        ({**design, "model": "squeezene"}, 404),
+                        ({**design, "board": "int16boar"}, 404),
+                    )
+                ]
+                assert json.loads(post_evaluate(service, design))["cached"] is True
+        finally:
+            workloads.unregister_board("int16board")
+        assert errors == ["workload_error", "unknown_model", "unknown_board"]

@@ -8,13 +8,20 @@ service has always had, quirks included: the request-head parser must
 keep every limit, status code and header lookup pinned here.
 """
 
+import email.utils
+import http.server
+import io
 import json
+import logging
+import os
+import re
 import socket
 from typing import Dict, List, NamedTuple
 
 import pytest
 
 from repro.service import EvaluationService
+from repro.service import server as service_server
 
 MODEL = "squeezenet"
 BOARD = "zc706"
@@ -243,3 +250,129 @@ class TestQuirks:
         reply = only_reply(service, post(body, *fixed, *filler))
         assert reply.status == status
 
+
+
+#: A patched clock for the reply-head cases (2026-10-17 09:12:04.25 UTC).
+CLOCK = 1792228324.25
+
+#: RFC 9110's preferred ``Date`` form.
+IMF_FIXDATE = re.compile(
+    r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d{2} "
+    r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} \d{2}:\d{2}:\d{2} GMT"
+)
+
+
+class Clock:
+    def __init__(self, now: float) -> None:
+        self.now = now
+
+    def time(self) -> float:
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The server's clock, set to :data:`CLOCK` until a test moves it."""
+    fake = Clock(CLOCK)
+    monkeypatch.setattr(service_server, "time", fake)
+    return fake
+
+
+class StdlibHead(http.server.BaseHTTPRequestHandler):
+    """``send_response`` + ``send_header`` as the stdlib has them, at the
+    patched clock's time, writing into a buffer instead of a socket."""
+
+    server_version = service_server._RequestHandler.server_version
+    protocol_version = "HTTP/1.1"
+
+    def __init__(self) -> None:  # no socket: only the head methods run
+        self.request_version = "HTTP/1.1"
+        self.wfile = io.BytesIO()
+
+    def log_request(self, code="-", size="-") -> None:
+        pass
+
+    def date_time_string(self, timestamp=None) -> str:
+        return super().date_time_string(CLOCK)
+
+
+def stdlib_head(status: int, headers) -> bytes:
+    handler = StdlibHead()
+    handler.send_response(status)
+    for name, value in headers:
+        handler.send_header(name, value)
+    handler.end_headers()
+    return handler.wfile.getvalue()
+
+
+CLOSE = ("Connection", "close")
+RETRY = ("Retry-After", "1")
+
+
+def _refuse_slots(monkeypatch, state):
+    monkeypatch.setattr(state, "try_begin_request", lambda: False)
+
+
+def _drain(monkeypatch, state):
+    monkeypatch.setattr(state, "_draining", True)
+
+
+def _as_fleet_worker(monkeypatch, state):
+    monkeypatch.setattr(state, "worker_index", 0)
+
+
+#: name -> (request bytes, state change or None, status, headers after
+#: Content-Type and Content-Length) — one case per way ``_send_json``
+#: builds a head.
+HEAD_CASES = {
+    "200": (plain_post(), None, 200, []),
+    "404": (b"GET /no-such-endpoint HTTP/1.1\r\nHost: localhost\r\n\r\n", None, 404, [CLOSE]),
+    "405": (b"GET /evaluate HTTP/1.1\r\nHost: localhost\r\n\r\n", None, 405, [CLOSE]),
+    "413": (
+        post(b"", "Host: localhost", f"Content-Length: {service_server.MAX_BODY_BYTES + 1}"),
+        None, 413, [CLOSE],
+    ),
+    "429": (plain_post(), _refuse_slots, 429, [RETRY, CLOSE]),
+    "503": (plain_post(), _drain, 503, [RETRY, CLOSE]),
+    "http-1.0": (
+        post(evaluate_body(), f"Content-Length: {len(evaluate_body())}", version="HTTP/1.0"),
+        None, 200, [CLOSE],
+    ),
+    "fleet-worker": (plain_post(), _as_fleet_worker, 200, [("X-Repro-Worker", str(os.getpid()))]),
+}
+
+
+class TestReplyHead:
+    """Each JSON reply's head is formatted in one string; its bytes must be
+    the ones the stdlib's ``send_response`` + ``send_header`` produce."""
+
+    @pytest.mark.parametrize("case", list(HEAD_CASES))
+    def test_head_bytes_match_the_stdlib(self, service, clock, monkeypatch, case):
+        data, change_state, status, tail = HEAD_CASES[case]
+        if change_state is not None:
+            change_state(monkeypatch, service.state)
+        reply = exchange(service, data)
+        _head, separator, body = reply.partition(b"\r\n\r\n")
+        assert separator and json.loads(body)
+        headers = [("Content-Type", "application/json"), ("Content-Length", str(len(body)))]
+        assert reply == stdlib_head(status, headers + tail) + body
+
+    def test_date_is_imf_fixdate_and_follows_the_clock(self, service, clock):
+        dates = []
+        for now in (CLOCK, CLOCK + 0.7, CLOCK + 1.0, CLOCK + 61.5):
+            clock.now = now
+            dates.append(only_reply(service, plain_post()).headers["date"])
+        assert all(IMF_FIXDATE.fullmatch(date) for date in dates), dates
+        assert dates[0] == dates[1] != dates[2] != dates[3]
+        assert dates == [
+            email.utils.formatdate(now, usegmt=True)
+            for now in (CLOCK, CLOCK + 0.7, CLOCK + 1.0, CLOCK + 61.5)
+        ]
+
+    def test_json_replies_are_access_logged(self, service, caplog):
+        caplog.set_level(logging.INFO, logger=service_server.__name__)
+        only_reply(service, plain_post())
+        only_reply(service, b"GET /no-such-endpoint HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        lines = [record.getMessage() for record in caplog.records]
+        assert any(line.endswith('"POST /evaluate HTTP/1.1" 200 -') for line in lines), lines
+        assert any(line.endswith('"GET /no-such-endpoint HTTP/1.1" 404 -') for line in lines)

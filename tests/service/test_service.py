@@ -82,6 +82,12 @@ class TestGetEndpoints:
         assert health["version"] == repro.__version__
         assert health["uptime_seconds"] >= 0
 
+    def test_healthz_cpu_seconds_never_decrease(self, client):
+        first = client.healthz()["cpu_seconds"]
+        client.evaluate(MODEL, BOARD, "segmentedrr", ce_count=2)
+        second = client.healthz()["cpu_seconds"]
+        assert isinstance(first, float) and 0 < first <= second
+
     def test_models_match_zoo(self, client):
         models = client.models()
         assert [entry["name"] for entry in models] == sorted(available_models())
@@ -259,6 +265,21 @@ class TestErrorPayloads:
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/healthz", {})
         assert excinfo.value.status == 405
+
+    def test_unknown_paths_share_one_request_count(self):
+        # One key for all unknown paths, while a 405 keeps its known path.
+        with EvaluationService(port=0) as fresh:
+            for path in [f"/no-such-{index}" for index in range(200)] + ["/evaluate"]:
+                connection = http.client.HTTPConnection(fresh.host, fresh.port, timeout=10)
+                try:
+                    connection.request("GET", path)
+                    assert connection.getresponse().status in (404, 405)
+                finally:
+                    connection.close()
+            client = ServiceClient(fresh.url)
+            requests = client.healthz()["requests"]
+            client.close()
+        assert requests == {service_server.UNKNOWN_PATH: 200, "/evaluate": 1}
 
     def test_invalid_json_body(self, service, client):
         request = urllib.request.Request(

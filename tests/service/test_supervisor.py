@@ -80,6 +80,9 @@ class TestFleetHealth:
             assert "requests" in worker and "runtime" in worker
         # Fleet totals are sums over the per-worker snapshots.
         assert health["errors"] == sum(w["errors"] for w in health["workers"])
+        assert health["cpu_seconds"] == pytest.approx(
+            sum(w["cpu_seconds"] for w in health["workers"])
+        )
         assert health["shared_cache"]["entries"] == 0
 
     def test_requests_counted_across_fleet(self, fleet):
