@@ -21,7 +21,6 @@ from repro.core.cost.model import default_model
 from repro.core.notation import ArchitectureSpec, BlockSpec
 from repro.core.segmentation import balanced_segments
 from repro.hw.datatypes import INT8, INT16, Precision
-from benchmarks.conftest import emit
 
 
 def _segmented_spec(specs, ce_count, refine):
@@ -33,7 +32,7 @@ def _segmented_spec(specs, ce_count, refine):
     )
 
 
-def test_ablation_boundary_refinement(results_dir):
+def test_ablation_boundary_refinement(emit):
     graph = resolve_model("xception")
     board = resolve_board("vcu110")
     builder = MultipleCEBuilder(graph, board)
@@ -54,13 +53,13 @@ def test_ablation_boundary_refinement(results_dir):
             reports[True].buffer_requirement_bytes
             <= reports[False].buffer_requirement_bytes
         )
-    emit(results_dir, "ablation_refinement.txt", "\n".join(lines))
+    emit("ablation_refinement.txt", "\n".join(lines))
     # Interface-aware cuts should never increase the buffer requirement,
     # and should strictly shrink it for at least one instance.
     assert all(improvements)
 
 
-def test_ablation_coarse_pipelining(results_dir):
+def test_ablation_coarse_pipelining(emit):
     graph = resolve_model("resnet50")
     board = resolve_board("zcu102")
     builder = MultipleCEBuilder(graph, board)
@@ -80,7 +79,7 @@ def test_ablation_coarse_pipelining(results_dir):
             f"{report.accelerator_name:<24}{report.latency_ms:>12.2f}"
             f"{report.throughput_fps:>8.1f}{report.buffer_requirement_mib:>12.2f}"
         )
-    emit(results_dir, "ablation_coarse_pipelining.txt", "\n".join(lines))
+    emit("ablation_coarse_pipelining.txt", "\n".join(lines))
     # Inter-segment pipelining buys throughput and pays in buffers
     # (double-buffered interfaces), leaving single-image latency ~equal.
     assert reports[True].throughput_fps > 1.5 * reports[False].throughput_fps
@@ -89,7 +88,7 @@ def test_ablation_coarse_pipelining(results_dir):
     )
 
 
-def test_ablation_precision(results_dir):
+def test_ablation_precision(emit):
     graph = resolve_model("resnet50")
     board = resolve_board("zc706")
     model = default_model()
@@ -105,7 +104,7 @@ def test_ablation_precision(results_dir):
             f"{name:<10}{report.latency_ms:>12.2f}{report.throughput_fps:>8.1f}"
             f"{report.buffer_requirement_mib:>12.2f}{report.access_mib:>12.1f}"
         )
-    emit(results_dir, "ablation_precision.txt", "\n".join(lines))
+    emit("ablation_precision.txt", "\n".join(lines))
     # Halving the data width must halve the buffer requirement exactly and
     # cut accesses at least proportionally (smaller data also fits better).
     assert reports["int8"].buffer_requirement_bytes == pytest.approx(
@@ -116,7 +115,7 @@ def test_ablation_precision(results_dir):
     assert reports["int8"].latency_cycles < reports["int16"].latency_cycles
 
 
-def test_ablation_dual_tail(results_dir):
+def test_ablation_dual_tail(emit):
     model_names = ("mobilenetv2", "xception")
     lines = [f"{'model':<14}{'variant':<12}{'latency ms':>12}{'FPS':>8}{'buffer MiB':>12}"]
     for model_name in model_names:
@@ -131,18 +130,13 @@ def test_ablation_dual_tail(results_dir):
         # intermediate's buffer saving (Section II-C variant).
         assert dual.buffer_requirement_bytes <= plain.buffer_requirement_bytes
         assert dual.accesses.total_bytes <= plain.accesses.total_bytes * 1.01
-    emit(results_dir, "ablation_dual_tail.txt", "\n".join(lines))
+    emit("ablation_dual_tail.txt", "\n".join(lines))
 
 
-def test_benchmark_ablation_unit(benchmark):
+def test_ablation_unit():
     graph = resolve_model("xception")
     board = resolve_board("vcu110")
     builder = MultipleCEBuilder(graph, board)
-    model = default_model()
-
-    def run():
-        spec = _segmented_spec(builder.conv_specs, 6, refine=True)
-        return model.evaluate(builder.build(spec))
-
-    report = benchmark(run)
+    spec = _segmented_spec(builder.conv_specs, 6, refine=True)
+    report = default_model().evaluate(builder.build(spec))
     assert report.throughput_fps > 0

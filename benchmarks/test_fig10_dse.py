@@ -3,9 +3,10 @@
 
 The paper samples 100,000 designs of a ~97-billion-point space in 10.5
 minutes (6.3 ms/design). We sample a smaller slice (the per-design cost is
-what matters — see the timing benchmark) and verify the headline claims:
-custom designs match the best Segmented throughput with substantially less
-buffer, and the best customs beat its throughput outright.
+what matters — see ``test_speed_evaluation.py``) and verify the headline
+claims: custom designs match the best Segmented throughput with
+substantially less buffer, and the best customs beat its throughput
+outright.
 """
 
 import pytest
@@ -13,7 +14,6 @@ import pytest
 from repro.analysis.reporting import architecture_of
 from repro.api import resolve_board, resolve_model, sweep
 from repro.dse import CustomDesignSpace, DesignEvaluator, random_search
-from benchmarks.conftest import emit
 
 MODEL = "xception"
 BOARD = "vcu110"
@@ -36,12 +36,11 @@ def search_result():
     return space, random_search(evaluator, space, samples=SAMPLES, seed=2025)
 
 
-def test_regenerate_fig10(search_result, baseline_best_segmented, results_dir):
+def test_regenerate_fig10(search_result, baseline_best_segmented, emit):
     space, result = search_result
     lines = [
         f"design space size: {space.size():,}",
         f"sampled designs:   {result.stats.evaluated}",
-        f"evaluation speed:  {result.stats.ms_per_design:.2f} ms/design",
         f"baseline (best Segmented): {baseline_best_segmented.accelerator_name} "
         f"{baseline_best_segmented.throughput_fps:.1f} FPS, "
         f"{baseline_best_segmented.buffer_requirement_mib:.2f} MiB",
@@ -83,22 +82,15 @@ def test_regenerate_fig10(search_result, baseline_best_segmented, results_dir):
     )
     assert best.throughput_fps >= baseline_best_segmented.throughput_fps
 
-    emit(results_dir, "fig10.txt", "\n".join(lines))
+    emit("fig10.txt", "\n".join(lines))
 
 
-def test_benchmark_design_evaluation(benchmark):
-    """The §V-E speed claim: one MCCM evaluation in single-digit ms."""
+def test_design_evaluation():
+    """Every sampled custom design either evaluates or is infeasible."""
     graph = resolve_model(MODEL)
     board = resolve_board(BOARD)
     evaluator = DesignEvaluator(graph, board)
     space = CustomDesignSpace(graph.conv_specs())
-    designs = list(space.sample(256, seed=7))
-    state = {"i": 0}
-
-    def evaluate_next():
-        design = designs[state["i"] % len(designs)]
-        state["i"] += 1
-        return evaluator.evaluate(design)
-
-    report = benchmark(evaluate_next)
-    assert report is None or report.latency_cycles > 0
+    for design in space.sample(256, seed=7):
+        report = evaluator.evaluate(design)
+        assert report is None or report.latency_cycles > 0

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.pareto import scatter_points
 from repro.analysis.reporting import architecture_of
 from repro.api import sweep
-from benchmarks.conftest import emit
 
 MODEL = "resnet50"
 BOARD = "zc706"
@@ -18,7 +17,7 @@ def reports():
     return sweep(MODEL, BOARD)
 
 
-def test_regenerate_fig5(reports, results_dir):
+def test_regenerate_fig5(reports, emit):
     points = scatter_points(reports, "access")
     lines = [f"{'instance':<18}{'FPS':>8}{'access MiB':>12}"]
     lines.append("-" * len(lines[0]))
@@ -36,7 +35,7 @@ def test_regenerate_fig5(reports, results_dir):
             f"({best_thr.throughput_fps:.1f} FPS), minimum accesses "
             f"{best_acc.accelerator_name} ({best_acc.access_mib:.1f} MiB)"
         )
-    emit(results_dir, "fig5.txt", "\n".join(lines))
+    emit("fig5.txt", "\n".join(lines))
 
     # Shape: SegmentedRR sits to the high-access side of the plot.
     rr_min = min(r.accesses.total_bytes for r in families["SegmentedRR"])
@@ -44,6 +43,6 @@ def test_regenerate_fig5(reports, results_dir):
     assert rr_min > min(r.accesses.total_bytes for r in families["Segmented"])
 
 
-def test_benchmark_fig5_sweep(benchmark):
-    reports = benchmark(sweep, MODEL, BOARD, ["segmentedrr"], [2, 3])
+def test_fig5_sweep():
+    reports = sweep(MODEL, BOARD, ["segmentedrr"], [2, 3])
     assert len(reports) == 2

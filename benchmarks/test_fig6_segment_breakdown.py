@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis.bottleneck import profile_bottlenecks
 from repro.api import evaluate
-from benchmarks.conftest import emit
 
 MODEL = "resnet50"
 BOARD = "zc706"
@@ -23,12 +22,12 @@ def segmented7():
     return evaluate(MODEL, BOARD, "segmented", ce_count=7)
 
 
-def test_regenerate_fig6(rr2, segmented7, results_dir):
+def test_regenerate_fig6(rr2, segmented7, emit):
     profile_a = profile_bottlenecks(rr2)
     profile_b = profile_bottlenecks(segmented7)
     text = "(a) SegmentedRR, 2 CEs\n" + profile_a.table()
     text += "\n\n(b) Segmented, 7 CEs\n" + profile_b.table()
-    emit(results_dir, "fig6.txt", text)
+    emit("fig6.txt", text)
 
     # Fig. 6a: 27 segments; the memory-bound ones cluster in the deep
     # layers; a substantial share of time is spent idle waiting for data.
@@ -43,6 +42,5 @@ def test_regenerate_fig6(rr2, segmented7, results_dir):
     assert profile_b.idle_fraction < profile_a.idle_fraction
 
 
-def test_benchmark_profile(benchmark, rr2):
-    profile = benchmark(profile_bottlenecks, rr2)
-    assert profile.segments
+def test_profile(rr2):
+    assert profile_bottlenecks(rr2).segments

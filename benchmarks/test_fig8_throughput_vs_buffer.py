@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.pareto import report_front, scatter_points
 from repro.analysis.reporting import architecture_of
 from repro.api import sweep
-from benchmarks.conftest import emit
 
 MODEL = "xception"
 BOARD = "vcu110"
@@ -18,7 +17,7 @@ def reports():
     return sweep(MODEL, BOARD)
 
 
-def test_regenerate_fig8(reports, results_dir):
+def test_regenerate_fig8(reports, emit):
     points = scatter_points(reports, "buffers")
     lines = [f"{'instance':<18}{'FPS':>8}{'buffer MiB':>12}"]
     lines.append("-" * len(lines[0]))
@@ -28,7 +27,7 @@ def test_regenerate_fig8(reports, results_dir):
     lines.append(
         "pareto front: " + ", ".join(report.accelerator_name for report in front)
     )
-    emit(results_dir, "fig8.txt", "\n".join(lines))
+    emit("fig8.txt", "\n".join(lines))
 
     families = {}
     for report in reports:
@@ -51,8 +50,8 @@ def test_regenerate_fig8(reports, results_dir):
     assert rr_min_buf > min_buf.buffer_requirement_bytes
 
 
-def test_benchmark_fig8_instance(benchmark):
+def test_fig8_instance():
     from repro.api import evaluate
 
-    report = benchmark(evaluate, MODEL, BOARD, "hybrid", 7)
+    report = evaluate(MODEL, BOARD, "hybrid", 7)
     assert report.buffer_requirement_bytes > 0

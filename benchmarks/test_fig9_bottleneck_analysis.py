@@ -11,7 +11,6 @@ from repro.analysis.utilization import (
     slowest_segment,
 )
 from repro.api import evaluate
-from benchmarks.conftest import emit
 
 MODEL = "xception"
 BOARD = "vcu110"
@@ -27,7 +26,7 @@ def hybrid7():
     return evaluate(MODEL, BOARD, "hybrid", ce_count=7)
 
 
-def test_regenerate_fig9(segmented4, hybrid7, results_dir):
+def test_regenerate_fig9(segmented4, hybrid7, emit):
     lines = ["(a) per-segment buffer shares (normalized to each total)"]
     for label, report in (("Segmented-4", segmented4), ("Hybrid-7", hybrid7)):
         shares = normalized_buffer_shares(report)
@@ -40,7 +39,7 @@ def test_regenerate_fig9(segmented4, hybrid7, results_dir):
     for label, matrix in zip(("Segmented-4", "Hybrid-7"), matrices):
         rendered = "  ".join(f"{value:.2f}" for value in matrix)
         lines.append(f"{label:<14}{rendered}")
-    emit(results_dir, "fig9.txt", "\n".join(lines))
+    emit("fig9.txt", "\n".join(lines))
 
     # Shape (paper's reading): the Segmented's buffer bottleneck sits in its
     # first segments — and much more sharply than the Hybrid's, whose
@@ -59,6 +58,6 @@ def test_regenerate_fig9(segmented4, hybrid7, results_dir):
     assert 0 <= hybrid_slowest < len(hybrid7.segments)
 
 
-def test_benchmark_utilization(benchmark, segmented4):
-    shares = benchmark(normalized_buffer_shares, segmented4)
+def test_utilization(segmented4):
+    shares = normalized_buffer_shares(segmented4)
     assert len(shares) == len(segmented4.segments)

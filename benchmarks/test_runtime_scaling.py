@@ -13,9 +13,9 @@ DSE run (Xception on VCU110, the Fig. 10 setting) evaluated
 * again against a warm on-disk cache — the cache-hit rate must be
   positive (it is in fact 100%) and the run dramatically faster.
 
-Shared CI runners advertise more vCPUs than they reliably deliver, so the
-hard >= 2x parallel assertion is opt-in via ``MCCM_REQUIRE_SPEEDUP=1``;
-the measured ratios are always recorded in ``results/runtime_scaling.txt``.
+The wall-clock ratios depend on the host (shared CI runners advertise more
+vCPUs than they reliably deliver), so they are printed, not asserted;
+perfbench (``perfbench/``) is the gated timing harness.
 """
 
 import os
@@ -23,7 +23,7 @@ import time
 
 from repro.api import resolve_board, resolve_model
 from repro.dse import CustomDesignSpace, DesignEvaluator, sample_space
-from benchmarks.conftest import emit
+from benchmarks.conftest import show
 
 MODEL = "xception"
 BOARD = "vcu110"
@@ -38,7 +38,7 @@ def _timed_run(evaluator, space, **kwargs):
     return results, stats, time.perf_counter() - start
 
 
-def test_runtime_scaling(results_dir, tmp_path):
+def test_runtime_scaling(tmp_path):
     graph = resolve_model(MODEL)
     board = resolve_board(BOARD)
     space = CustomDesignSpace(graph.conv_specs())
@@ -90,7 +90,7 @@ def test_runtime_scaling(results_dir, tmp_path):
         f"warm disk cache:      {cached_time:8.2f} s   "
         f"speedup {cache_speedup:.2f}x, hit rate {100 * hit_rate:.0f}%\n"
     )
-    emit(results_dir, "runtime_scaling.txt", text)
+    show("runtime scaling", text)
 
     # Correctness: parallelism and caching must not change a single result.
     assert [(d, r) for d, r in parallel] == [(d, r) for d, r in serial]
@@ -105,15 +105,8 @@ def test_runtime_scaling(results_dir, tmp_path):
     assert cached_stats.cache_hits > 0
     assert hit_rate == 1.0
 
-    # Parallel effectiveness: only measurable with real (non-SMT,
-    # uncontended) cores to spend — CI runners advertise 4 vCPUs but
-    # deliver ~2 contended cores, so the hard >=2x gate is opt-in.
-    if os.environ.get("MCCM_REQUIRE_SPEEDUP"):
-        assert cpus >= PARALLEL_JOBS, f"need >= {PARALLEL_JOBS} CPUs, have {cpus}"
-        assert speedup >= 2.0, f"expected >=2x with {PARALLEL_JOBS} jobs, got {speedup:.2f}x"
 
-
-def test_benchmark_cached_hit(benchmark):
+def test_cached_hit():
     graph = resolve_model(MODEL)
     board = resolve_board(BOARD)
     space = CustomDesignSpace(graph.conv_specs())
@@ -121,10 +114,7 @@ def test_benchmark_cached_hit(benchmark):
     designs = list(space.sample(32, seed=1))
     warm = evaluator.evaluate_batch(designs)
 
-    def replay():
-        return evaluator.evaluate_batch(designs)
-
-    reports = benchmark(replay)
+    reports = evaluator.evaluate_batch(designs)
     assert reports == warm
     assert any(r is not None for r in reports)
     assert evaluator.runtime.last_run.cache_hits == len(designs)

@@ -12,14 +12,12 @@ fastest model/board pair) from many client threads at one
 
 A second experiment compares pre-forked fleets: ``repro serve --workers 1``
 vs ``--workers 4`` under the open-loop Poisson ramp of ``repro loadtest``,
-producing the saturation curves in ``results/loadtest.json`` /
-``loadtest.txt`` plus a scaling section in ``service_throughput.txt``.
+and prints both saturation curves.
 
-Wall-clock latency assertions only hold on uncontended hardware (this
-container has 1 CPU and CI vCPUs are shared), so the hard latency gate is
-opt-in via ``MCCM_REQUIRE_SPEEDUP=1`` and the fleet-scaling assertion is
-gated on ``os.cpu_count() > 1`` and on the two fleets saturating at
-different ramp stages; the measured numbers are always recorded.
+Wall-clock numbers depend on the host, so the request rates are printed,
+not asserted (perfbench's ``http-evaluate`` is the gated serving
+benchmark). The fleet-scaling assertion is gated on ``os.cpu_count() > 1``
+and on the two fleets saturating at different ramp stages.
 """
 
 import json
@@ -32,7 +30,7 @@ import pytest
 from repro.api import evaluate as api_evaluate
 from repro.service import EvaluationService, ServiceClient, format_loadtest
 from repro.service.loadtest import run_worker_comparison
-from benchmarks.conftest import emit
+from benchmarks.conftest import show
 
 MODEL = "squeezenet"
 BOARD = "zc706"
@@ -47,10 +45,6 @@ LOADTEST_RATES = (100.0, 300.0)
 LOADTEST_DURATION = 1.5
 LOADTEST_CLIENT_THREADS = 16
 
-#: ``service_throughput.txt`` sections, written by whichever of the two
-#: tests have run; a full benchmark run produces both, in this order.
-_SECTIONS = {}
-
 
 def _saturation_stage(run):
     """Offered rate of the ramp stage a run's ``saturation_rps`` comes from
@@ -62,13 +56,6 @@ def _saturation_stage(run):
     if not clean:
         return None
     return max(clean, key=lambda stage: stage["achieved_rps"])["target_rps"]
-
-
-def _emit_throughput(results_dir):
-    text = "\n".join(
-        _SECTIONS[name] for name in ("single", "fleet") if name in _SECTIONS
-    )
-    emit(results_dir, "service_throughput.txt", text)
 
 
 def _request_mix():
@@ -109,7 +96,7 @@ def _fire(url, mix):
     return results, time.perf_counter() - start
 
 
-def test_service_throughput(results_dir):
+def test_service_throughput():
     mix = _request_mix()
     expected = {
         (architecture, ce_count): api_evaluate(
@@ -140,8 +127,7 @@ def test_service_throughput(results_dir):
         f"server-side:          {runtime['evaluations']} evaluations, "
         f"{runtime['cache_hits']} cache hits over {runtime['submitted']} submissions\n"
     )
-    _SECTIONS["single"] = text
-    _emit_throughput(results_dir)
+    show("service throughput", text)
 
     # Correctness: every response matches its own request's direct result.
     for (architecture, ce_count), result in zip(mix, cold):
@@ -157,23 +143,16 @@ def test_service_throughput(results_dir):
     assert runtime["evaluations"] == len(expected)
     assert runtime["submitted"] == 2 * total
 
-    # Hard latency gates need uncontended cores; opt-in like the runtime
-    # scaling benchmark.
-    if os.environ.get("MCCM_REQUIRE_SPEEDUP"):
-        assert warm_rps >= 200, f"warm replay too slow: {warm_rps:.1f} req/s"
-        assert warm_time <= cold_time, "warm replay slower than the cold pass"
-
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="pre-forked fleet needs os.fork")
-def test_multiworker_loadtest(results_dir):
+def test_multiworker_loadtest():
     """Saturation curves at workers=1 vs workers=4 (``repro loadtest``).
 
     Spawns real ``repro serve --workers N`` subprocesses and rams open-loop
-    Poisson load at each; the curves land in ``results/loadtest.json`` /
-    ``loadtest.txt`` and the comparison is appended to
-    ``service_throughput.txt``. The >=2x scaling assertion only makes sense
-    with cores to scale onto, so it is gated on ``os.cpu_count() > 1`` —
-    on a 1-CPU container the numbers are still recorded, honestly flat.
+    Poisson load at each, then prints both curves. The >=2x scaling
+    assertion only makes sense with cores to scale onto, so it is gated on
+    ``os.cpu_count() > 1`` — on a 1-CPU container the numbers are still
+    printed, honestly flat.
     """
     comparison = run_worker_comparison(
         WORKER_COUNTS,
@@ -184,16 +163,8 @@ def test_multiworker_loadtest(results_dir):
         board=BOARD,
         client_threads=LOADTEST_CLIENT_THREADS,
     )
-    text = format_loadtest(comparison)
-    emit(results_dir, "loadtest.txt", text)
-    (results_dir / "loadtest.json").write_text(
-        json.dumps(comparison, indent=2) + "\n"
-    )
-    _SECTIONS["fleet"] = (
-        f"multi-worker loadtest (open-loop Poisson, cpu_count="
-        f"{comparison['cpu_count']}):\n{text}"
-    )
-    _emit_throughput(results_dir)
+    show("loadtest", format_loadtest(comparison))
+    show("loadtest JSON", json.dumps(comparison, indent=2))
 
     by_workers = {run["workers"]: run for run in comparison["runs"]}
     for workers in WORKER_COUNTS:
@@ -225,14 +196,11 @@ def test_multiworker_loadtest(results_dir):
         )
 
 
-def test_benchmark_warm_evaluate(benchmark):
-    """pytest-benchmark unit: one warm ``/evaluate`` HTTP round-trip."""
+def test_warm_evaluate():
+    """A warm ``/evaluate`` replay is served from the cache, unchanged."""
     with EvaluationService(port=0) as service:
         client = ServiceClient(service.url)
         first = client.evaluate(MODEL, BOARD, "segmentedrr", ce_count=2)
-
-        result = benchmark(
-            lambda: client.evaluate(MODEL, BOARD, "segmentedrr", ce_count=2)
-        )
+        result = client.evaluate(MODEL, BOARD, "segmentedrr", ce_count=2)
     assert result.cached
     assert result.report == first.report

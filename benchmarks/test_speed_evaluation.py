@@ -8,16 +8,14 @@ time, since no FPGA toolchain exists in this environment.
 
 import time
 
-import pytest
-
 from repro.api import build_accelerator, evaluate
 from repro.core.cost.model import default_model
-from benchmarks.conftest import emit
+from benchmarks.conftest import show
 
 SYNTHESIS_SECONDS = 3600.0  # the paper's "roughly an hour" per design
 
 
-def test_regenerate_speed_claim(results_dir):
+def test_regenerate_speed_claim():
     # Warm the parallelism caches the way a DSE run would.
     evaluate("xception", "vcu110", "hybrid", ce_count=5)
     runs = 100
@@ -34,25 +32,22 @@ def test_regenerate_speed_claim(results_dir):
         f"synthesis (paper):  {SYNTHESIS_SECONDS:.0f} s/design\n"
         f"speedup:            {speedup:,.0f}x"
     )
-    emit(results_dir, "speed.txt", text)
+    show("evaluation speed", text)
     # The paper claims "in the order of 100000x"; require at least 10^4.
     assert speedup > 1e4
 
 
-def test_benchmark_evaluate_cached_model(benchmark):
-    report = benchmark(evaluate, "resnet50", "zc706", "hybrid", 5)
+def test_evaluate_cached_model():
+    report = evaluate("resnet50", "zc706", "hybrid", 5)
     assert report.latency_cycles > 0
 
 
-def test_benchmark_build_only(benchmark):
-    accelerator = benchmark(
-        build_accelerator, "resnet50", "zc706", "segmentedrr", 4
-    )
+def test_build_only():
+    accelerator = build_accelerator("resnet50", "zc706", "segmentedrr", 4)
     assert accelerator.total_pes == 900
 
 
-def test_benchmark_cost_model_only(benchmark):
+def test_cost_model_only():
     accelerator = build_accelerator("resnet50", "zc706", "segmentedrr", 4)
-    model = default_model()
-    report = benchmark(model.evaluate, accelerator)
+    report = default_model().evaluate(accelerator)
     assert report.latency_cycles > 0

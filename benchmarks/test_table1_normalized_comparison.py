@@ -15,7 +15,6 @@ from repro.analysis.reporting import (
     normalized_comparison,
 )
 from repro.api import evaluate, sweep
-from benchmarks.conftest import emit
 
 MODEL = "resnet50"
 BOARD = "zcu102"
@@ -33,10 +32,10 @@ def representative_reports():
     ]
 
 
-def test_regenerate_table1(representative_reports, results_dir):
+def test_regenerate_table1(representative_reports, emit):
     table = normalized_comparison(representative_reports)
     text = comparison_table(representative_reports)
-    emit(results_dir, "table1.txt", text)
+    emit("table1.txt", text)
 
     # Shape assertions mirroring the paper's reading of Table I:
     by_family = {architecture_of(r): table[r.accelerator_name] for r in representative_reports}
@@ -52,6 +51,6 @@ def test_regenerate_table1(representative_reports, results_dir):
         ) == 0
 
 
-def test_benchmark_single_evaluation(benchmark):
-    report = benchmark(evaluate, MODEL, BOARD, "segmentedrr", 2)
+def test_single_evaluation():
+    report = evaluate(MODEL, BOARD, "segmentedrr", 2)
     assert report.latency_cycles > 0

@@ -12,7 +12,6 @@ from repro.core.cost.model import default_model
 from repro.synth.simulator import SynthesisSimulator
 from repro.synth.validate import VALIDATION_METRICS, ValidationRecord, ValidationSummary
 from repro.utils.errors import MCCMError
-from benchmarks.conftest import emit
 
 BOARD = "vcu108"
 
@@ -40,12 +39,12 @@ def summary():
     return result
 
 
-def test_regenerate_table4(summary, results_dir):
+def test_regenerate_table4(summary, emit):
     text = summary.table()
     text += f"\n\nexperiments: {len(summary.records)}"
     for metric in VALIDATION_METRICS:
         text += f"\noverall average {metric}: {summary.average(metric):.1f}%"
-    emit(results_dir, "table4.txt", text)
+    emit("table4.txt", text)
 
     # Paper claims: average accuracy > 90% for every architecture, and
     # off-chip access estimation is exact.
@@ -56,11 +55,8 @@ def test_regenerate_table4(summary, results_dir):
         assert summary.stat("accesses", architecture, "min") == pytest.approx(100.0)
 
 
-def test_benchmark_one_validation(benchmark):
-    def run_one():
-        accelerator = build_accelerator("mobilenetv2", BOARD, "hybrid", ce_count=4)
-        report = default_model().evaluate(accelerator)
-        return SynthesisSimulator(accelerator).run(), report
-
-    simulation, report = benchmark(run_one)
+def test_one_validation():
+    accelerator = build_accelerator("mobilenetv2", BOARD, "hybrid", ce_count=4)
+    report = default_model().evaluate(accelerator)
+    simulation = SynthesisSimulator(accelerator).run()
     assert simulation.access_bytes == report.accesses.total_bytes

@@ -13,7 +13,8 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help=(
-            "rewrite tests/data/golden_reports/ from current model output "
-            "instead of diffing against it (review the diff before committing)"
+            "rewrite the golden corpora in tests/data/ and the paper "
+            "artifacts in benchmarks/results/ from current model output "
+            "instead of diffing against them (review the diff before committing)"
         ),
     )

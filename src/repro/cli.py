@@ -15,8 +15,6 @@ Subcommands mirror the library's use cases:
   port and disk cache.
 * ``loadtest`` — open-loop Poisson load generator for the service:
   saturation curve, p50/p95/p99 latency, error taxonomy.
-* ``bench`` — time the evaluation hot path: cold vs segment-cached vs
-  fingerprint-cached (``docs/performance.md``).
 * ``models`` / ``boards`` — ``list`` the registered CNNs and FPGAs or
   ``register`` user-defined JSON ones (persisted in the workload
   directory, ``$MCCM_WORKLOAD_DIR``); ``evaluate``/``sweep``/``dse``/
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -439,6 +438,10 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
     else:
         from repro.dse.events import read_events
 
+        # read_events reads a missing log as empty, which resume and stream
+        # serving rely on; here it would hide a mistyped path.
+        if not os.path.exists(args.log):
+            raise MCCMError(f"cannot read event log {args.log}: no such file")
         events = (event.to_dict() for event in read_events(args.log, after=args.after))
     status = 0
     for event in events:
@@ -453,34 +456,6 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
         if event.get("type") == "error":
             status = 1
     return status
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Imported here so plain CLI runs never pay for the bench harness.
-    from repro.runtime.bench import (
-        check_hotpath_result,
-        format_hotpath_result,
-        run_hotpath_benchmark,
-        write_hotpath_json,
-    )
-
-    samples = min(args.samples, 24) if args.quick else args.samples
-    result = run_hotpath_benchmark(
-        model=args.model, board=args.board, samples=samples, seed=args.seed
-    )
-    if args.output:
-        write_hotpath_json(result, args.output)
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(format_hotpath_result(result))
-    if args.quick:
-        problems = check_hotpath_result(result)
-        if problems:
-            for problem in problems:
-                print(f"error: {problem}", file=sys.stderr)
-            return 1
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -821,28 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print each event as one canonical JSON line instead of the table",
     )
     sub.set_defaults(func=_cmd_campaign_watch)
-
-    cmd = commands.add_parser(
-        "bench", help="time the evaluation hot path (cold vs cached)"
-    )
-    cmd.add_argument("--model", default="xception", help="zoo model name")
-    cmd.add_argument("--board", default="vcu110", help="board name")
-    cmd.add_argument(
-        "--samples", type=_positive_int, default=96, help="designs to sample"
-    )
-    cmd.add_argument("--seed", type=int, default=2025)
-    cmd.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: <= 24 samples, exit 1 unless segment-cached "
-        "evaluation beats cold by >= 2x with bit-identical reports",
-    )
-    cmd.add_argument("--json", action="store_true", help="emit the JSON result")
-    cmd.add_argument(
-        "--output", metavar="FILE", default=None,
-        help="also write the JSON result to FILE (e.g. benchmarks/results/hotpath.json)",
-    )
-    cmd.set_defaults(func=_cmd_bench)
 
     cmd = commands.add_parser(
         "serve", help="run the concurrent HTTP evaluation service"

@@ -26,8 +26,8 @@ same builder/model objects a serial caller would use, so single-process
 results are bit-identical to the pre-runtime code path. The default
 ``jobs="auto"`` only forks when it can plausibly win: never on a 1-CPU
 host, and never for a batch whose miss count is too small to amortize
-pool startup — ``benchmarks/results/runtime_scaling.txt`` documents the
-sub-1x "speedup" that forcing a pool on a small host actually delivers.
+pool startup — ``benchmarks/test_runtime_scaling.py`` prints the sub-1x
+"speedup" that forcing a pool on a small host actually delivers.
 """
 
 from __future__ import annotations

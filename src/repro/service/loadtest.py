@@ -6,7 +6,7 @@ answers, so the measured latency includes the queueing a saturated server
 actually inflicts (a closed loop would politely slow its offered load to
 match the server and hide the saturation knee). Each stage of the ramp
 holds one target rate for a fixed duration; the stage results together
-form the saturation curve written to ``benchmarks/results/loadtest.json``.
+form the saturation curve (``repro loadtest --output FILE`` writes it).
 
 Latency is measured from the *scheduled* arrival, so client-side queueing
 counts against the service, and errors are kept as a taxonomy (HTTP error

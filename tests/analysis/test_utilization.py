@@ -39,6 +39,7 @@ class TestBufferShares:
     def test_shares_sum_to_one(self, pair):
         for report in pair:
             shares = normalized_buffer_shares(report)
+            assert len(shares) == len(report.segments)
             assert sum(shares) == pytest.approx(1.0)
             assert all(share >= 0.0 for share in shares)
 

@@ -7,6 +7,8 @@ bad inputs must exit with status 2 and an ``error:`` line — not a traceback.
 
 import json
 
+import pytest
+
 from repro.api import evaluate as api_evaluate
 from repro.api import sweep as api_sweep
 from repro.cli import build_parser, main
@@ -163,26 +165,12 @@ class TestExitCodes:
         assert code == 2
         assert "unknown model" in capsys.readouterr().err
 
-    def test_bench_unwritable_output(self, tmp_path, capsys):
-        blocker = tmp_path / "regular-file"
-        blocker.write_text("")
-        code = main(
-            ["bench", "--quick", "--model", MODEL, "--board", BOARD,
-             "--output", str(blocker / "x.json")]
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: cannot write")
-
-    def test_bench_output_creates_parent_dirs(self, tmp_path, capsys):
-        target = tmp_path / "nested" / "results" / "hotpath.json"
-        code = main(
-            ["bench", "--samples", "8", "--model", MODEL, "--board", BOARD,
-             "--output", str(target), "--json"]
-        )
-        assert code == 0
-        assert json.loads(target.read_text()) == json.loads(capsys.readouterr().out)
-        # Written atomically: no temp file is left next to the result.
-        assert [path.name for path in target.parent.iterdir()] == ["hotpath.json"]
+    def test_bench_command_removed(self, capsys):
+        """perfbench is the timing harness; ``repro bench`` is gone."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def _campaign_spec(self, tmp_path):
         spec = tmp_path / "spec.json"

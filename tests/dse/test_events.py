@@ -447,6 +447,17 @@ class TestWatchCli:
         assert main(["campaign", "watch", "--log", str(log)]) == 1
         assert "error: m (E)" in capsys.readouterr().out
 
+    def test_missing_log_exits_two(self, tmp_path, capsys):
+        """A mistyped path is an error here, although ``read_events``
+        reads a missing file as empty."""
+        from repro.cli import main
+
+        missing = tmp_path / "typo.events"
+        assert main(["campaign", "watch", "--log", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read event log {missing}: no such file\n"
+
     def test_requires_exactly_one_source(self, capsys):
         from repro.cli import main
 

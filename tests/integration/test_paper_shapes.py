@@ -33,6 +33,8 @@ def by_family(reports):
 class TestFig5Shapes:
     def test_all_thirty_instances_evaluate(self, resnet_zc706):
         assert len(resnet_zc706) == 30
+        # Each instance spends exactly the ZC706's 900 PEs.
+        assert {report.total_pes for report in resnet_zc706} == {900}
 
     def test_segmentedrr_has_most_accesses(self, resnet_zc706):
         families = by_family(resnet_zc706)

@@ -1,11 +1,11 @@
 """``clear_process_caches`` keeps cold measurements cold.
 
-Cold benchmarks (``repro bench``'s cold rung, perfbench's ``sweep-cold``)
-reset the process-global memos before each measured operation. A memo the
-reset misses would let a "cold" run read warm state, so every
-``functools.lru_cache`` of the cost model's core and utility modules must
-be empty after the reset. The zoo's graph cache is set-up, not a cost-model
-memo, and is out of scope.
+Cold runs (perfbench's ``sweep-cold``, the cold evaluator in
+``test_segcache.py``) reset the process-global memos before each measured
+operation. A memo the reset misses would let a "cold" run read warm state,
+so every ``functools.lru_cache`` of the cost model's core and utility
+modules must be empty after the reset. The zoo's graph cache is set-up,
+not a cost-model memo, and is out of scope.
 """
 
 import importlib

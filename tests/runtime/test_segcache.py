@@ -19,6 +19,7 @@ from repro.core.cost.model import MCCM
 from repro.core.notation import parse_notation
 from repro.dse.space import CustomDesignSpace
 from repro.runtime import BatchEvaluator, SegmentCostCache
+from repro.runtime.bench import clear_process_caches
 from repro.runtime.segcache import segment_key
 from repro.utils.errors import MCCMError, ResourceError
 
@@ -245,6 +246,27 @@ class TestContextIsolation:
         assert segment_key(pipelined.blocks[0]) != segment_key(single.blocks[0])
 
 
+@pytest.fixture
+def fig10_cold():
+    """The Fig. 10 setting (Xception, VCU110): 32 sampled designs, their
+    cold reports (at least one feasible) and a segment cache warmed on
+    them, each built after a reset of the process-global memos."""
+    graph = resolve_model("xception")
+    board = resolve_board("vcu110")
+    space = CustomDesignSpace(graph.conv_specs())
+    specs = [design.to_spec() for design in space.sample(32, seed=2025)]
+
+    clear_process_caches()
+    cold = BatchEvaluator(graph, board, jobs=1, segment_cache_entries=0)
+    cold_reports = cold.evaluate_specs(specs)
+    assert any(report is not None for report in cold_reports)
+
+    clear_process_caches()
+    warm = BatchEvaluator(graph, board, jobs=1)
+    warm.evaluate_specs(specs)
+    return graph, board, specs, cold_reports, warm.segment_cache
+
+
 class TestEvaluatorIntegration:
     def test_segment_cache_on_by_default(self, context):
         cnn, board = context
@@ -265,3 +287,19 @@ class TestEvaluatorIntegration:
         plain = BatchEvaluator(cnn, board, segment_cache_entries=0)
         cached = BatchEvaluator(cnn, board)
         assert plain.evaluate_specs(specs) == cached.evaluate_specs(specs)
+
+    def test_fresh_evaluator_on_warm_cache_matches_cold(self, fig10_cold):
+        """A fresh evaluator sharing a warm segment cache (all fingerprint
+        misses) reproduces the cold reports field for field."""
+        graph, board, specs, cold_reports, segment_cache = fig10_cold
+        fresh = BatchEvaluator(graph, board, jobs=1, segment_cache=segment_cache)
+        _assert_identical(cold_reports, fresh.evaluate_specs(specs))
+        assert fresh.segment_cache.hits > 0
+
+    def test_fingerprint_replay_matches_cold(self, fig10_cold):
+        """The top rung: a replay answered from the fingerprint cache."""
+        graph, board, specs, cold_reports, segment_cache = fig10_cold
+        fresh = BatchEvaluator(graph, board, jobs=1, segment_cache=segment_cache)
+        fresh.evaluate_specs(specs)
+        _assert_identical(cold_reports, fresh.evaluate_specs(specs))
+        assert fresh.last_run.cache_hits == len(specs)
