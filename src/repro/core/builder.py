@@ -16,26 +16,19 @@ cites:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cnn.graph import CNNGraph, ConvSpec
 from repro.core.blocks import PipelinedCEsBlock, SingleCEBlock
 from repro.core.dual import DualEngineBlock, has_mixed_conv_types
 from repro.core.engine import ComputeEngine
 from repro.core.notation import ArchitectureSpec, BlockSpec
-from repro.core.parallelism import ParallelismStrategy, choose_parallelism
 from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import DEFAULT_PRECISION, Precision
 from repro.utils.errors import ResourceError
 from repro.utils.mathutils import proportional_allocation
 
 Block = Union[SingleCEBlock, PipelinedCEsBlock, DualEngineBlock]
-
-#: ``(pe_budget, specs) -> strategy`` — how an engine's parallelism is
-#: fitted. The default is the full bounded search; a segment cache
-#: (:class:`repro.runtime.segcache.SegmentCostCache`) substitutes its
-#: memoized lookup.
-StrategyChooser = Callable[[int, Sequence[ConvSpec]], ParallelismStrategy]
 
 
 @dataclass
@@ -117,7 +110,6 @@ def _build_pipelined_engines(
     layers: Tuple[ConvSpec, ...],
     ce_count: int,
     pe_budget: int,
-    chooser: StrategyChooser = choose_parallelism,
 ) -> Tuple[ComputeEngine, ...]:
     """Size and fit one engine per pipeline position.
 
@@ -135,17 +127,12 @@ def _build_pipelined_engines(
             f"{block_name}: {pe_budget} PEs cannot feed {ce_count} pipelined CEs"
         )
     pe_split = proportional_allocation(pe_budget, workloads, minimum=1)
-    engines = []
-    for position, (position_specs, pes) in enumerate(zip(per_position, pe_split)):
-        fit_specs = position_specs or list(layers[:1])
-        engines.append(
-            ComputeEngine(
-                name=f"{block_name}.CE{position + 1}",
-                pe_count=pes,
-                strategy=chooser(pes, fit_specs),
-            )
+    return tuple(
+        ComputeEngine.fitted(
+            f"{block_name}.CE{position + 1}", pes, position_specs or layers[:1]
         )
-    return tuple(engines)
+        for position, (position_specs, pes) in enumerate(zip(per_position, pe_split))
+    )
 
 
 class MultipleCEBuilder:
@@ -198,31 +185,20 @@ class MultipleCEBuilder:
         layer_range = block.layer_slice()
         return self._macs_prefix[layer_range.stop] - self._macs_prefix[layer_range.start]
 
-    def build(self, spec: ArchitectureSpec, cache=None) -> Accelerator:
+    def build(self, spec: ArchitectureSpec) -> Accelerator:
         """Construct the accelerator: resolve ranges, distribute PEs, fit CEs.
 
-        ``cache`` is an optional segment cache
-        (:class:`repro.runtime.segcache.SegmentCostCache`, duck-typed so the
-        core stays independent of the runtime layer): engine fitting — the
-        dominant build cost — is then memoized per (PE budget, layer set),
-        so designs sharing segments share the fitting work. The built
-        accelerator is field-for-field identical either way.
-
-        The cache is bound to this builder's context on first use — segment
-        keys carry layer indices, not shapes, so one cache must never serve
-        two (model, board, precision) worlds; a cache already bound
-        elsewhere raises :class:`~repro.utils.errors.MCCMError` here.
+        Engine fitting — the dominant build cost — goes through
+        :func:`~repro.core.parallelism.choose_parallelism`, whose search is
+        memoized process-wide by PE budget and layer shapes, so designs
+        sharing segments share the fitting work.
         """
-        if cache is not None:
-            cache.bind(self.context)
         resolved = spec.resolved(len(self._conv_specs))
         if resolved.total_ces > self.board.pe_count:
             raise ResourceError(
                 f"{resolved.name}: {resolved.total_ces} CEs exceed the board's "
                 f"{self.board.pe_count} PEs"
             )
-
-        chooser: StrategyChooser = cache.strategy if cache is not None else choose_parallelism
 
         block_layers = [_block_layers(block, self._conv_specs) for block in resolved.blocks]
 
@@ -270,9 +246,7 @@ class MultipleCEBuilder:
             name = f"B{position + 1}"
             group = groups[position]
             if block_spec.is_pipelined:
-                engines = _build_pipelined_engines(
-                    name, layers, block_spec.ce_count, pes, chooser
-                )
+                engines = _build_pipelined_engines(name, layers, block_spec.ce_count, pes)
                 blocks.append(
                     PipelinedCEsBlock(
                         name=name,
@@ -298,7 +272,6 @@ class MultipleCEBuilder:
                             layers,
                             precision=self.precision,
                             bytes_per_cycle=bytes_per_cycle,
-                            chooser=chooser,
                         )
                     )
                 else:
@@ -308,10 +281,8 @@ class MultipleCEBuilder:
                         # Fit the engine to every layer its CE will ever
                         # process — the Section IV-B1 "optimized for the
                         # average case rather than for a unique segment".
-                        engine = ComputeEngine(
-                            name=f"{name}.CE1",
-                            pe_count=pes,
-                            strategy=chooser(pes, tuple(group_layers[group])),
+                        engine = ComputeEngine.fitted(
+                            f"{name}.CE1", pes, group_layers[group]
                         )
                         shared_engines[group] = engine
                     blocks.append(

@@ -49,8 +49,8 @@ class MCCM:
         and without a cache.
 
         The cache is trusted to belong to the accelerator's evaluation
-        context: :meth:`MultipleCEBuilder.build` binds it during the build
-        step, so pass the same cache object through both stages.
+        context: :class:`~repro.core.cost.vector.PopulationKernel` binds
+        it to its builder's context when the kernel is constructed.
         """
         footprints = self._block_footprints(accelerator, segment_cache)
         plan = self._allocate(accelerator, footprints)

@@ -3,12 +3,11 @@
 Fingerprint misses of a :class:`~repro.runtime.batch.BatchEvaluator` —
 inline batches and each pool worker alike — are evaluated here, one
 design at a time: :meth:`MultipleCEBuilder.build` lowers the spec to an
-accelerator and :meth:`MCCM.evaluate` costs it, both stages sharing one
-optional :class:`~repro.runtime.segcache.SegmentCostCache` so designs
-that repeat a segment (every DSE neighbourhood, most sweeps) reuse its
-build and costing work. The module and class keep their names because
-the benchmark's tracer (``perfbench/tracing.py``) wraps
-``PopulationKernel.evaluate`` by name.
+accelerator and :meth:`MCCM.evaluate` costs it through one optional
+:class:`~repro.runtime.segcache.SegmentCostCache`, so designs that repeat
+a segment (every DSE neighbourhood, most sweeps) reuse its costing work.
+The module and class keep their names because the benchmark's tracer
+(``perfbench/tracing.py``) wraps ``PopulationKernel.evaluate`` by name.
 """
 
 from __future__ import annotations
@@ -43,11 +42,17 @@ class PopulationKernel:
         evaluation context (one CNN × board × precision).
     segment_cache:
         Duck-typed segment table (see
-        :class:`~repro.runtime.segcache.SegmentCostCache`) shared by the
-        build and cost stages; ``None`` evaluates every design cold.
+        :class:`~repro.runtime.segcache.SegmentCostCache`) for the cost
+        stage; ``None`` evaluates every design cold. It is bound to the
+        builder's context here — segment keys carry layer indices, not
+        shapes, so one cache must never serve two (model, board,
+        precision) worlds, and a cache already bound elsewhere raises
+        :class:`~repro.utils.errors.MCCMError`.
     """
 
     def __init__(self, builder, segment_cache=None) -> None:
+        if segment_cache is not None:
+            segment_cache.bind(builder.context)
         self.builder = builder
         self.model = default_model()
         self.segment_cache = segment_cache
@@ -66,7 +71,7 @@ class PopulationKernel:
         outcomes: List[PopulationOutcome] = []
         for spec in specs:
             try:
-                accelerator = self.builder.build(spec, cache=cache)
+                accelerator = self.builder.build(spec)
                 report = self.model.evaluate(accelerator, segment_cache=cache)
             except ResourceError as error:
                 outcomes.append(

@@ -81,14 +81,9 @@ class DualEngineBlock:
         specs: Tuple[ConvSpec, ...],
         precision: Precision,
         bytes_per_cycle: float,
-        chooser=None,
     ) -> "DualEngineBlock":
         """Split ``pe_count`` between the sub-engines by workload and fit
-        each engine's parallelism to its own layer group.
-
-        ``chooser`` optionally replaces
-        :func:`~repro.core.parallelism.choose_parallelism` (the segment
-        cache passes its memoized lookup)."""
+        each engine's parallelism to its own layer group."""
         depthwise, standard = split_by_kind(specs)
         if not depthwise or not standard:
             raise ResourceError(f"{name}: layers are not mixed-type")
@@ -99,16 +94,10 @@ class DualEngineBlock:
         if pe_count < 2:
             raise ResourceError(f"{name}: needs at least 2 PEs for two engines")
         dw_pes, std_pes = proportional_allocation(pe_count, loads, minimum=1)
-        if chooser is None:
-            from repro.core.parallelism import choose_parallelism as chooser
         return cls(
             name=name,
-            dw_engine=ComputeEngine(
-                name=f"{name}.dwCE", pe_count=dw_pes, strategy=chooser(dw_pes, depthwise)
-            ),
-            std_engine=ComputeEngine(
-                name=f"{name}.stdCE", pe_count=std_pes, strategy=chooser(std_pes, standard)
-            ),
+            dw_engine=ComputeEngine.fitted(f"{name}.dwCE", dw_pes, depthwise),
+            std_engine=ComputeEngine.fitted(f"{name}.stdCE", std_pes, standard),
             specs=specs,
             precision=precision,
             bytes_per_cycle=bytes_per_cycle,

@@ -73,16 +73,10 @@ class DesignEvaluator:
         *,
         jobs: Union[int, str] = "auto",
         cache_dir: Optional[Union[str, Path]] = None,
-        segment_cache_entries: Optional[int] = None,
         runtime: Optional[BatchEvaluator] = None,
     ) -> None:
         self._runtime = runtime or BatchEvaluator(
-            graph,
-            board,
-            precision,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            segment_cache_entries=segment_cache_entries,
+            graph, board, precision, jobs=jobs, cache_dir=cache_dir
         )
 
     @property

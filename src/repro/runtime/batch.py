@@ -13,8 +13,7 @@ spend them *well*:
   per pool worker), **incrementally** through a
   :class:`~repro.runtime.segcache.SegmentCostCache`: designs sharing
   segments (every DSE neighbourhood, most sweeps) share the per-segment
-  build and costing work, with composed reports bit-identical to the
-  cold path;
+  costing work, with composed reports bit-identical to the cold path;
 * cache misses fan out over a ``multiprocessing`` worker pool with
   chunked dispatch, while results stream back to the caller **in request
   order** so downstream code stays deterministic;
@@ -183,15 +182,16 @@ class BatchEvaluator:
         processes and runs.
     segment_cache:
         Optional externally shared
-        :class:`~repro.runtime.segcache.SegmentCostCache`; it must belong
-        to this evaluator's (model, board, precision) context. Default:
-        a private cache of ``segment_cache_entries`` entries.
+        :class:`~repro.runtime.segcache.SegmentCostCache`; a cache bound
+        to another (model, board, precision) context raises
+        :class:`~repro.utils.errors.MCCMError`. Default: a private cache
+        of ``segment_cache_entries`` entries.
     segment_cache_entries:
-        Capacity of the private segment cache; ``None`` (default) uses
-        :data:`~repro.runtime.segcache.DEFAULT_SEGMENT_ENTRIES`, and ``0``
-        disables segment memoization entirely (full rebuild per
-        fingerprint miss — the pre-incremental behavior, kept for
-        benchmarking the difference).
+        Capacity of the private segment cache, ``>= 0``. ``0`` disables
+        segment memoization, so every fingerprint miss is built and
+        costed cold: the reference path that the tests and the
+        benchmark's output checks compare the segment-cached reports
+        against.
     progress:
         Default per-batch progress callback; overridable per call.
     """
@@ -205,13 +205,14 @@ class BatchEvaluator:
         jobs: Union[int, str] = "auto",
         cache_entries: int = 65536,
         cache_dir: Optional[Union[str, Path]] = None,
-        chunk_size: Optional[int] = None,
         segment_cache: Optional[SegmentCostCache] = None,
-        segment_cache_entries: Optional[int] = None,
+        segment_cache_entries: int = DEFAULT_SEGMENT_ENTRIES,
         progress: Optional[ProgressCallback] = None,
     ) -> None:
-        if segment_cache_entries is None:
-            segment_cache_entries = DEFAULT_SEGMENT_ENTRIES
+        if segment_cache_entries < 0:
+            raise ValueError(
+                f"segment_cache_entries must be >= 0, got {segment_cache_entries}"
+            )
         self._auto_jobs = jobs == "auto"
         if self._auto_jobs:
             jobs = 1
@@ -223,22 +224,14 @@ class BatchEvaluator:
         self.board = board
         self.precision = precision
         self.jobs = jobs if jobs > 0 else (multiprocessing.cpu_count() or 1)
-        self.chunk_size = chunk_size
         self.progress = progress
         self._builder = MultipleCEBuilder(graph, board, precision)
         self._context = self._builder.context
         self._memory = LRUCache(max_entries=cache_entries)
         self._disk = DiskCache(cache_dir) if cache_dir is not None else None
-        if segment_cache is not None:
-            self._segcache: Optional[SegmentCostCache] = segment_cache.bind(self._context)
-        elif segment_cache_entries > 0:
-            self._segcache = SegmentCostCache(segment_cache_entries, context=self._context)
-        else:
-            self._segcache = None
-        self._segment_entries = (
-            self._segcache.max_entries if self._segcache is not None else 0
-        )
-        self._kernel = PopulationKernel(self._builder, segment_cache=self._segcache)
+        if segment_cache is None and segment_cache_entries > 0:
+            segment_cache = SegmentCostCache(segment_cache_entries)
+        self._kernel = PopulationKernel(self._builder, segment_cache=segment_cache)
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._pool_jobs = 0
         self.last_run = RunStats(jobs=self.jobs)
@@ -252,7 +245,7 @@ class BatchEvaluator:
     @property
     def segment_cache(self) -> Optional[SegmentCostCache]:
         """This evaluator's segment cache (``None`` when disabled)."""
-        return self._segcache
+        return self._kernel.segment_cache
 
     def _effective_jobs(self, miss_count: int) -> int:
         """Workers to use for a batch with ``miss_count`` fingerprint misses.
@@ -275,10 +268,12 @@ class BatchEvaluator:
         # different auto size: worker startup dwarfs the marginal gain of
         # resizing, and results never depend on the worker count.
         if self._pool is None:
+            segcache = self.segment_cache
+            entries = segcache.max_entries if segcache is not None else 0
             self._pool = multiprocessing.Pool(
                 processes=jobs,
                 initializer=_worker_init,
-                initargs=(self.graph, self.board, self.precision, self._segment_entries),
+                initargs=(self.graph, self.board, self.precision, entries),
             )
             self._pool_jobs = jobs
         return self._pool
@@ -423,13 +418,10 @@ class BatchEvaluator:
         if jobs == 1 or len(specs) == 1:
             return map(_as_entry, self._kernel.evaluate(specs))
         pool = self._ensure_pool(jobs)
-        if self.chunk_size is not None:
-            chunk = self.chunk_size
-        else:
-            # Aim for ~4 chunks per worker: enough slack to rebalance a
-            # straggler, big enough that per-chunk pickling does not drown
-            # the sub-millisecond segment-cached evaluations.
-            chunk = max(1, min(64, ceil_div(len(specs), self._pool_jobs * 4)))
+        # Aim for ~4 chunks per worker: enough slack to rebalance a
+        # straggler, big enough that per-chunk pickling does not drown the
+        # sub-millisecond segment-cached evaluations.
+        chunk = max(1, min(64, ceil_div(len(specs), self._pool_jobs * 4)))
         return pool.imap(_worker_evaluate, specs, chunksize=chunk)
 
     def evaluate_specs(
@@ -483,6 +475,6 @@ class BatchEvaluator:
             info["disk_dir"] = str(self._disk.directory)
             info["disk_hits"] = self._disk.hits
             info["disk_misses"] = self._disk.misses
-        if self._segcache is not None:
-            info["segment_cache"] = self._segcache.info()
+        if self.segment_cache is not None:
+            info["segment_cache"] = self.segment_cache.info()
         return info

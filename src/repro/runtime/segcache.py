@@ -5,11 +5,10 @@ layer list: two designs that differ in a single cut share every other
 segment. The fingerprint cache in :mod:`repro.runtime.cache` only helps
 when the *whole design* repeats; this module memoizes the expensive
 sub-design work so that evaluating a new design degenerates to "look up
-its N segments, then run the cheap Eq. 2/3 pipeline composition":
+its N segments, then run the cheap Eq. 2/3 pipeline composition" (engine
+fitting is memoized process-wide by
+:func:`~repro.core.parallelism.choose_parallelism` itself):
 
-* **fitted parallelism** — the bounded divisor search behind
-  :func:`~repro.core.parallelism.choose_parallelism`, keyed by the PE
-  budget and the exact layer set an engine serves;
 * **buffer footprints** — a block's mandatory/ideal on-chip requirement
   (Eq. 4/5), consumed repeatedly by the BRAM allocator;
 * **block evaluations** — the full :class:`~repro.core.cost.results.BlockEvaluation`
@@ -21,8 +20,9 @@ covers plus the outcome of engine fitting (PE count, unrolling degrees,
 dataflow) and the evaluation inputs (allocated bytes, boundary bytes).
 Everything else a block's cost depends on — the CNN's conv shapes, the
 board bandwidth, the arithmetic precision — is fixed per cache instance:
-a cache is bound to one evaluation context (see :meth:`SegmentCostCache.bind`)
-and refuses to serve another, so caches can never leak results across
+:class:`~repro.core.cost.vector.PopulationKernel` binds its cache to its
+builder's evaluation context (see :meth:`SegmentCostCache.bind`), and a
+cache refuses to serve another, so caches can never leak results across
 (model, board, precision) contexts.
 
 Cached block evaluations are stored exactly as the cold path computed
@@ -37,12 +37,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Any, Hashable, Optional, Sequence, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
-from repro.cnn.graph import ConvSpec
 from repro.core.cost.results import BlockEvaluation
 from repro.core.engine import ComputeEngine
-from repro.core.parallelism import ParallelismStrategy, choose_parallelism
 from repro.utils.errors import MCCMError
 
 #: Default capacity. A segment is tiny (a few dataclasses), so this is
@@ -109,30 +107,23 @@ def _rebased(
 
 
 class SegmentCostCache:
-    """A bounded LRU of per-segment build and cost results for one context.
+    """A bounded LRU of per-segment cost results for one context.
 
     Parameters
     ----------
     max_entries:
-        Capacity across all record kinds (strategies, footprints,
-        evaluations). Least-recently-used records are evicted first.
-    context:
-        Optional context fingerprint
-        (:func:`repro.runtime.fingerprint.context_fingerprint`). When set —
-        :class:`~repro.runtime.BatchEvaluator` always sets it — the cache
-        refuses to :meth:`bind` to a different context, guaranteeing
-        isolation between (model, board, precision) worlds.
+        Capacity across both record kinds (footprints, evaluations).
+        Least-recently-used records are evicted first.
     """
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_SEGMENT_ENTRIES,
-        context: Optional[str] = None,
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_SEGMENT_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self.context = context
+        #: Context fingerprint
+        #: (:func:`repro.runtime.fingerprint.context_fingerprint`) set by
+        #: :meth:`bind`; ``None`` until then.
+        self.context: Optional[str] = None
         self._entries: "OrderedDict[Tuple[Hashable, ...], Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -185,7 +176,8 @@ class SegmentCostCache:
         return self.hits / total if total else 0.0
 
     def info(self) -> dict:
-        """Introspection snapshot (CLI ``bench``, service ``/healthz``)."""
+        """Introspection snapshot (``BatchEvaluator.cache_info``, service
+        ``/healthz``)."""
         return {
             "entries": len(self._entries),
             "max_entries": self.max_entries,
@@ -196,17 +188,6 @@ class SegmentCostCache:
         }
 
     # --- memoized segment work ------------------------------------------------
-    def strategy(
-        self, pe_budget: int, specs: Sequence[ConvSpec]
-    ) -> ParallelismStrategy:
-        """Memoized :func:`~repro.core.parallelism.choose_parallelism`."""
-        key = ("strategy", pe_budget, tuple(spec.index for spec in specs))
-        found = self._get(key)
-        if found is None:
-            found = choose_parallelism(pe_budget, specs)
-            self._put(key, found)
-        return found
-
     def block_footprint(self, block: Any) -> Tuple[int, int]:
         """Memoized ``(mandatory_buffer_bytes, ideal_buffer_bytes)`` (Eq. 4/5)."""
         key = ("footprint", segment_key(block))

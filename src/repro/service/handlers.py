@@ -390,7 +390,6 @@ class ServiceState:
         jobs: Union[int, str] = 1,
         cache_dir: Optional[str] = None,
         cache_entries: int = 65536,
-        segment_cache_entries: Optional[int] = None,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         shared_dir: Optional[Union[str, Path]] = None,
         worker_index: Optional[int] = None,
@@ -400,10 +399,6 @@ class ServiceState:
         self.jobs = jobs
         self.cache_dir = cache_dir
         self.cache_entries = cache_entries
-        #: ``None`` keeps the runtime's default segment-cache capacity; the
-        #: cache itself is what lets a warm service answer *novel* designs
-        #: quickly, not just replayed ones.
-        self.segment_cache_entries = segment_cache_entries
         self.started = time.time()
         self._registry_lock = threading.Lock()
         #: runtime context fingerprint (graph content + board + precision)
@@ -757,7 +752,6 @@ class ServiceState:
                     jobs=self.jobs,
                     cache_entries=self.cache_entries,
                     cache_dir=self.cache_dir,
-                    segment_cache_entries=self.segment_cache_entries,
                 )
                 entry = EvaluationContext(evaluator, self.cache_entries)
             # Re-insert at the end: the dict doubles as LRU order, so

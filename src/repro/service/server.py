@@ -36,6 +36,10 @@ logger = logging.getLogger(__name__)
 #: Largest accepted request body; anything bigger gets a structured 413.
 MAX_BODY_BYTES = 1 << 20
 
+#: How often a serving loop checks for shutdown. ``shutdown()`` waits up
+#: to this long, so the stdlib's 0.5 s default would stall every stop.
+POLL_SECONDS = 0.05
+
 #: ``http.client``'s limits on a request head, answered with 431 as
 #: ``http.server`` does: bytes per header line, and lines per header
 #: block, the blank line that ends it included.
@@ -542,14 +546,12 @@ class EvaluationService:
         jobs: Union[int, str] = 1,
         cache_dir: Optional[str] = None,
         cache_entries: int = 65536,
-        segment_cache_entries: Optional[int] = None,
         max_inflight: int = handlers.DEFAULT_MAX_INFLIGHT,
     ) -> None:
         self.state = ServiceState(
             jobs=jobs,
             cache_dir=cache_dir,
             cache_entries=cache_entries,
-            segment_cache_entries=segment_cache_entries,
             max_inflight=max_inflight,
         )
         self._httpd = _ThreadingServer((host, port), _RequestHandler)
@@ -574,7 +576,10 @@ class EvaluationService:
         if self._thread is not None:
             raise MCCMError("service is already running")
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve", daemon=True
+            target=self._httpd.serve_forever,
+            args=(POLL_SECONDS,),
+            name="repro-serve",
+            daemon=True,
         )
         self._thread.start()
         logger.info("serving MCCM evaluations on %s", self.url)
@@ -592,7 +597,7 @@ class EvaluationService:
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted (the CLI path)."""
         try:
-            self._httpd.serve_forever()
+            self._httpd.serve_forever(POLL_SECONDS)
         finally:
             self._httpd.server_close()
             self.state.close()

@@ -112,7 +112,7 @@ def run_worker(
     # Imported here, not at module top: the supervisor forks before these
     # matter and the worker is the only side that serves requests.
     from repro.service.handlers import ServiceState
-    from repro.service.server import _RequestHandler, _ThreadingServer
+    from repro.service.server import POLL_SECONDS, _RequestHandler, _ThreadingServer
 
     state = ServiceState(
         jobs=jobs,
@@ -154,7 +154,7 @@ def run_worker(
         worker_index, os.getpid(), *httpd.server_address,
     )
     try:
-        httpd.serve_forever(poll_interval=0.05)
+        httpd.serve_forever(POLL_SECONDS)
     finally:
         # Stop accepting first — connects are refused (reuse-port mode)
         # while requests already in flight still complete.

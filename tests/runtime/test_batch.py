@@ -303,6 +303,8 @@ class TestMissPath:
         assert isinstance(kernel, PopulationKernel)
         assert isinstance(kernel.segment_cache, SegmentCostCache)
         assert kernel.segment_cache.max_entries == 64
+        # Bound at start-up, before the worker's first build.
+        assert kernel.segment_cache.context == kernel.builder.context
         batch._worker_init(cnn, board, DEFAULT_PRECISION, 0)
         assert batch._WORKER_KERNEL.segment_cache is None
 

@@ -16,6 +16,7 @@ from repro.core.architectures import TEMPLATES, build_template
 from repro.core.builder import MultipleCEBuilder
 from repro.core.cost.export import report_to_dict
 from repro.core.cost.model import MCCM
+from repro.core.cost.vector import PopulationKernel
 from repro.core.notation import parse_notation
 from repro.dse.space import CustomDesignSpace
 from repro.runtime import BatchEvaluator, SegmentCostCache
@@ -31,15 +32,9 @@ def context(roomy_board):
     return build_tiny_cnn(), roomy_board
 
 
-def _reports(builder, model, specs, cache=None):
-    reports = []
-    for spec in specs:
-        try:
-            accelerator = builder.build(spec, cache=cache)
-            reports.append(model.evaluate(accelerator, segment_cache=cache))
-        except ResourceError:
-            reports.append(None)
-    return reports
+def _reports(builder, specs, cache=None):
+    kernel = PopulationKernel(builder, segment_cache=cache)
+    return [outcome.report for outcome in kernel.evaluate(specs)]
 
 
 def _assert_identical(cold, cached):
@@ -61,7 +56,6 @@ class TestBitIdentity:
         graph = resolve_model(model_name)
         board = resolve_board(board_name)
         builder = MultipleCEBuilder(graph, board)
-        model = MCCM()
         conv_specs = builder.conv_specs
         specs = []
         for template in sorted(TEMPLATES):
@@ -70,12 +64,12 @@ class TestBitIdentity:
                     specs.append(build_template(template, conv_specs, ce_count))
                 except ResourceError:
                     continue
-        cold = _reports(builder, model, specs)
+        cold = _reports(builder, specs)
         cache = SegmentCostCache()
-        cached = _reports(builder, model, specs, cache=cache)
+        cached = _reports(builder, specs, cache=cache)
         _assert_identical(cold, cached)
         # A second pass answers mostly from the cache — still identical.
-        again = _reports(builder, model, specs, cache=cache)
+        again = _reports(builder, specs, cache=cache)
         _assert_identical(cold, again)
         assert cache.hits > 0
 
@@ -84,26 +78,24 @@ class TestBitIdentity:
         graph = resolve_model("xception")
         board = resolve_board("vcu110")
         builder = MultipleCEBuilder(graph, board)
-        model = MCCM()
         space = CustomDesignSpace(graph.conv_specs())
         specs = [d.to_spec() for d in space.sample(48, seed=2025)]
-        cold = _reports(builder, model, specs)
+        cold = _reports(builder, specs)
         cache = SegmentCostCache()
-        cached = _reports(builder, model, specs, cache=cache)
+        cached = _reports(builder, specs, cache=cache)
         _assert_identical(cold, cached)
-        _assert_identical(cold, _reports(builder, model, specs, cache=cache))
+        _assert_identical(cold, _reports(builder, specs, cache=cache))
 
     def test_shared_ce_groups(self, context):
         """Blocks sharing one engine via ce_id (Eq. 8) stay identical."""
         cnn, board = context
         builder = MultipleCEBuilder(cnn, board)
-        model = MCCM()
         spec = parse_notation(
             "{L1-L3: CE1, L4-L5: CE2, L6-L8: CE1}", name="shared"
         )
         cache = SegmentCostCache()
-        cold = _reports(builder, model, [spec])
-        cached = _reports(builder, model, [spec, spec], cache=cache)
+        cold = _reports(builder, [spec])
+        cached = _reports(builder, [spec, spec], cache=cache)
         _assert_identical(cold * 2, cached)
 
     def test_rebased_positions_relabel(self, context):
@@ -112,13 +104,12 @@ class TestBitIdentity:
         ones."""
         cnn, board = context
         builder = MultipleCEBuilder(cnn, board)
-        model = MCCM()
         # L4-L8 is block B2 in the first design and B3 in the second.
         first = parse_notation("{L1-L3: CE1, L4-L8: CE2}", name="a")
         second = parse_notation("{L1-L2: CE1, L3: CE2, L4-L8: CE3}", name="b")
         cache = SegmentCostCache()
-        cold = _reports(builder, model, [first, second])
-        cached = _reports(builder, model, [first, second], cache=cache)
+        cold = _reports(builder, [first, second])
+        cached = _reports(builder, [first, second], cache=cache)
         _assert_identical(cold, cached)
         names = [block.name for block in cached[1].blocks]
         assert names == ["B1", "B2", "B3"]
@@ -145,7 +136,6 @@ class TestLazyLayouts:
     def test_warm_replay_builds_no_layout(self, layout_builds):
         graph = resolve_model("xception")
         builder = MultipleCEBuilder(graph, resolve_board("vcu110"))
-        model = MCCM()
         specs = [d.to_spec() for d in CustomDesignSpace(graph.conv_specs()).sample(24, seed=5)]
         for template in sorted(TEMPLATES):
             for ce_count in (2, 5, 11):
@@ -154,10 +144,10 @@ class TestLazyLayouts:
                 except ResourceError:
                     continue
         cache = SegmentCostCache()
-        warm = _reports(builder, model, specs, cache=cache)
+        warm = _reports(builder, specs, cache=cache)
         assert layout_builds, "a cold pass must lay its blocks out"
         layout_builds.clear()
-        replay = _reports(builder, model, specs, cache=cache)
+        replay = _reports(builder, specs, cache=cache)
         assert layout_builds == []
         _assert_identical(warm, replay)
 
@@ -174,12 +164,11 @@ class TestEviction:
         graph = resolve_model("squeezenet")
         board = resolve_board("zc706")
         builder = MultipleCEBuilder(graph, board)
-        model = MCCM()
         space = CustomDesignSpace(graph.conv_specs())
         specs = [d.to_spec() for d in space.sample(30, seed=7)]
-        cold = _reports(builder, model, specs)
+        cold = _reports(builder, specs)
         tiny = SegmentCostCache(max_entries=16)
-        cached = _reports(builder, model, specs, cache=tiny)
+        cached = _reports(builder, specs, cache=tiny)
         _assert_identical(cold, cached)
         assert len(tiny) <= 16
 
@@ -207,20 +196,22 @@ class TestContextIsolation:
         assert cache.context == "ctx"
 
     def test_bind_refuses_other_context(self):
-        cache = SegmentCostCache(context="ctx-a")
+        cache = SegmentCostCache().bind("ctx-a")
         with pytest.raises(MCCMError):
             cache.bind("ctx-b")
 
-    def test_builder_binds_and_rejects_foreign_cache(self, context):
-        """Direct builder use is guarded too, not just BatchEvaluator."""
+    def test_kernel_binds_and_rejects_foreign_cache(self, context):
+        """The kernel, the one place that pairs a builder with a cache,
+        binds it at construction, before any design is built; direct
+        kernel use is guarded too, not just BatchEvaluator."""
         cnn, board = context
         builder = MultipleCEBuilder(cnn, board)
         cache = SegmentCostCache()
-        builder.build(parse_notation("{L1-L4: CE1, L5-L8: CE2}", name="x"), cache=cache)
+        PopulationKernel(builder, segment_cache=cache)
         assert cache.context == builder.context
         other = MultipleCEBuilder(resolve_model("squeezenet"), resolve_board("zc706"))
         with pytest.raises(MCCMError):
-            other.build(parse_notation("{L1-Last: CE1-CE2}", name="y"), cache=cache)
+            PopulationKernel(other, segment_cache=cache)
 
     def test_evaluator_rejects_foreign_cache(self, context):
         cnn, board = context
@@ -279,6 +270,11 @@ class TestEvaluatorIntegration:
         evaluator = BatchEvaluator(cnn, board, segment_cache_entries=0)
         assert evaluator.segment_cache is None
         assert "segment_cache" not in evaluator.cache_info()
+
+    def test_rejects_negative_segment_capacity(self, context):
+        cnn, board = context
+        with pytest.raises(ValueError):
+            BatchEvaluator(cnn, board, segment_cache_entries=-1)
 
     def test_disabled_and_enabled_agree(self, context):
         cnn, board = context

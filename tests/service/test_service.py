@@ -579,6 +579,15 @@ class TestLifecycle:
             ServiceClient(service.url, timeout=0.5).healthz()
         assert excinfo.value.kind == "connection_error"
 
+    def test_stop_after_a_request_returns_promptly(self):
+        # stop() waits for the serving loop's next shutdown check, which
+        # comes at most POLL_SECONDS after the request was answered.
+        service = EvaluationService(port=0).start()
+        assert ServiceClient(service.url).healthz()["status"] == "ok"
+        start = time.perf_counter()
+        service.stop()
+        assert time.perf_counter() - start < 0.25
+
     def test_double_start_rejected(self):
         service = EvaluationService(port=0).start()
         try:
