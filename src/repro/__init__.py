@@ -12,15 +12,10 @@ Quickstart::
 """
 
 from repro.api import (
-    CampaignResult,
-    CampaignSpec,
     SkippedConfig,
     SweepResult,
     build_accelerator,
-    campaign_status,
     evaluate,
-    resume_campaign,
-    run_campaign,
     sweep,
 )
 from repro.core.cost.results import CostReport
@@ -49,6 +44,22 @@ from repro.workloads import (
     register_model,
     unregister_board,
     unregister_model,
+)
+from repro.utils.lazy import lazy_exports
+
+# The campaign entry points load repro.dse on first use (as in repro.api),
+# so `import repro` stays within the cost model.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.dse.campaign": (
+            "CampaignResult",
+            "CampaignSpec",
+            "campaign_status",
+            "resume_campaign",
+            "run_campaign",
+        )
+    },
 )
 
 __version__ = "1.9.0"

@@ -1,57 +1,68 @@
 """Fine-grained analysis: bottlenecks, breakdowns, utilization, Pareto,
-and the end-to-end evaluation tables."""
+and the end-to-end evaluation tables.
 
-from repro.analysis.bottleneck import (
-    BottleneckProfile,
-    SegmentTiming,
-    idle_fraction,
-    profile_bottlenecks,
-)
-from repro.analysis.energy import (
-    DEFAULT_CONSTANTS,
-    EnergyBreakdown,
-    EnergyConstants,
-    energy_breakdown,
-    energy_table,
-    per_segment_energy,
-)
-from repro.analysis.breakdown import (
-    AccessShares,
-    access_breakdown,
-    breakdown_table,
-    per_segment_breakdown,
-)
-from repro.analysis.pareto import (
-    dominates,
-    pareto_front,
-    report_front,
-    scatter_points,
-)
-from repro.analysis.sensitivity import (
-    RESOURCES,
-    SensitivityPoint,
-    SensitivityProfile,
-    scaled_board,
-    sensitivity_profile,
-)
-from repro.analysis.reporting import (
-    HEADLINE_METRICS,
-    TIE_THRESHOLD,
-    MetricWinners,
-    architecture_of,
-    best_architecture_table,
-    best_instances,
-    ce_count_of,
-    comparison_table,
-    normalized_comparison,
-    winners_with_ties,
-)
-from repro.analysis.utilization import (
-    SegmentUtilization,
-    normalized_buffer_shares,
-    normalized_underutilization,
-    per_segment_utilization,
-    slowest_segment,
+Each re-exported name loads its submodule on first use, so importing
+``repro.analysis.pareto`` (all a campaign needs) loads only it.
+"""
+
+from repro.utils.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.bottleneck": (
+            "BottleneckProfile",
+            "SegmentTiming",
+            "idle_fraction",
+            "profile_bottlenecks",
+        ),
+        "repro.analysis.energy": (
+            "DEFAULT_CONSTANTS",
+            "EnergyBreakdown",
+            "EnergyConstants",
+            "energy_breakdown",
+            "energy_table",
+            "per_segment_energy",
+        ),
+        "repro.analysis.breakdown": (
+            "AccessShares",
+            "access_breakdown",
+            "breakdown_table",
+            "per_segment_breakdown",
+        ),
+        "repro.analysis.pareto": (
+            "dominates",
+            "pareto_front",
+            "report_front",
+            "scatter_points",
+        ),
+        "repro.analysis.sensitivity": (
+            "RESOURCES",
+            "SensitivityPoint",
+            "SensitivityProfile",
+            "scaled_board",
+            "sensitivity_profile",
+        ),
+        "repro.analysis.reporting": (
+            "HEADLINE_METRICS",
+            "TIE_THRESHOLD",
+            "MetricWinners",
+            "architecture_of",
+            "best_architecture_table",
+            "best_instances",
+            "ce_count_of",
+            "comparison_table",
+            "normalized_comparison",
+            "winners_with_ties",
+        ),
+        "repro.analysis.utilization": (
+            "SegmentUtilization",
+            "normalized_buffer_shares",
+            "normalized_underutilization",
+            "per_segment_utilization",
+            "slowest_segment",
+        ),
+    },
 )
 
 __all__ = [

@@ -17,16 +17,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
 from repro.cnn.graph import CNNGraph
-# Campaign entry points are part of the public API surface: run_campaign /
-# resume_campaign / campaign_status accept a spec (object, dict, or JSON
-# path) plus a checkpoint path, and return a CampaignResult. See docs/dse.md.
-from repro.dse.campaign import (  # noqa: F401  (re-exported)
-    CampaignResult,
-    CampaignSpec,
-    campaign_status,
-    resume_campaign,
-    run_campaign,
-)
 from repro.core.architectures import (
     PAPER_ARCHITECTURES,
     PAPER_CE_COUNTS,
@@ -54,12 +44,30 @@ from repro.rules.engine import (
     resolve_ruleset,
 )
 from repro.utils.errors import MCCMError, ResourceError
+from repro.utils.lazy import lazy_exports
 # Workload resolution and registration are registry concerns; the API
 # re-exports the registration entry points as part of its public surface.
 from repro.workloads import (  # noqa: F401  (re-exported)
     REGISTRY,
     register_board,
     register_model,
+)
+
+# Campaign entry points are part of the public API surface: run_campaign /
+# resume_campaign / campaign_status accept a spec (object, dict, or JSON
+# path) plus a checkpoint path, and return a CampaignResult. See docs/dse.md.
+# They load repro.dse (and repro.analysis) on first use, not with the API.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.dse.campaign": (
+            "CampaignResult",
+            "CampaignSpec",
+            "campaign_status",
+            "resume_campaign",
+            "run_campaign",
+        )
+    },
 )
 
 logger = logging.getLogger(__name__)

@@ -38,30 +38,16 @@ from typing import List, Optional
 from repro.utils.atomic import write_atomic
 from repro.utils.errors import MCCMError
 
+# Only what every command needs loads here; each command imports its own
+# subsystem (repro.dse, repro.analysis, repro.synth, repro.service), so a
+# run compiles and keeps resident only what it uses.
 from repro import rules as rules_registry
 from repro import workloads
-from repro.analysis.pareto import report_front
-from repro.analysis.reporting import comparison_table
 from repro.api import build_accelerator, evaluate, resolve_board, resolve_model, sweep
-from repro.cnn.stats import collect_stats, stats_table
 from repro.core.cost.export import report_from_json, report_to_json, reports_to_csv
 from repro.core.cost.model import default_model
-from repro.dse import (
-    CustomDesignSpace,
-    DesignEvaluator,
-    EvolutionConfig,
-    STRATEGY_NAMES,
-    make_strategy,
-)
-from repro.dse.campaign import (
-    CampaignSpec,
-    campaign_status,
-    resume_campaign,
-    run_campaign,
-)
+from repro.dse import STRATEGY_NAMES
 from repro.rules.registry import ruleset_summary
-from repro.synth.simulator import SynthesisSimulator
-from repro.synth.validate import ValidationRecord
 from repro.workloads.registry import model_summary
 
 
@@ -192,6 +178,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import comparison_table
+
     model, board = _selected_workloads(args)
     reports = sweep(
         model,
@@ -227,6 +215,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.synth.simulator import SynthesisSimulator
+    from repro.synth.validate import ValidationRecord
+
     model, board = _selected_workloads(args)
     accelerator = build_accelerator(model, board, args.arch, ce_count=args.ces)
     report = default_model().evaluate(accelerator)
@@ -240,6 +231,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
+    from repro.analysis.pareto import report_front
+    from repro.dse import (
+        CustomDesignSpace,
+        DesignEvaluator,
+        EvolutionConfig,
+        make_strategy,
+    )
     from repro.hw.datatypes import DEFAULT_PRECISION
 
     model_name, board_name = _selected_workloads(args)
@@ -353,6 +351,8 @@ def _finish_campaign(result, args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    from repro.dse import CampaignSpec, run_campaign
+
     spec = CampaignSpec.from_json(args.spec)
     result = run_campaign(
         spec, args.checkpoint, jobs=args.jobs, cache_dir=args.cache
@@ -361,11 +361,15 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_resume(args: argparse.Namespace) -> int:
+    from repro.dse import resume_campaign
+
     result = resume_campaign(args.checkpoint, jobs=args.jobs, cache_dir=args.cache)
     return _finish_campaign(result, args)
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
+    from repro.dse import campaign_status
+
     result = campaign_status(args.checkpoint)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
@@ -459,7 +463,6 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    # Imported here so plain CLI runs never pay for the service module.
     from repro.service.server import serve
 
     return serve(
@@ -527,6 +530,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def _cmd_models_list(args: argparse.Namespace) -> int:
+    from repro.cnn.stats import collect_stats, stats_table
+
     entries = [workloads.REGISTRY.models.entry(n) for n in workloads.available_models()]
     if getattr(args, "json", False):
         catalog = [{**model_summary(entry), "source": entry.source} for entry in entries]

@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.analysis.pareto import dominates, front_to_csv, hypervolume, pareto_front
 from repro.core.cost.export import report_from_dict, report_to_dict
 from repro.core.cost.results import CostReport
+from repro.dse import STRATEGY_NAMES
 from repro.dse.events import CampaignEvent, CampaignEventBus, EventLog
 from repro.dse.evolve import (
     EvolutionConfig,
@@ -58,7 +59,6 @@ from repro.dse.sampler import DesignEvaluator
 from repro.dse.search import (
     LOCAL_SEARCH_ITERATIONS,
     LOCAL_SEARCH_NEIGHBOURS,
-    STRATEGY_NAMES,
     make_strategy,
 )
 from repro.dse.space import CustomDesign, CustomDesignSpace
@@ -71,7 +71,7 @@ from repro.hw.datatypes import (
 from repro.rules import REGISTRY as RULES
 from repro.rules.engine import evaluate_rules, has_failures
 from repro.utils.atomic import write_atomic
-from repro.utils.errors import MCCMError, reject_unknown_fields
+from repro.utils.errors import CampaignError, MCCMError, reject_unknown_fields
 from repro.workloads import REGISTRY
 
 #: Checkpoint schema version; bumped when the on-disk layout changes.
@@ -81,10 +81,6 @@ CHECKPOINT_VERSION = 2
 
 #: Cell lifecycle states as stored in the checkpoint.
 CELL_PENDING, CELL_RUNNING, CELL_DONE = "pending", "running", "done"
-
-
-class CampaignError(MCCMError):
-    """A campaign spec or checkpoint problem (bad file, spec drift, ...)."""
 
 
 # --- JSON plumbing ------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import ClassVar, List, Optional, Protocol, Sequence, Tuple
 
 from repro.analysis.pareto import pareto_front
 from repro.core.cost.results import CostReport
+from repro.dse import STRATEGY_NAMES
 from repro.dse.evolve import EvolutionConfig, EvolutionEngine
 from repro.dse.objectives import Objective
 from repro.dse.sampler import DesignEvaluator, SampleStats, sample_space
@@ -276,10 +277,6 @@ class EvolutionStrategy:
             stats=stats,
             cost_metric=self.cost_metric,
         )
-
-
-#: Strategy names accepted by :func:`make_strategy` (and the CLI/campaign).
-STRATEGY_NAMES = ("random", "guided", "evolve")
 
 
 def make_strategy(

@@ -31,11 +31,11 @@ pool startup — ``benchmarks/test_runtime_scaling.py`` prints the sub-1x
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cnn.graph import CNNGraph
 from repro.core.builder import MultipleCEBuilder
@@ -48,6 +48,9 @@ from repro.runtime.cache import CacheEntry, DiskCache, LRUCache
 from repro.runtime.fingerprint import spec_fingerprint
 from repro.runtime.segcache import DEFAULT_SEGMENT_ENTRIES, SegmentCostCache
 from repro.utils.mathutils import ceil_div
+
+if TYPE_CHECKING:  # multiprocessing loads when a pool starts
+    import multiprocessing.pool
 
 #: ``progress(completed, total)`` — invoked after each item of a batch.
 ProgressCallback = Callable[[int, int], None]
@@ -223,7 +226,7 @@ class BatchEvaluator:
         self.graph = graph
         self.board = board
         self.precision = precision
-        self.jobs = jobs if jobs > 0 else (multiprocessing.cpu_count() or 1)
+        self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
         self.progress = progress
         self._builder = MultipleCEBuilder(graph, board, precision)
         self._context = self._builder.context
@@ -258,7 +261,7 @@ class BatchEvaluator:
         """
         if not self._auto_jobs:
             return self.jobs
-        cpus = multiprocessing.cpu_count() or 1
+        cpus = os.cpu_count() or 1
         if cpus <= 1 or miss_count < AUTO_FORK_MIN_MISSES:
             return 1
         return max(2, min(cpus, miss_count // AUTO_MISSES_PER_WORKER))
@@ -268,6 +271,8 @@ class BatchEvaluator:
         # different auto size: worker startup dwarfs the marginal gain of
         # resizing, and results never depend on the worker count.
         if self._pool is None:
+            import multiprocessing
+
             segcache = self.segment_cache
             entries = segcache.max_entries if segcache is not None else 0
             self._pool = multiprocessing.Pool(

@@ -16,17 +16,19 @@ for the service /healthz endpoint instead of a directory walk.
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.cost.export import report_from_dict, report_to_dict
 from repro.core.cost.results import CostReport
 from repro.utils.atomic import write_atomic
 from repro.utils.errors import MCCMError
+
+if TYPE_CHECKING:  # sqlite3 loads when a disk cache opens its index
+    import sqlite3
 
 #: Format marker stored inside every disk-cache document.
 DISK_CACHE_FORMAT = 1
@@ -94,6 +96,8 @@ class _CacheIndex:
     """
 
     def __init__(self, directory: Path) -> None:
+        import sqlite3
+
         self.path = directory / "index.sqlite3"
         self._lock = threading.Lock()
         self._connection: Optional[sqlite3.Connection] = None
@@ -116,6 +120,8 @@ class _CacheIndex:
         return self._connection is not None
 
     def record(self, key: str) -> None:
+        import sqlite3
+
         if self._connection is None:
             return
         try:
@@ -128,6 +134,8 @@ class _CacheIndex:
             self._disable()
 
     def count(self) -> Optional[int]:
+        import sqlite3
+
         if self._connection is None:
             return None
         try:
@@ -142,6 +150,8 @@ class _CacheIndex:
 
     def reconcile(self, keys) -> None:
         """Bulk-register keys found on disk but missing from the index."""
+        import sqlite3
+
         if self._connection is None:
             return
         try:
@@ -155,6 +165,8 @@ class _CacheIndex:
             self._disable()
 
     def _disable(self) -> None:
+        import sqlite3
+
         connection, self._connection = self._connection, None
         if connection is not None:
             try:
@@ -196,16 +208,31 @@ class DiskCache:
         return self.directory / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[CacheEntry]:
-        path = self._path(key)
+        """The entry stored for ``key``, or ``None`` (a miss).
+
+        An entry that cannot be read back as this key's — a corrupt file,
+        an unknown format, a document of the wrong shape, a report that
+        does not rebuild, or another key's entry — is a miss too, so the
+        caller recomputes the design and :meth:`put` overwrites the file.
+        """
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
+            entry = self._read(key)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            entry = None
+        if entry is None:
             self.misses += 1
+        else:
+            self.hits += 1
+        return entry
+
+    def _read(self, key: str) -> Optional[CacheEntry]:
+        payload = json.loads(self._path(key).read_text())
+        if (
+            not isinstance(payload, dict)
+            or payload.get("format") != DISK_CACHE_FORMAT
+            or payload.get("key") != key
+        ):
             return None
-        if payload.get("format") != DISK_CACHE_FORMAT:
-            self.misses += 1
-            return None
-        self.hits += 1
         if payload.get("report") is None:
             return CacheEntry(report=None, reason=payload.get("reason"))
         return CacheEntry(report=report_from_dict(payload["report"]))

@@ -20,21 +20,34 @@ from every other client's evaluations.
 * :mod:`~repro.service.schema` — request validation and the typed JSON
   error payloads.
 
-See ``docs/api.md`` for the full endpoint reference.
+See ``docs/api.md`` for the full endpoint reference. Each re-exported
+name loads its submodule on first use, so a ``repro serve`` start never
+loads the client or the load generator.
 """
 
-from repro.service.client import (
-    DseResult,
-    EvaluateResult,
-    ServiceClient,
-    ServiceError,
-    SweepResult,
+from repro.utils.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.client": (
+            "DseResult",
+            "EvaluateResult",
+            "ServiceClient",
+            "ServiceError",
+            "SweepResult",
+        ),
+        "repro.service.handlers": ("ServiceState",),
+        "repro.service.loadtest": (
+            "format_loadtest",
+            "run_loadtest",
+            "run_worker_comparison",
+        ),
+        "repro.service.schema": ("RequestError",),
+        "repro.service.server": ("EvaluationService", "serve"),
+        "repro.service.supervisor": ("Supervisor",),
+    },
 )
-from repro.service.handlers import ServiceState
-from repro.service.loadtest import format_loadtest, run_loadtest, run_worker_comparison
-from repro.service.schema import RequestError
-from repro.service.server import EvaluationService, serve
-from repro.service.supervisor import Supervisor
 
 __all__ = [
     "EvaluationService",

@@ -22,7 +22,7 @@ import threading
 import time
 from pathlib import Path
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import repro
 from repro.api import sweep
@@ -30,8 +30,6 @@ from repro.cnn.graph import CNNGraph
 from repro.core.architectures import TEMPLATES, build_template
 from repro.core.cost.export import report_to_dict
 from repro.core.notation import ArchitectureSpec, parse_notation
-from repro.dse import CustomDesignSpace, DesignEvaluator, random_search
-from repro.dse.campaign import Campaign
 from repro.dse.events import (
     TERMINAL_EVENT_TYPES,
     CampaignEvent,
@@ -62,6 +60,9 @@ from repro.utils.atomic import write_atomic
 from repro.utils.errors import ResourceError
 from repro.workloads import REGISTRY
 from repro.workloads.registry import model_summary
+
+if TYPE_CHECKING:  # campaigns and searches load the DSE layer when they arrive
+    from repro.dse.campaign import Campaign
 
 Response = Tuple[int, Dict[str, Any]]
 
@@ -1059,6 +1060,8 @@ def handle_campaign_start(state: ServiceState, request: CampaignRequest) -> Resp
     (no checkpoint file) — crash-safe resumable campaigns belong to the
     CLI, where the checkpoint path outlives the process.
     """
+    from repro.dse.campaign import Campaign
+
     campaign = Campaign(
         request.spec, None, jobs=state.jobs, cache_dir=state.cache_dir
     )
@@ -1197,6 +1200,8 @@ def handle_campaign_path(
 
 
 def handle_dse(state: ServiceState, request: DseRequest) -> Response:
+    from repro.dse import CustomDesignSpace, DesignEvaluator, random_search
+
     context = state.evaluator_for(request.model, request.board, request.precision)
     evaluator = context.evaluator
     space = CustomDesignSpace(evaluator.graph.conv_specs())

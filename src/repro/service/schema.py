@@ -18,9 +18,8 @@ result (HTTP 200, ``feasible: false``) exactly like the batch runtime and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.dse.campaign import CampaignError, CampaignSpec
 from repro.hw.datatypes import (
     DEFAULT_PRECISION,
     Precision,
@@ -29,6 +28,7 @@ from repro.hw.datatypes import (
 )
 from repro.rules import REGISTRY as RULES
 from repro.utils.errors import (
+    CampaignError,
     MCCMError,
     NotationError,
     ResourceError,
@@ -41,6 +41,9 @@ from repro.utils.errors import (
     reject_unknown_fields,
 )
 from repro.workloads import REGISTRY
+
+if TYPE_CHECKING:  # the DSE layer loads only when a campaign request arrives
+    from repro.dse.campaign import CampaignSpec
 
 #: Cost metrics accepted by ``POST /dse`` (mirrors the CLI's ``--cost``).
 DSE_COST_METRICS = ("buffers", "access")
@@ -430,9 +433,11 @@ def parse_campaign(payload: Any) -> CampaignRequest:
 
     Spec validation (models, boards, strategies, rates) is
     :meth:`~repro.dse.campaign.CampaignSpec.from_dict`'s job; a
-    :class:`~repro.dse.campaign.CampaignError` surfaces as a structured
+    :class:`~repro.utils.errors.CampaignError` surfaces as a structured
     400 via the error map.
     """
+    from repro.dse.campaign import CampaignSpec
+
     body = _require_mapping(payload)
     _reject_unknown(body, ("spec",))
     if "spec" not in body:

@@ -350,18 +350,24 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> Any:
         length_header = self.headers.get("content-length")
-        try:
-            length = int(length_header or "")
-        except ValueError:
+        if length_header is None:
             raise schema.RequestError(
                 "POST requires a Content-Length header", status=411, kind="length_required"
-            ) from None
-        if length < 0:
-            # rfile.read(negative) would read until EOF and hang the thread.
-            raise schema.RequestError(f"invalid Content-Length {length}")
-        if length > MAX_BODY_BYTES:
+            )
+        # RFC 9110 §8.6: 1*DIGIT. int() would also take "+85", "8_5" and
+        # "-1" (rfile.read(negative) reads until EOF and hangs the thread);
+        # a proxy that reads such a value differently desyncs keep-alive.
+        # The strip covers SP/HTAB and the CR/LF an obs-fold leaves.
+        digits = length_header.strip(" \t\r\n")
+        if not (digits.isascii() and digits.isdigit()):
+            raise schema.RequestError(f"invalid Content-Length {length_header!r}")
+        # Leading zeros are legal, and int() refuses over 4,300 digits: a
+        # value with more digits than the limit is over it, unconverted.
+        digits = digits.lstrip("0") or "0"
+        length = int(digits) if len(digits) <= len(str(MAX_BODY_BYTES)) else None
+        if length is None or length > MAX_BODY_BYTES:
             raise schema.RequestError(
-                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES} limit",
+                f"request body of {digits} bytes exceeds the {MAX_BODY_BYTES} limit",
                 status=413,
                 kind="body_too_large",
             )

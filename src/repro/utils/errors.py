@@ -64,6 +64,14 @@ class RuleError(MCCMError):
     """
 
 
+class CampaignError(MCCMError):
+    """A campaign spec or checkpoint problem (bad file, spec drift, ...).
+
+    Raised by :mod:`repro.dse.campaign`, which re-exports it; it lives here
+    so the service's error map can name it without loading the DSE layer.
+    """
+
+
 class WorkloadConflictError(WorkloadError):
     """A registration collides with an existing model or board.
 

@@ -1,5 +1,7 @@
 """Miscellaneous coverage: rendering helpers, package surface, docs sync."""
 
+import importlib
+
 import pytest
 
 import repro
@@ -32,6 +34,45 @@ class TestPackageSurface:
 
         for name in core.__all__:
             assert hasattr(core, name), name
+
+    #: Exported constants, which carry no ``__module__``.
+    CONSTANTS_DEFINED_IN = {
+        "__version__": "repro",
+        "STRATEGY_NAMES": "repro.dse",
+        "DEFAULT_CONSTANTS": "repro.analysis.energy",
+        "RESOURCES": "repro.analysis.sensitivity",
+        "HEADLINE_METRICS": "repro.analysis.reporting",
+        "TIE_THRESHOLD": "repro.analysis.reporting",
+    }
+
+    @pytest.mark.parametrize(
+        "package", ["repro", "repro.dse", "repro.analysis", "repro.service"]
+    )
+    def test_lazy_exports_are_the_defining_modules_objects(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            value = getattr(module, name)
+            home = self.CONSTANTS_DEFINED_IN.get(name) or value.__module__
+            assert getattr(importlib.import_module(home), name) is value, name
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import repro.dse as dse
+
+        assert not hasattr(dse, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+
+    def test_campaign_entry_points_import_from_the_top(self):
+        from repro import run_campaign
+        from repro.dse.campaign import run_campaign as defined
+
+        assert run_campaign is defined is repro.api.run_campaign
+
+    def test_campaign_error_has_one_class(self):
+        import repro.dse.campaign
+        import repro.utils.errors
+
+        assert repro.dse.campaign.CampaignError is repro.utils.errors.CampaignError
 
 
 class TestRenderingHelpers:

@@ -1,5 +1,7 @@
 """Tests for the BatchEvaluator: accounting, parallelism, persistence."""
 
+import json
+
 import pytest
 
 from repro.core.architectures import build_template
@@ -165,6 +167,26 @@ class TestDiskPersistence:
         # same specs, different board: nothing may come back from disk
         assert other.last_run.disk_hits == 0
 
+    def test_bad_entries_are_recomputed_and_overwritten(self, context, specs, tmp_path):
+        cnn, board = context
+        cold = BatchEvaluator(cnn, board).evaluate_specs(specs)
+        cache_dir = tmp_path / "cache"
+        seeding = BatchEvaluator(cnn, board, cache_dir=cache_dir)
+        seeding.evaluate_specs(specs)
+        keys = [seeding.key_for(spec) for spec in specs]
+        paths = [cache_dir / key[:2] / f"{key}.json" for key in keys]
+        paths[0].write_text("[]")
+        paths[1].write_text(json.dumps({"format": 1, "key": keys[1], "report": {}}))
+        paths[2].write_bytes(paths[3].read_bytes())  # another design's entry
+
+        evaluator = BatchEvaluator(cnn, board, cache_dir=cache_dir)
+        assert evaluator.evaluate_specs(specs) == cold
+        assert evaluator.last_run.evaluations == 3
+        assert evaluator.last_run.disk_hits == 1
+        again = BatchEvaluator(cnn, board, cache_dir=cache_dir)
+        assert again.evaluate_specs(specs) == cold
+        assert again.last_run.disk_hits == len(specs)
+
 
 class TestAutoJobs:
     """``jobs="auto"``: serial on small hosts/batches, identical results."""
@@ -186,7 +208,7 @@ class TestAutoJobs:
     def test_single_cpu_never_forks(self, context, monkeypatch):
         import repro.runtime.batch as batch_module
 
-        monkeypatch.setattr(batch_module.multiprocessing, "cpu_count", lambda: 1)
+        monkeypatch.setattr(batch_module.os, "cpu_count", lambda: 1)
         cnn, board = context
         evaluator = BatchEvaluator(cnn, board)
         assert evaluator._effective_jobs(10_000) == 1
@@ -194,7 +216,7 @@ class TestAutoJobs:
     def test_small_batches_never_fork(self, context, monkeypatch):
         import repro.runtime.batch as batch_module
 
-        monkeypatch.setattr(batch_module.multiprocessing, "cpu_count", lambda: 8)
+        monkeypatch.setattr(batch_module.os, "cpu_count", lambda: 8)
         cnn, board = context
         evaluator = BatchEvaluator(cnn, board)
         assert evaluator._effective_jobs(0) == 1
@@ -203,7 +225,7 @@ class TestAutoJobs:
     def test_large_batches_fork_bounded_by_cpus(self, context, monkeypatch):
         import repro.runtime.batch as batch_module
 
-        monkeypatch.setattr(batch_module.multiprocessing, "cpu_count", lambda: 4)
+        monkeypatch.setattr(batch_module.os, "cpu_count", lambda: 4)
         cnn, board = context
         evaluator = BatchEvaluator(cnn, board)
         jobs = evaluator._effective_jobs(10_000)
@@ -212,7 +234,7 @@ class TestAutoJobs:
     def test_explicit_jobs_bypass_heuristic(self, context, monkeypatch):
         import repro.runtime.batch as batch_module
 
-        monkeypatch.setattr(batch_module.multiprocessing, "cpu_count", lambda: 8)
+        monkeypatch.setattr(batch_module.os, "cpu_count", lambda: 8)
         cnn, board = context
         evaluator = BatchEvaluator(cnn, board, jobs=2)
         assert evaluator._effective_jobs(1) == 2

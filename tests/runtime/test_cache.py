@@ -110,6 +110,30 @@ class TestDiskCache:
         path.write_text(json.dumps(payload))
         assert cache.get(key) is None
 
+    @pytest.mark.parametrize(
+        "case", ["list", "null", "string", "report-missing-fields", "report-not-a-dict", "other-key"]
+    )
+    def test_malformed_entry_is_a_miss_until_overwritten(self, tmp_path, report, case):
+        cache = DiskCache(tmp_path / "cache")
+        key = "5e" * 32
+        cache.put(key, CacheEntry(report=report))
+        path = cache._path(key)
+        payload = json.loads(path.read_text())
+        document = {
+            "list": [],
+            "null": None,
+            "string": "entry",
+            "report-missing-fields": {**payload, "report": {"accelerator": "x"}},
+            "report-not-a-dict": {**payload, "report": [1, 2]},
+            # Another design's entry must not be served for this key.
+            "other-key": {**payload, "key": "ab" * 32},
+        }[case]
+        path.write_text(json.dumps(document))
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put(key, CacheEntry(report=report))
+        assert cache.get(key).report == report
+
     def test_len_counts_entries(self, tmp_path, report):
         cache = DiskCache(tmp_path / "cache")
         assert len(cache) == 0

@@ -45,6 +45,10 @@ def evaluate_body(ce_count: int = 2) -> bytes:
     ).encode("ascii")
 
 
+#: ``Content-Length`` of :func:`evaluate_body`, as the header spells it.
+LENGTH = str(len(evaluate_body()))
+
+
 def post(body: bytes, *header_lines: str, version: str = "HTTP/1.1", eol: str = "\r\n") -> bytes:
     """A ``POST /evaluate`` with exactly the given header lines."""
     head = [f"POST /evaluate {version}", *header_lines, "", ""]
@@ -136,6 +140,13 @@ class TestAccepted:
         )
         assert_evaluated(reply)
 
+    @pytest.mark.parametrize("value", [LENGTH + " ", "\t" + LENGTH, "00" + LENGTH])
+    def test_content_length_with_padding_or_leading_zeros(self, service, value):
+        reply = only_reply(
+            service, post(evaluate_body(), "Host: localhost", f"Content-Length: {value}")
+        )
+        assert_evaluated(reply)
+
     def test_duplicate_headers_resolve_to_the_first_value(self, service):
         body = evaluate_body()
         reply = only_reply(
@@ -195,6 +206,28 @@ class TestRejected:
         assert reply.status == 411
         assert json.loads(reply.body)["error"]["kind"] == "length_required"
         assert reply.headers["connection"] == "close"
+
+    @pytest.mark.parametrize(
+        "value",
+        ["+" + LENGTH, LENGTH[0] + "_" + LENGTH[1:], "0x10", LENGTH[0] + " " + LENGTH[1:], ""],
+    )
+    def test_content_length_that_is_not_digits_is_400(self, service, value):
+        # RFC 9110 allows 1*DIGIT only: a proxy that reads "+85" or "8_5"
+        # differently would desync a keep-alive connection.
+        reply = only_reply(
+            service, post(evaluate_body(), "Host: localhost", f"Content-Length: {value}")
+        )
+        assert reply.status == 400
+        assert json.loads(reply.body)["error"]["kind"] == "bad_request"
+        assert reply.headers["connection"] == "close"
+
+    def test_content_length_past_int_digit_limit_is_413(self, service):
+        # int() refuses over 4,300 digits; the value is still just too large.
+        reply = only_reply(
+            service, post(evaluate_body(), "Host: localhost", "Content-Length: " + "9" * 5000)
+        )
+        assert reply.status == 413
+        assert json.loads(reply.body)["error"]["kind"] == "body_too_large"
 
     def test_four_word_request_line_is_400(self, service):
         reply = only_reply(service, b"POST /evaluate extra HTTP/1.1\r\nHost: localhost\r\n\r\n")
