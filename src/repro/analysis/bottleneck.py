@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.core.cost.results import CostReport, SegmentCost
+from repro.utils.mathutils import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def profile_bottlenecks(report: CostReport) -> BottleneckProfile:
     per-segment wall times), exactly as the figure's y-axis ("% Overall").
     """
     segments = report.segments
-    overall = sum(segment.time_cycles for segment in segments)
+    overall = ordered_sum(segment.time_cycles for segment in segments)
     if overall <= 0:
         overall = 1.0
     timings = tuple(
@@ -73,7 +74,7 @@ def profile_bottlenecks(report: CostReport) -> BottleneckProfile:
         )
         for segment in segments
     )
-    idle = sum(segment.idle_cycles for segment in segments) / overall
+    idle = ordered_sum(segment.idle_cycles for segment in segments) / overall
     return BottleneckProfile(
         accelerator_name=report.accelerator_name,
         segments=timings,

@@ -14,32 +14,51 @@ bytes, and ``evaluate(allocated_bytes, ...)`` returning a
 Everything a block's cost depends on except the allocation and the
 boundary traffic — the per-layer byte terms, Eq. 1 cycles, the rounds with
 their Eq. 2/3 cycles, and the Eq. 4/5 footprints — is computed once, on
-first use, into the block's ``layout``. Blocks are frozen, so a layout can
-never go stale, and a block whose costs a segment cache already holds
-never builds one.
+first use, into the block's ``layout``, from slices of the context's
+:class:`~repro.core.cost.terms.LayerColumns` (the builder passes its
+table as ``columns``; a block whose specs are not rows of it, such as one
+built by hand or by :func:`dataclasses.replace`, builds a table of its
+own specs). Blocks are frozen, so a layout can never go stale, and a block
+whose costs a segment cache already holds never builds one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, NamedTuple, Sequence, Tuple
+from itertools import accumulate, chain, repeat
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cnn.graph import ConvSpec
 from repro.core.cost.accesses import pipelined_weight_traffic, single_ce_traffic
 from repro.core.cost.buffers import (
     PositionBytes,
     pipelined_footprint,
-    pipelined_position_bytes,
+    position_maxima,
     single_ce_buffers,
     single_ce_streaming_bytes,
 )
 from repro.core.cost.results import AccessBreakdown, BlockEvaluation, SegmentCost
-from repro.core.cost.terms import LayerTerms, layer_terms, pipelined_terms
+from repro.core.cost.terms import LayerColumns, LayerTerms
 from repro.core.engine import ComputeEngine
-from repro.core.tiling import pipeline_cycles, select_tile_count, tile_cycle_runs
+from repro.core.tiling import pipeline_cycles, row_cycle_runs, tile_count_for
 from repro.hw.datatypes import Precision
 from repro.utils.errors import ResourceError
+
+
+def block_rows(block) -> Tuple[LayerColumns, int]:
+    """The layer columns ``block`` reads, and the row of its first layer.
+
+    The context's table when the block's specs are consecutive rows of it
+    at the block's precision; otherwise a table of the block's own specs,
+    so a block never reads columns of other layers.
+    """
+    columns = block.columns
+    if columns is not None:
+        start = columns.row_of(block.specs, block.precision)
+        if start is not None:
+            return columns, start
+    return LayerColumns(block.specs, block.precision), 0
 
 
 class SingleCELayout(NamedTuple):
@@ -59,17 +78,20 @@ class SingleCELayout(NamedTuple):
 
 def single_ce_layout(block: "SingleCEBlock") -> SingleCELayout:
     """Everything about ``block`` that does not depend on its allocation."""
-    terms = layer_terms(block.specs, block.engine, block.precision)
-    cycles = [block.engine.layer_cycles(spec) for spec in block.specs]
-    components = single_ce_buffers(terms)
+    columns, start = block_rows(block)
+    rows = slice(start, start + len(block.specs))
+    engine = block.engine
+    tiles = columns.weights_tiles(rows, engine)
+    cycles = columns.cycles(rows, (engine.strategy,))
+    components = single_ce_buffers(columns, rows, tiles)
     return SingleCELayout(
-        terms=terms,
+        terms=columns.single_ce_terms(rows, tiles),
         cycles=cycles,
         compute_cycles=sum(cycles),
-        layer_indices=tuple(spec.index for spec in block.specs),
-        macs=block.macs,
+        layer_indices=tuple(columns.index[rows]),
+        macs=sum(columns.macs[rows]),
         components=components,
-        mandatory=single_ce_streaming_bytes(terms),
+        mandatory=single_ce_streaming_bytes(columns, rows, tiles),
         ideal=sum(components),
     )
 
@@ -83,6 +105,8 @@ class SingleCEBlock:
     specs: Tuple[ConvSpec, ...]
     precision: Precision
     bytes_per_cycle: float
+    #: The context's layer columns (see :func:`block_rows`).
+    columns: Optional[LayerColumns] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.specs:
@@ -192,28 +216,26 @@ class SingleCEBlock:
         )
 
 
-class PipelinedRound(NamedTuple):
-    """One round of a :class:`PipelinedCEsBlock`: its layers on CE
-    positions ``0 .. len(specs) - 1`` and everything but its weight traffic."""
+class PipelinedLayout(NamedTuple):
+    """What a :class:`PipelinedCEsBlock` costs with, computed once.
 
-    specs: Tuple[ConvSpec, ...]
-    tile_count: int
+    ``rounds`` slices the block's layers CE-count at a time; position ``j``
+    of a round is its ``j``-th layer. Every other list but ``weights`` has
+    one entry per round.
+    """
+
+    rounds: List[slice]
+    tile_counts: List[int]
     #: weightsSz of each layer, the input of Eq. 7.
     weights: List[int]
     #: Eq. 2 latency and Eq. 3 bottleneck, in cycles.
-    latency: int
-    bottleneck: int
-    layer_indices: Tuple[int, ...]
-    macs: int
-    pe_count: int
-    #: Eq. 5 requirement of this round alone.
-    requirement: int
-
-
-class PipelinedLayout(NamedTuple):
-    """What a :class:`PipelinedCEsBlock` costs with, computed once."""
-
-    rounds: List[PipelinedRound]
+    latencies: Tuple[int, ...]
+    bottlenecks: Tuple[int, ...]
+    layer_indices: List[Tuple[int, ...]]
+    macs: List[int]
+    pe_counts: List[int]
+    #: Eq. 5 requirement of each round alone.
+    requirements: List[int]
     positions: PositionBytes
     #: The FM double-buffers every CE position reserves.
     fm_buffer_bytes: int
@@ -222,42 +244,49 @@ class PipelinedLayout(NamedTuple):
 
 
 def pipelined_layout(block: "PipelinedCEsBlock") -> PipelinedLayout:
-    """Everything about ``block`` that does not depend on its allocation."""
-    ce_count = block.ce_count
-    rounds: List[PipelinedRound] = []
-    round_terms = []
-    for start in range(0, len(block.specs), ce_count):
-        specs = block.specs[start : start + ce_count]
-        tile_count = select_tile_count(specs)
-        terms = pipelined_terms(specs, tile_count, block.precision)
-        engines = block.engines[: len(specs)]
-        latency, bottleneck = pipeline_cycles(
-            [
-                tile_cycle_runs(spec, engine.layer_cycles(spec), tile_count)
-                for spec, engine in zip(specs, engines)
-            ],
-            tile_count,
-        )
-        # One layer per position, so the round's terms are its positions.
-        requirement = pipelined_footprint(tuple(zip(*terms)), 1)[1]
-        rounds.append(
-            PipelinedRound(
-                specs=specs,
-                tile_count=tile_count,
-                weights=[layer.weights for layer in terms],
-                latency=latency,
-                bottleneck=bottleneck,
-                layer_indices=tuple(spec.index for spec in specs),
-                macs=sum(spec.macs for spec in specs),
-                pe_count=sum(engine.pe_count for engine in engines),
-                requirement=requirement,
-            )
-        )
-        round_terms.append(terms)
-    positions = pipelined_position_bytes(round_terms, ce_count)
+    """Everything about ``block`` that does not depend on its allocation.
+
+    Column kernels over the block's rows give each layer its Eq. 1 cycles
+    (on its position's engine), its FM tile and its Eq. 2 tile runs; a CE
+    position's Eq. 4/5 maxima are over a strided slice. Only the Eq. 2
+    stage scan loops, in each round.
+    """
+    columns, start = block_rows(block)
+    engines = block.engines
+    ce_count = len(engines)
+    count = len(block.specs)
+    rows = slice(start, start + count)
+    rounds = [slice(offset, offset + ce_count) for offset in range(0, count, ce_count)]
+    heights = columns.out_height[rows]
+    tile_counts = [tile_count_for(min(heights[round_])) for round_ in rounds]
+    layer_tiles = list(chain.from_iterable(map(repeat, tile_counts, repeat(ce_count))))
+    weights = columns.weights[rows]
+    fm_tiles = columns.fm_tiles(rows, layer_tiles)
+    cycles = columns.cycles(rows, [engine.strategy for engine in engines])
+    runs = list(map(row_cycle_runs, heights, cycles, layer_tiles))
+    latencies, bottlenecks = zip(
+        *[pipeline_cycles(runs[round_], tile_count) for round_, tile_count in zip(rounds, tile_counts)]
+    )
+    index = columns.index[rows]
+    macs = columns.macs[rows]
+    pe_counts = list(accumulate(engine.pe_count for engine in engines))
+    positions = (
+        position_maxima(weights, ce_count),
+        position_maxima(fm_tiles, ce_count),
+        position_maxima(columns.stream_tiles[rows], ce_count),
+    )
     mandatory, ideal = pipelined_footprint(positions, len(rounds))
     return PipelinedLayout(
         rounds=rounds,
+        tile_counts=tile_counts,
+        weights=weights,
+        latencies=latencies,
+        bottlenecks=bottlenecks,
+        layer_indices=[tuple(index[round_]) for round_ in rounds],
+        macs=[sum(macs[round_]) for round_ in rounds],
+        pe_counts=[pe_counts[min(count - round_.start, ce_count) - 1] for round_ in rounds],
+        # Eq. 5 of one pass: every weight resident, FM tiles doubled.
+        requirements=[sum(weights[round_]) + 2 * sum(fm_tiles[round_]) for round_ in rounds],
         positions=positions,
         fm_buffer_bytes=2 * sum(positions[1]),
         mandatory=mandatory,
@@ -313,6 +342,8 @@ class PipelinedCEsBlock:
     specs: Tuple[ConvSpec, ...]
     precision: Precision
     bytes_per_cycle: float
+    #: The context's layer columns (see :func:`block_rows`).
+    columns: Optional[LayerColumns] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.specs:
@@ -347,10 +378,10 @@ class PipelinedCEsBlock:
 
     def rounds(self) -> List[Tuple[ConvSpec, ...]]:
         """Layer groups processed CE-count at a time (Section III-B)."""
-        return [round_.specs for round_ in self.layout.rounds]
+        return [self.specs[round_] for round_ in self.layout.rounds]
 
     def tile_counts(self) -> List[int]:
-        return [round_.tile_count for round_ in self.layout.rounds]
+        return list(self.layout.tile_counts)
 
     def ideal_buffer_bytes(self) -> int:
         """Eq. 5 requirement (worst case across rounds for multi-round)."""
@@ -370,7 +401,7 @@ class PipelinedCEsBlock:
         weights, fm_tiles, _ = layout.positions
         weight_copies = 1 if len(layout.rounds) == 1 else 2
         components: List[int] = []
-        for position in range(len(layout.rounds[0].specs)):
+        for position in range(self.ce_count):
             components.extend([weights[position]] * weight_copies)
             components.extend([fm_tiles[position], fm_tiles[position]])
         return components
@@ -405,9 +436,11 @@ class PipelinedCEsBlock:
         interval = 0.0
         total_weight_bytes = 0
         last = len(layout.rounds) - 1
-        for round_index, round_ in enumerate(layout.rounds):
+        for round_index, (round_, tile_count) in enumerate(
+            zip(layout.rounds, layout.tile_counts)
+        ):
             weight_bytes = sum(
-                pipelined_weight_traffic(round_.weights, round_.tile_count, weight_buffers)
+                pipelined_weight_traffic(layout.weights[round_], tile_count, weight_buffers)
             )
             boundary_bytes = 0
             if round_index == 0:
@@ -415,22 +448,23 @@ class PipelinedCEsBlock:
             if round_index == last:
                 boundary_bytes += output_extra_bytes
             memory_cycles = (weight_bytes + boundary_bytes) / bytes_per_cycle
-            latency += max(float(round_.latency), memory_cycles)
-            interval += max(float(round_.bottleneck), memory_cycles)
+            round_latency = layout.latencies[round_index]
+            latency += max(float(round_latency), memory_cycles)
+            interval += max(float(layout.bottlenecks[round_index]), memory_cycles)
             total_weight_bytes += weight_bytes
             segments.append(
                 SegmentCost(
                     index=segment_index + round_index,
                     label=f"{self.name}.r{round_index + 1}",
-                    layer_indices=round_.layer_indices,
-                    compute_cycles=round_.latency,
+                    layer_indices=layout.layer_indices[round_index],
+                    compute_cycles=round_latency,
                     memory_cycles=memory_cycles,
                     accesses=AccessBreakdown(
                         weight_bytes=weight_bytes, fm_bytes=boundary_bytes
                     ),
-                    pe_count=round_.pe_count,
-                    macs=round_.macs,
-                    buffer_requirement_bytes=round_.requirement,
+                    pe_count=layout.pe_counts[round_index],
+                    macs=layout.macs[round_index],
+                    buffer_requirement_bytes=layout.requirements[round_index],
                 )
             )
         return BlockEvaluation(

@@ -16,13 +16,16 @@ cites:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cnn.graph import CNNGraph, ConvSpec
 from repro.core.blocks import PipelinedCEsBlock, SingleCEBlock
+from repro.core.cost.terms import LayerColumns
 from repro.core.dual import DualEngineBlock, has_mixed_conv_types
 from repro.core.engine import ComputeEngine
 from repro.core.notation import ArchitectureSpec, BlockSpec
+from repro.core.parallelism import SearchKey
 from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import DEFAULT_PRECISION, Precision
 from repro.utils.errors import ResourceError
@@ -101,38 +104,42 @@ class Accelerator:
         return "\n".join(lines)
 
 
-def _block_layers(spec: BlockSpec, conv_specs: Sequence[ConvSpec]) -> Tuple[ConvSpec, ...]:
-    return tuple(conv_specs[spec.layer_slice()])
-
-
 def _build_pipelined_engines(
     block_name: str,
-    layers: Tuple[ConvSpec, ...],
+    columns: LayerColumns,
+    rows: slice,
     ce_count: int,
     pe_budget: int,
 ) -> Tuple[ComputeEngine, ...]:
     """Size and fit one engine per pipeline position.
 
     Position ``j`` processes layers ``j, j + ce_count, j + 2*ce_count, ...``
-    (round-robin). PEs go to positions proportionally to their total MACs so
-    the pipeline stages are balanced (Eq. 3 discussion), and each engine's
-    parallelism is fitted to exactly its own layers.
+    of ``rows`` (round-robin: a strided slice of the columns). PEs go to
+    positions proportionally to their total MACs so the pipeline stages are
+    balanced (Eq. 3 discussion), and each engine's parallelism is fitted to
+    exactly its own layers.
     """
-    per_position: List[List[ConvSpec]] = [[] for _ in range(ce_count)]
-    for offset, spec in enumerate(layers):
-        per_position[offset % ce_count].append(spec)
-    workloads = [max(1.0, float(sum(s.macs for s in position))) for position in per_position]
+    start, stop = rows.start, rows.stop
+    positions = [slice(start + j, stop, ce_count) for j in range(ce_count)]
+    workloads = [max(1.0, float(sum(columns.macs[position]))) for position in positions]
     if pe_budget < ce_count:
         raise ResourceError(
             f"{block_name}: {pe_budget} PEs cannot feed {ce_count} pipelined CEs"
         )
     pe_split = proportional_allocation(pe_budget, workloads, minimum=1)
-    return tuple(
-        ComputeEngine.fitted(
-            f"{block_name}.CE{position + 1}", pes, position_specs or layers[:1]
+    engines = []
+    for j, (position, pes) in enumerate(zip(positions, pe_split)):
+        if start + j >= stop:
+            position = slice(start, start + 1)  # an idle CE: fit it to the first layer
+        engines.append(
+            ComputeEngine.fitted(
+                f"{block_name}.CE{j + 1}",
+                pes,
+                columns.specs[position],
+                keys=columns.keys[position],
+            )
         )
-        for position, (position_specs, pes) in enumerate(zip(per_position, pe_split))
-    )
+    return tuple(engines)
 
 
 class MultipleCEBuilder:
@@ -147,14 +154,15 @@ class MultipleCEBuilder:
         self.graph = graph
         self.board = board
         self.precision = precision
-        self._conv_specs = graph.conv_specs()
+        # The context's layer columns: every block this builder makes reads
+        # its layers' extents, byte terms and search keys from this one
+        # table instead of recomputing them per design.
+        self._columns = LayerColumns(graph.conv_specs(), precision)
+        self._conv_specs = self._columns.specs
         # Prefix sums of per-layer MACs: every build needs workload totals
         # over contiguous layer ranges (PE distribution is MACs-proportional),
         # and prefix sums make each range O(1) instead of O(layers).
-        prefix = [0]
-        for conv in self._conv_specs:
-            prefix.append(prefix[-1] + conv.macs)
-        self._macs_prefix = prefix
+        self._macs_prefix = [0, *accumulate(self._columns.macs)]
         self._context_fingerprint: Optional[str] = None
 
     @property
@@ -200,7 +208,9 @@ class MultipleCEBuilder:
                 f"{self.board.pe_count} PEs"
             )
 
-        block_layers = [_block_layers(block, self._conv_specs) for block in resolved.blocks]
+        columns = self._columns
+        block_rows = [block.layer_slice() for block in resolved.blocks]
+        block_layers = [columns.specs[rows] for rows in block_rows]
 
         # Group blocks sharing a CE (single-CE blocks with the same ce_id);
         # every other block forms its own group.
@@ -211,18 +221,19 @@ class MultipleCEBuilder:
             else:
                 groups.append(f"blk{index}")
         group_order: List[str] = []
-        group_layers: Dict[str, List[ConvSpec]] = {}
+        group_layers: Dict[str, Tuple[ConvSpec, ...]] = {}
+        group_keys: Dict[str, Tuple[SearchKey, ...]] = {}
         group_minimum: Dict[str, int] = {}
         group_macs: Dict[str, int] = {}
-        for index, (block, layers, group) in enumerate(
-            zip(resolved.blocks, block_layers, groups)
-        ):
+        for block, rows, group in zip(resolved.blocks, block_rows, groups):
             if group not in group_layers:
                 group_order.append(group)
-                group_layers[group] = []
+                group_layers[group] = ()
+                group_keys[group] = ()
                 group_minimum[group] = block.ce_count
                 group_macs[group] = 0
-            group_layers[group].extend(layers)
+            group_layers[group] += columns.specs[rows]
+            group_keys[group] += columns.keys[rows]
             group_macs[group] += self.range_macs(block)
         group_workloads = [max(1.0, float(group_macs[g])) for g in group_order]
         group_pes = dict(
@@ -240,13 +251,15 @@ class MultipleCEBuilder:
         blocks: List[Block] = []
         bytes_per_cycle = self.board.bytes_per_cycle
         shared_engines: Dict[str, ComputeEngine] = {}
-        for position, (block_spec, layers, pes) in enumerate(
-            zip(resolved.blocks, block_layers, pe_split)
+        for position, (block_spec, rows, layers, pes) in enumerate(
+            zip(resolved.blocks, block_rows, block_layers, pe_split)
         ):
             name = f"B{position + 1}"
             group = groups[position]
             if block_spec.is_pipelined:
-                engines = _build_pipelined_engines(name, layers, block_spec.ce_count, pes)
+                engines = _build_pipelined_engines(
+                    name, columns, rows, block_spec.ce_count, pes
+                )
                 blocks.append(
                     PipelinedCEsBlock(
                         name=name,
@@ -254,6 +267,7 @@ class MultipleCEBuilder:
                         specs=layers,
                         precision=self.precision,
                         bytes_per_cycle=bytes_per_cycle,
+                        columns=columns,
                     )
                 )
             else:
@@ -282,7 +296,10 @@ class MultipleCEBuilder:
                         # process — the Section IV-B1 "optimized for the
                         # average case rather than for a unique segment".
                         engine = ComputeEngine.fitted(
-                            f"{name}.CE1", pes, group_layers[group]
+                            f"{name}.CE1",
+                            pes,
+                            group_layers[group],
+                            keys=group_keys[group],
                         )
                         shared_engines[group] = engine
                     blocks.append(
@@ -292,6 +309,7 @@ class MultipleCEBuilder:
                             specs=layers,
                             precision=self.precision,
                             bytes_per_cycle=bytes_per_cycle,
+                            columns=columns,
                         )
                     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.cnn.graph import ConvSpec
-from repro.core.cost.terms import LayerTerms, layer_terms, pipelined_terms
+from repro.core.cost.terms import LayerColumns, LayerTerms, layer_terms
 from repro.core.engine import ComputeEngine
 from repro.hw.datatypes import Precision
 
@@ -48,13 +48,14 @@ def single_ce_traffic(
 ) -> List[Tuple[int, int, int]]:
     """Eq. 6 applied to every layer a single-CE block processes.
 
-    Returns each layer's ``(weight, ifm, ofm)`` off-chip bytes. A forward
-    pass decides, layer by layer, whether the produced OFM can stay on-chip
-    for the next layer (a one-layer lookahead checks the consumer's working
-    set also fits). When an IFM is off-chip the model takes the cheaper of
-    the two Eq. 6 options, each sized with the best split of the remaining
-    budget, which is the "Multiple-CE Builder heuristics identify the
-    buffer sizes that minimize accesses in each option" step:
+    ``terms`` are :class:`LayerTerms` rows (plain tuples in its field
+    order). Returns each layer's ``(weight, ifm, ofm)`` off-chip bytes. A
+    forward pass decides, layer by layer, whether the produced OFM can stay
+    on-chip for the next layer (a one-layer lookahead checks the consumer's
+    working set also fits). When an IFM is off-chip the model takes the
+    cheaper of the two Eq. 6 options, each sized with the best split of the
+    remaining budget, which is the "Multiple-CE Builder heuristics identify
+    the buffer sizes that minimize accesses in each option" step:
 
     * OS local-input-stationary: IFM elements loaded once, weights
       re-streamed once per resident IFM chunk,
@@ -76,16 +77,14 @@ def single_ce_traffic(
         if position == last:
             keep_ofm = output_onchip
         else:
-            consumer = terms[position + 1]
+            _, _, _, _, consumer_tile, _, consumer_row = terms[position + 1]
             producer_fits = (
                 (ifm_total if prev_ofm_onchip else row_in)
                 + ofm_live
                 + wtile_min
                 <= buffer_bytes
             )
-            consumer_fits = (
-                ofm_live + consumer.weights_tile + consumer.ofm_row <= buffer_bytes
-            )
+            consumer_fits = ofm_live + consumer_tile + consumer_row <= buffer_bytes
             keep_ofm = producer_fits and consumer_fits
 
         # --- per-layer traffic (Eq. 6) ---------------------------------------
@@ -158,9 +157,8 @@ def pipelined_weight_accesses(
     precision: Precision,
 ) -> List[LayerAccess]:
     """:func:`pipelined_weight_traffic` of one round's layers, per layer."""
-    terms = pipelined_terms(round_specs, tile_count, precision)
     traffic = pipelined_weight_traffic(
-        [layer.weights for layer in terms], tile_count, weight_buffer_bytes
+        LayerColumns(round_specs, precision).weights, tile_count, weight_buffer_bytes
     )
     return [
         LayerAccess(spec.index, weight_bytes, 0, 0)

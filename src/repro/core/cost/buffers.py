@@ -6,21 +6,21 @@ assuming unlimited on-chip memory — the paper's Section IV-A2 definition.
 Whether the budget actually accommodates them is the allocator's problem
 (:mod:`repro.core.cost.allocation`).
 
-Each model reads the per-layer byte terms of :mod:`repro.core.cost.terms`;
-the spec-level functions build those terms and apply the same code.
+Each model reads slices of the layer columns of :mod:`repro.core.cost.terms`;
+the spec-level functions build a table of their specs and apply the same
+code.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import add
 from typing import List, Sequence, Tuple
 
 from repro.cnn.graph import ConvSpec
 from repro.core.cost.terms import (  # noqa: F401 (pipelined_fm_tile_bytes is re-exported)
-    LayerTerms,
-    PipelinedTerms,
-    layer_terms,
+    LayerColumns,
     pipelined_fm_tile_bytes,
-    pipelined_terms,
 )
 from repro.core.engine import ComputeEngine
 from repro.core.tiling import select_tile_count
@@ -31,26 +31,29 @@ from repro.hw.datatypes import Precision
 PositionBytes = Tuple[List[int], List[int], List[int]]
 
 
-def single_ce_buffers(terms: Sequence[LayerTerms]) -> Tuple[int, int]:
+def single_ce_buffers(
+    columns: LayerColumns, rows: slice, weights_tiles: Sequence[int]
+) -> Tuple[int, int]:
     """Eq. 4's two buffers: the largest layer FMs and the largest weights tile.
 
     Buffers are reused across layers because a single-CE processes them one
     at a time; the FM term counts the OFM's residual copies.
+    ``weights_tiles`` are the engine's tiles of ``rows``
+    (:meth:`LayerColumns.weights_tiles`).
     """
-    return (
-        max(layer.ifm + layer.live_ofm for layer in terms),
-        max(layer.weights_tile for layer in terms),
-    )
+    return max(columns.live_fms[rows]), max(weights_tiles)
 
 
-def single_ce_streaming_bytes(terms: Sequence[LayerTerms]) -> int:
+def single_ce_streaming_bytes(
+    columns: LayerColumns, rows: slice, weights_tiles: Sequence[int]
+) -> int:
     """Smallest buffer a single-CE block can stream through.
 
     One IFM row band, one OFM row, and one weights tile for the worst layer.
     Below this the engine cannot make forward progress, so the allocator
     never hands out less.
     """
-    return max(layer.ifm_band + layer.ofm_row + layer.weights_tile for layer in terms)
+    return max(map(add, columns.stream_bytes[rows], weights_tiles))
 
 
 def single_ce_buffer_requirement(
@@ -59,7 +62,9 @@ def single_ce_buffer_requirement(
     """Eq. 4: largest layer FMs plus the largest weights tile, in bytes."""
     if not specs:
         return 0
-    return sum(single_ce_buffers(layer_terms(specs, engine, precision)))
+    columns = LayerColumns(specs, precision)
+    rows = slice(None)
+    return sum(single_ce_buffers(columns, rows, columns.weights_tiles(rows, engine)))
 
 
 def single_ce_mandatory_bytes(
@@ -68,25 +73,18 @@ def single_ce_mandatory_bytes(
     """:func:`single_ce_streaming_bytes` of ``specs`` on ``engine``."""
     if not specs:
         return 0
-    return single_ce_streaming_bytes(layer_terms(specs, engine, precision))
+    columns = LayerColumns(specs, precision)
+    rows = slice(None)
+    return single_ce_streaming_bytes(columns, rows, columns.weights_tiles(rows, engine))
 
 
-def pipelined_position_bytes(
-    round_terms: Sequence[Sequence[PipelinedTerms]], ce_count: int
-) -> PositionBytes:
-    """Largest weights, FM tile and weights tile of each CE position."""
-    weights = [0] * ce_count
-    fm_tiles = [0] * ce_count
-    weight_tiles = [0] * ce_count
-    for terms in round_terms:
-        for position, (layer_weights, fm_tile, weights_tile) in enumerate(terms):
-            if weights[position] < layer_weights:
-                weights[position] = layer_weights
-            if fm_tiles[position] < fm_tile:
-                fm_tiles[position] = fm_tile
-            if weight_tiles[position] < weights_tile:
-                weight_tiles[position] = weights_tile
-    return weights, fm_tiles, weight_tiles
+def position_maxima(values: Sequence[int], ce_count: int) -> List[int]:
+    """Largest of ``values`` at each CE position, when layer ``i`` runs on
+    position ``i % ce_count`` (rounds of ``ce_count`` layers): a strided
+    slice per position, 0 for a position no layer reaches."""
+    if len(values) <= ce_count:  # one round: each position holds one layer
+        return list(values) + [0] * (ce_count - len(values))
+    return [max(values[position::ce_count]) for position in range(ce_count)]
 
 
 def pipelined_footprint(positions: PositionBytes, round_count: int) -> Tuple[int, int]:
@@ -122,12 +120,20 @@ def _positions(
     ce_count: int,
     precision: Precision,
 ) -> PositionBytes:
-    return pipelined_position_bytes(
-        [
-            pipelined_terms(round_specs, tile_count, precision)
-            for round_specs, tile_count in zip(rounds, tile_counts)
-        ],
-        ce_count,
+    """Per CE position, the largest weights, FM tile and streaming weights
+    tile over ``rounds``: consecutive groups of ``ce_count`` layers, the
+    last possibly shorter, as a pipelined block runs them."""
+    if any(len(round_specs) != ce_count for round_specs in rounds[:-1]) or (
+        rounds and len(rounds[-1]) > ce_count
+    ):
+        raise ValueError(f"rounds must be consecutive groups of {ce_count} layers")
+    columns = LayerColumns([spec for round_specs in rounds for spec in round_specs], precision)
+    layer_tiles = chain.from_iterable(map(repeat, tile_counts, map(len, rounds)))
+    fm_tiles = columns.fm_tiles(slice(None), layer_tiles)
+    return (
+        position_maxima(columns.weights, ce_count),
+        position_maxima(fm_tiles, ce_count),
+        position_maxima(columns.stream_tiles, ce_count),
     )
 
 

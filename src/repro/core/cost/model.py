@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.cost.allocation import AllocationPlan, allocate_onchip
 from repro.core.cost.results import AccessBreakdown, BlockEvaluation, CostReport
+from repro.utils.mathutils import ordered_sum
 
 if TYPE_CHECKING:  # avoid a circular import; Accelerator is only a type here
     from repro.core.builder import Accelerator
@@ -56,7 +57,7 @@ class MCCM:
         plan = self._allocate(accelerator, footprints)
         evaluations = self._evaluate_blocks(accelerator, plan, segment_cache)
 
-        latency = sum(evaluation.latency_cycles for evaluation in evaluations)
+        latency = ordered_sum(evaluation.latency_cycles for evaluation in evaluations)
         accesses = AccessBreakdown()
         for evaluation in evaluations:
             accesses = accesses + evaluation.accesses

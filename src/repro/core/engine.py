@@ -9,12 +9,13 @@ emerges whenever a degree does not divide a layer dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.cnn.graph import ConvSpec
 from repro.core.dataflow import DEFAULT_DATAFLOW, Dataflow, weights_tile_elements
 from repro.core.parallelism import (
     ParallelismStrategy,
+    SearchKey,
     choose_parallelism,
     layer_cycles,
     layer_utilization,
@@ -60,9 +61,11 @@ class ComputeEngine:
         pe_count: int,
         specs: Sequence[ConvSpec],
         dataflow: Dataflow = DEFAULT_DATAFLOW,
+        keys: Optional[Tuple[SearchKey, ...]] = None,
     ) -> "ComputeEngine":
-        """Build an engine with the best parallelism for the given layers."""
-        strategy = choose_parallelism(pe_count, specs)
+        """Build an engine with the best parallelism for the given layers
+        (``keys``: their search keys, as :func:`choose_parallelism` takes)."""
+        strategy = choose_parallelism(pe_count, specs, keys)
         return cls(name=name, pe_count=pe_count, strategy=strategy, dataflow=dataflow)
 
     def layer_cycles(self, spec: ConvSpec) -> int:

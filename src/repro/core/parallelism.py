@@ -164,11 +164,25 @@ def _divisor_candidates(extents: Iterable[int], budget: int, cap: int = 24) -> L
     return ordered
 
 
+#: What the Eq. 1 search reads from one layer: ``(K, C, H, W, R, S, MACs)``.
+SearchKey = Tuple[int, int, int, int, int, int, int]
+
+
+def search_key(spec: ConvSpec) -> SearchKey:
+    """The layer's six loop extents (Eq. 1) and its MACs."""
+    return (
+        spec.filters,
+        spec.channels,
+        spec.out_height,
+        spec.out_width,
+        spec.kernel_height,
+        spec.kernel_width,
+        spec.macs,
+    )
+
+
 @lru_cache(maxsize=65536)
-def _search_cached(
-    budget: int,
-    layer_key: Tuple[Tuple[int, int, int, int, int, int, int], ...],
-) -> ParallelismStrategy:
+def _search_cached(budget: int, layer_key: Tuple[SearchKey, ...]) -> ParallelismStrategy:
     """Cached core of :func:`choose_parallelism`; see its docstring.
 
     The winner is the (K, H, W) triple under the budget with the lowest
@@ -254,7 +268,11 @@ def _search_cached(
     )
 
 
-def choose_parallelism(pe_budget: int, specs: Sequence[ConvSpec]) -> ParallelismStrategy:
+def choose_parallelism(
+    pe_budget: int,
+    specs: Sequence[ConvSpec],
+    keys: Optional[Tuple[SearchKey, ...]] = None,
+) -> ParallelismStrategy:
     """Pick the (K, H, W) unrolling that minimizes total Eq. 1 cycles.
 
     The strategy parallelizes filters and the IFM-channel spatial dimensions
@@ -262,21 +280,15 @@ def choose_parallelism(pe_budget: int, specs: Sequence[ConvSpec]) -> Parallelism
     degenerates to 2-D or 1-D by assigning degree 1. The search minimizes the
     summed cycle count over all layers the CE processes, i.e. it optimizes
     the average case when a CE serves diverse layers (Section IV-B1).
+
+    ``keys`` are the specs' :func:`search_key` tuples, in order, when the
+    caller already holds them (a builder's layer columns do); otherwise
+    they are built from ``specs``.
     """
     if pe_budget <= 0:
         raise ResourceError(f"pe_budget must be positive, got {pe_budget}")
     if not specs:
         raise ResourceError("cannot choose parallelism for an empty layer set")
-    layer_key = tuple(
-        (
-            spec.filters,
-            spec.channels,
-            spec.out_height,
-            spec.out_width,
-            spec.kernel_height,
-            spec.kernel_width,
-            spec.macs,
-        )
-        for spec in specs
-    )
-    return _search_cached(pe_budget, layer_key)
+    if keys is None:
+        keys = tuple(map(search_key, specs))
+    return _search_cached(pe_budget, keys)

@@ -45,7 +45,7 @@ def balanced_segments(
         raise ResourceError(
             f"cannot split {len(specs)} layers into {num_segments} segments"
         )
-    loads = [float(spec.macs) for spec in specs]
+    loads = [spec.macs for spec in specs]
     ranges = balanced_partition(loads, num_segments)
     cuts = [end for _, end in ranges[:-1]]  # exclusive cut indices
     if refine:

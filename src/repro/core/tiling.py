@@ -16,7 +16,6 @@ from typing import List, Sequence, Tuple
 
 from repro.cnn.graph import ConvSpec
 from repro.utils.errors import ResourceError
-from repro.utils.mathutils import clamp
 
 #: Bounds on tiles per pipelined pass. The lower bound enables double
 #: buffering at all; the upper bound keeps per-tile overheads (and the
@@ -35,8 +34,13 @@ def select_tile_count(specs: Sequence[ConvSpec]) -> int:
     """
     if not specs:
         raise ResourceError("cannot tile an empty layer set")
-    min_height = min(spec.out_height for spec in specs)
-    return int(clamp(min_height, MIN_TILES, MAX_TILES))
+    return tile_count_for(min(spec.out_height for spec in specs))
+
+
+def tile_count_for(min_height: int) -> int:
+    """:func:`select_tile_count` of layers whose smallest OFM height is
+    ``min_height``."""
+    return min(max(min_height, MIN_TILES), MAX_TILES)
 
 
 #: One CE's Eq. 2 tile latencies ``Lat(FMsTile_ij, CE_j)`` as runs:
@@ -82,7 +86,12 @@ def tile_cycle_runs(spec: ConvSpec, cycles_full_layer: int, tile_count: int) -> 
     total. :func:`tile_rows` gives full tiles, at most one partial tile,
     then empty tiles, so three values describe every tile.
     """
-    height = spec.out_height
+    return row_cycle_runs(spec.out_height, cycles_full_layer, tile_count)
+
+
+def row_cycle_runs(height: int, cycles_full_layer: int, tile_count: int) -> TileRuns:
+    """:func:`tile_cycle_runs` of a layer ``height`` OFM rows tall: the form
+    a block layout maps over its height and cycle columns."""
     full_tiles, full_rows, partial_rows = _row_runs(height, tile_count)
     return (
         full_tiles,

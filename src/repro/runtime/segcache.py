@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import replace
+from operator import attrgetter
 from typing import Any, Hashable, Optional, Tuple
 
 from repro.core.cost.results import BlockEvaluation
@@ -50,12 +51,20 @@ DEFAULT_SEGMENT_ENTRIES = 8192
 
 def engine_signature(engine: ComputeEngine) -> Tuple[Hashable, ...]:
     """What an engine contributes to a segment's cost: its PE count, its
-    fitted unrolling degrees, and its dataflow — not its (positional) name."""
+    fitted unrolling degrees, and its dataflow — not its (positional) name.
+
+    The degrees are the six integers of ``strategy.degrees6``: two
+    strategies with equal ``degrees6`` cost every layer alike, and integers
+    hash without a Python-level ``Enum.__hash__`` per dimension.
+    """
     return (
         engine.pe_count,
-        engine.strategy.degrees,
+        engine.strategy.degrees6,
         engine.dataflow.value,
     )
+
+
+_spec_index = attrgetter("index")
 
 
 def segment_key(block: Any) -> Tuple[Hashable, ...]:
@@ -66,7 +75,7 @@ def segment_key(block: Any) -> Tuple[Hashable, ...]:
     carries the layer identities and the *outcome* of engine fitting, which
     together determine Eq. 1 cycles, tiling, accesses, and buffers.
     """
-    layer_ids = tuple(spec.index for spec in block.specs)
+    layer_ids = tuple(map(_spec_index, block.specs))
     kind = block.kind
     if kind == "single":
         engines: Tuple[Tuple[Hashable, ...], ...] = (engine_signature(block.engine),)

@@ -29,7 +29,7 @@ from repro.core.cost.accesses import pipelined_weight_accesses, single_ce_access
 from repro.core.cost.model import MCCM
 from repro.core.tiling import build_schedule
 from repro.synth.memory import MemoryPort
-from repro.utils.mathutils import ceil_div
+from repro.utils.mathutils import ceil_div, ordered_sum
 
 #: Pipeline fill/drain cycles charged per processed tile or layer start
 #: (MAC-array depth, accumulator flush, control FSM transitions).
@@ -99,7 +99,7 @@ class SynthesisSimulator:
         """Simulate one inference (latency) and a short image stream
         (throughput), and measure implementation buffer sizes."""
         block_times, segments = self._simulate_blocks()
-        latency = sum(time for time, _interval in block_times)
+        latency = ordered_sum(time for time, _interval in block_times)
         interval = self._steady_state_interval(block_times)
         report = MCCM().evaluate(self.accelerator)
         return SimulationResult(
@@ -297,7 +297,7 @@ class SynthesisSimulator:
         latencies = [time for time, _ in block_times]
         intervals = [interval for _, interval in block_times]
         if not self.accelerator.coarse_pipelined and len(block_times) > 1:
-            return sum(latencies)
+            return ordered_sum(latencies)
         if len(block_times) == 1:
             return intervals[0]
         images = PIPELINE_WARMUP_IMAGES + 2

@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from repro.core.cost.results import CostReport
 from repro.synth.simulator import SimulationResult
 from repro.utils.errors import ValidationError
+from repro.utils.mathutils import ordered_sum
 
 #: The four Table IV metric rows.
 VALIDATION_METRICS: Tuple[str, ...] = ("buffers", "latency", "throughput", "accesses")
@@ -100,14 +101,14 @@ class ValidationSummary:
         if kind == "min":
             return min(values)
         if kind == "average":
-            return sum(values) / len(values)
+            return ordered_sum(values) / len(values)
         raise ValidationError(f"unknown stat kind {kind!r}")
 
     def average(self, metric: str) -> float:
         values = [record.accuracies[metric] for record in self.records]
         if not values:
             raise ValidationError("summary has no records")
-        return sum(values) / len(values)
+        return ordered_sum(values) / len(values)
 
     def table(self) -> str:
         """Render the Table IV layout as text."""

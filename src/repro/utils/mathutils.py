@@ -11,7 +11,9 @@ arithmetic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -35,6 +37,20 @@ def prod(values: Iterable[int]) -> int:
     for value in values:
         result *= value
     return result
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right, rounding after every addition.
+
+    This is what ``sum()`` does up to Python 3.11. From 3.12 ``sum()`` adds
+    floats with compensated summation, so its result can differ in the last
+    bit from one interpreter to the next; every float total a report holds
+    is added here instead, so reports read the same on each of them.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def clamp(value: float, low: float, high: float) -> float:
@@ -131,15 +147,24 @@ def proportional_allocation(total: int, weights: Sequence[float], minimum: int =
     return allocation
 
 
-def balanced_partition(loads: Sequence[float], parts: int) -> List[Tuple[int, int]]:
-    """Partition a sequence of non-negative loads into contiguous chunks.
+def balanced_partition(loads: Sequence[int], parts: int) -> List[Tuple[int, int]]:
+    """Partition a sequence of non-negative integer loads into contiguous chunks.
 
     Returns ``parts`` half-open index ranges ``(start, end)`` covering
     ``range(len(loads))`` whose maximum chunk load is minimized. This is the
     classic linear-partition problem, solved exactly via binary search over
-    the bottleneck value with a greedy feasibility check. It is the core of
-    the Segmented architecture's segmentation heuristic: segments should have
-    near-equal compute so the coarse-grained pipeline is balanced.
+    the integer bottleneck value with a greedy feasibility check. It is the
+    core of the Segmented architecture's segmentation heuristic: segments
+    should have near-equal compute so the coarse-grained pipeline is
+    balanced.
+
+    The greedy runs on prefix sums: from each chunk's start, one ``bisect``
+    finds the furthest end whose load stays within the limit, so a check
+    costs one search per chunk instead of one step per load. Each check
+    also narrows the search past its midpoint: a feasible limit can drop
+    to the largest chunk the greedy made, and an infeasible one rises to
+    the smallest load at which one of its chunks would grow (no limit
+    below that changes a cut).
     """
     n = len(loads)
     if parts <= 0:
@@ -148,52 +173,31 @@ def balanced_partition(loads: Sequence[float], parts: int) -> List[Tuple[int, in
         raise ValueError(f"cannot split {n} items into {parts} non-empty parts")
     if any(load < 0 for load in loads):
         raise ValueError("loads must be non-negative")
+    prefix = [0, *accumulate(loads)]
+    if not isinstance(prefix[-1], int):
+        raise ValueError("loads must be integers")
 
+    def greedy_ends(limit: int) -> List[int]:
+        """Chunk ends of the greedy under ``limit``, stopping past ``parts``."""
+        ends: List[int] = []
+        end = 0
+        while end < n and len(ends) <= parts:
+            end = bisect_right(prefix, prefix[end] + limit) - 1
+            ends.append(end)
+        return ends
+
+    # The smallest limit the greedy meets with at most `parts` chunks.
     low = max(loads)
-    high = float(sum(loads))
-
-    def chunks_needed(limit: float) -> int:
-        needed = 1
-        current = 0.0
-        for load in loads:
-            if current + load > limit:
-                needed += 1
-                current = load
-            else:
-                current += load
-        return needed
-
-    for _ in range(64):
-        mid = (low + high) / 2.0
-        if chunks_needed(mid) <= parts:
-            high = mid
+    high = prefix[-1]
+    while low < high:
+        ends = greedy_ends((low + high) // 2)
+        chunks = zip([0, *ends], ends)
+        if len(ends) <= parts:
+            high = max(prefix[end] - prefix[start] for start, end in chunks)
         else:
-            low = mid
-    limit = high
-
-    boundaries: List[Tuple[int, int]] = []
-    start = 0
-    current = 0.0
-    for index, load in enumerate(loads):
-        if current + load > limit and index > start:
-            boundaries.append((start, index))
-            start = index
-            current = load
-        else:
-            current += load
-    boundaries.append((start, n))
-
-    # Floating-point slack can leave the greedy one chunk over; merge the
-    # cheapest adjacent pair until we are back within `parts`.
-    while len(boundaries) > parts:
-        pair_loads = [
-            sum(loads[boundaries[i][0] : boundaries[i + 1][1]])
-            for i in range(len(boundaries) - 1)
-        ]
-        cheapest = min(range(len(pair_loads)), key=lambda i: pair_loads[i])
-        begin = boundaries[cheapest][0]
-        end = boundaries[cheapest + 1][1]
-        boundaries[cheapest : cheapest + 2] = [(begin, end)]
+            low = min(prefix[end + 1] - prefix[start] for start, end in chunks if end < n)
+    ends = greedy_ends(low)
+    boundaries = list(zip([0, *ends], ends))
 
     # The greedy may use fewer chunks than allowed; split the chunks with the
     # most items until we have exactly `parts` non-empty ranges.

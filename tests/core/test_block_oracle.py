@@ -11,18 +11,27 @@ over output heights 1–512 (full, partial and empty tiles), 1–11 CEs with
 multi-round blocks, int8/int16/fp32 weights and activations, allocations
 from 0 to above the ideal footprint, and non-zero boundary traffic.
 
+Blocks lay themselves out from slices of a context's layer columns. The
+drawn blocks read a longer context's table as a builder's blocks do, no
+table, or a table their specs do not match (another precision or other
+layers); :class:`TestBuilderBlocksMatchReference` also draws the blocks a
+:class:`~repro.core.builder.MultipleCEBuilder` makes for zoo models.
+
 Raise the example budget with ``pytest -m fuzz --hypothesis-profile=ci``.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
+from repro.api import resolve_board, resolve_model
 from repro.cnn.graph import ConvSpec
 from repro.cnn.layers import LayerKind
+from repro.core.architectures import TEMPLATES, build_template
 from repro.core.blocks import PipelinedCEsBlock, SingleCEBlock, split_weight_budget
+from repro.core.builder import MultipleCEBuilder
 from repro.core.cost.accesses import pipelined_weight_accesses, single_ce_accesses
 from repro.core.cost.buffers import (
     per_ce_max_weight_bytes,
@@ -32,11 +41,14 @@ from repro.core.cost.buffers import (
     single_ce_mandatory_bytes,
 )
 from repro.core.cost.results import AccessBreakdown, BlockEvaluation, SegmentCost
+from repro.core.cost.terms import LayerColumns
 from repro.core.dataflow import Dataflow, ofm_row_elements
 from repro.core.engine import ComputeEngine
 from repro.core.parallelism import Dimension, ParallelismStrategy
 from repro.core.tiling import build_schedule, select_tile_count
+from repro.dse.space import CustomDesignSpace
 from repro.hw.datatypes import FP32, INT8, INT16, Precision
+from repro.utils.errors import ResourceError
 
 pytestmark = pytest.mark.fuzz
 
@@ -401,18 +413,29 @@ def layer_lists(draw, min_size, max_size):
     )
 
 
+#: Degrees of the C, R and S loops: mostly 1, as the Eq. 1 search leaves them.
+minor_degrees = st.sampled_from([1, 1, 1, 2, 3])
+
 engines = st.builds(
-    lambda pk, ph, pw, spare, dataflow: ComputeEngine(
+    lambda pk, ph, pw, minor, spare, dataflow: ComputeEngine(
         name="CE",
-        pe_count=pk * ph * pw + spare,
+        pe_count=pk * ph * pw * minor[0] * minor[1] * minor[2] + spare,
         strategy=ParallelismStrategy.from_dict(
-            {Dimension.FILTERS: pk, Dimension.OUT_HEIGHT: ph, Dimension.OUT_WIDTH: pw}
+            {
+                Dimension.FILTERS: pk,
+                Dimension.OUT_HEIGHT: ph,
+                Dimension.OUT_WIDTH: pw,
+                Dimension.CHANNELS: minor[0],
+                Dimension.KERNEL_HEIGHT: minor[1],
+                Dimension.KERNEL_WIDTH: minor[2],
+            }
         ),
         dataflow=dataflow,
     ),
     st.integers(1, 32),
     st.integers(1, 8),
     st.integers(1, 8),
+    st.one_of(st.just((1, 1, 1)), st.tuples(minor_degrees, minor_degrees, minor_degrees)),
     st.integers(0, 64),
     st.sampled_from(list(Dataflow)),
 )
@@ -422,26 +445,87 @@ bandwidths = st.floats(min_value=0.25, max_value=256.0, allow_nan=False, allow_i
 
 
 @st.composite
+def block_layers(draw, min_size, max_size):
+    """A block's layers, its precision and the layer columns it is given.
+
+    Most blocks get what a builder gives them: a table of a longer context
+    at their precision, their layers consecutive rows of it. The others get
+    no table, a table at another precision, or another context's table (as
+    after :func:`dataclasses.replace`), and must cost their own layers.
+    """
+    before = draw(st.integers(0, 3))
+    context = draw(layer_lists(before + min_size, before + max_size + 3))
+    count = draw(st.integers(min_size, min(max_size, len(context) - before)))
+    specs = context[before : before + count]
+    precision = draw(precisions)
+    table = draw(st.sampled_from(["context", "context", "none", "precision", "other"]))
+    if table == "none":
+        return specs, precision, None
+    if table == "precision":
+        return specs, precision, LayerColumns(context, draw(precisions))
+    if table == "other":
+        context = draw(layer_lists(len(context), len(context)))
+    return specs, precision, LayerColumns(context, precision)
+
+
+@st.composite
 def single_blocks(draw):
+    specs, precision, columns = draw(block_layers(1, 12))
     return SingleCEBlock(
         name="B2",
         engine=draw(engines),
-        specs=draw(layer_lists(1, 12)),
-        precision=draw(precisions),
+        specs=specs,
+        precision=precision,
         bytes_per_cycle=draw(bandwidths),
+        columns=columns,
     )
 
 
 @st.composite
 def pipelined_blocks(draw):
     ce_count = draw(st.integers(1, 11))
+    specs, precision, columns = draw(block_layers(ce_count, 3 * ce_count + 2))
     return PipelinedCEsBlock(
         name="B3",
         engines=tuple(draw(st.lists(engines, min_size=ce_count, max_size=ce_count))),
-        specs=draw(layer_lists(ce_count, 3 * ce_count + 2)),
-        precision=draw(precisions),
+        specs=specs,
+        precision=precision,
         bytes_per_cycle=draw(bandwidths),
+        columns=columns,
     )
+
+
+#: Zoo contexts for builder-made blocks: plain, depthwise-separable and
+#: residual CNNs on four boards.
+ZOO_CONTEXTS = [
+    ("squeezenet", "zc706"),
+    ("mobilenetv2", "zcu102"),
+    ("resnet50", "vcu110"),
+    ("xception", "vcu108"),
+]
+
+
+@st.composite
+def builder_blocks(draw):
+    """A single-CE or pipelined block a :class:`MultipleCEBuilder` built:
+    from a template design or a sampled custom one."""
+    model, board = draw(st.sampled_from(ZOO_CONTEXTS))
+    builder = MultipleCEBuilder(resolve_model(model), resolve_board(board), draw(precisions))
+    specs = builder.conv_specs
+    try:
+        if draw(st.booleans()):
+            template = draw(st.sampled_from(sorted(TEMPLATES)))
+            design = build_template(template, specs, draw(st.integers(2, 11)))
+        else:
+            seed = draw(st.integers(0, 2**16))
+            design = next(iter(CustomDesignSpace(specs).sample(1, seed=seed))).to_spec()
+        accelerator = builder.build(design)
+    except ResourceError:
+        reject()
+    blocks = [block for block in accelerator.blocks if block.kind != "dual"]
+    if not blocks:
+        reject()
+    return draw(st.sampled_from(blocks))
 
 
 @st.composite
@@ -476,6 +560,18 @@ class TestBlocksMatchReference:
         rounds, tile_counts = reference_rounds(block)
         assert block.rounds() == rounds
         assert block.tile_counts() == tile_counts
+
+
+class TestBuilderBlocksMatchReference:
+    @given(block=builder_blocks(), data=st.data())
+    def test_builder_made_block(self, block, data):
+        # The block reads the builder's table, not one of its own.
+        assert block.columns.row_of(block.specs, block.precision) == block.specs[0].index
+        reference = {
+            "single": reference_single_evaluate,
+            "pipelined": reference_pipelined_evaluate,
+        }[block.kind]
+        check_block(block, data, reference)
 
 
 class TestPublicFunctionsMatchReference:

@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.core.blocks import PipelinedCEsBlock, SingleCEBlock
+from repro.core.blocks import PipelinedCEsBlock, SingleCEBlock, block_rows
 from repro.core.engine import ComputeEngine
-from repro.hw.datatypes import DEFAULT_PRECISION
+from repro.hw.datatypes import DEFAULT_PRECISION, INT8, Precision
 from repro.utils.errors import ResourceError
 from tests.core.test_parallelism import make_spec
 
@@ -194,3 +194,49 @@ class TestFrozen:
         assert narrowed.layout is not block.layout
         assert narrowed.layout.layer_indices == (0,)
         assert narrowed.evaluate(10**9).segments[0].layer_indices == (0,)
+
+
+class TestLayerColumns:
+    """Blocks read the context's layer columns only for their own rows."""
+
+    @pytest.fixture
+    def built(self):
+        from repro.api import resolve_board, resolve_model
+        from repro.core.builder import MultipleCEBuilder
+        from repro.core.notation import parse_notation
+
+        builder = MultipleCEBuilder(resolve_model("squeezenet"), resolve_board("zc706"))
+        spec = parse_notation("{L1-L6: CE1-CE3, L7-L12: CE4, L13-Last: CE5}", name="m")
+        return builder, builder.build(spec)
+
+    def test_builder_blocks_share_one_table(self, built):
+        builder, accelerator = built
+        tables = {id(block.columns) for block in accelerator.blocks}
+        assert tables == {id(builder._columns)}
+        for block in accelerator.blocks:
+            assert block_rows(block) == (builder._columns, block.specs[0].index)
+
+    def test_replaced_specs_get_their_own_table(self, built):
+        _, accelerator = built
+        block = accelerator.blocks[1]
+        moved = dataclasses.replace(block, specs=(make_spec(index=6),))
+        columns, start = block_rows(moved)
+        assert columns is not block.columns and start == 0
+        assert columns.specs == moved.specs
+        assert moved.layout.layer_indices == (6,)
+
+    def test_another_precision_gets_its_own_table(self, built):
+        _, accelerator = built
+        block = accelerator.blocks[1]
+        int8 = Precision(INT8, INT8)
+        columns, _ = block_rows(dataclasses.replace(block, precision=int8))
+        assert columns is not block.columns and columns.precision == int8
+
+    def test_rows_must_match_specs(self, built):
+        builder, _ = built
+        columns = builder._columns
+        specs = columns.specs
+        assert columns.row_of(specs[3:5], DEFAULT_PRECISION) == 3
+        assert columns.row_of(specs[3:5] + specs[6:7], DEFAULT_PRECISION) is None
+        assert columns.row_of(specs[-2:] + (make_spec(index=len(specs)),), DEFAULT_PRECISION) is None
+        assert columns.row_of((make_spec(index=3),), DEFAULT_PRECISION) is None

@@ -89,6 +89,14 @@ class TestPipelined:
             pipelined_fm_tile_bytes(spec, 8, precision)
         )
 
+    def test_rounds_must_be_ce_count_groups(self, precision):
+        # Layer i runs on CE position i % ce_count; a short round may only
+        # come last.
+        rounds = [[make_spec(index=0)], [make_spec(index=1), make_spec(index=2)]]
+        with pytest.raises(ValueError, match="groups of 2"):
+            pipelined_buffer_requirement(rounds, [4, 4], 2, precision)
+        assert pipelined_buffer_requirement(rounds[::-1], [4, 4], 2, precision) > 0
+
     def test_per_ce_weights_alignment(self, precision):
         rounds = [[make_spec(k=8, index=0)], [make_spec(k=16, index=1)]]
         weights = per_ce_max_weight_bytes(rounds, 1, precision)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.core.architectures import hybrid, segmented, segmented_rr
 from repro.core.builder import MultipleCEBuilder
 from repro.core.cost.model import MCCM, default_model
@@ -83,6 +84,18 @@ class TestComposition:
     def test_notation_recorded(self, builder):
         report = evaluate(builder, parse_notation("{L1-L4: CE1, L5-Last: CE2}"))
         assert report.notation == "{L1-L4: CE1, L5-L8: CE2}"
+
+
+class TestInterpreterIndependence:
+    def test_latency_adds_block_latencies_left_to_right(self):
+        # Compensated summation (sum() on Python 3.12 and later) reads
+        # 46033294.166666664 for these seven blocks.
+        report = api.evaluate("xception", "vcu108", "segmented", 7)
+        assert repr(report.latency_cycles) == "46033294.16666667"
+        total = 0.0
+        for block in report.blocks:
+            total += block.latency_cycles
+        assert report.latency_cycles == total
 
 
 class TestCostReport:

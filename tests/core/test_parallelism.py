@@ -13,6 +13,7 @@ from repro.core.parallelism import (
     _divisor_candidates,
     _search_cached,
     choose_parallelism,
+    search_key,
     dimension_extent,
     layer_cycles,
     layer_utilization,
@@ -184,6 +185,12 @@ class TestChooseParallelism:
     def test_deterministic(self):
         specs = [make_spec(k=48, h=14, w=14)]
         assert choose_parallelism(96, specs) == choose_parallelism(96, specs)
+
+    def test_shared_keys_are_the_specs_keys(self):
+        specs = [make_spec(k=48, h=14, w=14), make_spec(k=32, h=7, w=7, index=1)]
+        keys = tuple(map(search_key, specs))
+        assert keys == layer_key(specs)
+        assert choose_parallelism(96, specs, keys) == choose_parallelism(96, specs)
 
 
 # --- exactness oracle for the best-first search ----------------------------------

@@ -13,6 +13,7 @@ from repro.utils.mathutils import (
     closest_factor,
     factor_pairs,
     factors,
+    ordered_sum,
     prod,
     proportional_allocation,
 )
@@ -165,28 +166,108 @@ class TestProportionalAllocation:
         assert all(share >= 1 for share in allocation)
 
 
+class TestOrderedSum:
+    def test_rounds_after_every_addition(self):
+        # A compensated sum keeps the 1.0 that 1e16 + 1.0 rounds away.
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_empty_is_integer_zero(self):
+        assert ordered_sum([]) == 0
+        assert ordered_sum(iter(())) == 0
+
+    @given(st.lists(st.floats(-1e12, 1e12, allow_nan=False), max_size=40))
+    def test_matches_a_left_to_right_loop(self, values):
+        total = 0
+        for value in values:
+            total = total + value
+        assert ordered_sum(values) == total
+        assert ordered_sum(iter(values)) == total
+
+
+def float_balanced_partition(loads, parts):
+    """The float bisection :func:`balanced_partition` replaced: 64 halvings
+    of the bottleneck, each checked by a greedy scan over every load. Kept
+    as the oracle of the integer search."""
+    n = len(loads)
+    low = max(loads)
+    high = float(sum(loads))
+
+    def chunks_needed(limit):
+        needed = 1
+        current = 0.0
+        for load in loads:
+            if current + load > limit:
+                needed += 1
+                current = load
+            else:
+                current += load
+        return needed
+
+    for _ in range(64):
+        mid = (low + high) / 2.0
+        if chunks_needed(mid) <= parts:
+            high = mid
+        else:
+            low = mid
+    limit = high
+
+    boundaries = []
+    start = 0
+    current = 0.0
+    for index, load in enumerate(loads):
+        if current + load > limit and index > start:
+            boundaries.append((start, index))
+            start = index
+            current = load
+        else:
+            current += load
+    boundaries.append((start, n))
+    while len(boundaries) > parts:
+        pair_loads = [
+            sum(loads[boundaries[i][0] : boundaries[i + 1][1]])
+            for i in range(len(boundaries) - 1)
+        ]
+        cheapest = min(range(len(pair_loads)), key=lambda i: pair_loads[i])
+        begin = boundaries[cheapest][0]
+        end = boundaries[cheapest + 1][1]
+        boundaries[cheapest : cheapest + 2] = [(begin, end)]
+    while len(boundaries) < parts:
+        widest = max(range(len(boundaries)), key=lambda i: boundaries[i][1] - boundaries[i][0])
+        begin, end = boundaries[widest]
+        middle = begin + (end - begin) // 2
+        boundaries[widest : widest + 1] = [(begin, middle), (middle, end)]
+    return boundaries
+
+
 class TestBalancedPartition:
     def test_single_part(self):
-        assert balanced_partition([1.0, 2.0, 3.0], 1) == [(0, 3)]
+        assert balanced_partition([1, 2, 3], 1) == [(0, 3)]
 
     def test_each_item_its_own_part(self):
-        assert balanced_partition([5.0, 1.0, 4.0], 3) == [(0, 1), (1, 2), (2, 3)]
+        assert balanced_partition([5, 1, 4], 3) == [(0, 1), (1, 2), (2, 3)]
 
     def test_balances_two_parts(self):
-        ranges = balanced_partition([1.0, 1.0, 1.0, 3.0], 2)
-        loads = [sum([1.0, 1.0, 1.0, 3.0][a:b]) for a, b in ranges]
-        assert max(loads) == 3.0
+        ranges = balanced_partition([1, 1, 1, 3], 2)
+        loads = [sum([1, 1, 1, 3][a:b]) for a, b in ranges]
+        assert max(loads) == 3
 
     def test_rejects_too_many_parts(self):
         with pytest.raises(ValueError):
-            balanced_partition([1.0], 2)
+            balanced_partition([1], 2)
 
     def test_rejects_negative_load(self):
         with pytest.raises(ValueError):
-            balanced_partition([1.0, -1.0], 1)
+            balanced_partition([1, -1], 1)
+
+    def test_rejects_fractional_loads(self):
+        with pytest.raises(ValueError, match="integers"):
+            balanced_partition([1.5, 2], 1)
+
+    def test_all_zero_loads(self):
+        assert balanced_partition([0, 0, 0, 0], 3) == [(0, 1), (1, 2), (2, 4)]
 
     @given(
-        st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=30),
+        st.lists(st.integers(0, 50), min_size=1, max_size=30),
         st.data(),
     )
     @settings(max_examples=200)
@@ -200,9 +281,33 @@ class TestBalancedPartition:
             assert b == c
         assert all(b > a for a, b in ranges)
 
+    @pytest.mark.fuzz
+    @given(
+        st.lists(
+            st.one_of(st.just(0), st.integers(0, 50), st.integers(0, 10**10)),
+            min_size=1,
+            max_size=160,
+        ),
+        st.data(),
+    )
+    def test_matches_the_float_bisection(self, loads, data):
+        parts = data.draw(st.integers(1, min(len(loads), 12)))
+        assert balanced_partition(loads, parts) == float_balanced_partition(loads, parts)
+
+    def test_bottleneck_is_optimal(self):
+        # Every cut of 12 loads into 3 chunks: none beats the returned one.
+        loads = [7, 3, 9, 1, 1, 8, 2, 6, 4, 4, 5, 2]
+        ranges = balanced_partition(loads, 3)
+        best = min(
+            max(sum(loads[:a]), sum(loads[a:b]), sum(loads[b:]))
+            for a in range(1, len(loads) - 1)
+            for b in range(a + 1, len(loads))
+        )
+        assert max(sum(loads[a:b]) for a, b in ranges) == best
+
     def test_bottleneck_not_catastrophic(self):
         # Max chunk load should be within 2x of the fractional lower bound.
-        loads = [float(i % 7 + 1) for i in range(40)]
+        loads = [i % 7 + 1 for i in range(40)]
         for parts in (2, 4, 8):
             ranges = balanced_partition(loads, parts)
             chunk_loads = [sum(loads[a:b]) for a, b in ranges]
