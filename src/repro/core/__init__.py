@@ -23,7 +23,6 @@ from repro.core.parallelism import (
     layer_utilization,
 )
 from repro.core.segmentation import balanced_segments, hybrid_split
-from repro.core.tiling import PipelineSchedule, build_schedule, select_tile_count
 
 __all__ = [
     "PAPER_ARCHITECTURES",
@@ -55,7 +54,4 @@ __all__ = [
     "layer_utilization",
     "balanced_segments",
     "hybrid_split",
-    "PipelineSchedule",
-    "build_schedule",
-    "select_tile_count",
 ]

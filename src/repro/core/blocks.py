@@ -1,4 +1,4 @@
-"""The two multiple-CE building blocks (Section III-B, Section IV-A).
+"""The multiple-CE building blocks (Section III-B, Section IV-A).
 
 * :class:`SingleCEBlock` — one engine processing a range of layers to
   completion, one layer at a time (Fig. 4a).
@@ -6,20 +6,25 @@
   concurrently at tile granularity (Fig. 4b); when it owns more layers than
   engines it processes them CE-count at a time in rounds (the SegmentedRR
   pattern), and each round is one *segment* for fine-grained reporting.
+* :class:`~repro.core.dual.DualEngineBlock` — the Hybrid's two-sub-CE
+  tail, a single-CE-role block whose fused pairs run on both engines.
 
-Both expose the same evaluation interface: ideal and mandatory buffer
+All three expose the same evaluation interface: ideal and mandatory buffer
 bytes, and ``evaluate(allocated_bytes, ...)`` returning a
-:class:`~repro.core.cost.results.BlockEvaluation`.
+:class:`~repro.core.cost.results.BlockEvaluation`. The single-CE and
+dual-engine blocks share :func:`sequential_evaluation`.
 
 Everything a block's cost depends on except the allocation and the
 boundary traffic — the per-layer byte terms, Eq. 1 cycles, the rounds with
-their Eq. 2/3 cycles, and the Eq. 4/5 footprints — is computed once, on
-first use, into the block's ``layout``, from slices of the context's
-:class:`~repro.core.cost.terms.LayerColumns` (the builder passes its
-table as ``columns``; a block whose specs are not rows of it, such as one
-built by hand or by :func:`dataclasses.replace`, builds a table of its
-own specs). Blocks are frozen, so a layout can never go stale, and a block
-whose costs a segment cache already holds never builds one.
+their Eq. 2/3 tile runs and cycles, and the Eq. 4/5 footprints — is
+computed once, on first use, into the block's ``layout``, from slices of
+the context's :class:`~repro.core.cost.terms.LayerColumns` (the builder
+passes its table as ``columns``; a block whose specs are not rows of it,
+such as one built by hand or by :func:`dataclasses.replace`, builds a
+table of its own specs; :func:`block_rows` decides). Blocks are frozen, so
+a layout can never go stale, and a block whose costs a segment cache
+already holds never builds one. The synthesis simulator reads the same
+layouts.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from repro.core.cost.buffers import (
 from repro.core.cost.results import AccessBreakdown, BlockEvaluation, SegmentCost
 from repro.core.cost.terms import LayerColumns, LayerTerms
 from repro.core.engine import ComputeEngine
-from repro.core.tiling import pipeline_cycles, row_cycle_runs, tile_count_for
+from repro.core.tiling import TileRuns, pipeline_cycles, row_cycle_runs, tile_count_for
 from repro.hw.datatypes import Precision
 from repro.utils.errors import ResourceError
 
@@ -121,15 +126,6 @@ class SingleCEBlock:
         return self.engine.pe_count
 
     @property
-    def access_engine(self) -> ComputeEngine:
-        """Engine whose weight tiles parameterize the Eq. 6 access model."""
-        return self.engine
-
-    def layer_cycles(self, spec: ConvSpec) -> int:
-        """Eq. 1 cycles for one of this block's layers."""
-        return self.engine.layer_cycles(spec)
-
-    @property
     def macs(self) -> int:
         return sum(spec.macs for spec in self.specs)
 
@@ -161,59 +157,84 @@ class SingleCEBlock:
         output_extra_bytes: int = 0,
         segment_index: int = 0,
     ) -> BlockEvaluation:
-        """Cost the block with ``allocated_bytes`` of on-chip buffer.
-
-        Latency sums per-layer wall times, each the max of Eq. 1 compute
-        cycles and the layer's off-chip traffic over the bandwidth (memory
-        time is modelled, not assumed hidden — Section IV-A1). A single-CE
-        block processes one input at a time end to end, so its throughput
-        interval equals its latency.
-
-        ``input_extra_bytes`` / ``output_extra_bytes`` are boundary FM
-        transfers charged by the composition layer (Eq. 9): the CNN input
-        load, the CNN output store, and spilled inter-segment buffers. They
-        are attributed to the first/last layer's memory time here so the
-        fine-grained breakdown (Fig. 6) sees them.
-        """
+        """Cost the block with ``allocated_bytes`` of on-chip buffer, one
+        layer per step of :func:`sequential_evaluation`."""
         layout = self.layout
-        bytes_per_cycle = self.bytes_per_cycle
-        traffic = single_ce_traffic(layout.terms, allocated_bytes)
-        weight_bytes = 0
-        fm_bytes = input_extra_bytes + output_extra_bytes
-        wall_cycles = 0.0
-        last = len(traffic) - 1
-        for position, ((weights, ifm, ofm), cycles) in enumerate(zip(traffic, layout.cycles)):
-            weight_bytes += weights
-            fm_bytes += ifm + ofm
-            layer_bytes = weights + ifm + ofm
-            if position == 0:
-                layer_bytes += input_extra_bytes
-            if position == last:
-                layer_bytes += output_extra_bytes
-            wall_cycles += max(float(cycles), layer_bytes / bytes_per_cycle)
-        breakdown = AccessBreakdown(weight_bytes=weight_bytes, fm_bytes=fm_bytes)
-        segment = SegmentCost(
-            index=segment_index,
-            label=self.name,
-            layer_indices=layout.layer_indices,
-            compute_cycles=layout.compute_cycles,
-            memory_cycles=breakdown.total_bytes / bytes_per_cycle,
-            accesses=breakdown,
-            pe_count=self.pe_count,
-            macs=layout.macs,
-            buffer_requirement_bytes=layout.ideal,
+        return sequential_evaluation(
+            self,
+            single_ce_traffic(layout.terms, allocated_bytes),
+            layout.cycles,
+            allocated_bytes,
+            input_extra_bytes,
+            output_extra_bytes,
+            segment_index,
         )
-        return BlockEvaluation(
-            name=self.name,
-            kind=self.kind,
-            segments=(segment,),
-            latency_cycles=wall_cycles,
-            throughput_interval_cycles=wall_cycles,
-            accesses=breakdown,
-            buffer_requirement_bytes=layout.ideal,
-            buffer_allocated_bytes=allocated_bytes,
-            pe_count=self.pe_count,
-        )
+
+
+def sequential_evaluation(
+    block,
+    traffic: Sequence[Tuple[int, int, int]],
+    cycles: Sequence[int],
+    allocated_bytes: int,
+    input_extra_bytes: int,
+    output_extra_bytes: int,
+    segment_index: int,
+) -> BlockEvaluation:
+    """The evaluation of a block that runs one step at a time: a layer of a
+    :class:`SingleCEBlock`, a layer or fused pair of a
+    :class:`~repro.core.dual.DualEngineBlock`.
+
+    ``traffic`` holds each step's Eq. 6 ``(weight, ifm, ofm)`` off-chip
+    bytes and ``cycles`` its compute cycles. Latency sums per-step wall
+    times, each the max of the compute cycles and the step's off-chip
+    traffic over the bandwidth (memory time is modelled, not assumed hidden
+    — Section IV-A1). Such a block processes one input at a time end to
+    end, so its throughput interval equals its latency.
+
+    ``input_extra_bytes`` / ``output_extra_bytes`` are boundary FM
+    transfers charged by the composition layer (Eq. 9): the CNN input load,
+    the CNN output store, and spilled inter-segment buffers. They are
+    attributed to the first/last step's memory time here so the
+    fine-grained breakdown (Fig. 6) sees them.
+    """
+    layout = block.layout
+    bytes_per_cycle = block.bytes_per_cycle
+    weight_bytes = 0
+    fm_bytes = input_extra_bytes + output_extra_bytes
+    wall_cycles = 0.0
+    last = len(traffic) - 1
+    for position, ((weights, ifm, ofm), step_cycles) in enumerate(zip(traffic, cycles)):
+        weight_bytes += weights
+        fm_bytes += ifm + ofm
+        step_bytes = weights + ifm + ofm
+        if position == 0:
+            step_bytes += input_extra_bytes
+        if position == last:
+            step_bytes += output_extra_bytes
+        wall_cycles += max(float(step_cycles), step_bytes / bytes_per_cycle)
+    breakdown = AccessBreakdown(weight_bytes=weight_bytes, fm_bytes=fm_bytes)
+    segment = SegmentCost(
+        index=segment_index,
+        label=block.name,
+        layer_indices=layout.layer_indices,
+        compute_cycles=layout.compute_cycles,
+        memory_cycles=breakdown.total_bytes / bytes_per_cycle,
+        accesses=breakdown,
+        pe_count=block.pe_count,
+        macs=layout.macs,
+        buffer_requirement_bytes=layout.ideal,
+    )
+    return BlockEvaluation(
+        name=block.name,
+        kind=block.kind,
+        segments=(segment,),
+        latency_cycles=wall_cycles,
+        throughput_interval_cycles=wall_cycles,
+        accesses=breakdown,
+        buffer_requirement_bytes=layout.ideal,
+        buffer_allocated_bytes=allocated_bytes,
+        pe_count=block.pe_count,
+    )
 
 
 class PipelinedLayout(NamedTuple):
@@ -228,6 +249,8 @@ class PipelinedLayout(NamedTuple):
     tile_counts: List[int]
     #: weightsSz of each layer, the input of Eq. 7.
     weights: List[int]
+    #: Each layer's Eq. 2 tile cycles on its position's engine.
+    runs: List[TileRuns]
     #: Eq. 2 latency and Eq. 3 bottleneck, in cycles.
     latencies: Tuple[int, ...]
     bottlenecks: Tuple[int, ...]
@@ -280,6 +303,7 @@ def pipelined_layout(block: "PipelinedCEsBlock") -> PipelinedLayout:
         rounds=rounds,
         tile_counts=tile_counts,
         weights=weights,
+        runs=runs,
         latencies=latencies,
         bottlenecks=bottlenecks,
         layer_indices=[tuple(index[round_]) for round_ in rounds],

@@ -286,6 +286,7 @@ class MultipleCEBuilder:
                             layers,
                             precision=self.precision,
                             bytes_per_cycle=bytes_per_cycle,
+                            columns=columns,
                         )
                     )
                 else:

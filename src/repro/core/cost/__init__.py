@@ -6,19 +6,7 @@ structures they describe: :mod:`repro.core.parallelism` (Eq. 1) and
 :mod:`repro.core.tiling` (Eqs. 2-3).
 """
 
-from repro.core.cost.accesses import (
-    LayerAccess,
-    minimum_accesses_bytes,
-    pipelined_weight_accesses,
-    single_ce_accesses,
-)
 from repro.core.cost.allocation import AllocationPlan, allocate_onchip
-from repro.core.cost.buffers import (
-    pipelined_buffer_requirement,
-    pipelined_mandatory_bytes,
-    single_ce_buffer_requirement,
-    single_ce_mandatory_bytes,
-)
 from repro.core.cost.model import MCCM, default_model
 from repro.core.cost.results import (
     AccessBreakdown,
@@ -29,16 +17,8 @@ from repro.core.cost.results import (
 )
 
 __all__ = [
-    "LayerAccess",
-    "minimum_accesses_bytes",
-    "pipelined_weight_accesses",
-    "single_ce_accesses",
     "AllocationPlan",
     "allocate_onchip",
-    "pipelined_buffer_requirement",
-    "pipelined_mandatory_bytes",
-    "single_ce_buffer_requirement",
-    "single_ce_mandatory_bytes",
     "MCCM",
     "default_model",
     "AccessBreakdown",

@@ -4,47 +4,25 @@ Weights start off-chip at the beginning of every inference (Section IV-A2
 generality assumption), so the floor is one access per weight; feature maps
 cost extra traffic only when the on-chip budget cannot hold them.
 
-Boundary feature maps (the network input, the network output, and the FMs
-crossing block interfaces) are accounted for at the accelerator-composition
-level (Eq. 9), not here — the per-block models below treat their first
-layer's IFM and last layer's OFM as already/still on-chip unless told
-otherwise, which keeps every byte counted exactly once.
+Both models read the integers of a block's layout: Eq. 6 the
+:class:`~repro.core.cost.terms.LayerTerms` rows of a block that runs one
+layer at a time (single-CE and dual-engine), Eq. 7 the weight bytes of one
+pipelined round. Boundary feature maps (the network input, the network
+output, and the FMs crossing block interfaces) are accounted for at the
+accelerator-composition level (Eq. 9), not here — the per-block models
+treat their first layer's IFM and last layer's OFM as on-chip, which keeps
+every byte counted exactly once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.cnn.graph import ConvSpec
-from repro.core.cost.terms import LayerColumns, LayerTerms, layer_terms
-from repro.core.engine import ComputeEngine
-from repro.hw.datatypes import Precision
-
-
-@dataclass(frozen=True)
-class LayerAccess:
-    """Per-layer traffic: the Acc(Li, CEj) terms of Eq. 6."""
-
-    layer_index: int
-    weight_bytes: int
-    ifm_bytes: int
-    ofm_bytes: int
-
-    @property
-    def fm_bytes(self) -> int:
-        return self.ifm_bytes + self.ofm_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        return self.weight_bytes + self.fm_bytes
+from repro.core.cost.terms import LayerTerms
 
 
 def single_ce_traffic(
-    terms: Sequence[LayerTerms],
-    buffer_bytes: int,
-    input_onchip: bool = True,
-    output_onchip: bool = True,
+    terms: Sequence[LayerTerms], buffer_bytes: int
 ) -> List[Tuple[int, int, int]]:
     """Eq. 6 applied to every layer a single-CE block processes.
 
@@ -63,19 +41,18 @@ def single_ce_traffic(
     * OS local-weight-stationary: weights loaded once, IFM re-streamed,
       ``IFMsSz * ceil(weightsSz / weightsBufferSz) + weightsSz``.
 
-    ``input_onchip`` / ``output_onchip`` describe the block interfaces: when
-    the composition layer keeps the inter-segment FMs on-chip (or charges
-    their spill separately per Eq. 9), the boundary layers see them as free.
+    The block's first IFM and last OFM are on-chip here: the composition
+    charges their transfers as Eq. 9 boundary traffic.
     """
     results: List[Tuple[int, int, int]] = []
-    prev_ofm_onchip = input_onchip
+    prev_ofm_onchip = True
     last = len(terms) - 1
     for position, layer in enumerate(terms):
         weight_total, ifm_total, ofm_total, ofm_live, wtile_min, row_in, row_out = layer
 
         # --- decide whether this layer's OFM stays on-chip -------------------
         if position == last:
-            keep_ofm = output_onchip
+            keep_ofm = True
         else:
             _, _, _, _, consumer_tile, _, consumer_row = terms[position + 1]
             producer_fits = (
@@ -114,24 +91,6 @@ def single_ce_traffic(
     return results
 
 
-def single_ce_accesses(
-    specs: Sequence[ConvSpec],
-    engine: ComputeEngine,
-    buffer_bytes: int,
-    precision: Precision,
-    input_onchip: bool = True,
-    output_onchip: bool = True,
-) -> List[LayerAccess]:
-    """:func:`single_ce_traffic` of ``specs`` on ``engine``, per layer."""
-    traffic = single_ce_traffic(
-        layer_terms(specs, engine, precision), buffer_bytes, input_onchip, output_onchip
-    )
-    return [
-        LayerAccess(spec.index, weight_bytes, ifm_bytes, ofm_bytes)
-        for spec, (weight_bytes, ifm_bytes, ofm_bytes) in zip(specs, traffic)
-    ]
-
-
 def pipelined_weight_traffic(
     weights: Sequence[int], tile_count: int, weight_buffer_bytes: Sequence[int]
 ) -> List[int]:
@@ -148,28 +107,3 @@ def pipelined_weight_traffic(
         resident = min(weight_total, max(0, buffer))
         traffic.append(resident + (weight_total - resident) * tile_count)
     return traffic
-
-
-def pipelined_weight_accesses(
-    round_specs: Sequence[ConvSpec],
-    tile_count: int,
-    weight_buffer_bytes: Sequence[int],
-    precision: Precision,
-) -> List[LayerAccess]:
-    """:func:`pipelined_weight_traffic` of one round's layers, per layer."""
-    traffic = pipelined_weight_traffic(
-        LayerColumns(round_specs, precision).weights, tile_count, weight_buffer_bytes
-    )
-    return [
-        LayerAccess(spec.index, weight_bytes, 0, 0)
-        for spec, weight_bytes in zip(round_specs, traffic)
-    ]
-
-
-def minimum_accesses_bytes(specs: Sequence[ConvSpec], precision: Precision) -> int:
-    """The Section IV-A2 floor: one access per weight, no FM traffic.
-
-    Network input/output loads are composition-level and excluded, matching
-    how the per-block models count.
-    """
-    return sum(spec.weight_count for spec in specs) * precision.weight_bytes

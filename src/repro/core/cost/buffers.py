@@ -6,25 +6,17 @@ assuming unlimited on-chip memory — the paper's Section IV-A2 definition.
 Whether the budget actually accommodates them is the allocator's problem
 (:mod:`repro.core.cost.allocation`).
 
-Each model reads slices of the layer columns of :mod:`repro.core.cost.terms`;
-the spec-level functions build a table of their specs and apply the same
-code.
+Each model reads slices of the layer columns of :mod:`repro.core.cost.terms`
+and runs once per block, when the block lays itself out
+(:mod:`repro.core.blocks`, :mod:`repro.core.dual`).
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
 from operator import add
 from typing import List, Sequence, Tuple
 
-from repro.cnn.graph import ConvSpec
-from repro.core.cost.terms import (  # noqa: F401 (pipelined_fm_tile_bytes is re-exported)
-    LayerColumns,
-    pipelined_fm_tile_bytes,
-)
-from repro.core.engine import ComputeEngine
-from repro.core.tiling import select_tile_count
-from repro.hw.datatypes import Precision
+from repro.core.cost.terms import LayerColumns
 
 #: Per CE position: the largest weights, FM tile and streaming weights tile
 #: over the rounds that position processes.
@@ -54,28 +46,6 @@ def single_ce_streaming_bytes(
     never hands out less.
     """
     return max(map(add, columns.stream_bytes[rows], weights_tiles))
-
-
-def single_ce_buffer_requirement(
-    specs: Sequence[ConvSpec], engine: ComputeEngine, precision: Precision
-) -> int:
-    """Eq. 4: largest layer FMs plus the largest weights tile, in bytes."""
-    if not specs:
-        return 0
-    columns = LayerColumns(specs, precision)
-    rows = slice(None)
-    return sum(single_ce_buffers(columns, rows, columns.weights_tiles(rows, engine)))
-
-
-def single_ce_mandatory_bytes(
-    specs: Sequence[ConvSpec], engine: ComputeEngine, precision: Precision
-) -> int:
-    """:func:`single_ce_streaming_bytes` of ``specs`` on ``engine``."""
-    if not specs:
-        return 0
-    columns = LayerColumns(specs, precision)
-    rows = slice(None)
-    return single_ce_streaming_bytes(columns, rows, columns.weights_tiles(rows, engine))
 
 
 def position_maxima(values: Sequence[int], ce_count: int) -> List[int]:
@@ -112,62 +82,3 @@ def pipelined_footprint(positions: PositionBytes, round_count: int) -> Tuple[int
     fm_buffers = 2 * sum(fm_tiles)
     weight_copies = 1 if round_count == 1 else 2
     return fm_buffers + sum(weight_tiles), weight_copies * sum(weights) + fm_buffers
-
-
-def _positions(
-    rounds: Sequence[Sequence[ConvSpec]],
-    tile_counts: Sequence[int],
-    ce_count: int,
-    precision: Precision,
-) -> PositionBytes:
-    """Per CE position, the largest weights, FM tile and streaming weights
-    tile over ``rounds``: consecutive groups of ``ce_count`` layers, the
-    last possibly shorter, as a pipelined block runs them."""
-    if any(len(round_specs) != ce_count for round_specs in rounds[:-1]) or (
-        rounds and len(rounds[-1]) > ce_count
-    ):
-        raise ValueError(f"rounds must be consecutive groups of {ce_count} layers")
-    columns = LayerColumns([spec for round_specs in rounds for spec in round_specs], precision)
-    layer_tiles = chain.from_iterable(map(repeat, tile_counts, map(len, rounds)))
-    fm_tiles = columns.fm_tiles(slice(None), layer_tiles)
-    return (
-        position_maxima(columns.weights, ce_count),
-        position_maxima(fm_tiles, ce_count),
-        position_maxima(columns.stream_tiles, ce_count),
-    )
-
-
-def pipelined_buffer_requirement(
-    rounds: Sequence[Sequence[ConvSpec]],
-    tile_counts: Sequence[int],
-    ce_count: int,
-    precision: Precision,
-) -> int:
-    """Eq. 5 requirement of the given rounds (see :func:`pipelined_footprint`)."""
-    if not rounds:
-        return 0
-    positions = _positions(rounds, tile_counts, ce_count, precision)
-    return pipelined_footprint(positions, len(rounds))[1]
-
-
-def pipelined_mandatory_bytes(
-    rounds: Sequence[Sequence[ConvSpec]],
-    tile_counts: Sequence[int],
-    ce_count: int,
-    precision: Precision,
-) -> int:
-    """Smallest workable buffer of the given rounds (see
-    :func:`pipelined_footprint`)."""
-    if not rounds:
-        return 0
-    positions = _positions(rounds, tile_counts, ce_count, precision)
-    return pipelined_footprint(positions, len(rounds))[0]
-
-
-def per_ce_max_weight_bytes(
-    rounds: Sequence[Sequence[ConvSpec]], ce_count: int, precision: Precision
-) -> List[int]:
-    """Largest per-round weight footprint of each CE position, in bytes."""
-    # The tile counts only size the FM tiles, which are dropped here.
-    tile_counts = [select_tile_count(round_specs) for round_specs in rounds]
-    return _positions(rounds, tile_counts, ce_count, precision)[0]

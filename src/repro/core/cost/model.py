@@ -133,19 +133,15 @@ class MCCM:
 
     @staticmethod
     def _allocate(
-        accelerator: "Accelerator", footprints: Optional[Sequence[Footprint]] = None
+        accelerator: "Accelerator", footprints: Sequence[Footprint]
     ) -> AllocationPlan:
-        """Group-aware BRAM allocation.
+        """Group-aware BRAM allocation over the blocks' Eq. 4/5
+        ``footprints`` (:meth:`_block_footprints`).
 
         Blocks sharing a CE share one physical buffer (Eq. 8): the group is
         allocated once, sized by its worst member, and every member block
-        evaluates against that same allocation. ``footprints`` lets the
-        caller reuse already-computed Eq. 4/5 requirements; omitted, they
-        are computed here (the historical signature the synthesis simulator
-        still uses).
+        evaluates against that same allocation.
         """
-        if footprints is None:
-            footprints = MCCM._block_footprints(accelerator)
         members = accelerator.group_members()
         group_order = list(members)
         group_mandatory = [
@@ -175,31 +171,17 @@ class MCCM:
     def _evaluate_blocks(
         accelerator: "Accelerator", plan: AllocationPlan, segment_cache=None
     ) -> List[BlockEvaluation]:
-        """Run every block model, wiring boundary traffic per Eq. 9.
+        """Run every block model with its Eq. 9 :func:`boundary_traffic`.
 
-        The CNN input load and output store are always off-chip; a spilled
-        interface charges its store to the producer block and its load to
-        the consumer block (together the ``2 x interSegBufferSz`` of Eq. 9).
         With a segment cache, a block whose (segment, allocation, boundary
         traffic) signature has been costed before reuses that evaluation,
         rebased to this design's block name and segment indices.
         """
         evaluations: List[BlockEvaluation] = []
-        num_blocks = len(accelerator.blocks)
         segment_cursor = 0
-        for index, block in enumerate(accelerator.blocks):
-            input_extra = 0
-            output_extra = 0
-            if index == 0:
-                input_extra += accelerator.input_fm_bytes
-            else:
-                if not plan.inter_segment_onchip[index - 1]:
-                    input_extra += accelerator.inter_segment_bytes[index - 1]
-            if index == num_blocks - 1:
-                output_extra += accelerator.output_fm_bytes
-            else:
-                if not plan.inter_segment_onchip[index]:
-                    output_extra += accelerator.inter_segment_bytes[index]
+        for index, (block, (input_extra, output_extra)) in enumerate(
+            zip(accelerator.blocks, boundary_traffic(accelerator, plan))
+        ):
             if segment_cache is not None:
                 evaluation = segment_cache.block_evaluation(
                     block,
@@ -218,6 +200,24 @@ class MCCM:
             segment_cursor += len(evaluation.segments)
             evaluations.append(evaluation)
         return evaluations
+
+
+def boundary_traffic(
+    accelerator: "Accelerator", plan: AllocationPlan
+) -> List[Tuple[int, int]]:
+    """Each block's Eq. 9 boundary FM bytes: ``(input_extra, output_extra)``.
+
+    The CNN input load and output store are always off-chip; a spilled
+    interface charges its store to the producer block and its load to the
+    consumer block (together the ``2 x interSegBufferSz`` of Eq. 9).
+    """
+    spilled = [
+        0 if onchip else size
+        for onchip, size in zip(plan.inter_segment_onchip, accelerator.inter_segment_bytes)
+    ]
+    return list(
+        zip([accelerator.input_fm_bytes, *spilled], [*spilled, accelerator.output_fm_bytes])
+    )
 
 
 _DEFAULT_MODEL: Optional[MCCM] = None

@@ -161,17 +161,3 @@ class LayerColumns:
                 self.ofm_row[rows],
             )
         )
-
-
-def layer_terms(
-    specs: Sequence[ConvSpec], engine: ComputeEngine, precision: Precision
-) -> List[LayerTerms]:
-    """:class:`LayerTerms` of every layer ``engine`` processes."""
-    columns = LayerColumns(specs, precision)
-    rows = slice(None)
-    return columns.single_ce_terms(rows, columns.weights_tiles(rows, engine))
-
-
-def pipelined_fm_tile_bytes(spec: ConvSpec, tile_count: int, precision: Precision) -> int:
-    """FMsBufferSz of Eq. 5: one OFM tile of ``spec`` (largest tile)."""
-    return LayerColumns((spec,), precision).fm_tiles(slice(None), (tile_count,))[0]

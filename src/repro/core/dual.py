@@ -8,22 +8,34 @@ depthwise→pointwise pairs are *fused*: the pointwise engine starts
 consuming rows as the depthwise engine produces them, so the pair's cost
 is the slower engine plus a fill overhead rather than the sum — the core
 benefit of the FiBHA/SECDA-style designs the paper cites.
+
+Like the other blocks (:mod:`repro.core.blocks`), a dual-engine block lays
+itself out once, from slices of the context's layer columns
+(:func:`~repro.core.blocks.block_rows`): the fused pairs, each layer's
+Eq. 1 cycles and Eq. 4 weights tile on the engine that owns it, the Eq. 4
+FM term with fused intermediates shrunk to row bands, the standard
+engine's Eq. 6 terms, and the fused schedule's steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
+from operator import not_
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cnn.graph import ConvSpec
 from repro.cnn.layers import LayerKind
-from repro.core.cost.accesses import single_ce_accesses
-from repro.core.cost.buffers import single_ce_mandatory_bytes
-from repro.core.cost.results import AccessBreakdown, BlockEvaluation, SegmentCost
+from repro.core.blocks import block_rows, sequential_evaluation
+from repro.core.cost.accesses import single_ce_traffic
+from repro.core.cost.buffers import single_ce_streaming_bytes
+from repro.core.cost.results import BlockEvaluation
+from repro.core.cost.terms import LayerColumns, LayerTerms
 from repro.core.engine import ComputeEngine
 from repro.hw.datatypes import Precision
 from repro.utils.errors import ResourceError
-from repro.utils.mathutils import ceil_div, proportional_allocation
+from repro.utils.mathutils import proportional_allocation
 
 
 def split_by_kind(specs: Tuple[ConvSpec, ...]) -> Tuple[List[ConvSpec], List[ConvSpec]]:
@@ -37,6 +49,96 @@ def has_mixed_conv_types(specs: Tuple[ConvSpec, ...]) -> bool:
     """Whether a dual-engine tail is applicable (both groups non-empty)."""
     depthwise, standard = split_by_kind(specs)
     return bool(depthwise) and bool(standard)
+
+
+def fused_pairs(specs: Sequence[ConvSpec]) -> List[Tuple[int, int]]:
+    """(dw_position, consumer_position) pairs eligible for fusion: each
+    depthwise layer directly followed by a non-depthwise one."""
+    depthwise = [spec.kind is LayerKind.DEPTHWISE_CONV for spec in specs]
+    return [
+        (position, position + 1)
+        for position in range(len(specs) - 1)
+        if depthwise[position] and not depthwise[position + 1]
+    ]
+
+
+class DualLayout(NamedTuple):
+    """What a :class:`DualEngineBlock` costs with, computed once."""
+
+    #: Eq. 6 terms, on the standard engine's weights tiles.
+    terms: List[LayerTerms]
+    #: Eq. 1 cycles of each layer on the engine that owns it.
+    cycles: List[int]
+    pairs: List[Tuple[int, int]]
+    #: The fused schedule: each step's layers (a fused pair or one layer)
+    #: and its cycles, and their sum.
+    steps: List[slice]
+    step_cycles: List[int]
+    compute_cycles: int
+    layer_indices: Tuple[int, ...]
+    macs: int
+    #: Eq. 4's FM and weights-tile buffers.
+    components: Tuple[int, int]
+    mandatory: int
+    ideal: int
+
+
+def dual_layout(block: "DualEngineBlock") -> DualLayout:
+    """Everything about ``block`` that does not depend on its allocation."""
+    columns, start = block_rows(block)
+    specs = block.specs
+    rows = slice(start, start + len(specs))
+    depthwise = [spec.kind is LayerKind.DEPTHWISE_CONV for spec in specs]
+
+    def owned(on_dw: List[int], on_std: List[int]) -> List[int]:
+        """Each layer's value on the engine that owns it."""
+        return [dw if owner else std for dw, std, owner in zip(on_dw, on_std, depthwise)]
+
+    cycles = owned(
+        columns.cycles(rows, (block.dw_engine.strategy,)),
+        columns.cycles(rows, (block.std_engine.strategy,)),
+    )
+    std_tiles = columns.weights_tiles(rows, block.std_engine)
+    tiles = owned(columns.weights_tiles(rows, block.dw_engine), std_tiles)
+    pairs = fused_pairs(specs)
+    # A fused dw→consumer pair never materializes the depthwise OFM: the
+    # consumer eats rows as they are produced, so the intermediate costs
+    # one ``kernel_height``-row band instead of a full feature map — the
+    # buffer saving of fused-layer accelerators (Alwani et al. [1]).
+    fms = columns.live_fms[rows]
+    steps: List[slice] = []
+    step_cycles: List[int] = []
+    position = 0
+    for producer, consumer in pairs:
+        row = start + producer
+        band = min(columns.ofm[row], specs[consumer].kernel_height * columns.ofm_row[row])
+        fms[producer] = columns.ifm[row] + band * specs[producer].fms_copies
+        fms[consumer] = band + columns.live_ofm[row + 1]
+        steps.extend(slice(single, single + 1) for single in range(position, producer))
+        step_cycles.extend(cycles[position:producer])
+        # Both engines run the pair concurrently, plus a pipeline fill.
+        steps.append(slice(producer, consumer + 1))
+        step_cycles.append(
+            int(max(cycles[producer], cycles[consumer]) * (1 + block.FUSION_FILL_FRACTION))
+        )
+        position = consumer + 1
+    steps.extend(slice(single, single + 1) for single in range(position, len(specs)))
+    step_cycles.extend(cycles[position:])
+    components = (max(fms), max(tiles))
+    ideal = sum(components)
+    return DualLayout(
+        terms=columns.single_ce_terms(rows, std_tiles),
+        cycles=cycles,
+        pairs=pairs,
+        steps=steps,
+        step_cycles=step_cycles,
+        compute_cycles=sum(step_cycles),
+        layer_indices=tuple(columns.index[rows]),
+        macs=sum(columns.macs[rows]),
+        components=components,
+        mandatory=min(single_ce_streaming_bytes(columns, rows, std_tiles), ideal),
+        ideal=ideal,
+    )
 
 
 @dataclass(frozen=True)
@@ -55,6 +157,8 @@ class DualEngineBlock:
     specs: Tuple[ConvSpec, ...]
     precision: Precision
     bytes_per_cycle: float
+    #: The context's layer columns (see :func:`~repro.core.blocks.block_rows`).
+    columns: Optional[LayerColumns] = field(default=None, compare=False, repr=False)
 
     #: Pipeline-fill penalty of a fused pair, as a fraction of the faster
     #: member's cycles (the first rows must exist before the consumer runs).
@@ -81,9 +185,11 @@ class DualEngineBlock:
         specs: Tuple[ConvSpec, ...],
         precision: Precision,
         bytes_per_cycle: float,
+        columns: Optional[LayerColumns] = None,
     ) -> "DualEngineBlock":
         """Split ``pe_count`` between the sub-engines by workload and fit
-        each engine's parallelism to its own layer group."""
+        each engine's parallelism to its own layer group, with the search
+        keys of ``columns`` when ``specs`` are its rows."""
         depthwise, standard = split_by_kind(specs)
         if not depthwise or not standard:
             raise ResourceError(f"{name}: layers are not mixed-type")
@@ -94,16 +200,23 @@ class DualEngineBlock:
         if pe_count < 2:
             raise ResourceError(f"{name}: needs at least 2 PEs for two engines")
         dw_pes, std_pes = proportional_allocation(pe_count, loads, minimum=1)
+        start = None if columns is None else columns.row_of(specs, precision)
+        dw_keys = std_keys = None
+        if start is not None:
+            keys = columns.keys[start : start + len(specs)]
+            on_dw = [s.kind is LayerKind.DEPTHWISE_CONV for s in specs]
+            dw_keys = tuple(compress(keys, on_dw))
+            std_keys = tuple(compress(keys, map(not_, on_dw)))
         return cls(
             name=name,
-            dw_engine=ComputeEngine.fitted(f"{name}.dwCE", dw_pes, depthwise),
-            std_engine=ComputeEngine.fitted(f"{name}.stdCE", std_pes, standard),
+            dw_engine=ComputeEngine.fitted(f"{name}.dwCE", dw_pes, depthwise, keys=dw_keys),
+            std_engine=ComputeEngine.fitted(f"{name}.stdCE", std_pes, standard, keys=std_keys),
             specs=specs,
             precision=precision,
             bytes_per_cycle=bytes_per_cycle,
+            columns=columns,
         )
 
-    # -- structural properties ---------------------------------------------------
     @property
     def pe_count(self) -> int:
         return self.dw_engine.pe_count + self.std_engine.pe_count
@@ -112,81 +225,22 @@ class DualEngineBlock:
     def macs(self) -> int:
         return sum(spec.macs for spec in self.specs)
 
-    def engine_for(self, spec: ConvSpec) -> ComputeEngine:
-        if spec.kind is LayerKind.DEPTHWISE_CONV:
-            return self.dw_engine
-        return self.std_engine
-
-    @property
-    def access_engine(self) -> ComputeEngine:
-        """Engine whose weight tiles parameterize the Eq. 6 access model."""
-        return self.std_engine
-
-    def layer_cycles(self, spec: ConvSpec) -> int:
-        """Eq. 1 cycles on the sub-engine owning this layer's type."""
-        return self.engine_for(spec).layer_cycles(spec)
-
-    def fused_pairs(self) -> List[Tuple[int, int]]:
-        """(dw_position, consumer_position) pairs eligible for fusion."""
-        pairs = []
-        for position in range(len(self.specs) - 1):
-            first, second = self.specs[position], self.specs[position + 1]
-            if (
-                first.kind is LayerKind.DEPTHWISE_CONV
-                and second.kind is not LayerKind.DEPTHWISE_CONV
-            ):
-                pairs.append((position, position + 1))
-        return pairs
-
-    # -- buffer model (Eq. 4, with fused intermediates shrunk to row bands) -------
-    def _effective_fms_elements(self, position: int) -> int:
-        """Live FM elements while processing layer ``position``.
-
-        A fused dw→consumer pair never materializes the depthwise OFM: the
-        consumer eats rows as they are produced, so the intermediate costs
-        one ``kernel_height``-row band instead of a full feature map — the
-        buffer saving of fused-layer accelerators (Alwani et al. [1]).
-        """
-        spec = self.specs[position]
-        fused = dict(self.fused_pairs())
-        consumers = {consumer: dw for dw, consumer in fused.items()}
-        ifm = spec.ifm_elements
-        ofm = spec.ofm_elements * spec.fms_copies
-        if position in fused:
-            consumer = self.specs[position + 1]
-            band_rows = consumer.kernel_height
-            band = min(spec.ofm_elements, band_rows * spec.out_width * spec.filters)
-            ofm = band * spec.fms_copies
-        if position in consumers:
-            producer = self.specs[position - 1]
-            band = min(
-                producer.ofm_elements,
-                spec.kernel_height * producer.out_width * producer.filters,
-            )
-            ifm = band
-        return ifm + ofm
+    @cached_property
+    def layout(self) -> DualLayout:
+        return dual_layout(self)
 
     def ideal_buffer_bytes(self) -> int:
-        return sum(self.buffer_components())
+        """Eq. 4 requirement, fused intermediates shrunk to row bands."""
+        return self.layout.ideal
 
     def mandatory_buffer_bytes(self) -> int:
-        return min(
-            single_ce_mandatory_bytes(self.specs, self.std_engine, self.precision),
-            self.ideal_buffer_bytes(),
-        )
+        """Smallest allocation the block can stream through."""
+        return self.layout.mandatory
 
     def buffer_components(self) -> List[int]:
-        act = self.precision.activation_bytes
-        wbytes = self.precision.weight_bytes
-        max_fms = max(
-            self._effective_fms_elements(position) for position in range(len(self.specs))
-        ) * act
-        max_tile = max(
-            self.engine_for(spec).weights_tile_elements(spec) for spec in self.specs
-        ) * wbytes
-        return [max_fms, max_tile]
+        """One FM buffer and one weights-tile buffer, in bytes."""
+        return list(self.layout.components)
 
-    # -- evaluation ---------------------------------------------------------------
     def evaluate(
         self,
         allocated_bytes: int,
@@ -194,76 +248,22 @@ class DualEngineBlock:
         output_extra_bytes: int = 0,
         segment_index: int = 0,
     ) -> BlockEvaluation:
-        """Sequential schedule with dw→consumer fusion.
+        """Sequential schedule with dw→consumer fusion: one step of
+        :func:`~repro.core.blocks.sequential_evaluation` per fused pair or
+        unfused layer.
 
         A fused pair costs ``max(dw, consumer) * (1 + fill)`` cycles —
         both engines run concurrently on the pair — while unfused layers
         cost their own engine's Eq. 1 cycles (the other engine idles).
         """
-        accesses = single_ce_accesses(
-            self.specs, self.std_engine, allocated_bytes, self.precision
-        )
-        fused = dict(self.fused_pairs())
-        fused_consumers = set(fused.values())
-
-        compute_cycles = 0
-        wall_cycles = 0.0
-        last = len(self.specs) - 1
-        position = 0
-        while position <= last:
-            spec = self.specs[position]
-            layer_bytes = accesses[position].total_bytes
-            if position == 0:
-                layer_bytes += input_extra_bytes
-            if position in fused and position + 1 <= last:
-                consumer = self.specs[position + 1]
-                dw_cycles = self.dw_engine.layer_cycles(spec)
-                consumer_cycles = self.std_engine.layer_cycles(consumer)
-                pair_cycles = ceil_div(
-                    int(max(dw_cycles, consumer_cycles) * (1 + self.FUSION_FILL_FRACTION)),
-                    1,
-                )
-                layer_bytes += accesses[position + 1].total_bytes
-                if position + 1 == last:
-                    layer_bytes += output_extra_bytes
-                compute_cycles += pair_cycles
-                wall_cycles += max(float(pair_cycles), layer_bytes / self.bytes_per_cycle)
-                position += 2
-                continue
-            engine = self.engine_for(spec)
-            layer_cycles = engine.layer_cycles(spec)
-            if position == last:
-                layer_bytes += output_extra_bytes
-            compute_cycles += layer_cycles
-            wall_cycles += max(float(layer_cycles), layer_bytes / self.bytes_per_cycle)
-            position += 1
-
-        breakdown = AccessBreakdown(
-            weight_bytes=sum(access.weight_bytes for access in accesses),
-            fm_bytes=sum(access.fm_bytes for access in accesses)
-            + input_extra_bytes
-            + output_extra_bytes,
-        )
-        memory_cycles = breakdown.total_bytes / self.bytes_per_cycle
-        segment = SegmentCost(
-            index=segment_index,
-            label=self.name,
-            layer_indices=tuple(spec.index for spec in self.specs),
-            compute_cycles=compute_cycles,
-            memory_cycles=memory_cycles,
-            accesses=breakdown,
-            pe_count=self.pe_count,
-            macs=self.macs,
-            buffer_requirement_bytes=self.ideal_buffer_bytes(),
-        )
-        return BlockEvaluation(
-            name=self.name,
-            kind=self.kind,
-            segments=(segment,),
-            latency_cycles=wall_cycles,
-            throughput_interval_cycles=wall_cycles,
-            accesses=breakdown,
-            buffer_requirement_bytes=self.ideal_buffer_bytes(),
-            buffer_allocated_bytes=allocated_bytes,
-            pe_count=self.pe_count,
+        layout = self.layout
+        traffic = single_ce_traffic(layout.terms, allocated_bytes)
+        return sequential_evaluation(
+            self,
+            [tuple(map(sum, zip(*traffic[step]))) for step in layout.steps],
+            layout.step_cycles,
+            allocated_bytes,
+            input_extra_bytes,
+            output_extra_bytes,
+            segment_index,
         )

@@ -187,10 +187,12 @@ class CampaignJob:
     evaluator lock would starve interactive ``/evaluate`` traffic, so each
     cell builds its own evaluator on the campaign thread.
 
-    ``publish`` (optional) is called with the job at start, periodically
-    while running, and once after it settles — the multi-worker front uses
-    it to mirror snapshots into the shared run directory so any worker can
-    answer ``GET /campaign/<id>`` for a job started on this one.
+    ``publish`` (optional) is called with the job when it is registered
+    (:meth:`ServiceState.start_campaign`, before the id is handed out),
+    periodically while running, and once after it settles — the
+    multi-worker front uses it to mirror snapshots into the shared run
+    directory so any worker can answer ``GET /campaign/<id>`` for a job
+    started on this one.
     """
 
     def __init__(
@@ -244,7 +246,6 @@ class CampaignJob:
             self.publish_snapshot()
 
     def _run(self) -> None:
-        self.publish_snapshot()
         if self._publish is not None:
             threading.Thread(
                 target=self._refresh_loop,
@@ -603,6 +604,10 @@ class ServiceState:
                 evicted.append(stale.id)
         for stale_id in evicted:
             self._discard_campaign_snapshot(stale_id)
+        # The first snapshot is on the shared dir before the id leaves this
+        # worker, so a sibling never answers 404 for a campaign the fleet
+        # has already handed out.
+        job.publish_snapshot()
         job.thread.start()
         return job
 

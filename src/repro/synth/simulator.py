@@ -21,13 +21,14 @@ of the optimizations of the synthesis".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
-from repro.core.blocks import PipelinedCEsBlock, SingleCEBlock
-from repro.core.builder import Accelerator
-from repro.core.cost.accesses import pipelined_weight_accesses, single_ce_accesses
-from repro.core.cost.model import MCCM
-from repro.core.tiling import build_schedule
+from repro.core.blocks import PipelinedCEsBlock
+from repro.core.builder import Accelerator, Block
+from repro.core.cost.accesses import pipelined_weight_traffic, single_ce_traffic
+from repro.core.cost.buffers import position_maxima
+from repro.core.cost.model import MCCM, boundary_traffic
+from repro.core.tiling import stage_latencies
 from repro.synth.memory import MemoryPort
 from repro.utils.mathutils import ceil_div, ordered_sum
 
@@ -42,8 +43,6 @@ BRAM_BLOCK_BYTES = 4608
 BRAM_CONTROLLER_BLOCKS = 1
 #: Images simulated to measure the steady-state initiation interval.
 PIPELINE_WARMUP_IMAGES = 4
-
-Block = Union[SingleCEBlock, PipelinedCEsBlock]
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ class SynthesisSimulator:
 
     def __init__(self, accelerator: Accelerator) -> None:
         self.accelerator = accelerator
-        self._plan = MCCM._allocate(accelerator)
+        self._plan = MCCM._allocate(accelerator, MCCM._block_footprints(accelerator))
 
     # -- public API --------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -135,26 +134,9 @@ class SynthesisSimulator:
         times: List[Tuple[float, float]] = []
         segments: List[SimulatedSegment] = []
         plan = self._plan
-        num_blocks = len(self.accelerator.blocks)
-        for index, block in enumerate(self.accelerator.blocks):
-            input_extra = (
-                self.accelerator.input_fm_bytes
-                if index == 0
-                else (
-                    0
-                    if plan.inter_segment_onchip[index - 1]
-                    else self.accelerator.inter_segment_bytes[index - 1]
-                )
-            )
-            output_extra = (
-                self.accelerator.output_fm_bytes
-                if index == num_blocks - 1
-                else (
-                    0
-                    if plan.inter_segment_onchip[index]
-                    else self.accelerator.inter_segment_bytes[index]
-                )
-            )
+        for index, (block, (input_extra, output_extra)) in enumerate(
+            zip(self.accelerator.blocks, boundary_traffic(self.accelerator, plan))
+        ):
             if isinstance(block, PipelinedCEsBlock):
                 time, interval, block_segments = self._simulate_pipelined(
                     block, plan.block_bytes[index], input_extra, output_extra
@@ -170,31 +152,32 @@ class SynthesisSimulator:
 
     def _simulate_sequential(
         self,
-        block,
+        block: Block,
         allocated: int,
         input_extra: int,
         output_extra: int,
     ) -> Tuple[float, List[SimulatedSegment]]:
         """Layer-by-layer execution with double-buffered weight streaming.
 
-        Serves both single-CE and dual-engine blocks via the sequential
-        block protocol (``layer_cycles``, ``access_engine``).
+        Serves both single-CE and dual-engine blocks from their layouts:
+        the Eq. 6 ``terms`` and each layer's Eq. 1 ``cycles`` (a dual-engine
+        block's layers run one at a time here, unfused).
         """
         port = MemoryPort(self.accelerator.board.bytes_per_cycle)
-        accesses = single_ce_accesses(
-            block.specs, block.access_engine, allocated, block.precision
-        )
+        layout = block.layout
+        traffic = single_ce_traffic(layout.terms, allocated)
         now = 0.0
         compute_total = 0.0
         wait_total = 0.0
         last = len(block.specs) - 1
-        for position, (spec, access) in enumerate(zip(block.specs, accesses)):
-            layer_bytes = access.total_bytes
+        for position, (spec, access, compute) in enumerate(
+            zip(block.specs, traffic, layout.cycles)
+        ):
+            layer_bytes = sum(access)
             if position == 0:
                 layer_bytes += input_extra
             if position == last:
                 layer_bytes += output_extra
-            compute = block.layer_cycles(spec)
             # Weight (and re-streamed FM) traffic is chunked and prefetched
             # into the second buffer half while the array computes.
             chunks = max(1, ceil_div(spec.filters, max(1, spec.filters // 8)))
@@ -224,54 +207,46 @@ class SynthesisSimulator:
         input_extra: int,
         output_extra: int,
     ) -> Tuple[float, float, List[SimulatedSegment]]:
-        """Stage-by-stage execution of every round through a shared port."""
+        """Stage-by-stage execution of every round through a shared port,
+        from the block's layout: each round's Eq. 2 tile runs and Eq. 7
+        weights."""
         port = MemoryPort(self.accelerator.board.bytes_per_cycle)
-        rounds = block.rounds()
-        tile_counts = block.tile_counts()
-        weight_budget = max(0, allocated - 2 * sum(
-            max(
-                (
-                    block.precision.activation_bytes
-                    * rounds[r][pos].out_width
-                    * rounds[r][pos].filters
-                    for r in range(len(rounds))
-                    if pos < len(rounds[r])
-                ),
-                default=0,
-            )
-            for pos in range(block.ce_count)
-        ))
-        weight_buffers = block._weight_buffer_split(weight_budget)
+        layout = block.layout
+        # The FM double-buffers each CE position reserves: one OFM row of
+        # its largest layer, twice.
+        ofm_rows = [
+            block.precision.activation_bytes * spec.out_width * spec.filters
+            for spec in block.specs
+        ]
+        fm_reserved = 2 * sum(position_maxima(ofm_rows, block.ce_count))
+        weight_buffers = block._weight_buffer_split(max(0, allocated - fm_reserved))
 
         now = 0.0
         segments: List[SimulatedSegment] = []
         interval_total = 0.0
-        for round_index, (round_specs, tile_count) in enumerate(zip(rounds, tile_counts)):
-            cycles = [
-                block.engines[pos].layer_cycles(spec)
-                for pos, spec in enumerate(round_specs)
-            ]
-            schedule = build_schedule(round_specs, cycles, tile_count)
-            accesses = pipelined_weight_accesses(
-                round_specs, tile_count, weight_buffers, block.precision
+        last = len(layout.rounds) - 1
+        for round_index, (round_, tile_count) in enumerate(
+            zip(layout.rounds, layout.tile_counts)
+        ):
+            stages = stage_latencies(layout.runs[round_], tile_count)
+            round_bytes = sum(
+                pipelined_weight_traffic(layout.weights[round_], tile_count, weight_buffers)
             )
-            round_bytes = sum(access.total_bytes for access in accesses)
             if round_index == 0:
                 round_bytes += input_extra
-            if round_index == len(rounds) - 1:
+            if round_index == last:
                 round_bytes += output_extra
             # Weight traffic spreads across the round's stages.
-            per_stage_bytes = ceil_div(round_bytes, schedule.num_stages)
+            per_stage_bytes = ceil_div(round_bytes, len(stages))
             round_start = now
             compute_total = 0.0
-            for stage in range(schedule.num_stages):
-                stage_compute = schedule.stage_latency(stage)
+            for stage_compute in stages:
                 transfer_done = port.request(now, per_stage_bytes)
                 stage_end = max(now + stage_compute, transfer_done)
                 now = stage_end + STAGE_HANDSHAKE_CYCLES
                 compute_total += stage_compute
             round_time = now - round_start
-            busy = schedule.bottleneck_cycles()
+            busy = layout.bottlenecks[round_index]
             interval_total += max(
                 busy + tile_count * STAGE_HANDSHAKE_CYCLES,
                 port.transfer_cycles(round_bytes),

@@ -1,26 +1,32 @@
 """Differential oracle: the block models against their per-call reference.
 
-The single-CE and pipelined-CEs blocks cost themselves from a layout of
-integer byte terms computed once per block, and take each round's Eq. 2
-latency and Eq. 3 bottleneck from at most three tile cycle counts per CE.
-This module keeps the per-layer, per-tile, per-call code they replaced as
-the reference: the tile-by-tile schedule scan, the Eq. 6 loop over
-``ConvSpec`` records, and the Eq. 4/5 buffer functions. Hypothesis checks
+All three block kinds cost themselves from a layout of integer byte terms
+computed once per block; pipelined blocks take each round's Eq. 2 latency
+and Eq. 3 bottleneck from at most three tile cycle counts per CE. This
+module keeps the per-layer, per-tile, per-call code they replaced as the
+reference: the tile-by-tile schedule scan, the Eq. 6 loop over ``ConvSpec``
+records, the Eq. 4/5 buffer functions, and the dual-engine block as it
+was before it had a layout (:class:`ReferenceDualBlock`). Hypothesis checks
 that every footprint and every ``BlockEvaluation`` field agrees exactly,
 over output heights 1–512 (full, partial and empty tiles), 1–11 CEs with
-multi-round blocks, int8/int16/fp32 weights and activations, allocations
-from 0 to above the ideal footprint, and non-zero boundary traffic.
+multi-round blocks, mixed depthwise/standard layer lists with fused pairs,
+int8/int16/fp32 weights and activations, allocations from 0 to above the
+ideal footprint, and non-zero boundary traffic.
 
 Blocks lay themselves out from slices of a context's layer columns. The
 drawn blocks read a longer context's table as a builder's blocks do, no
 table, or a table their specs do not match (another precision or other
 layers); :class:`TestBuilderBlocksMatchReference` also draws the blocks a
-:class:`~repro.core.builder.MultipleCEBuilder` makes for zoo models.
+:class:`~repro.core.builder.MultipleCEBuilder` makes for zoo models,
+dual-engine HybridDual tails included.
 
 Raise the example budget with ``pytest -m fuzz --hypothesis-profile=ci``.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from typing import List, NamedTuple, Tuple
 
 import pytest
 from hypothesis import given, reject
@@ -32,23 +38,25 @@ from repro.cnn.layers import LayerKind
 from repro.core.architectures import TEMPLATES, build_template
 from repro.core.blocks import PipelinedCEsBlock, SingleCEBlock, split_weight_budget
 from repro.core.builder import MultipleCEBuilder
-from repro.core.cost.accesses import pipelined_weight_accesses, single_ce_accesses
-from repro.core.cost.buffers import (
-    per_ce_max_weight_bytes,
-    pipelined_buffer_requirement,
-    pipelined_mandatory_bytes,
-    single_ce_buffer_requirement,
-    single_ce_mandatory_bytes,
-)
+from repro.core.cost.accesses import pipelined_weight_traffic, single_ce_traffic
 from repro.core.cost.results import AccessBreakdown, BlockEvaluation, SegmentCost
 from repro.core.cost.terms import LayerColumns
 from repro.core.dataflow import Dataflow, ofm_row_elements
+from repro.core.dual import DualEngineBlock, has_mixed_conv_types
 from repro.core.engine import ComputeEngine
 from repro.core.parallelism import Dimension, ParallelismStrategy
-from repro.core.tiling import build_schedule, select_tile_count
+from repro.core.tiling import (
+    MAX_TILES,
+    MIN_TILES,
+    pipeline_cycles,
+    row_cycle_runs,
+    stage_latencies,
+)
 from repro.dse.space import CustomDesignSpace
+from repro.hw.boards import PAPER_BOARDS
 from repro.hw.datatypes import FP32, INT8, INT16, Precision
 from repro.utils.errors import ResourceError
+from repro.utils.mathutils import ceil_div
 
 pytestmark = pytest.mark.fuzz
 
@@ -89,9 +97,13 @@ def reference_stage_latencies(specs, full_layer_cycles, tile_count):
 
 
 def reference_schedule(specs, full_layer_cycles, tile_count):
-    """``build_schedule(...).latency_cycles()`` / ``.bottleneck_cycles()``."""
+    """Eq. 2 latency and Eq. 3 bottleneck of one pipelined pass."""
     stages, bottleneck = reference_stage_latencies(specs, full_layer_cycles, tile_count)
     return sum(stages), bottleneck
+
+
+def reference_tile_count(specs):
+    return min(max(min(spec.out_height for spec in specs), MIN_TILES), MAX_TILES)
 
 
 def reference_ifm_row_elements(spec):
@@ -100,14 +112,29 @@ def reference_ifm_row_elements(spec):
     return max(1, min(spec.ifm_elements, row * spec.kernel_height))
 
 
-def reference_single_ce_accesses(
-    specs, engine, buffer_bytes, precision, input_onchip=True, output_onchip=True
-):
-    """The Eq. 6 loop over ``ConvSpec`` records: ``(weight, ifm, ofm)`` bytes."""
+class ReferenceAccess(NamedTuple):
+    """One layer's Eq. 6 off-chip bytes."""
+
+    weight_bytes: int
+    ifm_bytes: int
+    ofm_bytes: int
+
+    @property
+    def fm_bytes(self):
+        return self.ifm_bytes + self.ofm_bytes
+
+    @property
+    def total_bytes(self):
+        return self.weight_bytes + self.fm_bytes
+
+
+def reference_single_ce_accesses(specs, engine, buffer_bytes, precision):
+    """The Eq. 6 loop over ``ConvSpec`` records: each layer's
+    :class:`ReferenceAccess`, a ``(weight, ifm, ofm)`` tuple."""
     act = precision.activation_bytes
     wbytes = precision.weight_bytes
     results = []
-    prev_ofm_onchip = input_onchip
+    prev_ofm_onchip = True
     last = len(specs) - 1
     for position, spec in enumerate(specs):
         weight_total = spec.weight_count * wbytes
@@ -118,7 +145,7 @@ def reference_single_ce_accesses(
         row_in = reference_ifm_row_elements(spec) * act
         row_out = ofm_row_elements(spec) * act
         if position == last:
-            keep_ofm = output_onchip
+            keep_ofm = True
         else:
             consumer = specs[position + 1]
             consumer_wtile = engine.weights_tile_elements(consumer) * wbytes
@@ -148,7 +175,7 @@ def reference_single_ce_accesses(
             else:
                 weight_access = weight_total
                 ifm_access = ifm_total * weight_passes
-        results.append((weight_access, ifm_access, ofm_access))
+        results.append(ReferenceAccess(weight_access, ifm_access, ofm_access))
         prev_ofm_onchip = keep_ofm
     return results
 
@@ -239,11 +266,14 @@ def reference_rounds(block):
         tuple(block.specs[start : start + ce_count])
         for start in range(0, len(block.specs), ce_count)
     ]
-    return rounds, [select_tile_count(round_specs) for round_specs in rounds]
+    return rounds, [reference_tile_count(round_specs) for round_specs in rounds]
 
 
 def reference_footprint(block):
     """``(mandatory, ideal)`` bytes, per block kind."""
+    if block.kind == "dual":
+        reference = ReferenceDualBlock(block)
+        return reference.mandatory_buffer_bytes(), reference.ideal_buffer_bytes()
     if block.kind == "single":
         return (
             reference_single_ce_mandatory_bytes(block.specs, block.engine, block.precision),
@@ -368,6 +398,194 @@ def reference_pipelined_evaluate(block, allocated, input_extra, output_extra, se
     )
 
 
+class ReferenceDualBlock:
+    """The dual-engine block before it had a layout: the per-call methods
+    of ``DualEngineBlock``, verbatim but for calling this module's
+    :func:`reference_single_ce_accesses` and
+    :func:`reference_single_ce_mandatory_bytes`, over a block's fields."""
+
+    FUSION_FILL_FRACTION = DualEngineBlock.FUSION_FILL_FRACTION
+
+    kind = "dual"
+
+    def __init__(self, block):
+        self.name = block.name
+        self.dw_engine = block.dw_engine
+        self.std_engine = block.std_engine
+        self.specs = block.specs
+        self.precision = block.precision
+        self.bytes_per_cycle = block.bytes_per_cycle
+
+    # -- structural properties ---------------------------------------------------
+    @property
+    def pe_count(self) -> int:
+        return self.dw_engine.pe_count + self.std_engine.pe_count
+
+    @property
+    def macs(self) -> int:
+        return sum(spec.macs for spec in self.specs)
+
+    def engine_for(self, spec: ConvSpec) -> ComputeEngine:
+        if spec.kind is LayerKind.DEPTHWISE_CONV:
+            return self.dw_engine
+        return self.std_engine
+
+    @property
+    def access_engine(self) -> ComputeEngine:
+        """Engine whose weight tiles parameterize the Eq. 6 access model."""
+        return self.std_engine
+
+    def layer_cycles(self, spec: ConvSpec) -> int:
+        """Eq. 1 cycles on the sub-engine owning this layer's type."""
+        return self.engine_for(spec).layer_cycles(spec)
+
+    def fused_pairs(self) -> List[Tuple[int, int]]:
+        """(dw_position, consumer_position) pairs eligible for fusion."""
+        pairs = []
+        for position in range(len(self.specs) - 1):
+            first, second = self.specs[position], self.specs[position + 1]
+            if (
+                first.kind is LayerKind.DEPTHWISE_CONV
+                and second.kind is not LayerKind.DEPTHWISE_CONV
+            ):
+                pairs.append((position, position + 1))
+        return pairs
+
+    # -- buffer model (Eq. 4, with fused intermediates shrunk to row bands) -------
+    def _effective_fms_elements(self, position: int) -> int:
+        """Live FM elements while processing layer ``position``.
+
+        A fused dw→consumer pair never materializes the depthwise OFM: the
+        consumer eats rows as they are produced, so the intermediate costs
+        one ``kernel_height``-row band instead of a full feature map — the
+        buffer saving of fused-layer accelerators (Alwani et al. [1]).
+        """
+        spec = self.specs[position]
+        fused = dict(self.fused_pairs())
+        consumers = {consumer: dw for dw, consumer in fused.items()}
+        ifm = spec.ifm_elements
+        ofm = spec.ofm_elements * spec.fms_copies
+        if position in fused:
+            consumer = self.specs[position + 1]
+            band_rows = consumer.kernel_height
+            band = min(spec.ofm_elements, band_rows * spec.out_width * spec.filters)
+            ofm = band * spec.fms_copies
+        if position in consumers:
+            producer = self.specs[position - 1]
+            band = min(
+                producer.ofm_elements,
+                spec.kernel_height * producer.out_width * producer.filters,
+            )
+            ifm = band
+        return ifm + ofm
+
+    def ideal_buffer_bytes(self) -> int:
+        return sum(self.buffer_components())
+
+    def mandatory_buffer_bytes(self) -> int:
+        return min(
+            reference_single_ce_mandatory_bytes(self.specs, self.std_engine, self.precision),
+            self.ideal_buffer_bytes(),
+        )
+
+    def buffer_components(self) -> List[int]:
+        act = self.precision.activation_bytes
+        wbytes = self.precision.weight_bytes
+        max_fms = max(
+            self._effective_fms_elements(position) for position in range(len(self.specs))
+        ) * act
+        max_tile = max(
+            self.engine_for(spec).weights_tile_elements(spec) for spec in self.specs
+        ) * wbytes
+        return [max_fms, max_tile]
+
+    # -- evaluation ---------------------------------------------------------------
+    def evaluate(
+        self,
+        allocated_bytes: int,
+        input_extra_bytes: int = 0,
+        output_extra_bytes: int = 0,
+        segment_index: int = 0,
+    ) -> BlockEvaluation:
+        """Sequential schedule with dw→consumer fusion.
+
+        A fused pair costs ``max(dw, consumer) * (1 + fill)`` cycles —
+        both engines run concurrently on the pair — while unfused layers
+        cost their own engine's Eq. 1 cycles (the other engine idles).
+        """
+        accesses = reference_single_ce_accesses(
+            self.specs, self.std_engine, allocated_bytes, self.precision
+        )
+        fused = dict(self.fused_pairs())
+        fused_consumers = set(fused.values())
+
+        compute_cycles = 0
+        wall_cycles = 0.0
+        last = len(self.specs) - 1
+        position = 0
+        while position <= last:
+            spec = self.specs[position]
+            layer_bytes = accesses[position].total_bytes
+            if position == 0:
+                layer_bytes += input_extra_bytes
+            if position in fused and position + 1 <= last:
+                consumer = self.specs[position + 1]
+                dw_cycles = self.dw_engine.layer_cycles(spec)
+                consumer_cycles = self.std_engine.layer_cycles(consumer)
+                pair_cycles = ceil_div(
+                    int(max(dw_cycles, consumer_cycles) * (1 + self.FUSION_FILL_FRACTION)),
+                    1,
+                )
+                layer_bytes += accesses[position + 1].total_bytes
+                if position + 1 == last:
+                    layer_bytes += output_extra_bytes
+                compute_cycles += pair_cycles
+                wall_cycles += max(float(pair_cycles), layer_bytes / self.bytes_per_cycle)
+                position += 2
+                continue
+            engine = self.engine_for(spec)
+            layer_cycles = engine.layer_cycles(spec)
+            if position == last:
+                layer_bytes += output_extra_bytes
+            compute_cycles += layer_cycles
+            wall_cycles += max(float(layer_cycles), layer_bytes / self.bytes_per_cycle)
+            position += 1
+
+        breakdown = AccessBreakdown(
+            weight_bytes=sum(access.weight_bytes for access in accesses),
+            fm_bytes=sum(access.fm_bytes for access in accesses)
+            + input_extra_bytes
+            + output_extra_bytes,
+        )
+        memory_cycles = breakdown.total_bytes / self.bytes_per_cycle
+        segment = SegmentCost(
+            index=segment_index,
+            label=self.name,
+            layer_indices=tuple(spec.index for spec in self.specs),
+            compute_cycles=compute_cycles,
+            memory_cycles=memory_cycles,
+            accesses=breakdown,
+            pe_count=self.pe_count,
+            macs=self.macs,
+            buffer_requirement_bytes=self.ideal_buffer_bytes(),
+        )
+        return BlockEvaluation(
+            name=self.name,
+            kind=self.kind,
+            segments=(segment,),
+            latency_cycles=wall_cycles,
+            throughput_interval_cycles=wall_cycles,
+            accesses=breakdown,
+            buffer_requirement_bytes=self.ideal_buffer_bytes(),
+            buffer_allocated_bytes=allocated_bytes,
+            pe_count=self.pe_count,
+        )
+
+
+def reference_dual_evaluate(block, allocated, input_extra, output_extra, segment_index):
+    return ReferenceDualBlock(block).evaluate(allocated, input_extra, output_extra, segment_index)
+
+
 # --- strategies ----------------------------------------------------------------
 
 #: Small heights make partial and empty tiles common; the wide range
@@ -444,8 +662,30 @@ precisions = st.builds(Precision, datatypes, datatypes)
 bandwidths = st.floats(min_value=0.25, max_value=256.0, allow_nan=False, allow_infinity=False)
 
 
+def as_depthwise(spec):
+    """``spec`` as a depthwise convolution: one channel per filter."""
+    k, r = spec.filters, spec.kernel_height
+    return dataclasses.replace(
+        spec,
+        kind=LayerKind.DEPTHWISE_CONV,
+        channels=1,
+        ifm_elements=spec.ifm_elements // spec.channels * k,
+        weight_count=k * r * r,
+        macs=k * spec.out_height * spec.out_width * r * r,
+    )
+
+
 @st.composite
-def block_layers(draw, min_size, max_size):
+def mixed_layer_lists(draw, min_size, max_size):
+    """Standard and depthwise layers in any order, so fused depthwise→
+    standard pairs, unfused depthwise layers and runs of either occur."""
+    specs = draw(layer_lists(min_size, max_size))
+    depthwise = draw(st.lists(st.booleans(), min_size=len(specs), max_size=len(specs)))
+    return tuple(as_depthwise(spec) if dw else spec for spec, dw in zip(specs, depthwise))
+
+
+@st.composite
+def block_layers(draw, min_size, max_size, lists=layer_lists):
     """A block's layers, its precision and the layer columns it is given.
 
     Most blocks get what a builder gives them: a table of a longer context
@@ -454,7 +694,7 @@ def block_layers(draw, min_size, max_size):
     after :func:`dataclasses.replace`), and must cost their own layers.
     """
     before = draw(st.integers(0, 3))
-    context = draw(layer_lists(before + min_size, before + max_size + 3))
+    context = draw(lists(before + min_size, before + max_size + 3))
     count = draw(st.integers(min_size, min(max_size, len(context) - before)))
     specs = context[before : before + count]
     precision = draw(precisions)
@@ -464,7 +704,7 @@ def block_layers(draw, min_size, max_size):
     if table == "precision":
         return specs, precision, LayerColumns(context, draw(precisions))
     if table == "other":
-        context = draw(layer_lists(len(context), len(context)))
+        context = draw(lists(len(context), len(context)))
     return specs, precision, LayerColumns(context, precision)
 
 
@@ -495,6 +735,22 @@ def pipelined_blocks(draw):
     )
 
 
+@st.composite
+def dual_blocks(draw):
+    specs, precision, columns = draw(block_layers(2, 12, lists=mixed_layer_lists))
+    if not has_mixed_conv_types(specs):
+        reject()
+    return DualEngineBlock(
+        name="B4",
+        dw_engine=draw(engines),
+        std_engine=draw(engines),
+        specs=specs,
+        precision=precision,
+        bytes_per_cycle=draw(bandwidths),
+        columns=columns,
+    )
+
+
 #: Zoo contexts for builder-made blocks: plain, depthwise-separable and
 #: residual CNNs on four boards.
 ZOO_CONTEXTS = [
@@ -507,8 +763,9 @@ ZOO_CONTEXTS = [
 
 @st.composite
 def builder_blocks(draw):
-    """A single-CE or pipelined block a :class:`MultipleCEBuilder` built:
-    from a template design or a sampled custom one."""
+    """A block a :class:`MultipleCEBuilder` built: from a template design
+    (a HybridDual tail of a depthwise-separable CNN is a dual-engine
+    block) or a sampled custom one."""
     model, board = draw(st.sampled_from(ZOO_CONTEXTS))
     builder = MultipleCEBuilder(resolve_model(model), resolve_board(board), draw(precisions))
     specs = builder.conv_specs
@@ -522,10 +779,24 @@ def builder_blocks(draw):
         accelerator = builder.build(design)
     except ResourceError:
         reject()
-    blocks = [block for block in accelerator.blocks if block.kind != "dual"]
-    if not blocks:
+    return draw(st.sampled_from(accelerator.blocks))
+
+
+@st.composite
+def builder_dual_tails(draw):
+    """The dual-engine tail of a HybridDual design of a CNN mixing
+    depthwise and standard convolutions, as a builder made it."""
+    model = draw(st.sampled_from(["mobilenetv2", "xception"]))
+    board = draw(st.sampled_from(PAPER_BOARDS))
+    builder = MultipleCEBuilder(resolve_model(model), resolve_board(board), draw(precisions))
+    design = build_template("hybriddual", builder.conv_specs, draw(st.integers(2, 11)))
+    try:
+        tail = builder.build(design).blocks[-1]
+    except ResourceError:
         reject()
-    return draw(st.sampled_from(blocks))
+    if tail.kind != "dual":
+        reject()
+    return tail
 
 
 @st.composite
@@ -540,26 +811,40 @@ def evaluation_inputs(draw, footprint):
 
 # --- the oracle ------------------------------------------------------------------
 
+REFERENCE_EVALUATE = {
+    "single": reference_single_evaluate,
+    "pipelined": reference_pipelined_evaluate,
+    "dual": reference_dual_evaluate,
+}
 
-def check_block(block, data, reference_evaluate):
+
+def check_block(block, data):
     footprint = reference_footprint(block)
     assert (block.mandatory_buffer_bytes(), block.ideal_buffer_bytes()) == footprint
+    if block.kind == "dual":
+        reference = ReferenceDualBlock(block)
+        assert block.layout.pairs == reference.fused_pairs()
+        assert block.buffer_components() == reference.buffer_components()
     # Several evaluations share one layout; each must match on its own.
     for inputs in data.draw(st.lists(evaluation_inputs(footprint), min_size=1, max_size=4)):
-        assert block.evaluate(*inputs) == reference_evaluate(block, *inputs)
+        assert block.evaluate(*inputs) == REFERENCE_EVALUATE[block.kind](block, *inputs)
 
 
 class TestBlocksMatchReference:
     @given(block=single_blocks(), data=st.data())
     def test_single_ce_block(self, block, data):
-        check_block(block, data, reference_single_evaluate)
+        check_block(block, data)
 
     @given(block=pipelined_blocks(), data=st.data())
     def test_pipelined_block(self, block, data):
-        check_block(block, data, reference_pipelined_evaluate)
+        check_block(block, data)
         rounds, tile_counts = reference_rounds(block)
         assert block.rounds() == rounds
         assert block.tile_counts() == tile_counts
+
+    @given(block=dual_blocks(), data=st.data())
+    def test_dual_engine_block(self, block, data):
+        check_block(block, data)
 
 
 class TestBuilderBlocksMatchReference:
@@ -567,63 +852,33 @@ class TestBuilderBlocksMatchReference:
     def test_builder_made_block(self, block, data):
         # The block reads the builder's table, not one of its own.
         assert block.columns.row_of(block.specs, block.precision) == block.specs[0].index
-        reference = {
-            "single": reference_single_evaluate,
-            "pipelined": reference_pipelined_evaluate,
-        }[block.kind]
-        check_block(block, data, reference)
+        check_block(block, data)
+
+    @given(block=builder_dual_tails(), data=st.data())
+    def test_builder_made_dual_tail(self, block, data):
+        assert block.columns.row_of(block.specs, block.precision) == block.specs[0].index
+        check_block(block, data)
 
 
-class TestPublicFunctionsMatchReference:
-    @given(
-        specs=layer_lists(1, 12),
-        engine=engines,
-        precision=precisions,
-        budget=st.integers(0, 10**7),
-        input_onchip=st.booleans(),
-        output_onchip=st.booleans(),
-    )
-    def test_single_ce_accesses(
-        self, specs, engine, precision, budget, input_onchip, output_onchip
-    ):
-        accesses = single_ce_accesses(
-            specs, engine, budget, precision, input_onchip, output_onchip
+class TestLayoutKernelsMatchReference:
+    @given(block=single_blocks(), budget=st.integers(0, 10**7))
+    def test_single_ce_traffic(self, block, budget):
+        assert single_ce_traffic(block.layout.terms, budget) == reference_single_ce_accesses(
+            block.specs, block.engine, budget, block.precision
         )
-        assert [access.layer_index for access in accesses] == [spec.index for spec in specs]
-        assert [
-            (access.weight_bytes, access.ifm_bytes, access.ofm_bytes) for access in accesses
-        ] == reference_single_ce_accesses(
-            specs, engine, budget, precision, input_onchip, output_onchip
-        )
-
-    @given(specs=layer_lists(1, 12), engine=engines, precision=precisions)
-    def test_single_ce_buffers(self, specs, engine, precision):
-        assert single_ce_buffer_requirement(
-            specs, engine, precision
-        ) == reference_single_ce_buffer_requirement(specs, engine, precision)
-        assert single_ce_mandatory_bytes(
-            specs, engine, precision
-        ) == reference_single_ce_mandatory_bytes(specs, engine, precision)
 
     @given(block=pipelined_blocks(), buffers=st.lists(st.integers(-5, 10**6), max_size=11))
-    def test_pipelined_functions(self, block, buffers):
+    def test_pipelined_weights(self, block, buffers):
+        layout = block.layout
         rounds, tile_counts = reference_rounds(block)
-        args = (rounds, tile_counts, block.ce_count, block.precision)
-        assert pipelined_buffer_requirement(*args) == reference_pipelined_buffer_requirement(
-            *args
-        )
-        assert pipelined_mandatory_bytes(*args) == reference_pipelined_mandatory_bytes(*args)
-        assert per_ce_max_weight_bytes(
+        assert layout.positions[0] == reference_per_ce_max_weight_bytes(
             rounds, block.ce_count, block.precision
-        ) == reference_per_ce_max_weight_bytes(rounds, block.ce_count, block.precision)
-        for round_specs, tile_count in zip(rounds, tile_counts):
-            accesses = pipelined_weight_accesses(
+        )
+        for round_, round_specs, tile_count in zip(layout.rounds, rounds, tile_counts):
+            assert pipelined_weight_traffic(
+                layout.weights[round_], tile_count, buffers
+            ) == reference_pipelined_weight_accesses(
                 round_specs, tile_count, buffers, block.precision
-            )
-            assert [access.weight_bytes for access in accesses] == (
-                reference_pipelined_weight_accesses(
-                    round_specs, tile_count, buffers, block.precision
-                )
             )
 
     @given(
@@ -631,12 +886,14 @@ class TestPublicFunctionsMatchReference:
         tile_count=st.integers(1, 8),
         data=st.data(),
     )
-    def test_schedule(self, specs, tile_count, data):
+    def test_stage_latencies(self, specs, tile_count, data):
         cycles = data.draw(
             st.lists(st.integers(0, 10**9), min_size=len(specs), max_size=len(specs))
         )
-        schedule = build_schedule(specs, cycles, tile_count)
+        runs = [
+            row_cycle_runs(spec.out_height, full, tile_count)
+            for spec, full in zip(specs, cycles)
+        ]
         stages, bottleneck = reference_stage_latencies(specs, cycles, tile_count)
-        assert [schedule.stage_latency(s) for s in range(schedule.num_stages)] == stages
-        assert schedule.latency_cycles() == sum(stages)
-        assert schedule.bottleneck_cycles() == bottleneck
+        assert stage_latencies(runs, tile_count) == stages
+        assert pipeline_cycles(runs, tile_count) == (sum(stages), bottleneck)

@@ -5,7 +5,7 @@ import pytest
 from repro.api import build_accelerator, evaluate
 from repro.cnn.graph import ConvSpec
 from repro.cnn.layers import LayerKind
-from repro.core.dual import DualEngineBlock, has_mixed_conv_types, split_by_kind
+from repro.core.dual import DualEngineBlock, fused_pairs, has_mixed_conv_types, split_by_kind
 from repro.hw.datatypes import DEFAULT_PRECISION
 from repro.utils.errors import ResourceError
 from tests.core.test_parallelism import make_spec
@@ -69,14 +69,15 @@ class TestTypeSplitting:
 
 class TestFusion:
     def test_fused_pairs_found(self):
-        block = make_block()
-        assert block.fused_pairs() == [(1, 2), (3, 4)]
+        assert fused_pairs(mixed_specs()) == [(1, 2), (3, 4)]
+        assert make_block().layout.pairs == [(1, 2), (3, 4)]
 
     def test_engine_routing(self):
+        # Each layer's Eq. 1 cycles are its own engine's.
         block = make_block()
         specs = mixed_specs()
-        assert block.engine_for(specs[1]) is block.dw_engine
-        assert block.engine_for(specs[0]) is block.std_engine
+        assert block.layout.cycles[1] == block.dw_engine.layer_cycles(specs[1])
+        assert block.layout.cycles[0] == block.std_engine.layer_cycles(specs[0])
 
     def test_pe_count_sums_both_engines(self):
         block = make_block(pes=64)
@@ -84,10 +85,10 @@ class TestFusion:
 
     def test_fused_intermediate_shrinks_buffer(self):
         block = make_block()
-        # The dw layer's effective FMs must be below the unfused footprint.
-        dw_index = 1
-        spec = block.specs[dw_index]
-        assert block._effective_fms_elements(dw_index) < spec.fms_elements
+        # The largest FMs belong to a fused consumer, whose input is now a
+        # row band: the FM buffer is below the unfused footprint.
+        unfused = max(spec.fms_elements for spec in block.specs)
+        assert block.buffer_components()[0] < unfused * block.precision.activation_bytes
 
 
 class TestEvaluation:
@@ -102,7 +103,11 @@ class TestEvaluation:
     def test_fusion_saves_compute_time_vs_serial(self):
         block = make_block()
         evaluation = block.evaluate(block.ideal_buffer_bytes())
-        serial = sum(block.engine_for(s).layer_cycles(s) for s in block.specs)
+        serial = sum(
+            (block.dw_engine if s.kind is LayerKind.DEPTHWISE_CONV else block.std_engine)
+            .layer_cycles(s)
+            for s in block.specs
+        )
         assert evaluation.compute_cycles < serial
 
     def test_buffer_components_sum_to_ideal(self):

@@ -1,143 +1,114 @@
-"""Tests for tile schedules and the Eq. 2/3 pipeline primitives."""
+"""Tests for tile counts and the Eq. 2/3 pipeline primitives."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.blocks import PipelinedCEsBlock
+from repro.core.engine import ComputeEngine
 from repro.core.tiling import (
     MAX_TILES,
     MIN_TILES,
-    build_schedule,
     ce_busy_cycles,
-    select_tile_count,
-    tile_cycle_runs,
-    tile_ofm_elements,
-    tile_rows,
+    pipeline_cycles,
+    row_cycle_runs,
+    stage_latencies,
+    tile_count_for,
 )
-from repro.utils.errors import ResourceError
 from tests.core.test_parallelism import make_spec
 
 
-class TestSelectTileCount:
+def tile_rows(height, tile_count):
+    """OFM rows of each tile: ``ceil(height / tile_count)`` per tile while
+    rows remain."""
+    full = -(-height // tile_count)
+    return [max(0, min(full, height - full * t)) for t in range(tile_count)]
+
+
+class TestTileCount:
     def test_clamped_to_min(self):
-        assert select_tile_count([make_spec(h=1)]) == MIN_TILES
+        assert tile_count_for(1) == MIN_TILES
 
     def test_clamped_to_max(self):
-        assert select_tile_count([make_spec(h=224)]) == MAX_TILES
+        assert tile_count_for(224) == MAX_TILES
 
-    def test_uses_smallest_height(self):
-        specs = [make_spec(h=32), make_spec(h=4, index=1)]
-        assert select_tile_count(specs) == 4
-
-    def test_rejects_empty(self):
-        with pytest.raises(ResourceError):
-            select_tile_count([])
+    def test_block_uses_smallest_height(self, precision):
+        specs = (make_spec(h=32), make_spec(h=4, index=1))
+        engine = ComputeEngine.fitted("CE1", 16, specs)
+        block = PipelinedCEsBlock("B1", (engine, engine), specs, precision, 16.0)
+        assert block.tile_counts() == [4]
 
 
 class TestTileRows:
     def test_rows_sum_to_height(self):
-        spec = make_spec(h=14)
+        # With the layer's height as its cycle count, each tile's cycles
+        # are its rows.
         for tiles in (2, 3, 4, 8):
-            total = sum(tile_rows(spec, tiles, t) for t in range(tiles))
-            assert total == 14
+            assert ce_busy_cycles(row_cycle_runs(14, 14, tiles)) == 14
 
     def test_last_tile_may_be_empty(self):
-        spec = make_spec(h=3)
-        rows = [tile_rows(spec, 4, t) for t in range(4)]
-        assert rows == [1, 1, 1, 0]
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ResourceError):
-            tile_rows(make_spec(), 4, 4)
+        # Three one-row tiles, no partial tile, then one empty tile.
+        assert row_cycle_runs(3, 3, 4) == (3, 1, 0)
 
     @given(st.integers(1, 64), st.integers(2, 8))
     def test_rows_cover_exactly(self, height, tiles):
-        spec = make_spec(h=height)
-        rows = [tile_rows(spec, tiles, t) for t in range(tiles)]
-        assert sum(rows) == height
-        assert all(r >= 0 for r in rows)
-
-    def test_tile_ofm_elements(self):
-        spec = make_spec(k=16, h=8, w=8)
-        assert tile_ofm_elements(spec, 4, 0) == 2 * 8 * 16
+        full_tiles, full_rows, partial_rows = row_cycle_runs(height, height, tiles)
+        assert full_tiles * full_rows + partial_rows == height
+        assert full_tiles + (partial_rows > 0) <= tiles
+        assert 0 <= partial_rows < full_rows
 
 
 class TestTileCycles:
     def test_tile_sum_at_least_layer_total(self):
-        spec = make_spec(h=14)
-        full = 1000
-        assert ce_busy_cycles(tile_cycle_runs(spec, full, 4)) >= full
+        assert ce_busy_cycles(row_cycle_runs(14, 1000, 4)) >= 1000
 
     def test_empty_tile_is_free(self):
-        # Three one-row tiles, no partial tile, then one empty tile.
-        spec = make_spec(h=3)
-        assert tile_cycle_runs(spec, 999, 4) == (3, 333, 0)
-        assert build_schedule([spec], [999], 4).cycles == ((333, 333, 333, 0),)
+        assert row_cycle_runs(3, 999, 4) == (3, 333, 0)
+        assert stage_latencies([row_cycle_runs(3, 999, 4)], 4) == [333, 333, 333, 0]
 
     @given(st.integers(1, 64), st.integers(2, 8), st.integers(1, 10**6))
     @settings(max_examples=100)
     def test_proportional_to_rows(self, height, tiles, full):
-        spec = make_spec(h=height)
-        total = ce_busy_cycles(tile_cycle_runs(spec, full, tiles))
+        total = ce_busy_cycles(row_cycle_runs(height, full, tiles))
         assert full <= total <= full + tiles  # each tile rounds up at most 1
 
     @given(st.integers(1, 512), st.integers(1, 8), st.integers(0, 10**6))
     @settings(max_examples=100)
     def test_runs_follow_tile_rows(self, height, tiles, full):
-        spec = make_spec(h=height)
-        expected = tuple(
-            -(-full * tile_rows(spec, tiles, t) // height) for t in range(tiles)
-        )
-        assert build_schedule([spec], [full], tiles).cycles == (expected,)
+        expected = [-(-full * rows // height) for rows in tile_rows(height, tiles)]
+        assert stage_latencies([row_cycle_runs(height, full, tiles)], tiles) == expected
 
 
-def make_schedule(cycles_per_ce, tiles):
-    specs = [make_spec(h=tiles * 2, index=i) for i in range(len(cycles_per_ce))]
-    return build_schedule(specs, cycles_per_ce, tiles)
+def make_runs(cycles_per_ce, tiles):
+    return [row_cycle_runs(tiles * 2, cycles, tiles) for cycles in cycles_per_ce]
 
 
-class TestPipelineSchedule:
+class TestPipelineCycles:
     def test_num_stages(self):
-        schedule = make_schedule([100, 100, 100], 4)
-        assert schedule.num_stages == 4 + 3 - 1
+        assert len(stage_latencies(make_runs([100, 100, 100], 4), 4)) == 4 + 3 - 1
 
     def test_single_ce_latency_is_total(self):
-        schedule = make_schedule([120], 4)
-        assert schedule.latency_cycles() == pytest.approx(120, abs=4)
+        latency, _ = pipeline_cycles(make_runs([120], 4), 4)
+        assert latency == pytest.approx(120, abs=4)
 
     def test_balanced_pipeline_latency(self):
         # L CEs of identical per-tile cost c with T tiles: (T + L - 1) * c.
-        schedule = make_schedule([400, 400], 4)
-        per_tile = 100
-        assert schedule.latency_cycles() == per_tile * (4 + 2 - 1)
+        latency, _ = pipeline_cycles(make_runs([400, 400], 4), 4)
+        assert latency == 100 * (4 + 2 - 1)
 
     def test_latency_bounded_by_bottleneck(self):
-        schedule = make_schedule([100, 900, 100], 4)
-        assert schedule.latency_cycles() >= schedule.bottleneck_cycles()
+        latency, bottleneck = pipeline_cycles(make_runs([100, 900, 100], 4), 4)
+        assert latency >= bottleneck
 
     def test_bottleneck_is_slowest_ce(self):
-        schedule = make_schedule([100, 900, 100], 4)
-        assert schedule.bottleneck_cycles() == 900
+        assert pipeline_cycles(make_runs([100, 900, 100], 4), 4)[1] == 900
 
     def test_ce_busy_cycles(self):
-        schedule = make_schedule([100, 900], 4)
-        assert schedule.ce_busy_cycles(0) == 100
-        assert schedule.ce_busy_cycles(1) == 900
-
-    def test_active_ces_skew(self):
-        schedule = make_schedule([100, 100, 100], 4)
-        assert schedule.active_ces(0) == [0]
-        assert set(schedule.active_ces(2)) == {0, 1, 2}
-        assert schedule.active_ces(schedule.num_stages - 1) == [2]
+        assert list(map(ce_busy_cycles, make_runs([100, 900], 4))) == [100, 900]
 
     def test_stage_latency_is_max_of_active(self):
-        schedule = make_schedule([400, 800], 4)
         # Stage 1: CE0 tile1 (100) and CE1 tile0 (200) -> 200.
-        assert schedule.stage_latency(1) == 200
-
-    def test_mismatched_inputs_rejected(self):
-        with pytest.raises(ResourceError):
-            build_schedule([make_spec()], [100, 200], 4)
+        assert stage_latencies(make_runs([400, 800], 4), 4)[1] == 200
 
     @given(
         st.lists(st.integers(1, 10**5), min_size=1, max_size=6),
@@ -145,10 +116,9 @@ class TestPipelineSchedule:
     )
     @settings(max_examples=100)
     def test_eq2_invariants(self, cycles, tiles):
-        schedule = make_schedule(cycles, tiles)
-        latency = schedule.latency_cycles()
-        bottleneck = schedule.bottleneck_cycles()
+        runs = make_runs(cycles, tiles)
+        latency, bottleneck = pipeline_cycles(runs, tiles)
         # Eq. 2 latency can never beat the slowest CE's busy time (Eq. 3)
         # and can never exceed the fully serialized execution.
         assert latency >= bottleneck
-        assert latency <= sum(schedule.ce_busy_cycles(j) for j in range(schedule.num_ces)) + tiles * len(cycles)
+        assert latency <= sum(map(ce_busy_cycles, runs)) + tiles * len(cycles)

@@ -2,9 +2,12 @@
 
 One canonical report per Table-5 architecture × board (SqueezeNet, 4 CEs
 — small enough that the whole corpus evaluates in seconds) lives in
-``tests/data/golden_reports/``. The test diffs the *serialized JSON
-text*, not parsed structures: any change to a cost number, a field name,
-or even float formatting is a regression (or a deliberate model change).
+``tests/data/golden_reports/``, next to the dual-engine Hybrid tail
+(``hybriddual``, 4 CEs) of the two zoo CNNs that mix depthwise and
+standard convolutions, MobileNetV2 and Xception, on the same boards. The
+test diffs the *serialized JSON text*, not parsed structures: any change
+to a cost number, a field name, or even float formatting is a regression
+(or a deliberate model change).
 
 On a deliberate change, regenerate and review the diff:
 
@@ -83,20 +86,32 @@ CONFIGS = [
     for board in PAPER_BOARDS
 ]
 
+DUAL_ARCHITECTURE = "hybriddual"
+DUAL_CONFIGS = [(model, board) for model in ("mobilenetv2", "xception") for board in PAPER_BOARDS]
 
-def _golden_path(architecture: str, board: str) -> Path:
-    return GOLDEN_DIR / f"{MODEL}_{architecture}_{board}_ce{CE_COUNT}.json"
+
+def _golden_path(architecture: str, board: str, model: str = MODEL) -> Path:
+    return GOLDEN_DIR / f"{model}_{architecture}_{board}_ce{CE_COUNT}.json"
 
 
-def _current_text(architecture: str, board: str) -> str:
-    report = evaluate(MODEL, board, architecture, ce_count=CE_COUNT)
+def _current_text(architecture: str, board: str, model: str = MODEL) -> str:
+    report = evaluate(model, board, architecture, ce_count=CE_COUNT)
     return report_to_json(report) + "\n"
 
 
 @pytest.mark.parametrize("architecture,board", CONFIGS)
 def test_golden_report(architecture, board, request):
-    path = _golden_path(architecture, board)
-    text = _current_text(architecture, board)
+    _check_golden_report(MODEL, architecture, board, request)
+
+
+@pytest.mark.parametrize("model,board", DUAL_CONFIGS)
+def test_dual_tail_golden_report(model, board, request):
+    _check_golden_report(model, DUAL_ARCHITECTURE, board, request)
+
+
+def _check_golden_report(model, architecture, board, request):
+    path = _golden_path(architecture, board, model)
+    text = _current_text(architecture, board, model)
     if request.config.getoption("--regen-golden"):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
@@ -108,7 +123,7 @@ def test_golden_report(architecture, board, request):
     )
     golden = path.read_text()
     assert text == golden, (
-        f"report for {MODEL}/{architecture}/{board} diverged from "
+        f"report for {model}/{architecture}/{board} diverged from "
         f"{path.name}; if the model change is deliberate, regenerate with "
         "--regen-golden and review the diff"
     )
@@ -117,6 +132,7 @@ def test_golden_report(architecture, board, request):
 def test_corpus_has_no_strays():
     """Every checked-in golden file corresponds to a tested config."""
     expected = {_golden_path(a, b).name for a, b in CONFIGS}
+    expected |= {_golden_path(DUAL_ARCHITECTURE, b, m).name for m, b in DUAL_CONFIGS}
     actual = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert actual == expected
 

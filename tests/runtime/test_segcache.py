@@ -11,9 +11,10 @@ pressure, and never across evaluation contexts.
 import pytest
 
 from repro.api import resolve_board, resolve_model
-from repro.core import blocks
+from repro.core import blocks, dual
 from repro.core.architectures import TEMPLATES, build_template
 from repro.core.builder import MultipleCEBuilder
+from repro.core.cost.terms import LayerColumns
 from repro.core.cost.export import report_to_dict
 from repro.core.cost.model import MCCM
 from repro.core.cost.vector import PopulationKernel
@@ -123,14 +124,18 @@ class TestLazyLayouts:
     @pytest.fixture
     def layout_builds(self, monkeypatch):
         builds = []
-        for name in ("single_ce_layout", "pipelined_layout"):
-            build = getattr(blocks, name)
+        for module, name in (
+            (blocks, "single_ce_layout"),
+            (blocks, "pipelined_layout"),
+            (dual, "dual_layout"),
+        ):
+            build = getattr(module, name)
 
             def counting(block, build=build):
                 builds.append(block.name)
                 return build(block)
 
-            monkeypatch.setattr(blocks, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return builds
 
     def test_warm_replay_builds_no_layout(self, layout_builds):
@@ -157,6 +162,27 @@ class TestLazyLayouts:
         accelerator = builder.build(spec)
         MCCM().evaluate(accelerator)
         assert sorted(layout_builds) == ["B1", "B2", "B3"]
+
+    def test_dual_tail_lays_out_once_from_the_builders_table(self, monkeypatch):
+        """A dual-engine tail reads the builder's layer table, like the
+        other blocks, and scans its layers for fused pairs once per
+        evaluation, not once per footprint, component or layer."""
+        builder = MultipleCEBuilder(resolve_model("xception"), resolve_board("vcu110"))
+        design = build_template("hybriddual", builder.conv_specs, 6)
+        first, second = builder.build(design), builder.build(design)
+        assert first.blocks[-1].kind == "dual"
+        tables = []
+        init = LayerColumns.__init__
+        monkeypatch.setattr(
+            LayerColumns, "__init__", lambda table, *args: tables.append(init(table, *args))
+        )
+        MCCM().evaluate(first)
+        assert len(tables) == 0
+        scans = []
+        find = dual.fused_pairs
+        monkeypatch.setattr(dual, "fused_pairs", lambda specs: scans.append(specs) or find(specs))
+        MCCM().evaluate(second)
+        assert scans == [second.blocks[-1].specs]
 
 
 class TestEviction:

@@ -556,6 +556,48 @@ class TestCampaign:
             for job in jobs:
                 job.thread.join()
 
+    def test_sibling_worker_knows_a_started_campaign(self, tmp_path, monkeypatch):
+        """A fleet hands out a campaign id only once every worker can answer
+        for it: the owner's first snapshot is in the shared run dir before
+        ``start_campaign`` returns, however late the job thread starts."""
+        from repro.dse.campaign import Campaign, CampaignSpec
+        from repro.service.handlers import CampaignJob, handle_campaign_events
+
+        gate = threading.Event()
+        run = CampaignJob._run
+
+        def held_run(job):
+            gate.wait(timeout=30)
+            run(job)
+
+        monkeypatch.setattr(CampaignJob, "_run", held_run)
+        owner = ServiceState(shared_dir=tmp_path)
+        sibling = ServiceState(shared_dir=tmp_path)
+        spec = CampaignSpec.from_dict(
+            {
+                "name": "race",
+                "population": 4,
+                "generations": 0,
+                "cells": [{"model": MODEL, "board": BOARD}],
+            }
+        )
+        job = owner.start_campaign(Campaign(spec))
+        try:
+            assert sibling.campaign_job(job.id) is None
+            snapshot = sibling.campaign_snapshot(job.id)
+            assert snapshot is not None
+            assert (snapshot["id"], snapshot["state"]) == (job.id, "running")
+            # The sibling streams the events instead of answering 404.
+            handle_campaign_events(sibling, job.id, {})
+            gate.set()
+            job.thread.join()
+            assert sibling.campaign_snapshot(job.id)["state"] == "done"
+        finally:
+            gate.set()
+            job.thread.join()
+            owner.close()
+            sibling.close()
+
     def test_budget_cap_enforced(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.start_campaign(

@@ -1,5 +1,7 @@
 """Tests for the synthesis-substitute reference simulator."""
 
+import hashlib
+
 import pytest
 
 from repro.api import build_accelerator
@@ -99,3 +101,53 @@ class TestCoarsePipelineSimulation:
         simulation = SynthesisSimulator(accelerator).run()
         assert simulation.latency_cycles > 0
         assert simulation.buffer_bytes > 0
+
+
+#: Exact results for MobileNetV2 on VCU108 with 4 CEs, one design per
+#: template: ``(latency, interval, buffer bytes, access bytes, sha256 of
+#: the segments' repr)``. Floats are pinned by ``repr``, so a change in the
+#: last bit of any segment time fails.
+SIMULATION_PINS = {
+    "segmented": (
+        1803862.6666666665,
+        503891.99999999953,
+        4598784,
+        4806016,
+        "0ba757793e222054e9024ba3d9ef95214fbb78576c10b9f72a92e4ef7d8826d5",
+    ),
+    "segmentedrr": (
+        922616.2812500001,
+        734001.0,
+        5455872,
+        4806016,
+        "acc3a1c4d3db72f1569de193084d56ca22486535d30566968a38332fac9fd1e7",
+    ),
+    "hybrid": (
+        1101292.0,
+        550828.0,
+        4428288,
+        4806016,
+        "7e76f6611cb564d11d82d551a83512320c3cfa24aef8f0353d41dccb20a28218",
+    ),
+    "hybriddual": (
+        1512876.0,
+        962412.0,
+        4225536,
+        6010240,
+        "f3e9d6e847d84804ac6d678d13a23cfd03f25dae0508f85e354414aece00417e",
+    ),
+}
+
+
+@pytest.mark.parametrize("architecture", sorted(SIMULATION_PINS))
+def test_simulation_is_pinned(architecture, vcu108):
+    accelerator = build_accelerator("mobilenetv2", vcu108, architecture, ce_count=4)
+    result = SynthesisSimulator(accelerator).run()
+    digest = hashlib.sha256(repr(result.segments).encode()).hexdigest()
+    assert (
+        result.latency_cycles,
+        result.throughput_interval_cycles,
+        result.buffer_bytes,
+        result.access_bytes,
+        digest,
+    ) == SIMULATION_PINS[architecture]
