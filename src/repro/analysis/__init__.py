@@ -31,7 +31,6 @@ __getattr__ = lazy_exports(
             "per_segment_breakdown",
         ),
         "repro.analysis.pareto": (
-            "dominates",
             "pareto_front",
             "report_front",
             "scatter_points",
@@ -80,7 +79,6 @@ __all__ = [
     "access_breakdown",
     "breakdown_table",
     "per_segment_breakdown",
-    "dominates",
     "pareto_front",
     "report_front",
     "scatter_points",

@@ -1,18 +1,23 @@
-"""Pareto-front utilities for metric trade-off scatter plots (Figs. 5, 8, 10).
+"""Pareto fronts for the trade-off plots (Figs. 5, 8, 10) and the searches.
 
 The figures plot one benefit metric (throughput) against one cost metric
 (off-chip accesses or buffers); the interesting designs sit on the
 bottom-right frontier: more throughput, less cost.
 
-Beyond membership tests, this module carries the front *quality* metrics
-the campaign engine reports: NSGA-II crowding distance (how evenly a front
-covers the trade-off curve) and the 2-D hypervolume indicator (how much
-benefit-cost area a front dominates — the standard scalar for comparing
-multi-objective search runs), plus a CSV export for downstream plotting.
+:func:`non_dominated_sort` is the package's only dominance code: every
+front (:func:`pareto_front` for the figures, search results and campaign
+archives, :func:`hypervolume`, NSGA-II's selection in
+:mod:`repro.dse.evolve`) goes through it. The module also carries the
+front *quality* metrics the campaign engine reports: NSGA-II crowding
+distance (how evenly a front covers the trade-off curve) and the 2-D
+hypervolume indicator (how much benefit-cost area a front dominates —
+the standard scalar for comparing multi-objective search runs), plus a
+CSV export for downstream plotting.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
@@ -20,6 +25,45 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 from repro.core.cost.results import CostReport
 
 T = TypeVar("T")
+
+#: Objective vector in minimization form.
+ObjectiveVector = Tuple[float, ...]
+
+#: Byte-denominated cost metrics, which the figures report in MiB.
+_BYTE_METRICS = ("buffers", "buffer", "access", "accesses")
+
+
+def non_dominated_sort(vectors: Sequence[ObjectiveVector]) -> List[List[int]]:
+    """Non-dominated sort of two-objective vectors: index fronts, best first.
+
+    Front 0 is the Pareto set of ``vectors``; each later front is the
+    Pareto set of what remains. Within a front, indices keep input order,
+    which is what makes downstream selection deterministic.
+
+    One lexicographic sort, then a binary search per vector (Kung, Luccio
+    & Preparata, J. ACM 1975; Jensen, IEEE TEVC 2003): O(n log n) against
+    the pairwise sort's O(n^2), with the same fronts. In lexicographic
+    order every vector that dominates ``v`` comes before it, and each
+    front's last member has the front's smallest second objective, so
+    ``v`` joins the first front whose last second objective exceeds
+    ``v``'s; those values ascend front by front. An equal vector (which
+    never dominates) joins its predecessor's front. Vectors are NaN-free.
+    """
+    fronts: List[List[int]] = []
+    last_second: List[float] = []
+    previous = None
+    for index in sorted(range(len(vectors)), key=vectors.__getitem__):
+        vector = vectors[index]
+        if vector != previous:
+            rank = bisect.bisect_right(last_second, vector[1])
+            if rank == len(fronts):
+                fronts.append([])
+                last_second.append(vector[1])
+            else:
+                last_second[rank] = vector[1]
+            previous = vector
+        fronts[rank].append(index)
+    return [sorted(front) for front in fronts]
 
 
 def pareto_front(
@@ -29,23 +73,16 @@ def pareto_front(
 ) -> List[T]:
     """Items not dominated by any other (>= benefit and <= cost, one strict).
 
-    Returned sorted by ascending cost.
+    Front 0 of :func:`non_dominated_sort` over ``(-benefit, cost)``, each
+    computed once per item. Items with equal objectives all stay. Returned
+    sorted by ascending cost, input order on ties.
     """
-    front: List[T] = []
-    for candidate in items:
-        dominated = False
-        for other in items:
-            if other is candidate:
-                continue
-            better_benefit = benefit(other) >= benefit(candidate)
-            better_cost = cost(other) <= cost(candidate)
-            strictly = benefit(other) > benefit(candidate) or cost(other) < cost(candidate)
-            if better_benefit and better_cost and strictly:
-                dominated = True
-                break
-        if not dominated:
-            front.append(candidate)
-    return sorted(front, key=cost)
+    if not items:
+        return []
+    costs = [cost(item) for item in items]
+    vectors = [(-benefit(item), value) for item, value in zip(items, costs)]
+    front = non_dominated_sort(vectors)[0]
+    return [items[index] for index in sorted(front, key=costs.__getitem__)]
 
 
 def report_front(
@@ -62,17 +99,26 @@ def report_front(
     )
 
 
+def figure_cost(report: CostReport, cost_metric: str) -> float:
+    """``report``'s ``cost_metric`` in the figures' unit (MiB for bytes)."""
+    value = report.metric(cost_metric)
+    if cost_metric in _BYTE_METRICS:
+        value = value / 2**20
+    return value
+
+
 def scatter_points(
     reports: Sequence[CostReport], cost_metric: str = "buffers"
 ) -> List[Tuple[str, float, float]]:
     """(name, throughput FPS, cost) triples for plotting/tabulation."""
-    points = []
-    for report in reports:
-        cost = report.metric(cost_metric)
-        if cost_metric in ("buffers", "buffer", "access", "accesses"):
-            cost = cost / 2**20  # report in MiB like the figures
-        points.append((report.accelerator_name, report.throughput_fps, cost))
-    return points
+    return [
+        (
+            report.accelerator_name,
+            report.throughput_fps,
+            figure_cost(report, cost_metric),
+        )
+        for report in reports
+    ]
 
 
 def crowding_distance_vectors(vectors: Sequence[Sequence[float]]) -> List[float]:
@@ -81,9 +127,8 @@ def crowding_distance_vectors(vectors: Sequence[Sequence[float]]) -> List[float]
     Boundary points along any axis get infinity; interior points the sum
     of normalized neighbour gaps per axis. Larger means the point sits in
     a sparser region and is more worth keeping. Ties sort by index, so the
-    result is deterministic. The single shared implementation behind both
-    :func:`crowding_distance` and the evolutionary selection in
-    :mod:`repro.dse.evolve`.
+    result is deterministic. The evolutionary selection in
+    :mod:`repro.dse.evolve` ranks by it.
     """
     n = len(vectors)
     if n <= 2:
@@ -106,22 +151,11 @@ def crowding_distance_vectors(vectors: Sequence[Sequence[float]]) -> List[float]
     return distances
 
 
-def crowding_distance(
-    items: Sequence[T],
-    benefit: Callable[[T], float],
-    cost: Callable[[T], float],
-) -> List[float]:
-    """NSGA-II crowding distance of each item (aligned with ``items``)."""
-    return crowding_distance_vectors([(benefit(item), cost(item)) for item in items])
-
-
 def hypervolume(
     items: Sequence[T],
     benefit: Callable[[T], float],
     cost: Callable[[T], float],
     reference: Optional[Tuple[float, float]] = None,
-    *,
-    assume_front: bool = False,
 ) -> float:
     """2-D hypervolume: benefit-cost area dominated by the front of ``items``.
 
@@ -131,18 +165,10 @@ def hypervolume(
     which the cheapest design anchors the area and the most expensive
     front point contributes only through its benefit. Deterministic for a
     fixed item set — the campaign engine uses it to compare search runs.
-
-    ``assume_front=True`` skips the O(n^2) dominance sweep for callers
-    whose items are already mutually non-dominated (e.g. a Pareto
-    archive); the staircase's skip rule ignores dominated points anyway,
-    so the flag only changes the cost, not the result.
     """
     if not items:
         return 0.0
-    if assume_front:
-        front = sorted(items, key=cost)
-    else:
-        front = pareto_front(items, benefit, cost)
+    front = pareto_front(items, benefit, cost)
     if reference is None:
         reference = (0.0, max(cost(item) for item in front))
     ref_benefit, ref_cost = reference
@@ -186,9 +212,6 @@ def front_to_csv(
     writer = csv.writer(buffer)
     writer.writerow(FRONT_CSV_COLUMNS)
     for label, report in entries:
-        value = report.metric(cost_metric)
-        if cost_metric in ("buffers", "buffer", "access", "accesses"):
-            value = value / 2**20
         writer.writerow(
             [
                 label,
@@ -197,21 +220,8 @@ def front_to_csv(
                 report.board_name,
                 report.notation,
                 repr(report.throughput_fps),
-                repr(value),
+                repr(figure_cost(report, cost_metric)),
                 cost_metric,
             ]
         )
     return buffer.getvalue()
-
-
-def dominates(
-    challenger: CostReport, incumbent: CostReport, cost_metric: str = "buffers"
-) -> bool:
-    """Whether ``challenger`` Pareto-dominates ``incumbent``."""
-    better_benefit = challenger.throughput_fps >= incumbent.throughput_fps
-    better_cost = challenger.metric(cost_metric) <= incumbent.metric(cost_metric)
-    strictly = (
-        challenger.throughput_fps > incumbent.throughput_fps
-        or challenger.metric(cost_metric) < incumbent.metric(cost_metric)
-    )
-    return better_benefit and better_cost and strictly

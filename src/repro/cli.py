@@ -231,7 +231,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
-    from repro.analysis.pareto import report_front
+    from repro.analysis.pareto import figure_cost
     from repro.dse import (
         CustomDesignSpace,
         DesignEvaluator,
@@ -284,22 +284,18 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         f"at {result.stats.ms_per_design:.1f} ms/design "
         f"({result.stats.cache_hits} cache hits, {result.stats.jobs} job(s))"
     )
-    # Evolution revisits designs across generations; collapse duplicates
-    # before the front so each design prints once.
-    unique = {}
-    for _design, report in result.evaluated:
-        unique.setdefault(report.notation, report)
-    front = report_front(list(unique.values()), args.cost)
-    for report in front:
+    for _design, report in result.front:
         print(
             f"{report.accelerator_name:<22}{report.throughput_fps:>8.1f} FPS  "
-            f"{report.metric(args.cost) / 2**20:>8.2f} MiB  {report.notation}"
+            f"{figure_cost(report, args.cost):>8.2f} MiB  {report.notation}"
         )
     return 0
 
 
 def _print_campaign(result, verbose_front: bool = True) -> None:
     """Human-readable campaign standing (run/resume/status share it)."""
+    from repro.analysis.pareto import figure_cost
+
     spec = result.spec
     state = "done" if result.done else "in progress"
     print(
@@ -327,7 +323,7 @@ def _print_campaign(result, verbose_front: bool = True) -> None:
         for _design, report in cell.front:
             print(
                 f"  {report.accelerator_name:<22}{report.throughput_fps:>8.1f} FPS  "
-                f"{report.metric(spec.cost_metric) / 2**20:>8.2f} MiB  {report.notation}"
+                f"{figure_cost(report, spec.cost_metric):>8.2f} MiB  {report.notation}"
             )
 
 

@@ -44,9 +44,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analysis.pareto import dominates, front_to_csv, hypervolume, pareto_front
+from repro.analysis.pareto import front_to_csv, hypervolume, pareto_front
 from repro.core.cost.export import report_from_dict, report_to_dict
-from repro.core.cost.results import CostReport
 from repro.dse import STRATEGY_NAMES
 from repro.dse.events import CampaignEvent, CampaignEventBus, EventLog
 from repro.dse.evolve import (
@@ -54,6 +53,7 @@ from repro.dse.evolve import (
     EvolutionEngine,
     ScoredDesign,
     design_key,
+    distinct_front,
 )
 from repro.dse.sampler import DesignEvaluator
 from repro.dse.search import (
@@ -347,11 +347,12 @@ class CampaignSpec:
 class ParetoArchive:
     """Every non-dominated (design, report) pair one cell has seen.
 
-    Updates are order-deterministic: a candidate enters unless an archived
-    entry dominates it (or it is the same design), and evicts the entries
-    it dominates. The exported front is canonically sorted, so two
-    campaigns that saw the same designs — in however many sessions —
-    export byte-identical fronts.
+    :meth:`update` runs the shared front kernel once over the archive and
+    the offered pairs whose design it does not hold (a design's first
+    occurrence wins), so the membership does not depend on how the pairs
+    are ordered or batched, and equal-objective designs are all kept. The
+    archive is held canonically sorted, so two campaigns that saw the same
+    designs — in however many sessions — export byte-identical fronts.
     """
 
     def __init__(
@@ -359,42 +360,20 @@ class ParetoArchive:
     ) -> None:
         self.cost_metric = cost_metric
         self._entries: List[ScoredDesign] = []
-        self._keys: set = set()
-        for design, report in entries:
-            self.add(design, report)
+        self.update(entries)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def add(self, design: CustomDesign, report: CostReport) -> bool:
-        """Offer one pair; returns whether it entered the archive."""
-        key = design_key(design)
-        if key in self._keys:
-            return False
-        survivors: List[ScoredDesign] = []
-        evicted: List = []
-        for other_design, other_report in self._entries:
-            if dominates(other_report, report, self.cost_metric):
-                return False  # dominated by an archived entry
-            if dominates(report, other_report, self.cost_metric):
-                evicted.append(design_key(other_design))
-                continue  # the candidate evicts this entry
-            survivors.append((other_design, other_report))
-        survivors.append((design, report))
-        self._entries = survivors
-        self._keys.difference_update(evicted)
-        self._keys.add(key)
-        return True
+    def update(self, pairs: Sequence[ScoredDesign]) -> None:
+        """Offer pairs; the archive becomes the front of itself and them.
 
-    def update(self, pairs: Sequence[ScoredDesign]) -> int:
-        """Offer many pairs in order; returns how many entered."""
-        return sum(1 for design, report in pairs if self.add(design, report))
-
-    def front(self) -> List[ScoredDesign]:
-        """The archive in canonical order: ascending cost, then throughput,
-        then notation (full determinism even under objective ties)."""
-        return sorted(
-            self._entries,
+        Canonical order: ascending cost, then throughput, then notation
+        (full determinism even under objective ties).
+        """
+        front = distinct_front([*self._entries, *pairs], self.cost_metric)
+        self._entries = sorted(
+            front,
             key=lambda pair: (
                 pair[1].metric(self.cost_metric),
                 -pair[1].throughput_fps,
@@ -403,17 +382,16 @@ class ParetoArchive:
             ),
         )
 
-    def hypervolume(self) -> float:
-        """2-D hypervolume of the archive front (see :mod:`repro.analysis.pareto`).
+    def front(self) -> List[ScoredDesign]:
+        """The archive in canonical order (see :meth:`update`)."""
+        return list(self._entries)
 
-        Archive entries are mutually non-dominated by construction, so the
-        O(n^2) front sweep is skipped — this runs on every status poll.
-        """
+    def hypervolume(self) -> float:
+        """2-D hypervolume of the archive front (see :mod:`repro.analysis.pareto`)."""
         return hypervolume(
             self._entries,
             benefit=lambda pair: pair[1].throughput_fps,
             cost=lambda pair: pair[1].metric(self.cost_metric),
-            assume_front=True,
         )
 
     def to_dicts(self) -> List[Dict[str, Any]]:

@@ -6,9 +6,11 @@ a *search* that concentrates those evaluations near the front dominates a
 flat sample. This module provides the evolutionary machinery the campaign
 engine (:mod:`repro.dse.campaign`) steps generation by generation:
 
-* an O(n log n) non-dominated sort and crowding distance over the
-  bi-objective (maximize throughput, minimize a cost metric) the paper
-  optimizes;
+* ranking by the shared O(n log n) non-dominated sort and crowding
+  distance of :mod:`repro.analysis.pareto` over the bi-objective
+  (maximize throughput, minimize a cost metric) the paper optimizes, and
+  :func:`distinct_front`, the one front every search result and campaign
+  archive reports (each design once);
 * **segment-preserving** variation operators: one-point crossover splices
   the parents' cut lists at a layer boundary and mutation nudges a single
   cut (:meth:`~repro.dse.space.CustomDesignSpace.mutate`), so children
@@ -25,12 +27,16 @@ fixed order that does not depend on evaluation timing or parallelism.
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.pareto import crowding_distance_vectors
+from repro.analysis.pareto import (
+    ObjectiveVector,
+    crowding_distance_vectors,
+    non_dominated_sort,
+    pareto_front,
+)
 from repro.core.cost.results import CostReport
 from repro.dse.space import CustomDesign, CustomDesignSpace
 from repro.utils.errors import ResourceError
@@ -38,13 +44,29 @@ from repro.utils.errors import ResourceError
 #: A scored individual: the design point and its feasible cost report.
 ScoredDesign = Tuple[CustomDesign, CostReport]
 
-#: Objective vector in minimization form.
-ObjectiveVector = Tuple[float, ...]
-
 
 def design_key(design: CustomDesign) -> Tuple[int, Tuple[int, ...]]:
     """Identity of a design point (used for archive/population dedup)."""
     return (design.pipelined_layers, design.cuts)
+
+
+def distinct_front(
+    pairs: Iterable[ScoredDesign], cost_metric: str
+) -> List[ScoredDesign]:
+    """Throughput-vs-cost Pareto front of ``pairs``, each design once.
+
+    A design's report is a function of the design, so only its first
+    occurrence is kept; the front comes back by ascending cost, input
+    order on ties (:func:`~repro.analysis.pareto.pareto_front`).
+    """
+    unique: Dict[Tuple[int, Tuple[int, ...]], ScoredDesign] = {}
+    for pair in pairs:
+        unique.setdefault(design_key(pair[0]), pair)
+    return pareto_front(
+        list(unique.values()),
+        benefit=lambda pair: pair[1].throughput_fps,
+        cost=lambda pair: pair[1].metric(cost_metric),
+    )
 
 
 def objective_vector(report: CostReport, cost_metric: str) -> ObjectiveVector:
@@ -54,39 +76,6 @@ def objective_vector(report: CostReport, cost_metric: str) -> ObjectiveVector:
     ``"buffers"`` or ``"access"`` as everywhere else in the DSE layer.
     """
     return (-report.throughput_fps, report.metric(cost_metric))
-
-
-def non_dominated_sort(vectors: Sequence[ObjectiveVector]) -> List[List[int]]:
-    """Non-dominated sort of two-objective vectors: index fronts, best first.
-
-    Front 0 is the Pareto set of ``vectors``; each later front is the
-    Pareto set of what remains. Within a front, indices keep input order,
-    which is what makes downstream selection deterministic.
-
-    One lexicographic sort, then a binary search per vector (Kung, Luccio
-    & Preparata, J. ACM 1975; Jensen, IEEE TEVC 2003): O(n log n) against
-    the pairwise sort's O(n^2), with the same fronts. In lexicographic
-    order every vector that dominates ``v`` comes before it, and each
-    front's last member has the front's smallest second objective, so
-    ``v`` joins the first front whose last second objective exceeds
-    ``v``'s; those values ascend front by front. An equal vector (which
-    never dominates) joins its predecessor's front. Vectors are NaN-free.
-    """
-    fronts: List[List[int]] = []
-    last_second: List[float] = []
-    previous = None
-    for index in sorted(range(len(vectors)), key=vectors.__getitem__):
-        vector = vectors[index]
-        if vector != previous:
-            rank = bisect.bisect_right(last_second, vector[1])
-            if rank == len(fronts):
-                fronts.append([])
-                last_second.append(vector[1])
-            else:
-                last_second[rank] = vector[1]
-            previous = vector
-        fronts[rank].append(index)
-    return [sorted(front) for front in fronts]
 
 
 def crowding_distances(

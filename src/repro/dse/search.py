@@ -19,10 +19,9 @@ import time
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Protocol, Sequence, Tuple
 
-from repro.analysis.pareto import pareto_front
 from repro.core.cost.results import CostReport
 from repro.dse import STRATEGY_NAMES
-from repro.dse.evolve import EvolutionConfig, EvolutionEngine
+from repro.dse.evolve import EvolutionConfig, EvolutionEngine, distinct_front
 from repro.dse.objectives import Objective
 from repro.dse.sampler import DesignEvaluator, SampleStats, sample_space
 from repro.dse.space import CustomDesign, CustomDesignSpace
@@ -30,7 +29,8 @@ from repro.dse.space import CustomDesign, CustomDesignSpace
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one DSE run."""
+    """Outcome of one DSE run: ``front`` is the Pareto front of
+    ``evaluated``, each design once."""
 
     evaluated: Sequence[Tuple[CustomDesign, CostReport]]
     front: Sequence[Tuple[CustomDesign, CostReport]]
@@ -72,16 +72,6 @@ class SearchResult:
         return payload
 
 
-def _front(
-    pairs: Sequence[Tuple[CustomDesign, CostReport]], cost_metric: str
-) -> List[Tuple[CustomDesign, CostReport]]:
-    return pareto_front(
-        list(pairs),
-        benefit=lambda pair: pair[1].throughput_fps,
-        cost=lambda pair: pair[1].metric(cost_metric),
-    )
-
-
 def random_search(
     evaluator: DesignEvaluator,
     space: CustomDesignSpace,
@@ -93,7 +83,7 @@ def random_search(
     evaluated, stats = sample_space(evaluator, space, samples, seed=seed)
     return SearchResult(
         evaluated=evaluated,
-        front=_front(evaluated, cost_metric),
+        front=distinct_front(evaluated, cost_metric),
         stats=stats,
         cost_metric=cost_metric,
     )
@@ -165,7 +155,7 @@ def guided_search(
             refined.append((improved, report))
     return SearchResult(
         evaluated=refined,
-        front=_front(refined, objective.cost_metric),
+        front=distinct_front(refined, objective.cost_metric),
         stats=base.stats,
         cost_metric=objective.cost_metric,
     )
@@ -273,7 +263,7 @@ class EvolutionStrategy:
         )
         return SearchResult(
             evaluated=evaluated,
-            front=_front(evaluated, self.cost_metric),
+            front=distinct_front(evaluated, self.cost_metric),
             stats=stats,
             cost_metric=self.cost_metric,
         )

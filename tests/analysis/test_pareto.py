@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.pareto import (
     FRONT_CSV_COLUMNS,
-    crowding_distance,
-    dominates,
+    crowding_distance_vectors,
+    figure_cost,
     front_to_csv,
     hypervolume,
     pareto_front,
@@ -60,16 +60,15 @@ class TestParetoFront:
 
 class TestCrowdingDistance:
     def test_two_or_fewer_items_are_boundary(self):
-        assert crowding_distance([(1.0, 1.0)], lambda p: p[0], lambda p: p[1]) == [
-            float("inf")
+        assert crowding_distance_vectors([(1.0, 1.0)]) == [float("inf")]
+        assert crowding_distance_vectors([(1.0, 1.0), (2.0, 2.0)]) == [
+            float("inf"),
+            float("inf"),
         ]
-        assert crowding_distance(
-            [(1.0, 1.0), (2.0, 2.0)], lambda p: p[0], lambda p: p[1]
-        ) == [float("inf"), float("inf")]
 
     def test_boundaries_infinite_interior_finite(self):
         points = [(1.0, 1.0), (2.0, 2.0), (4.0, 4.0)]
-        distances = crowding_distance(points, lambda p: p[0], lambda p: p[1])
+        distances = crowding_distance_vectors(points)
         assert distances[0] == float("inf")
         assert distances[2] == float("inf")
         # Interior: sum of normalized gaps, one per axis: 3/3 + 3/3.
@@ -78,12 +77,12 @@ class TestCrowdingDistance:
     def test_denser_region_scores_lower(self):
         # Two interior points; the one crammed next to a neighbour is denser.
         points = [(0.0, 0.0), (1.0, 1.0), (1.1, 1.1), (10.0, 10.0)]
-        distances = crowding_distance(points, lambda p: p[0], lambda p: p[1])
+        distances = crowding_distance_vectors(points)
         assert 0.0 < distances[1] < distances[2]  # tighter neighbour gap
 
     def test_degenerate_axis_ignored(self):
         points = [(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)]
-        distances = crowding_distance(points, lambda p: p[0], lambda p: p[1])
+        distances = crowding_distance_vectors(points)
         assert distances[0] == float("inf") and distances[2] == float("inf")
         assert distances[1] == pytest.approx(1.0)
 
@@ -166,6 +165,7 @@ class TestReportHelpers:
             assert fps == report.throughput_fps
             assert cost_mib == pytest.approx(report.buffer_requirement_bytes / 2**20)
 
-    def test_dominates_relation(self, reports):
-        for a in reports:
-            assert not dominates(a, a)
+    def test_figure_cost_scales_only_bytes(self, reports):
+        for report in reports:
+            assert figure_cost(report, "access") == report.metric("access") / 2**20
+            assert figure_cost(report, "latency") == report.latency_seconds

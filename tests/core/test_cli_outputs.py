@@ -127,6 +127,28 @@ class TestDseJson:
         second = json.loads(capsys.readouterr().out)
         assert first["front"] == second["front"]
 
+    def test_evolve_front_lists_each_design_once(self, capsys):
+        # Evolution re-evaluates surviving designs every generation; the
+        # front must still list each design once.
+        code = main(
+            [
+                "dse",
+                "--model", MODEL,
+                "--board", BOARD,
+                "--strategy", "evolve",
+                "--population", "16",
+                "--generations", "10",
+                "--json",
+            ]
+        )
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        keys = [
+            (entry["design"]["pipelined_layers"], tuple(entry["design"]["cuts"]))
+            for entry in data["front"]
+        ]
+        assert keys and len(keys) == len(set(keys)), keys
+
 
 class TestExitCodes:
     def test_unknown_model(self, capsys):

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.analysis.pareto import non_dominated_sort
 from repro.core.cost.export import report_to_dict
 from repro.utils.errors import UnknownWorkloadError
 from repro.dse.campaign import (
@@ -25,12 +26,7 @@ from repro.dse.campaign import (
     resume_campaign,
     run_campaign,
 )
-from repro.dse.evolve import (
-    EvolutionConfig,
-    crossover,
-    crowding_distances,
-    non_dominated_sort,
-)
+from repro.dse.evolve import EvolutionConfig, crossover, crowding_distances
 from repro.dse.space import CustomDesign, CustomDesignSpace
 
 SPEC_DICT = {

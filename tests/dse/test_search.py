@@ -8,6 +8,12 @@ from repro.dse.search import guided_search, local_search, random_search
 from repro.dse.space import CustomDesignSpace
 
 
+def assert_distinct_front_designs(result):
+    """Each design appears at most once on a search's front."""
+    keys = [(d.pipelined_layers, d.cuts) for d, _ in result.front]
+    assert len(keys) == len(set(keys)), keys
+
+
 @pytest.fixture(scope="module")
 def setup(roomy_board):
     from tests.conftest import build_tiny_cnn
@@ -91,6 +97,7 @@ class TestLocalAndGuidedSearch:
         guided = guided_search(evaluator, space, samples=15, objective=objective, seed=2)
         assert guided.front
         assert guided.stats.evaluated > 0
+        assert_distinct_front_designs(guided)
 
 
 class TestStrategyProtocol:
@@ -140,6 +147,7 @@ class TestStrategyProtocol:
         ]
         assert first.stats.evaluated == second.stats.evaluated
         assert first.front
+        assert_distinct_front_designs(first)
 
     def test_unknown_strategy_rejected(self):
         from repro.dse.search import make_strategy
