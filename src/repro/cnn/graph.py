@@ -177,25 +177,30 @@ class CNNGraph:
         return [layer for layer in self.topological_order() if layer.kind.is_conv]
 
     def conv_specs(self) -> List[ConvSpec]:
-        """The flat conv-layer records consumed by the cost model."""
+        """The flat conv-layer records consumed by the cost model.
+
+        Each layer's output shape is inferred once, by its
+        ``loop_extents()``; the extents give its weights, MACs and OFM size.
+        """
         self._assign_residual_copies()
         specs: List[ConvSpec] = []
         for index, layer in enumerate(self.conv_layers()):
+            loops = layer.loop_extents()  # type: ignore[attr-defined]
             specs.append(
                 ConvSpec(
                     index=index,
                     name=layer.name,
                     kind=layer.kind,
-                    filters=layer.loop_filters,  # type: ignore[attr-defined]
-                    channels=layer.loop_channels,  # type: ignore[attr-defined]
-                    out_height=layer.loop_out_height,  # type: ignore[attr-defined]
-                    out_width=layer.loop_out_width,  # type: ignore[attr-defined]
-                    kernel_height=layer.loop_kernel_height,  # type: ignore[attr-defined]
-                    kernel_width=layer.loop_kernel_width,  # type: ignore[attr-defined]
+                    filters=loops.filters,
+                    channels=loops.channels,
+                    out_height=loops.out_height,
+                    out_width=loops.out_width,
+                    kernel_height=loops.kernel_height,
+                    kernel_width=loops.kernel_width,
                     ifm_elements=layer.ifm_elements,
-                    ofm_elements=layer.ofm_elements,
-                    weight_count=layer.weight_count,
-                    macs=layer.macs,
+                    ofm_elements=loops.ofm_elements,
+                    weight_count=loops.weight_count,
+                    macs=loops.macs,
                     fms_copies=layer.residual_copies,
                 )
             )

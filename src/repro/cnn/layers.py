@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.utils.errors import ShapeError
 from repro.utils.mathutils import ceil_div
@@ -88,6 +88,36 @@ class LayerKind(enum.Enum):
             LayerKind.DEPTHWISE_CONV,
             LayerKind.POINTWISE_CONV,
         )
+
+
+class LoopExtents(NamedTuple):
+    """A convolution's six disjoint loop extents (Eq. 1).
+
+    A conv layer's weights, MACs and OFM elements are products of these,
+    so they are written once, here.
+    """
+
+    filters: int
+    channels: int
+    out_height: int
+    out_width: int
+    kernel_height: int
+    kernel_width: int
+
+    @property
+    def weight_count(self) -> int:
+        """``K*C*R*S`` trainable weights."""
+        return self.filters * self.channels * self.kernel_height * self.kernel_width
+
+    @property
+    def macs(self) -> int:
+        """One MAC per weight per output pixel: ``H*W*K*C*R*S``."""
+        return self.out_height * self.out_width * self.weight_count
+
+    @property
+    def ofm_elements(self) -> int:
+        """``H*W*K``: one output channel per filter."""
+        return self.out_height * self.out_width * self.filters
 
 
 def conv_output_size(input_size: int, kernel: int, stride: int, padding: Padding) -> int:
@@ -230,21 +260,20 @@ class ConvLayer(Layer):
     def loop_kernel_width(self) -> int:
         return self.kernel_size[1]
 
-    @property
-    def macs(self) -> int:
+    def loop_extents(self) -> LoopExtents:
+        """All six loop extents, from one output-shape inference."""
         out = self.output_shape
-        return (
-            out.height
-            * out.width
-            * self.filters
-            * self.loop_channels
-            * self.kernel_size[0]
-            * self.kernel_size[1]
+        return LoopExtents(
+            self.filters, self.loop_channels, out.height, out.width, *self.kernel_size
         )
 
     @property
+    def macs(self) -> int:
+        return self.loop_extents().macs
+
+    @property
     def weight_count(self) -> int:
-        return self.filters * self.loop_channels * self.kernel_size[0] * self.kernel_size[1]
+        return self.loop_extents().weight_count
 
     def describe(self) -> Dict[str, object]:
         base = super().describe()
@@ -310,14 +339,20 @@ class DepthwiseConvLayer(Layer):
     def loop_kernel_width(self) -> int:
         return self.kernel_size[1]
 
+    def loop_extents(self) -> LoopExtents:
+        """All six loop extents, from one output-shape inference."""
+        out = self.output_shape
+        return LoopExtents(
+            out.channels, self.loop_channels, out.height, out.width, *self.kernel_size
+        )
+
     @property
     def macs(self) -> int:
-        out = self.output_shape
-        return out.height * out.width * out.channels * self.kernel_size[0] * self.kernel_size[1]
+        return self.loop_extents().macs
 
     @property
     def weight_count(self) -> int:
-        return self.output_shape.channels * self.kernel_size[0] * self.kernel_size[1]
+        return self.loop_extents().weight_count
 
     def describe(self) -> Dict[str, object]:
         base = super().describe()

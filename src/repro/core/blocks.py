@@ -22,8 +22,7 @@ the context's :class:`~repro.core.cost.terms.LayerColumns` (the builder
 passes its table as ``columns``; a block whose specs are not rows of it,
 such as one built by hand or by :func:`dataclasses.replace`, builds a
 table of its own specs; :func:`block_rows` decides). Blocks are frozen, so
-a layout can never go stale, and a block whose costs a segment cache
-already holds never builds one. The synthesis simulator reads the same
+a layout can never go stale. The synthesis simulator reads the same
 layouts.
 """
 

@@ -38,24 +38,11 @@ Footprint = Tuple[int, int]
 class MCCM:
     """The Multiple-CE accelerator analytical Cost Model."""
 
-    def evaluate(self, accelerator: "Accelerator", segment_cache=None) -> CostReport:
-        """Produce the full cost report for one built accelerator.
-
-        ``segment_cache`` is an optional
-        :class:`repro.runtime.segcache.SegmentCostCache` (duck-typed; the
-        core does not import the runtime layer). When present, per-block
-        buffer footprints and block evaluations — the expensive, segment-
-        local work — are served from the cache; the pipeline-level Eq. 2/3
-        composition below always runs fresh. Reports are bit-identical with
-        and without a cache.
-
-        The cache is trusted to belong to the accelerator's evaluation
-        context: :class:`~repro.core.cost.vector.PopulationKernel` binds
-        it to its builder's context when the kernel is constructed.
-        """
-        footprints = self._block_footprints(accelerator, segment_cache)
+    def evaluate(self, accelerator: "Accelerator") -> CostReport:
+        """Produce the full cost report for one built accelerator."""
+        footprints = self._block_footprints(accelerator)
         plan = self._allocate(accelerator, footprints)
-        evaluations = self._evaluate_blocks(accelerator, plan, segment_cache)
+        evaluations = self._evaluate_blocks(accelerator, plan)
 
         latency = ordered_sum(evaluation.latency_cycles for evaluation in evaluations)
         accesses = AccessBreakdown()
@@ -118,14 +105,8 @@ class MCCM:
         return max(sizes)
 
     @staticmethod
-    def _block_footprints(
-        accelerator: "Accelerator", segment_cache=None
-    ) -> List[Footprint]:
-        """Eq. 4/5 ``(mandatory, ideal)`` bytes per block, cache-aware."""
-        if segment_cache is not None:
-            return [
-                segment_cache.block_footprint(block) for block in accelerator.blocks
-            ]
+    def _block_footprints(accelerator: "Accelerator") -> List[Footprint]:
+        """Eq. 4/5 ``(mandatory, ideal)`` bytes per block."""
         return [
             (block.mandatory_buffer_bytes(), block.ideal_buffer_bytes())
             for block in accelerator.blocks
@@ -169,34 +150,20 @@ class MCCM:
 
     @staticmethod
     def _evaluate_blocks(
-        accelerator: "Accelerator", plan: AllocationPlan, segment_cache=None
+        accelerator: "Accelerator", plan: AllocationPlan
     ) -> List[BlockEvaluation]:
-        """Run every block model with its Eq. 9 :func:`boundary_traffic`.
-
-        With a segment cache, a block whose (segment, allocation, boundary
-        traffic) signature has been costed before reuses that evaluation,
-        rebased to this design's block name and segment indices.
-        """
+        """Run every block model with its Eq. 9 :func:`boundary_traffic`."""
         evaluations: List[BlockEvaluation] = []
         segment_cursor = 0
-        for index, (block, (input_extra, output_extra)) in enumerate(
-            zip(accelerator.blocks, boundary_traffic(accelerator, plan))
+        for block, allocated, (input_extra, output_extra) in zip(
+            accelerator.blocks, plan.block_bytes, boundary_traffic(accelerator, plan)
         ):
-            if segment_cache is not None:
-                evaluation = segment_cache.block_evaluation(
-                    block,
-                    plan.block_bytes[index],
-                    input_extra,
-                    output_extra,
-                    segment_cursor,
-                )
-            else:
-                evaluation = block.evaluate(
-                    plan.block_bytes[index],
-                    input_extra_bytes=input_extra,
-                    output_extra_bytes=output_extra,
-                    segment_index=segment_cursor,
-                )
+            evaluation = block.evaluate(
+                allocated,
+                input_extra_bytes=input_extra,
+                output_extra_bytes=output_extra,
+                segment_index=segment_cursor,
+            )
             segment_cursor += len(evaluation.segments)
             evaluations.append(evaluation)
         return evaluations

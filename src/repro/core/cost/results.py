@@ -9,6 +9,7 @@ granularities: per segment, per block, and per accelerator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, List, Optional, Tuple
 
 from repro.utils.units import bytes_to_mib
@@ -170,17 +171,10 @@ class CostReport:
         Latency, accesses, and buffers are costs (lower is better);
         throughput is reported as FPS (higher is better).
         """
-        lookup = {
-            "latency": self.latency_seconds,
-            "throughput": self.throughput_fps,
-            "access": float(self.accesses.total_bytes),
-            "accesses": float(self.accesses.total_bytes),
-            "buffers": float(self.buffer_requirement_bytes),
-            "buffer": float(self.buffer_requirement_bytes),
-        }
-        if name not in lookup:
-            raise KeyError(f"unknown metric {name!r}; expected one of {sorted(lookup)}")
-        return lookup[name]
+        read = _METRICS.get(name)
+        if read is None:
+            raise KeyError(f"unknown metric {name!r}; expected one of {sorted(_METRICS)}")
+        return read(self)
 
     def summary(self) -> str:
         """One-paragraph human-readable report."""
@@ -193,6 +187,24 @@ class CostReport:
             f"({100 * self.accesses.weight_fraction:.0f}% weights)"
         )
 
+
+def _access_bytes(report: CostReport) -> float:
+    return float(report.accesses.total_bytes)
+
+
+def _buffer_bytes(report: CostReport) -> float:
+    return float(report.buffer_requirement_bytes)
+
+
+#: :meth:`CostReport.metric` names, each with the one value it reads.
+_METRICS = {
+    "latency": attrgetter("latency_seconds"),
+    "throughput": attrgetter("throughput_fps"),
+    "access": _access_bytes,
+    "accesses": _access_bytes,
+    "buffers": _buffer_bytes,
+    "buffer": _buffer_bytes,
+}
 
 _BETTER_HIGHER = {"throughput"}
 

@@ -3,11 +3,9 @@
 Fingerprint misses of a :class:`~repro.runtime.batch.BatchEvaluator` —
 inline batches and each pool worker alike — are evaluated here, one
 design at a time: :meth:`MultipleCEBuilder.build` lowers the spec to an
-accelerator and :meth:`MCCM.evaluate` costs it through one optional
-:class:`~repro.runtime.segcache.SegmentCostCache`, so designs that repeat
-a segment (every DSE neighbourhood, most sweeps) reuse its costing work.
-The module and class keep their names because the benchmark's tracer
-(``perfbench/tracing.py``) wraps ``PopulationKernel.evaluate`` by name.
+accelerator and :meth:`MCCM.evaluate` costs it. The module and class keep
+their names because the benchmark's tracer (``perfbench/tracing.py``)
+wraps ``PopulationKernel.evaluate`` by name.
 """
 
 from __future__ import annotations
@@ -40,22 +38,11 @@ class PopulationKernel:
     builder:
         The :class:`~repro.core.builder.MultipleCEBuilder` for the
         evaluation context (one CNN × board × precision).
-    segment_cache:
-        Duck-typed segment table (see
-        :class:`~repro.runtime.segcache.SegmentCostCache`) for the cost
-        stage; ``None`` evaluates every design cold. It is bound to the
-        builder's context here — segment keys carry layer indices, not
-        shapes, so one cache must never serve two (model, board,
-        precision) worlds, and a cache already bound elsewhere raises
-        :class:`~repro.utils.errors.MCCMError`.
     """
 
-    def __init__(self, builder, segment_cache=None) -> None:
-        if segment_cache is not None:
-            segment_cache.bind(builder.context)
+    def __init__(self, builder) -> None:
         self.builder = builder
         self.model = default_model()
-        self.segment_cache = segment_cache
 
     def evaluate(self, specs: Sequence) -> List[PopulationOutcome]:
         """Evaluate :class:`ArchitectureSpec` designs, in order.
@@ -67,12 +54,10 @@ class PopulationKernel:
         propagate — caching them as "infeasible" would persist a bogus
         verdict.
         """
-        cache = self.segment_cache
         outcomes: List[PopulationOutcome] = []
         for spec in specs:
             try:
-                accelerator = self.builder.build(spec)
-                report = self.model.evaluate(accelerator, segment_cache=cache)
+                report = self.model.evaluate(self.builder.build(spec))
             except ResourceError as error:
                 outcomes.append(
                     PopulationOutcome(None, f"{type(error).__name__}: {error}")

@@ -48,10 +48,10 @@ class ComputeEngine:
     def __post_init__(self) -> None:
         if self.pe_count <= 0:
             raise ResourceError(f"{self.name}: pe_count must be positive")
-        if self.strategy.total_parallelism > self.pe_count:
+        parallelism = self.strategy.total_parallelism
+        if parallelism > self.pe_count:
             raise ResourceError(
-                f"{self.name}: parallelism {self.strategy.total_parallelism} exceeds "
-                f"PE count {self.pe_count}"
+                f"{self.name}: parallelism {parallelism} exceeds PE count {self.pe_count}"
             )
 
     @classmethod

@@ -58,6 +58,10 @@ def dimension_extent(spec: ConvSpec, dimension: Dimension) -> int:
     return _EXTENT[dimension](spec)
 
 
+#: The loop dimensions in :class:`Dimension` order, the order of ``degrees6``.
+_DIMENSIONS = tuple(Dimension)
+
+
 @dataclass(frozen=True)
 class ParallelismStrategy:
     """Unrolling degrees per loop dimension; unlisted dimensions have degree 1."""
@@ -65,24 +69,20 @@ class ParallelismStrategy:
     degrees: Tuple[Tuple[Dimension, int], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        seen = set()
+        degrees6 = [0] * len(_DIMENSIONS)
         for dimension, degree in self.degrees:
             if degree <= 0:
                 raise ResourceError(f"degree for {dimension.value} must be positive")
-            if dimension in seen:
+            slot = _DIMENSIONS.index(dimension)
+            if degrees6[slot]:
                 raise ResourceError(f"duplicate degree for dimension {dimension.value}")
-            seen.add(dimension)
-        # Eq. 1 is evaluated millions of times per DSE run; precompute the
-        # degree lookup once per strategy instead of scanning per call.
-        # (object.__setattr__ because the dataclass is frozen; neither
-        # attribute participates in equality or hashing.)
-        degree_map = dict(self.degrees)
-        object.__setattr__(self, "_degree_map", degree_map)
-        object.__setattr__(
-            self,
-            "_degrees6",
-            tuple(degree_map.get(dimension, 1) for dimension in Dimension),
-        )
+            degrees6[slot] = degree
+        # Eq. 1 reads the six degrees millions of times per DSE run, and
+        # every engine checks their product: both are computed once per
+        # strategy. (object.__setattr__ because the dataclass is frozen;
+        # neither attribute participates in equality or hashing.)
+        object.__setattr__(self, "_degrees6", tuple(degree or 1 for degree in degrees6))
+        object.__setattr__(self, "_total", prod(self._degrees6))
 
     @classmethod
     def from_dict(cls, degrees: Dict[Dimension, int]) -> "ParallelismStrategy":
@@ -90,7 +90,7 @@ class ParallelismStrategy:
         return cls(degrees=ordered)
 
     def degree(self, dimension: Dimension) -> int:
-        return self._degree_map.get(dimension, 1)
+        return self._degrees6[_DIMENSIONS.index(dimension)]
 
     @property
     def degrees6(self) -> Tuple[int, int, int, int, int, int]:
@@ -100,7 +100,7 @@ class ParallelismStrategy:
     @property
     def total_parallelism(self) -> int:
         """Product of degrees — the PEs this strategy keeps busy at best."""
-        return prod(deg for _, deg in self.degrees)
+        return self._total
 
     @property
     def dimensionality(self) -> int:
@@ -214,38 +214,38 @@ def _search_cached(budget: int, layer_key: Tuple[SearchKey, ...]) -> Parallelism
     for k, c, h, w, r, s, _macs in layer_key:
         shape = (k, h, w)
         shapes[shape] = shapes.get(shape, 0) + c * r * s
+    # The folded shapes grouped by output plane (H, W), in first-seen order.
+    planes: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for (k, h, w), weight in shapes.items():
+        planes.setdefault((h, w), []).append((k, weight))
 
     k_candidates = _divisor_candidates({k for k, _, _ in shapes}, budget)
-    h_candidates = _divisor_candidates({h for _, h, _ in shapes}, budget)
-    w_candidates = _divisor_candidates({w for _, _, w in shapes}, budget)
+    h_candidates = _divisor_candidates({h for h, _ in planes}, budget)
+    w_candidates = _divisor_candidates({w for _, w in planes}, budget)
 
-    # (K, C*R*S, H*W, plane) per shape, with planes numbered in first-seen order.
-    plane_index: Dict[Tuple[int, int], int] = {}
-    folded = [
-        (k, weight, h * w, plane_index.setdefault((h, w), len(plane_index)))
-        for (k, h, w), weight in shapes.items()
-    ]
-    planes = list(plane_index)
-
+    # One row per pk: its floor, its area bound and each plane's weight a.
+    areas = [h * w for h, w in planes]
+    members = list(planes.values())
     rows = []
     for pk in k_candidates:
         limit = budget // pk
         floor = area = 0
-        for k, weight, hw, _plane in folded:
-            a = weight * -(-k // pk)
+        weights = []
+        for hw, shapes_of_plane in zip(areas, members):
+            a = 0
+            for k, weight in shapes_of_plane:
+                a += weight * -(-k // pk)
+            weights.append(a)
             floor += a * -(-hw // limit)
             area += a * hw
-        rows.append((floor, pk, limit, area))
-    rows.sort()
+        rows.append((floor, pk, limit, area, weights))
+    rows.sort()  # (floor, pk) is unique, so the weight lists are never compared
 
     # (cost, -parallelism, pk, ph, pw): the lexicographic minimum wins.
     best: Optional[Tuple[int, int, int, int, int]] = None
-    for floor, pk, limit, area in rows:
+    for floor, pk, limit, area, weights in rows:
         if best is not None and floor > best[0]:
             break  # rows ascend by floor: no later row can reach the best
-        weights = [0] * len(planes)
-        for k, weight, _hw, plane in folded:
-            weights[plane] += weight * -(-k // pk)
         terms = [(a, h, w) for a, (h, w) in zip(weights, planes)]
         for ph in h_candidates:
             if ph > limit:
@@ -262,10 +262,9 @@ def _search_cached(budget: int, layer_key: Tuple[SearchKey, ...]) -> Parallelism
                 best = candidate
     assert best is not None  # the row with the lowest floor always scores ph = 1
     _, _, pk, ph, pw = best
-    degrees = {Dimension.FILTERS: pk, Dimension.OUT_HEIGHT: ph, Dimension.OUT_WIDTH: pw}
-    return ParallelismStrategy.from_dict(
-        {dimension: degree for dimension, degree in degrees.items() if degree > 1}
-    )
+    # ``from_dict``'s order (by dimension letter: H, K, W), without the 1s.
+    degrees = ((Dimension.OUT_HEIGHT, ph), (Dimension.FILTERS, pk), (Dimension.OUT_WIDTH, pw))
+    return ParallelismStrategy(degrees=tuple(pair for pair in degrees if pair[1] > 1))
 
 
 def choose_parallelism(

@@ -16,9 +16,8 @@ long-running, crash-prone environments:
   **bit-identical** to an uninterrupted run with the same seed — the CI
   pipeline SIGKILLs a live campaign and asserts exactly that;
 * evaluation runs through one :class:`~repro.dse.sampler.DesignEvaluator`
-  per cell, so fingerprint and segment caches stay warm across
-  generations, and ``jobs``/``cache_dir`` thread straight through to the
-  batch runtime;
+  per cell, so its fingerprint cache stays warm across generations, and
+  ``jobs``/``cache_dir`` thread straight through to the batch runtime;
 * every round also emits a typed telemetry event
   (:mod:`repro.dse.events`) — ``generation_done`` carries front size,
   hypervolume, best-per-objective and cache hit rates — appended to an

@@ -1,10 +1,10 @@
 """NSGA-II-style multi-objective evolution over the custom design space.
 
 The paper's Use case 3 reads improvements off a Pareto front built from a
-random sample; with evaluations now segment-memoized and sub-millisecond,
-a *search* that concentrates those evaluations near the front dominates a
-flat sample. This module provides the evolutionary machinery the campaign
-engine (:mod:`repro.dse.campaign`) steps generation by generation:
+random sample; with evaluations around a millisecond, a *search* that
+concentrates those evaluations near the front dominates a flat sample.
+This module provides the evolutionary machinery the campaign engine
+(:mod:`repro.dse.campaign`) steps generation by generation:
 
 * ranking by the shared O(n log n) non-dominated sort and crowding
   distance of :mod:`repro.analysis.pareto` over the bi-objective
@@ -14,8 +14,7 @@ engine (:mod:`repro.dse.campaign`) steps generation by generation:
 * **segment-preserving** variation operators: one-point crossover splices
   the parents' cut lists at a layer boundary and mutation nudges a single
   cut (:meth:`~repro.dse.space.CustomDesignSpace.mutate`), so children
-  share almost every segment with their parents and evaluate through the
-  warm :class:`~repro.runtime.segcache.SegmentCostCache`;
+  share almost every segment with their parents and search near them;
 * an :class:`EvolutionEngine` whose entire state is three checkpointable
   values (generation number, scored population, ``random.Random`` state),
   which is what makes kill/resume bit-identical.
@@ -124,9 +123,8 @@ def crossover(
     The child keeps one parent's pipelined head and every cut of that
     parent below a random layer boundary, plus the other parent's cuts at
     or above it. Each contiguous run of inherited cuts reproduces the
-    donor parent's segments exactly, so the child's evaluation is mostly
-    segment-cache hits. Falls back to the first parent when no valid child
-    emerges.
+    donor parent's segments exactly. Falls back to the first parent when
+    no valid child emerges.
     """
     for _ in range(32):
         a, b = (first, second) if rng.random() < 0.5 else (second, first)

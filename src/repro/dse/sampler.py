@@ -3,11 +3,9 @@
 Couples a :class:`~repro.dse.space.CustomDesignSpace` with the
 :class:`~repro.runtime.BatchEvaluator` runtime: evaluations are
 fingerprint-memoized (so local search revisiting a neighbourhood pays
-nothing), *segment*-memoized (custom designs are partitions of one layer
-list, so two designs differing in one cut share nearly all per-segment
-build and cost work — see :mod:`repro.runtime.segcache`), optionally
-persisted to disk, and — when the runtime decides to fork — fanned out
-over a worker pool without changing which designs get sampled.
+nothing), optionally persisted to disk, and — when the runtime decides
+to fork — fanned out over a worker pool without changing which designs
+get sampled.
 """
 
 from __future__ import annotations

@@ -6,10 +6,8 @@ from the sampled front) since MCCM evaluations are cheap enough to spend on
 neighbourhoods of promising designs.
 
 All strategies evaluate through one shared :class:`DesignEvaluator`, so
-the runtime's caches compound across phases: ``guided_search``'s local
-refinements hit the segment cache warmed by its random-sampling phase
-(a mutated neighbour shares all but one segment with its parent), and
-revisited designs answer from the fingerprint cache outright.
+the runtime's caches carry across phases: designs ``guided_search``'s
+local refinements revisit answer from the fingerprint cache outright.
 """
 
 from __future__ import annotations

@@ -18,11 +18,8 @@ from repro.runtime.fingerprint import (
     fingerprint,
     spec_fingerprint,
 )
-from repro.runtime.segcache import SegmentCostCache, segment_key
 
 __all__ = [
-    "SegmentCostCache",
-    "segment_key",
     "BatchEvaluator",
     "BatchItem",
     "ProgressCallback",

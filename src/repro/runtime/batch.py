@@ -8,12 +8,9 @@ spend them *well*:
   memoized through an in-memory LRU plus an optional on-disk JSON cache,
   so sweeps, local search, and repeated CLI runs never re-evaluate a
   design they have already seen;
-* fingerprint misses are evaluated by one
+* fingerprint misses are built and costed by one
   :class:`~repro.core.cost.vector.PopulationKernel` per evaluator (and
-  per pool worker), **incrementally** through a
-  :class:`~repro.runtime.segcache.SegmentCostCache`: designs sharing
-  segments (every DSE neighbourhood, most sweeps) share the per-segment
-  costing work, with composed reports bit-identical to the cold path;
+  per pool worker);
 * cache misses fan out over a ``multiprocessing`` worker pool with
   chunked dispatch, while results stream back to the caller **in request
   order** so downstream code stays deterministic;
@@ -46,7 +43,6 @@ from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import DEFAULT_PRECISION, Precision
 from repro.runtime.cache import CacheEntry, DiskCache, LRUCache
 from repro.runtime.fingerprint import spec_fingerprint
-from repro.runtime.segcache import DEFAULT_SEGMENT_ENTRIES, SegmentCostCache
 from repro.utils.mathutils import ceil_div
 
 if TYPE_CHECKING:  # multiprocessing loads when a pool starts
@@ -56,8 +52,8 @@ if TYPE_CHECKING:  # multiprocessing loads when a pool starts
 ProgressCallback = Callable[[int, int], None]
 
 #: ``jobs="auto"``: smallest miss count worth a worker pool. Pool startup
-#: costs ~100 ms plus per-task pickling; with segment-cached evaluations
-#: running well under a millisecond, small batches always lose the fork.
+#: costs ~100 ms plus per-task pickling; with cold evaluations running
+#: around a millisecond, small batches always lose the fork.
 AUTO_FORK_MIN_MISSES = 128
 
 #: ``jobs="auto"``: misses each forked worker should have to chew on.
@@ -133,25 +129,15 @@ class BatchItem:
 
 
 # --- worker-process plumbing -------------------------------------------------
-# Each worker builds one kernel (builder, model, worker-local segment cache)
-# at pool start; tasks then carry only the lightweight ArchitectureSpec.
-# Segments memoize within each worker's share of the batch without any
-# cross-process synchronization.
+# Each worker builds one kernel (builder and model) at pool start; tasks
+# then carry only the lightweight ArchitectureSpec.
 
 _WORKER_KERNEL: Optional[PopulationKernel] = None
 
 
-def _worker_init(
-    graph: CNNGraph,
-    board: FPGABoard,
-    precision: Precision,
-    segment_entries: int = DEFAULT_SEGMENT_ENTRIES,
-) -> None:
+def _worker_init(graph: CNNGraph, board: FPGABoard, precision: Precision) -> None:
     global _WORKER_KERNEL
-    segcache = SegmentCostCache(segment_entries) if segment_entries > 0 else None
-    _WORKER_KERNEL = PopulationKernel(
-        MultipleCEBuilder(graph, board, precision), segment_cache=segcache
-    )
+    _WORKER_KERNEL = PopulationKernel(MultipleCEBuilder(graph, board, precision))
 
 
 def _as_entry(outcome: PopulationOutcome) -> CacheEntry:
@@ -183,18 +169,12 @@ class BatchEvaluator:
     cache_dir:
         Optional directory for the persistent JSON cache shared across
         processes and runs.
-    segment_cache:
-        Optional externally shared
-        :class:`~repro.runtime.segcache.SegmentCostCache`; a cache bound
-        to another (model, board, precision) context raises
-        :class:`~repro.utils.errors.MCCMError`. Default: a private cache
-        of ``segment_cache_entries`` entries.
     segment_cache_entries:
-        Capacity of the private segment cache, ``>= 0``. ``0`` disables
-        segment memoization, so every fingerprint miss is built and
-        costed cold: the reference path that the tests and the
-        benchmark's output checks compare the segment-cached reports
-        against.
+        Compatibility shim from when evaluators held a segment cache:
+        ``0`` (no segment cache, today the only path) is accepted and
+        any other value raises :class:`ValueError`. Its one caller is
+        ``perfbench/inproc.py``'s ``recost_front``; the benchmark change
+        that drops that argument (``ROADMAP.md``) deletes this one too.
     progress:
         Default per-batch progress callback; overridable per call.
     """
@@ -208,13 +188,13 @@ class BatchEvaluator:
         jobs: Union[int, str] = "auto",
         cache_entries: int = 65536,
         cache_dir: Optional[Union[str, Path]] = None,
-        segment_cache: Optional[SegmentCostCache] = None,
-        segment_cache_entries: int = DEFAULT_SEGMENT_ENTRIES,
+        segment_cache_entries: int = 0,
         progress: Optional[ProgressCallback] = None,
     ) -> None:
-        if segment_cache_entries < 0:
+        if segment_cache_entries != 0:
             raise ValueError(
-                f"segment_cache_entries must be >= 0, got {segment_cache_entries}"
+                "the segment cache has been removed; segment_cache_entries "
+                f"accepts only 0, got {segment_cache_entries}"
             )
         self._auto_jobs = jobs == "auto"
         if self._auto_jobs:
@@ -232,9 +212,7 @@ class BatchEvaluator:
         self._context = self._builder.context
         self._memory = LRUCache(max_entries=cache_entries)
         self._disk = DiskCache(cache_dir) if cache_dir is not None else None
-        if segment_cache is None and segment_cache_entries > 0:
-            segment_cache = SegmentCostCache(segment_cache_entries)
-        self._kernel = PopulationKernel(self._builder, segment_cache=segment_cache)
+        self._kernel = PopulationKernel(self._builder)
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._pool_jobs = 0
         self.last_run = RunStats(jobs=self.jobs)
@@ -244,11 +222,6 @@ class BatchEvaluator:
     @property
     def builder(self) -> MultipleCEBuilder:
         return self._builder
-
-    @property
-    def segment_cache(self) -> Optional[SegmentCostCache]:
-        """This evaluator's segment cache (``None`` when disabled)."""
-        return self._kernel.segment_cache
 
     def _effective_jobs(self, miss_count: int) -> int:
         """Workers to use for a batch with ``miss_count`` fingerprint misses.
@@ -273,12 +246,10 @@ class BatchEvaluator:
         if self._pool is None:
             import multiprocessing
 
-            segcache = self.segment_cache
-            entries = segcache.max_entries if segcache is not None else 0
             self._pool = multiprocessing.Pool(
                 processes=jobs,
                 initializer=_worker_init,
-                initargs=(self.graph, self.board, self.precision, entries),
+                initargs=(self.graph, self.board, self.precision),
             )
             self._pool_jobs = jobs
         return self._pool
@@ -425,7 +396,7 @@ class BatchEvaluator:
         pool = self._ensure_pool(jobs)
         # Aim for ~4 chunks per worker: enough slack to rebalance a
         # straggler, big enough that per-chunk pickling does not drown the
-        # sub-millisecond segment-cached evaluations.
+        # millisecond evaluations.
         chunk = max(1, min(64, ceil_div(len(specs), self._pool_jobs * 4)))
         return pool.imap(_worker_evaluate, specs, chunksize=chunk)
 
@@ -458,9 +429,9 @@ class BatchEvaluator:
         (campaign generations arrive here via
         ``DesignEvaluator.evaluate_batch``); yields full
         :class:`BatchItem` records for callers that need per-design
-        feasibility reasons. The evaluator — and with it the worker pool,
-        fingerprint cache, and segment cache — is meant to be reused
-        across generations, so each generation's batch starts warm.
+        feasibility reasons. The evaluator — and with it the worker pool
+        and fingerprint cache — is meant to be reused across generations,
+        so each generation's batch starts warm.
         """
         return self.stream([design.to_spec() for design in designs], progress=progress)
 
@@ -480,6 +451,4 @@ class BatchEvaluator:
             info["disk_dir"] = str(self._disk.directory)
             info["disk_hits"] = self._disk.hits
             info["disk_misses"] = self._disk.misses
-        if self.segment_cache is not None:
-            info["segment_cache"] = self.segment_cache.info()
         return info

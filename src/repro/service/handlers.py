@@ -514,7 +514,6 @@ class ServiceState:
             "errors": errors,
             "cpu_seconds": time.process_time(),
             "runtime": self.runtime_totals().to_dict(),
-            "segment_cache": self.segment_cache_totals(),
         }
 
     def write_worker_status(self, force: bool = False) -> None:
@@ -785,22 +784,6 @@ class ServiceState:
             totals.absorb(evaluator.totals)
         return totals
 
-    def segment_cache_totals(self) -> Dict[str, int]:
-        """Aggregate segment-cache counters across every context's evaluator."""
-        totals = {"entries": 0, "hits": 0, "misses": 0, "evaluations": 0}
-        with self._registry_lock:
-            caches = [
-                context.evaluator.segment_cache
-                for context in self._evaluators.values()
-            ]
-        for cache in caches:
-            if cache is None:
-                continue
-            info = cache.info()
-            for key in totals:
-                totals[key] += info[key]
-        return totals
-
     @property
     def evaluator_count(self) -> int:
         with self._registry_lock:
@@ -866,7 +849,6 @@ def handle_healthz(state: ServiceState) -> Response:
         "errors": errors,
         "cpu_seconds": time.process_time(),
         "runtime": totals.to_dict(),
-        "segment_cache": state.segment_cache_totals(),
     }
     if state.cache_dir is not None:
         payload["shared_cache"] = {
@@ -897,9 +879,6 @@ def handle_healthz(state: ServiceState) -> Response:
             runtime.get("cache_hits", 0) / submitted if submitted else 0.0
         )
         payload["runtime"] = runtime
-        payload["segment_cache"] = _sum_counter_dicts(
-            w.get("segment_cache", {}) for w in workers
-        )
     return 200, payload
 
 

@@ -6,10 +6,13 @@ from repro.cnn.graph import CNNGraph, ConvSpec
 from repro.cnn.layers import (
     AddLayer,
     ConvLayer,
+    DepthwiseConvLayer,
     InputLayer,
     LayerKind,
+    Padding,
     TensorShape,
 )
+from repro.cnn.zoo import available_models, load_model
 from repro.utils.errors import ShapeError
 
 
@@ -147,3 +150,82 @@ class TestConvSpecs:
                 weight_count=1,
                 macs=1,
             )
+
+
+def _specs_from_layer_properties(graph):
+    """The conv specs read off each layer's own properties, one by one."""
+    return [
+        ConvSpec(
+            index=index,
+            name=layer.name,
+            kind=layer.kind,
+            filters=layer.loop_filters,
+            channels=layer.loop_channels,
+            out_height=layer.loop_out_height,
+            out_width=layer.loop_out_width,
+            kernel_height=layer.loop_kernel_height,
+            kernel_width=layer.loop_kernel_width,
+            ifm_elements=layer.ifm_elements,
+            ofm_elements=layer.ofm_elements,
+            weight_count=layer.weight_count,
+            macs=layer.macs,
+            fms_copies=layer.residual_copies,
+        )
+        for index, layer in enumerate(graph.conv_layers())
+    ]
+
+
+def _grouped_and_multiplied_graph():
+    """A grouped conv, a depthwise conv with ``depth_multiplier`` 2, a
+    pointwise conv, and VALID padding and uneven strides among them."""
+    g = CNNGraph("grouped")
+    g.add(InputLayer(name="in", input_shape=TensorShape(17, 13, 8)))
+    g.add(
+        ConvLayer(
+            name="grouped",
+            input_shape=TensorShape(17, 13, 8),
+            filters=12,
+            kernel_size=(3, 3),
+            strides=(2, 1),
+            padding=Padding.VALID,
+            groups=4,
+        ),
+        ["in"],
+    )
+    g.add(
+        DepthwiseConvLayer(
+            name="dw_x2",
+            input_shape=g.layer("grouped").output_shape,
+            kernel_size=(3, 5),
+            strides=(1, 2),
+            depth_multiplier=2,
+        ),
+        ["grouped"],
+    )
+    g.add(
+        ConvLayer(name="pw", input_shape=g.layer("dw_x2").output_shape, filters=10,
+                  kernel_size=(1, 1)),
+        ["dw_x2"],
+    )
+    return g
+
+
+class TestConvSpecsMatchLayerProperties:
+    """``conv_specs`` infers each output shape once; every field must still
+    equal what the layer's own properties give."""
+
+    @pytest.mark.parametrize("model", available_models())
+    def test_zoo(self, model):
+        graph = load_model(model)
+        assert graph.conv_specs() == _specs_from_layer_properties(graph)
+
+    def test_grouped_and_multiplied_depthwise(self):
+        graph = _grouped_and_multiplied_graph()
+        specs = graph.conv_specs()
+        assert specs == _specs_from_layer_properties(graph)
+        grouped, depthwise, _pointwise = specs
+        assert (grouped.filters, grouped.channels) == (12, 2)
+        assert (depthwise.kind, depthwise.filters, depthwise.channels) == (
+            LayerKind.DEPTHWISE_CONV, 24, 1,
+        )
+        assert depthwise.weight_count == 24 * 3 * 5

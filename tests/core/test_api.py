@@ -94,7 +94,7 @@ class TestSweepStarvedBoard:
 
     def test_skipped_identical_to_cold_path(self, tiny_cnn):
         board = self._starved_board()
-        cold = BatchEvaluator(tiny_cnn, board, jobs=1, segment_cache_entries=0)
+        cold = BatchEvaluator(tiny_cnn, board, jobs=1)
         scalar = sweep(tiny_cnn, board, runtime=cold)
         batched = sweep(tiny_cnn, board)
         assert len(batched.skipped) == len(scalar.skipped)

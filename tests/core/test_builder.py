@@ -6,12 +6,10 @@ from repro.cnn.zoo.common import NetBuilder
 from repro.core.architectures import hybrid, segmented, segmented_rr
 from repro.core.blocks import PipelinedCEsBlock, SingleCEBlock
 from repro.core.builder import MultipleCEBuilder
-from repro.core.cost.vector import PopulationKernel
 from repro.core.notation import ArchitectureSpec, BlockSpec, parse_notation
 from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import DEFAULT_PRECISION
 from repro.runtime.fingerprint import context_fingerprint
-from repro.runtime.segcache import SegmentCostCache
 from repro.utils.errors import ResourceError
 
 
@@ -122,7 +120,3 @@ class TestContext:
         assert builder.context == three_layers != four_layers
         accelerator = builder.build(segmented(builder.conv_specs, 2))
         assert sum(len(block.specs) for block in accelerator.blocks) == 3
-        # The kernel binds a segment cache to the builder's context.
-        cache = SegmentCostCache(64)
-        PopulationKernel(builder, segment_cache=cache)
-        assert cache.context == three_layers

@@ -118,8 +118,27 @@ class TestCostReport:
 
     def test_metric_unknown(self, roomy_builder):
         report = evaluate(roomy_builder, segmented(roomy_builder.conv_specs, 2))
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as raised:
             report.metric("power")
+        assert raised.value.args == (
+            "unknown metric 'power'; expected one of "
+            "['access', 'accesses', 'buffer', 'buffers', 'latency', 'throughput']",
+        )
+
+    def test_metric_values_are_pinned(self):
+        report = api.evaluate("squeezenet", "zc706", "segmentedrr", ce_count=2)
+        values = {name: report.metric(name) for name in (
+            "latency", "throughput", "access", "accesses", "buffers", "buffer"
+        )}
+        assert values == {
+            "latency": 0.004133365,
+            "throughput": 250.08784335497845,
+            "access": 3102160.0,
+            "accesses": 3102160.0,
+            "buffers": 3139648.0,
+            "buffer": 3139648.0,
+        }
+        assert all(type(value) is float for value in values.values())
 
     def test_pe_utilization_unit_interval(self, roomy_builder):
         report = evaluate(roomy_builder, segmented_rr(roomy_builder.conv_specs, 2))

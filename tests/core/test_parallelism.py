@@ -186,6 +186,36 @@ class TestChooseParallelism:
         specs = [make_spec(k=48, h=14, w=14)]
         assert choose_parallelism(96, specs) == choose_parallelism(96, specs)
 
+    @pytest.mark.parametrize("budget,k,h,w,triple", [
+        (8, 1, 1, 1, (1, 1, 1)),
+        (8, 4, 1, 1, (4, 1, 1)),
+        (8, 1, 3, 1, (1, 3, 1)),
+        (8, 1, 1, 2, (1, 1, 2)),
+        (8, 4, 3, 1, (2, 3, 1)),
+        (8, 4, 1, 2, (4, 1, 2)),
+        (8, 1, 3, 2, (1, 3, 2)),
+        (30, 4, 3, 2, (4, 3, 2)),
+    ])
+    def test_winner_equals_its_from_dict_form(self, budget, k, h, w, triple):
+        """The search lists its winner's degrees itself; the strategy equals
+        the ``from_dict`` form of its (K, H, W) degrees above 1 in
+        everything a caller can read."""
+        strategy = choose_parallelism(budget, [make_spec(k=k, h=h, w=w)])
+        pk, ph, pw = triple
+        degrees = {Dimension.FILTERS: pk, Dimension.OUT_HEIGHT: ph, Dimension.OUT_WIDTH: pw}
+        reference = ParallelismStrategy.from_dict(
+            {dimension: degree for dimension, degree in degrees.items() if degree > 1}
+        )
+        assert strategy == reference and reference == strategy
+        assert hash(strategy) == hash(reference)
+        assert strategy.degrees == reference.degrees
+        assert strategy.degrees6 == reference.degrees6 == (pk, 1, ph, pw, 1, 1)
+        assert strategy.describe() == reference.describe()
+        assert strategy.total_parallelism == reference.total_parallelism == pk * ph * pw
+        assert strategy.dimensionality == reference.dimensionality
+        for dimension in Dimension:
+            assert strategy.degree(dimension) == reference.degree(dimension)
+
     def test_shared_keys_are_the_specs_keys(self):
         specs = [make_spec(k=48, h=14, w=14), make_spec(k=32, h=7, w=7, index=1)]
         keys = tuple(map(search_key, specs))

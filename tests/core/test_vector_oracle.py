@@ -1,19 +1,18 @@
-"""Differential oracle: segment-cached evaluation vs the cold cost model.
+"""Differential oracle: the batch evaluator and its kernel vs the cost model.
 
-Every cache miss is evaluated by :class:`~repro.core.cost.vector.PopulationKernel`
-through a :class:`~repro.runtime.segcache.SegmentCostCache`, whose
-contract is *byte-identical* reports. Hypothesis generates random (CNN,
-board, precision) contexts and random :class:`CustomDesign` populations
-(always including the degenerate single-segment and max-CE designs), and
-every example asserts that independent evaluation paths agree byte for
-byte on ``json.dumps(report_to_dict(...), sort_keys=True)``:
+Every cache miss is evaluated by :class:`~repro.core.cost.vector.PopulationKernel`,
+and every repeat is answered from the fingerprint cache; the contract is
+*byte-identical* reports. Hypothesis generates random (CNN, board,
+precision) contexts and random :class:`CustomDesign` populations (always
+including the degenerate single-segment and max-CE designs), and every
+example asserts that independent evaluation paths agree byte for byte on
+``json.dumps(report_to_dict(...), sort_keys=True)``:
 
-1. **cold** — per-design evaluation, segment memoization disabled;
-2. **segment-cached** — the same population through a fresh segment
-   table, so later designs reuse the segments earlier ones costed;
-3. **bare model** — ``MultipleCEBuilder.build`` + ``MCCM.evaluate``
-   called directly, without the kernel or any cache, as the reference
-   the kernel itself is checked against.
+1. **scalar** — ``MultipleCEBuilder.build`` + ``MCCM.evaluate`` called
+   directly, without the kernel or any cache: the reference;
+2. **kernel** — the same population through one kernel;
+3. **batch** — a :class:`BatchEvaluator` stream, and its replay answered
+   from the fingerprint cache.
 
 Infeasible members must agree too: same ``None`` report, same reason
 string, on every path.
@@ -50,36 +49,40 @@ def _canonical(item) -> str:
     return json.dumps(report_to_dict(item.report), sort_keys=True)
 
 
-def _evaluate(graph, board, precision, specs, **kwargs):
-    evaluator = BatchEvaluator(graph, board, precision, jobs=1, **kwargs)
-    return [_canonical(item) for item in evaluator.stream(specs)]
+def _evaluate_and_replay(graph, board, precision, specs):
+    """Canonical bytes of a cold batch stream and of its replay, which the
+    fingerprint cache answers in full."""
+    evaluator = BatchEvaluator(graph, board, precision, jobs=1)
+    cold = [_canonical(item) for item in evaluator.stream(specs)]
+    replayed = list(evaluator.stream(specs))
+    assert all(item.cached for item in replayed)
+    return cold, [_canonical(item) for item in replayed]
 
 
 @given(oracle_cnns(), oracle_boards(), oracle_precisions(), st.data())
-def test_segment_cached_matches_cold(graph, board, precision, data):
-    """Both evaluation paths agree byte-for-byte on random populations."""
+def test_fingerprint_replay_matches_cold(graph, board, precision, data):
+    """A batch, its fingerprint replay and the bare cost model agree
+    byte-for-byte on random populations."""
     population = data.draw(oracle_populations(len(graph.conv_specs())))
     specs = [design.to_spec() for design in population]
 
-    cold = _evaluate(graph, board, precision, specs, segment_cache_entries=0)
-    segcached = _evaluate(graph, board, precision, specs)
-    assert segcached == cold
+    cold, replay = _evaluate_and_replay(graph, board, precision, specs)
+    assert replay == cold
+    assert cold == _scalar_reference(graph, board, precision, specs)
 
 
 @given(oracle_cnns(), st.data())
 @settings(max_examples=10)
 def test_infeasible_members_match_cold(graph, data):
-    """A starved board marks members infeasible identically on both paths."""
+    """A starved board marks members infeasible identically on every path."""
     population = data.draw(oracle_populations(len(graph.conv_specs())))
     starved = FPGABoard(
         name="starved", dsp_count=8, bram_bytes=16 * 1024, bandwidth_gbps=1.0
     )
     specs = [design.to_spec() for design in population]
-    cold = _evaluate(
-        graph, starved, DEFAULT_PRECISION, specs, segment_cache_entries=0
-    )
-    segcached = _evaluate(graph, starved, DEFAULT_PRECISION, specs)
-    assert segcached == cold
+    cold, replay = _evaluate_and_replay(graph, starved, DEFAULT_PRECISION, specs)
+    assert replay == cold
+    assert cold == _scalar_reference(graph, starved, DEFAULT_PRECISION, specs)
 
 
 # --- the kernel against the cost model called directly -------------------------
@@ -106,47 +109,35 @@ def _scalar_reference(graph, board, precision, specs):
     return canonical
 
 
-def _kernel_canonical(graph, board, precision, specs, segment_cache=None):
+def _kernel_canonical(graph, board, precision, specs):
     from repro.core.builder import MultipleCEBuilder
     from repro.core.cost.vector import PopulationKernel
 
-    kernel = PopulationKernel(
-        MultipleCEBuilder(graph, board, precision), segment_cache=segment_cache
-    )
+    kernel = PopulationKernel(MultipleCEBuilder(graph, board, precision))
     return [_canonical(outcome) for outcome in kernel.evaluate(specs)]
 
 
 @given(oracle_cnns(), oracle_boards(), oracle_precisions(), st.data())
 def test_population_kernel_matches_scalar(graph, board, precision, data):
-    """The kernel, cold and segment-cached, matches the bare cost model."""
-    from repro.runtime.segcache import SegmentCostCache
-
+    """The kernel matches the bare cost model."""
     population = data.draw(oracle_populations(len(graph.conv_specs())))
     specs = [design.to_spec() for design in population]
 
     scalar = _scalar_reference(graph, board, precision, specs)
     assert _kernel_canonical(graph, board, precision, specs) == scalar
-    segcached = _kernel_canonical(
-        graph, board, precision, specs, segment_cache=SegmentCostCache()
-    )
-    assert segcached == scalar
 
 
 @given(oracle_cnns(), st.data())
 @settings(max_examples=10)
 def test_population_kernel_infeasible_members(graph, data):
     """Kernel reasons read ``"ResourceError: <message>"`` like the bare model."""
-    from repro.runtime.segcache import SegmentCostCache
-
     population = data.draw(oracle_populations(len(graph.conv_specs())))
     starved = FPGABoard(
         name="starved", dsp_count=8, bram_bytes=16 * 1024, bandwidth_gbps=1.0
     )
     specs = [design.to_spec() for design in population]
     scalar = _scalar_reference(graph, starved, DEFAULT_PRECISION, specs)
-    kernel = _kernel_canonical(
-        graph, starved, DEFAULT_PRECISION, specs, segment_cache=SegmentCostCache()
-    )
+    kernel = _kernel_canonical(graph, starved, DEFAULT_PRECISION, specs)
     assert kernel == scalar
 
 
@@ -154,9 +145,9 @@ def test_population_kernel_infeasible_members(graph, data):
 
 
 def test_shared_ce_designs_match_scalar(tiny_cnn, roomy_board):
-    """CE-sharing groups cost the same through the kernel as directly."""
+    """CE-sharing groups cost the same through the kernel, in a batch and
+    replayed, as directly."""
     from repro.core.notation import ArchitectureSpec, BlockSpec
-    from repro.runtime.segcache import SegmentCostCache
 
     num_layers = len(tiny_cnn.conv_specs())
     spec = ArchitectureSpec(
@@ -171,36 +162,10 @@ def test_shared_ce_designs_match_scalar(tiny_cnn, roomy_board):
     assert "infeasible" not in scalar[0]
     cold = _kernel_canonical(tiny_cnn, roomy_board, DEFAULT_PRECISION, [spec])
     assert cold == scalar
-    cache = SegmentCostCache()
-    for _ in range(2):  # the second pass is answered from the segment table
-        assert (
-            _kernel_canonical(
-                tiny_cnn, roomy_board, DEFAULT_PRECISION, [spec], segment_cache=cache
-            )
-            == scalar
-        )
-    assert cache.hits > 0
-
-
-def test_kernel_reuses_segments_across_designs(tiny_cnn, roomy_board):
-    """Designs that share segments share their costing, bytes unchanged."""
-    from repro.core.architectures import build_template
-    from repro.runtime.segcache import SegmentCostCache
-
-    conv_specs = tiny_cnn.conv_specs()
-    specs = [build_template("segmented", conv_specs, n) for n in (2, 3, 4)]
-    cache = SegmentCostCache()
-    first = _kernel_canonical(
-        tiny_cnn, roomy_board, DEFAULT_PRECISION, specs, segment_cache=cache
+    batch, replay = _evaluate_and_replay(
+        tiny_cnn, roomy_board, DEFAULT_PRECISION, [spec, spec]
     )
-    computed = cache.evaluations
-    assert computed > 0
-    second = _kernel_canonical(
-        tiny_cnn, roomy_board, DEFAULT_PRECISION, specs, segment_cache=cache
-    )
-    assert second == first
-    assert cache.evaluations == computed  # nothing re-costed
-    assert first == _scalar_reference(tiny_cnn, roomy_board, DEFAULT_PRECISION, specs)
+    assert batch == replay == scalar * 2
 
 
 def test_kernel_outcomes_keep_request_order(tiny_cnn):

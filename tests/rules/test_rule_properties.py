@@ -6,7 +6,7 @@ precision) contexts the differential cost oracle uses
 
 * **Purity** — evaluating rules never perturbs a report: the canonical
   JSON bytes of every report are identical before and after rule
-  evaluation, on the cold path and the segment-cached path;
+  evaluation, on the cold path and on a fingerprint-cache replay;
 * **Monotonicity** — tightening a numeric threshold never flips a
   verdict from fail to pass, and never decreases the exceedance;
 * **Round-trip** — random rules, rulesets, and produced verdicts
@@ -115,16 +115,16 @@ def test_rules_leave_reports_byte_identical(graph, board, precision, data):
     )
     specs = [design.to_spec() for design in population]
 
-    cold = BatchEvaluator(graph, board, precision, jobs=1, segment_cache_entries=0)
-    items = list(cold.stream(specs))
+    evaluator = BatchEvaluator(graph, board, precision, jobs=1)
+    items = list(evaluator.stream(specs))
     before = [_canonical(item) for item in items]
     _judge_all(items, board, precision)
     assert [_canonical(item) for item in items] == before
 
-    segcached = BatchEvaluator(graph, board, precision, jobs=1)
-    cached_items = list(segcached.stream(specs))
-    _judge_all(cached_items, board, precision)
-    assert [_canonical(item) for item in cached_items] == before
+    replayed = list(evaluator.stream(specs))  # fingerprint-cache hits
+    assert all(item.cached for item in replayed)
+    _judge_all(replayed, board, precision)
+    assert [_canonical(item) for item in replayed] == before
 
 
 # --- monotonicity -------------------------------------------------------------

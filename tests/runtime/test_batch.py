@@ -270,9 +270,7 @@ class TestMissPath:
         calls = self._spy(evaluator, monkeypatch)
         reports = evaluator.evaluate_specs(specs)
         assert calls == [list(specs)]
-        assert reports == BatchEvaluator(
-            cnn, board, jobs=1, segment_cache_entries=0
-        ).evaluate_specs(specs)
+        assert reports == BatchEvaluator(cnn, board, jobs=1).evaluate_specs(specs)
 
     def test_single_miss_goes_through_kernel(self, context, specs, monkeypatch):
         cnn, board = context
@@ -290,16 +288,6 @@ class TestMissPath:
         evaluator.evaluate_specs(specs)
         assert len(calls) == 1  # all fingerprint hits
 
-    def test_kernel_shares_the_evaluator_segment_cache(self, context, specs):
-        cnn, board = context
-        evaluator = BatchEvaluator(cnn, board, jobs=1)
-        assert evaluator._kernel.segment_cache is evaluator.segment_cache
-        evaluator.evaluate_specs(specs)
-        assert evaluator.cache_info()["segment_cache"]["evaluations"] > 0
-        cold = BatchEvaluator(cnn, board, jobs=1, segment_cache_entries=0)
-        assert cold.segment_cache is None
-        assert cold._kernel.segment_cache is None
-
     def test_cache_info_has_no_kernel_keys(self, context, specs):
         cnn, board = context
         evaluator = BatchEvaluator(cnn, board, jobs=1)
@@ -309,26 +297,20 @@ class TestMissPath:
             "memory_hits",
             "memory_misses",
             "jobs",
-            "segment_cache",
         }
 
     def test_worker_state_is_one_kernel(self, context, monkeypatch):
         from repro.core.cost.vector import PopulationKernel
         from repro.hw.datatypes import DEFAULT_PRECISION
         from repro.runtime import batch
-        from repro.runtime.segcache import SegmentCostCache
 
         cnn, board = context
         monkeypatch.setattr(batch, "_WORKER_KERNEL", None)
-        batch._worker_init(cnn, board, DEFAULT_PRECISION, 64)
+        batch._worker_init(cnn, board, DEFAULT_PRECISION)
         kernel = batch._WORKER_KERNEL
         assert isinstance(kernel, PopulationKernel)
-        assert isinstance(kernel.segment_cache, SegmentCostCache)
-        assert kernel.segment_cache.max_entries == 64
-        # Bound at start-up, before the worker's first build.
-        assert kernel.segment_cache.context == kernel.builder.context
-        batch._worker_init(cnn, board, DEFAULT_PRECISION, 0)
-        assert batch._WORKER_KERNEL.segment_cache is None
+        # Built at start-up, before the worker's first task.
+        assert kernel.builder.context == BatchEvaluator(cnn, board).context
 
     def test_worker_entries_match_inline(self, context, specs, monkeypatch):
         from repro.hw.boards import FPGABoard
@@ -348,3 +330,21 @@ class TestMissPath:
             assert entry.report == expected.report
             assert entry.reason == expected.reason
         assert batch._worker_evaluate(mixed[0]).reason.startswith("ResourceError: ")
+
+
+class TestSegmentCacheShim:
+    """``segment_cache_entries`` survives only for callers that pass 0."""
+
+    def test_zero_is_accepted(self, context, specs):
+        cnn, board = context
+        shimmed = BatchEvaluator(cnn, board, jobs=1, segment_cache_entries=0)
+        assert shimmed.evaluate_specs(specs) == BatchEvaluator(
+            cnn, board, jobs=1
+        ).evaluate_specs(specs)
+        assert "segment_cache" not in shimmed.cache_info()
+
+    @pytest.mark.parametrize("entries", [1, 8192, -1])
+    def test_other_values_name_the_removal(self, context, entries):
+        cnn, board = context
+        with pytest.raises(ValueError, match="segment cache has been removed"):
+            BatchEvaluator(cnn, board, segment_cache_entries=entries)

@@ -1,7 +1,7 @@
 """``clear_process_caches`` keeps cold measurements cold.
 
-Cold runs (perfbench's ``sweep-cold``, the cold evaluator in
-``test_segcache.py``) reset the process-global memos before each measured
+Cold runs (perfbench's ``sweep-cold``, the cold evaluators in
+``test_replay.py``) reset the process-global memos before each measured
 operation. A memo the reset misses would let a "cold" run read warm state,
 so every ``functools.lru_cache`` of the cost model's core and utility
 modules must be empty after the reset. The zoo's graph cache is set-up,
