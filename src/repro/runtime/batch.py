@@ -284,6 +284,11 @@ class BatchEvaluator:
         """The stable fingerprint this evaluator uses for ``spec``."""
         return spec_fingerprint(self._context, spec)
 
+    def in_memory(self, key: str) -> bool:
+        """Whether the in-memory tier holds ``key`` (a replay of it reads no
+        disk and evaluates nothing); counts no hit or miss."""
+        return key in self._memory
+
     def _lookup(self, key: str, stats: RunStats) -> Optional[CacheEntry]:
         entry = self._memory.get(key)
         if entry is not None:

@@ -1,10 +1,10 @@
 """Network-facing evaluation service (JSON over HTTP, stdlib only).
 
 The batch runtime made bulk evaluation cheap inside one process; this
-package shares that warmth across processes and machines: a threading HTTP
-server whose endpoints all route through one process-wide set of cached
-:class:`~repro.runtime.BatchEvaluator` instances, so every client benefits
-from every other client's evaluations.
+package shares that warmth across processes and machines: an HTTP server
+(one event loop per process) whose endpoints all route through one
+process-wide set of cached :class:`~repro.runtime.BatchEvaluator`
+instances, so every client benefits from every other client's evaluations.
 
 * :class:`~repro.service.server.EvaluationService` / ``repro serve`` — the
   server (embeddable or CLI-run).

@@ -84,7 +84,7 @@ MAX_EVALUATOR_CONTEXTS = 32
 
 #: Default bound on model-work requests (POSTs) in flight per worker.
 #: Beyond it the server answers a typed 429 with Retry-After instead of
-#: piling up handler threads until the host thrashes.
+#: piling up model work until the host thrashes.
 DEFAULT_MAX_INFLIGHT = 64
 
 #: How often (seconds) a worker refreshes its status snapshot in the shared
@@ -107,6 +107,31 @@ STREAM_POLL_SECONDS = 0.15
 #: stream; this only covers the sliver where the job settles before the
 #: terminal event is observable (or an evicted snapshot disappears).
 STREAM_SETTLED_GRACE_POLLS = 4
+
+
+class NeedsThread(Exception):
+    """A serving loop met work it does not do: a context whose lock another
+    thread holds, a context not built yet, or a design its context's
+    in-memory cache lacks (answering it evaluates, or reads and writes the
+    disk tier).
+
+    The loop never waits on a lock or on work it cannot bound, so the
+    server moves the request to a thread of its own (see :func:`never_wait`).
+    """
+
+
+_loop_thread = threading.local()
+
+
+def never_wait(on: bool = True) -> None:
+    """On the calling thread, raise :class:`NeedsThread` where a request
+    would wait on a context's lock, build a context or miss the in-memory
+    cache (``on=False`` undoes it)."""
+    _loop_thread.never_wait = on
+
+
+def _on_loop() -> bool:
+    return getattr(_loop_thread, "never_wait", False)
 
 
 @dataclass
@@ -294,6 +319,9 @@ class EvaluationContext:
     """One (CNN, board, precision) context: its shared evaluator, the lock
     callers hold around any use of it, and three memos the same lock guards.
 
+    ``with context:`` holds the lock; on a :func:`never_wait` thread a held
+    lock raises :class:`NeedsThread` instead of waiting.
+
     ``BatchEvaluator`` is not itself thread-safe (LRU bookkeeping,
     ``last_run``). The memos let ``/evaluate`` answer a replayed design
     without rebuilding, hashing, judging or re-encoding anything, and hold
@@ -317,6 +345,14 @@ class EvaluationContext:
         self.reports = LRUCache(memo_entries)
         self.verdicts = LRUCache(memo_entries)
         self._verdicts_generation: Optional[int] = None
+
+    def __enter__(self) -> "EvaluationContext":
+        if not self.lock.acquire(not _on_loop()):
+            raise NeedsThread()
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.lock.release()
 
     def spec_for(
         self, architecture: str, ce_count: Optional[int]
@@ -374,10 +410,9 @@ class ServiceState:
     """Shared, thread-safe state behind all endpoints of one service.
 
     Parameters mirror the CLI's runtime flags: ``jobs`` is the worker-process
-    count of each :class:`BatchEvaluator` (1 = evaluate inline on the request
-    thread; request concurrency still comes from the threading server), and
-    ``cache_dir`` an optional on-disk cache shared by every context and
-    persisted across service restarts.
+    count of each :class:`BatchEvaluator` (1 = evaluate inline on the thread
+    that serves the request), and ``cache_dir`` an optional on-disk cache
+    shared by every context and persisted across service restarts.
 
     ``max_inflight`` bounds concurrent model-work requests (POSTs) before
     the server answers 429 ``backpressure``. ``shared_dir`` (set by the
@@ -722,6 +757,9 @@ class ServiceState:
         * the resolved (graph, board, precision) -> its key, so spellings
           of one context (``SqueezeNet``, ``sqz``) share one fingerprint
           run, which reruns shape inference and hashes the whole context.
+
+        On a serving loop (:func:`never_wait`) only the first memo answers;
+        past it, :class:`NeedsThread` is raised.
         """
         request = (model, board, precision)
         # Read before resolving: a registration racing this call then
@@ -734,43 +772,54 @@ class ServiceState:
                 if entry is not None:
                     self._evaluators[key] = entry
                     return entry
+        if _on_loop():
+            raise NeedsThread()  # resolving names and building a context
         graph = REGISTRY.model(model)
         fpga = REGISTRY.board(board, precision=precision)
+        context = (graph, fpga, precision)
+        built: Optional[EvaluationContext] = None
         evicted = []
-        with self._registry_lock:
-            if generation != self._context_generation:
-                self._context_keys.clear()
-                self._request_keys.clear()
-                self._context_generation = generation
-            context = (graph, fpga, precision)
-            key = self._context_keys.get(context)
-            if key is None:
-                key = self._context_keys[context] = context_fingerprint(*context)
-            entry = self._evaluators.pop(key, None)
-            if entry is None:
-                # Graph construction is cached by the registry, so building
-                # the evaluator here is the only per-context cost.
-                evaluator = BatchEvaluator(
-                    graph,
-                    fpga,
-                    precision,
-                    jobs=self.jobs,
-                    cache_entries=self.cache_entries,
-                    cache_dir=self.cache_dir,
-                )
-                entry = EvaluationContext(evaluator, self.cache_entries)
-            # Re-insert at the end: the dict doubles as LRU order, so
-            # re-registered (content-edited) workloads eventually push
-            # their stale contexts out instead of leaking them.
-            self._evaluators[key] = entry
-            self._request_keys.put(request, key)
-            while len(self._evaluators) > MAX_EVALUATOR_CONTEXTS:
-                evicted.append(self._evaluators.pop(next(iter(self._evaluators))))
+        while True:
+            with self._registry_lock:
+                if generation != self._context_generation:
+                    self._context_keys.clear()
+                    self._request_keys.clear()
+                    self._context_generation = generation
+                key = self._context_keys.get(context)
+                if key is None:
+                    key = self._context_keys[context] = context_fingerprint(*context)
+                entry = self._evaluators.pop(key, None)
+                if entry is None:
+                    entry = built
+                elif built is not None:
+                    evicted.append(built)  # another request built it meanwhile
+                if entry is not None:
+                    # Re-insert at the end: the dict doubles as LRU order,
+                    # so re-registered (content-edited) workloads eventually
+                    # push their stale contexts out instead of leaking them.
+                    self._evaluators[key] = entry
+                    self._request_keys.put(request, key)
+                    while len(self._evaluators) > MAX_EVALUATOR_CONTEXTS:
+                        evicted.append(self._evaluators.pop(next(iter(self._evaluators))))
+                    break
+            # Built outside the registry lock, which a serving loop takes
+            # (the memo hit above, /healthz): opening a disk tier may wait
+            # on other workers' writes. Graph construction is cached by the
+            # registry, so this is the only per-context cost.
+            evaluator = BatchEvaluator(
+                graph,
+                fpga,
+                precision,
+                jobs=self.jobs,
+                cache_entries=self.cache_entries,
+                cache_dir=self.cache_dir,
+            )
+            built = EvaluationContext(evaluator, self.cache_entries)
         for stale in evicted:
             # Close outside the registry lock; taking the per-evaluator lock
             # waits out any request still using it (requests never acquire
             # the registry lock while holding an evaluator lock, so this
-            # cannot deadlock).
+            # cannot deadlock, and a serving loop never gets here).
             with stale.lock:
                 stale.evaluator.close()
         return entry
@@ -978,7 +1027,7 @@ def handle_evaluate(state: ServiceState, request: EvaluateRequest) -> Response:
         "precision": precision_to_dict(request.precision),
         "rules": rules,
     }
-    with context.lock:
+    with context:
         try:
             spec, key = context.spec_for(request.architecture, request.ce_count)
         except ResourceError as error:
@@ -989,6 +1038,8 @@ def handle_evaluate(state: ServiceState, request: EvaluateRequest) -> Response:
                  "reason": f"{type(error).__name__}: {error}", "verdicts": []}
             )
             return 200, base
+        if not context.evaluator.in_memory(key) and _on_loop():
+            raise NeedsThread()  # a miss evaluates, or reads the disk tier
         item = next(iter(context.evaluator.stream([spec], keys=[key])))
         report = context.report_json(item)
         verdicts = context.verdicts_json(item, rules)
@@ -1008,7 +1059,7 @@ def handle_evaluate(state: ServiceState, request: EvaluateRequest) -> Response:
 def handle_sweep(state: ServiceState, request: SweepRequest) -> Response:
     context = state.evaluator_for(request.model, request.board, request.precision)
     evaluator = context.evaluator
-    with context.lock:
+    with context:
         result = sweep(
             evaluator.graph,
             evaluator.board,
@@ -1194,7 +1245,7 @@ def handle_dse(state: ServiceState, request: DseRequest) -> Response:
     design_evaluator = DesignEvaluator(
         evaluator.graph, evaluator.board, request.precision, runtime=evaluator
     )
-    with context.lock:
+    with context:
         result = random_search(
             design_evaluator,
             space,

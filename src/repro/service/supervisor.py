@@ -1,9 +1,9 @@
 """Pre-forked multi-worker front for the evaluation service.
 
 ``repro serve --workers N`` runs one supervisor process and N worker
-processes. Each worker hosts the existing threading handler stack
-unchanged; the processes cooperate through two shared pieces of disk
-state:
+processes. Each worker runs one :class:`~repro.service.server.ServingLoop`
+on its main thread, as ``EvaluationService`` does in-process; the
+processes cooperate through two shared pieces of disk state:
 
 * the fingerprint cache's disk tier (``DiskCache``, atomic
   write-tmp-fsync-rename entries plus a sqlite index), so a design warmed
@@ -21,11 +21,12 @@ listen queue. Elsewhere the supervisor binds one listening socket and the
 workers inherit it across ``fork`` and accept from it cooperatively.
 
 Lifecycle: SIGTERM/SIGINT to the supervisor propagates SIGTERM to every
-worker, which drains gracefully — stop accepting (listener closed, so new
-connects are refused in reuse-port mode), answer 503 ``draining`` on
-already-accepted requests, finish in-flight work within a deadline, then
-exit 0. A worker that dies any other way (crash, kill -9) is restarted,
-with a short backoff when deaths come rapid-fire.
+worker, whose loop drains as ``EvaluationService.stop()`` does — stop
+accepting (listener closed, so new connects are refused in reuse-port
+mode), answer 503 ``draining`` to requests on connections already open,
+finish in-flight work within a deadline — then exits 0. A worker that
+dies any other way (crash, kill -9) is restarted, with a short backoff
+when deaths come rapid-fire.
 """
 
 from __future__ import annotations
@@ -36,18 +37,21 @@ import shutil
 import signal
 import socket
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from repro.service.handlers import DEFAULT_MAX_INFLIGHT, ServiceState
+from repro.service.server import (
+    DRAIN_DEADLINE_SECONDS,
+    LISTEN_BACKLOG,
+    ServingLoop,
+    bound_socket,
+    stop_on_signals,
+)
 from repro.utils.errors import MCCMError
 
 logger = logging.getLogger(__name__)
-
-#: Seconds a draining worker waits for in-flight requests after closing
-#: its listener before exiting anyway.
-DRAIN_DEADLINE_SECONDS = 10.0
 
 #: Extra seconds the supervisor grants beyond the workers' drain deadline
 #: before escalating to SIGKILL.
@@ -74,24 +78,6 @@ def _reuse_port_works(host: str) -> bool:
     return True
 
 
-def _bound_socket(
-    host: str, port: int, *, reuse_port: bool, listen: Optional[int]
-) -> socket.socket:
-    """One bound (and optionally listening) TCP socket for the service."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if reuse_port:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-        if listen is not None:
-            sock.listen(listen)
-    except BaseException:
-        sock.close()
-        raise
-    return sock
-
-
 def run_worker(
     worker_index: int,
     host: str,
@@ -109,11 +95,6 @@ def run_worker(
     ``inherited`` is the supervisor's listening socket in inherited-FD mode;
     ``None`` means reuse-port mode, where the worker binds its own listener.
     """
-    # Imported here, not at module top: the supervisor forks before these
-    # matter and the worker is the only side that serves requests.
-    from repro.service.handlers import ServiceState
-    from repro.service.server import POLL_SECONDS, _RequestHandler, _ThreadingServer
-
     state = ServiceState(
         jobs=jobs,
         cache_dir=cache_dir,
@@ -124,51 +105,15 @@ def run_worker(
     if inherited is not None:
         sock = inherited
     else:
-        sock = _bound_socket(
-            host, port, reuse_port=True, listen=_ThreadingServer.request_queue_size
-        )
-
-    httpd = _ThreadingServer((host, port), _RequestHandler, bind_and_activate=False)
-    # Swap the server's unbound default socket for the shared/bound one.
-    httpd.socket.close()
-    httpd.socket = sock
-    httpd.server_address = sock.getsockname()[:2]
-    httpd.server_name = httpd.server_address[0]
-    httpd.server_port = httpd.server_address[1]
-    httpd.service_state = state  # type: ignore[attr-defined]
-    # server_close() must release the listener immediately; in-flight
-    # handler threads are waited out below, bounded by the drain deadline.
-    httpd.block_on_close = False
-
-    def _begin_drain(signum: int, _frame) -> None:
-        state.begin_draining()
-        # shutdown() blocks until serve_forever returns, so it must run off
-        # the serving thread the signal interrupted.
-        threading.Thread(target=httpd.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _begin_drain)
-    signal.signal(signal.SIGINT, _begin_drain)
+        sock = bound_socket(host, port, reuse_port=True)
+    loop = ServingLoop(sock, state)
+    stop_on_signals(loop)
     state.write_worker_status(force=True)
     logger.info(
         "worker %d (pid %d) serving on %s:%d",
-        worker_index, os.getpid(), *httpd.server_address,
+        worker_index, os.getpid(), *sock.getsockname()[:2],
     )
-    try:
-        httpd.serve_forever(POLL_SECONDS)
-    finally:
-        # Stop accepting first — connects are refused (reuse-port mode)
-        # while requests already in flight still complete.
-        httpd.server_close()
-    deadline = time.monotonic() + drain_seconds
-    settled = 0
-    while time.monotonic() < deadline:
-        # Require several consecutive idle reads: a request that raced the
-        # shutdown may sit between accept and its in-flight registration
-        # for a moment, and exiting then would truncate its response.
-        settled = settled + 1 if state.active_requests == 0 else 0
-        if settled >= 3:
-            break
-        time.sleep(0.02)
+    loop.run(drain_seconds)
     state.write_worker_status(force=True)
     state.close()
     return 0
@@ -189,8 +134,6 @@ class Supervisor:
         run_dir: Optional[Union[str, Path]] = None,
         drain_seconds: float = DRAIN_DEADLINE_SECONDS,
     ) -> None:
-        from repro.service.handlers import DEFAULT_MAX_INFLIGHT
-
         if workers < 1:
             raise MCCMError(f"--workers must be >= 1, got {workers}")
         if not hasattr(os, "fork"):
@@ -216,11 +159,11 @@ class Supervisor:
         self._reuse_port = _reuse_port_works(host)
         # Reuse-port mode: hold the port without listening (workers listen).
         # Inherited mode: this is the one listening socket workers share.
-        self._socket = _bound_socket(
+        self._socket = bound_socket(
             host,
             port,
             reuse_port=self._reuse_port,
-            listen=None if self._reuse_port else 128,
+            listen=None if self._reuse_port else LISTEN_BACKLOG,
         )
         self.port = self._socket.getsockname()[1]
         #: pid -> (worker index, spawn monotonic time)

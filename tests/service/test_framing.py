@@ -6,6 +6,11 @@ the request parser (no client library) hides what the bytes mean. The
 expected answers are the ``http.server`` + ``email.parser`` behavior the
 service has always had, quirks included: the request-head parser must
 keep every limit, status code and header lookup pinned here.
+
+The serving loop frames requests from whatever bytes have arrived, so
+:class:`TestSplitDelivery` also checks the framer on every prefix of
+every request here (and of generated ones, under the ``fuzz`` marker),
+and sends some requests in pieces.
 """
 
 import email.utils
@@ -16,12 +21,16 @@ import logging
 import os
 import re
 import socket
+import time
 from typing import Dict, List, NamedTuple
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.service import EvaluationService
 from repro.service import server as service_server
+from tests.service.test_header_block import _header_lines
 
 MODEL = "squeezenet"
 BOARD = "zc706"
@@ -409,3 +418,188 @@ class TestReplyHead:
         lines = [record.getMessage() for record in caplog.records]
         assert any(line.endswith('"POST /evaluate HTTP/1.1" 200 -') for line in lines), lines
         assert any(line.endswith('"GET /no-such-endpoint HTTP/1.1" 404 -') for line in lines)
+
+
+#: Every request this module sends, for the framing oracle below.
+WIRE_REQUESTS = {
+    "plain": plain_post(),
+    "lower-case names": post(
+        evaluate_body(), "host: localhost", "content-type: application/json",
+        f"content-length: {LENGTH}",
+    ),
+    "bare LF": post(evaluate_body(), "Host: localhost", f"Content-Length: {LENGTH}", eol="\n"),
+    "obs-fold": post(
+        evaluate_body(), "Host: localhost", "X-Note: first part", "  second part",
+        "Content-Length:", f" {LENGTH}",
+    ),
+    **{
+        f"padded length {value!r}": post(
+            evaluate_body(), "Host: localhost", f"Content-Length: {value}"
+        )
+        for value in (LENGTH + " ", "\t" + LENGTH, "00" + LENGTH)
+    },
+    "duplicate headers": post(
+        evaluate_body(), "Host: localhost", f"Content-Length: {LENGTH}", "Content-Length: 1",
+        "Connection: close", "Connection: keep-alive",
+    ),
+    "pipelined": plain_post(3) + plain_post(2),
+    "100-continue": post(
+        evaluate_body(), "Host: localhost", "Expect: 100-continue", f"Content-Length: {LENGTH}"
+    ),
+    "HTTP/1.0": post(evaluate_body(), f"Content-Length: {LENGTH}", version="HTTP/1.0"),
+    "Connection: close": post(
+        evaluate_body(), "Host: localhost", "Connection: close", f"Content-Length: {LENGTH}"
+    ),
+    "HTTP/0.9": b"GET /healthz\r\n\r\n",
+    "no length": post(evaluate_body(), "Host: localhost"),
+    **{
+        f"length {value!r}": post(evaluate_body(), "Host: localhost", f"Content-Length: {value}")
+        for value in ("+" + LENGTH, LENGTH[0] + "_" + LENGTH[1:], "0x10",
+                      LENGTH[0] + " " + LENGTH[1:], "")
+    },
+    "5000-digit length": post(evaluate_body(), "Host: localhost", "Content-Length: " + "9" * 5000),
+    "four words": b"POST /evaluate extra HTTP/1.1\r\nHost: localhost\r\n\r\n",
+    **{
+        f"request line {line!r}": line + b"\r\nHost: localhost\r\n\r\n"
+        for line in (b"POST /evaluate HTTP/x.1", b"POST /evaluate HTTP/2.0", b"POST /evaluate")
+    },
+    "long header line": post(
+        evaluate_body(), "Host: localhost", "X-Big: " + "a" * 70_000, f"Content-Length: {LENGTH}"
+    ),
+    "no colon": post(evaluate_body(), "Host: localhost", "no colon here", f"Content-Length: {LENGTH}"),
+    "space before colon": post(evaluate_body(), "Host: localhost", f"Content-Length : {LENGTH}"),
+    **{
+        f"{lines} header lines": post(
+            evaluate_body(), "Host: localhost", f"Content-Length: {LENGTH}",
+            *[f"X-Filler-{index}: {index}" for index in range(lines - 2)],
+        )
+        for lines in (99, 100)
+    },
+    **{f"head case {name}": case[0] for name, case in HEAD_CASES.items()},
+}
+
+
+def framed(data: bytes, eof: bool = False):
+    """What the serving loop takes from the start of ``data``: None while
+    it waits for more bytes, else the head's fields and the extent of the
+    request, its body included."""
+    head = service_server.frame_head(data, eof)
+    if head is None:
+        return None
+    end = head.end + head.body_length
+    if len(data) < end and not eof:
+        return None
+    error = head.length_error
+    fields = {name: getattr(head, name) for name in service_server.Head.__slots__}
+    fields["length_error"] = None if error is None else (error.status, error.kind, str(error))
+    return fields, min(end, len(data))
+
+
+def assert_prefixes_wait_or_agree(data: bytes) -> None:
+    """Each prefix of ``data`` waits for more or frames what ``data``
+    frames; at the end of the input something is always framed."""
+    whole = framed(data)
+    assert framed(data, eof=True) is not None
+    for cut in range(len(data)):
+        part = framed(data[:cut])
+        assert part is None or part == whole, (cut, part, whole)
+
+
+class TestSplitDelivery:
+    """A request may reach the server in any number of pieces."""
+
+    @pytest.mark.parametrize("name", list(WIRE_REQUESTS))
+    def test_every_prefix_waits_or_frames_the_whole_request(self, name):
+        assert framed(WIRE_REQUESTS[name]) is not None
+        assert_prefixes_wait_or_agree(WIRE_REQUESTS[name])
+
+    @pytest.mark.parametrize(
+        "name, cuts",
+        [
+            # In the request line, a header line and the body.
+            ("plain", (5, 30, len(WIRE_REQUESTS["plain"]) - 10)),
+            # After every line.
+            ("bare LF", tuple(
+                index + 1 for index, byte in enumerate(WIRE_REQUESTS["bare LF"]) if byte == 10
+            )),
+            # In the second request's head.
+            ("pipelined", (len(plain_post(3)) + 20,)),
+        ],
+    )
+    def test_pieces_on_the_wire_get_the_bytes_of_one_send(self, service, clock, name, cuts):
+        data = WIRE_REQUESTS[name]
+        expected = warm_reply(service, data)
+        pieces = [data[start:end] for start, end in zip((0, *cuts), (*cuts, len(data)))]
+        with socket.create_connection((service.host, service.port), timeout=30) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for piece in pieces:
+                sock.sendall(piece)
+                time.sleep(0.05)
+            reply = read_to_end(sock)
+        assert reply == expected
+
+    def test_100_continue_arrives_before_the_body_is_sent(self, service, clock):
+        data = WIRE_REQUESTS["100-continue"]
+        expected = warm_reply(service, data)
+        head, separator, body = data.partition(b"\r\n\r\n")
+        with socket.create_connection((service.host, service.port), timeout=30) as sock:
+            sock.sendall(head + separator)
+            interim = b""
+            while len(interim) < len(CONTINUE):
+                interim += sock.recv(len(CONTINUE) - len(interim))
+            assert interim == CONTINUE
+            sock.sendall(body)
+            reply = interim + read_to_end(sock)
+        assert reply == expected
+
+
+CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+def warm_reply(service, data: bytes) -> bytes:
+    """What one send of ``data`` gets once its designs are cached."""
+    exchange(service, data)
+    return exchange(service, data)
+
+
+def read_to_end(sock: socket.socket) -> bytes:
+    """Half-close ``sock`` and return every byte the server sends after."""
+    sock.shutdown(socket.SHUT_WR)
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+_REQUEST_LINES = st.one_of(
+    st.builds(
+        "{} {} {}".format,
+        st.sampled_from(["GET", "POST", "PUT", "post"]),
+        st.sampled_from(["/evaluate", "/healthz", "//evaluate/", "/dse?x=1", "/nope"]),
+        st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/1", "HTTX/1.1"]),
+    ),
+    st.sampled_from(["GET /healthz", "POST /evaluate", "", " ", "a b c d"]),
+)
+
+
+@pytest.mark.fuzz
+@given(
+    request_line=_REQUEST_LINES,
+    lines=st.lists(_header_lines, max_size=8),
+    length=st.sampled_from([None, "0", "3", LENGTH, " 12", "x"]),
+    body=st.binary(max_size=40),
+    eol=st.sampled_from(["\r\n", "\n"]),
+    pipelined=st.booleans(),
+)
+def test_generated_heads_wait_or_frame_the_whole_request(
+    request_line, lines, length, body, eol, pipelined
+):
+    head = request_line + eol + "".join(lines)
+    if length is not None:
+        head += f"Content-Length: {length}" + eol
+    data = (head + eol).encode("latin-1") + body
+    if pipelined:
+        data += plain_post()
+    assert_prefixes_wait_or_agree(data)

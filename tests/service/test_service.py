@@ -638,6 +638,250 @@ class TestLifecycle:
         finally:
             service.stop()
 
+    def test_stop_waits_for_an_in_flight_request(self, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+
+        def slow(state):
+            entered.set()
+            release.wait(30)
+            return 200, {"slow": True}
+
+        monkeypatch.setitem(service_server.ROUTES["GET"], "/slow", (None, slow))
+        service = EvaluationService(port=0).start()
+        sock = socket.create_connection((service.host, service.port), timeout=30)
+        try:
+            sock.sendall(b"GET /slow HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            assert entered.wait(30)
+            stopper = threading.Thread(target=service.stop)
+            stopper.start()
+            stopper.join(0.5)
+            assert stopper.is_alive(), "stop() returned with a request in flight"
+            assert service.state.active_requests == 1
+            release.set()
+            stopper.join(30)
+            assert not stopper.is_alive()
+            assert service.state.active_requests == 0
+            reply = b""
+            while True:  # the drained service closes the connection
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert json.loads(body) == {"slow": True}
+        finally:
+            release.set()
+            sock.close()
+            service.stop()
+
+
+class TestLoopNeverWaits:
+    """One serving loop answers every connection, so nothing one request
+    waits for (a held context lock, the disk, a client that does not
+    read) may hold up another connection's answer."""
+
+    def test_held_context_delays_no_other_request(self, monkeypatch):
+        import repro.dse
+
+        entered, release = threading.Event(), threading.Event()
+        search = repro.dse.random_search
+
+        def held_search(*args, **kwargs):
+            entered.set()
+            release.wait(30)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(repro.dse, "random_search", held_search)
+        results = {}
+
+        def call(name, request):
+            try:
+                results[name] = request()
+            except Exception as error:  # pragma: no cover - failure reporting
+                results[name] = error
+
+        with EvaluationService(port=0) as service:
+            # Seen before: the loop starts it and finds the context held.
+            assert ServiceClient(service.url).evaluate(MODEL, BOARD, "segmented", 4).feasible
+            held = threading.Thread(target=call, args=(
+                "dse", lambda: ServiceClient(service.url, timeout=60).dse(MODEL, BOARD, samples=5, seed=1),
+            ))
+            queued = threading.Thread(target=call, args=(
+                "queued", lambda: ServiceClient(service.url, timeout=60).evaluate(
+                    MODEL, BOARD, "segmented", 4
+                ),
+            ))
+            held.start()
+            try:
+                assert entered.wait(30)
+                queued.start()
+                deadline = time.monotonic() + 30
+                while service.state.active_requests < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert service.state.active_requests == 2  # the /evaluate waits for the lock
+                client = ServiceClient(service.url, timeout=10)
+                start = time.perf_counter()
+                assert client.healthz()["status"] == "ok"
+                assert time.perf_counter() - start < 1.0
+                start = time.perf_counter()
+                assert client.evaluate(MODEL, "zcu102", "segmented", 3).feasible
+                assert time.perf_counter() - start < 1.0
+                assert not results, "a request on the held context answered early"
+            finally:
+                release.set()
+                held.join(60)
+                queued.join(60)
+        assert results["dse"].front
+        assert results["queued"].feasible
+        assert results["queued"].report == api_evaluate(MODEL, BOARD, "segmented", 4)
+
+    def test_an_evicted_design_is_evaluated_off_the_loop(self, monkeypatch, tmp_path):
+        """A body the loop has seen, whose entry the in-memory cache has
+        since dropped, misses on the loop and goes on on a thread."""
+        from repro.runtime import cache
+
+        entered, release = threading.Event(), threading.Event()
+        put = cache.DiskCache.put
+
+        def held_put(*args, **kwargs):
+            entered.set()
+            release.wait(30)
+            return put(*args, **kwargs)
+
+        results = {}
+
+        def replay():
+            client = ServiceClient(service.url, timeout=60)
+            results["replay"] = client.evaluate(MODEL, BOARD, "segmented", 4)
+
+        with EvaluationService(port=0, cache_dir=str(tmp_path / "a"), cache_entries=1) as service:
+            client = ServiceClient(service.url, timeout=10)
+            for ce_count in (4, 3):  # the second evicts the first
+                assert client.evaluate(MODEL, BOARD, "segmented", ce_count).feasible
+            # A fresh disk tier, so the replay evaluates and writes.
+            context = service.state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION)
+            monkeypatch.setattr(context.evaluator, "_disk", cache.DiskCache(tmp_path / "b"))
+            monkeypatch.setattr(cache.DiskCache, "put", held_put)
+            thread = threading.Thread(target=replay)
+            thread.start()
+            try:
+                assert entered.wait(30)
+                start = time.perf_counter()
+                assert client.healthz()["status"] == "ok"
+                assert time.perf_counter() - start < 1.0
+                assert not results
+            finally:
+                release.set()
+                thread.join(60)
+        assert results["replay"].report == api_evaluate(MODEL, BOARD, "segmented", 4)
+
+    def test_a_client_that_never_reads_delays_no_one(self):
+        body = json.dumps(
+            {"model": MODEL, "board": BOARD, "architecture": "segmentedrr", "ce_count": 2}
+        ).encode("ascii")
+        request = (
+            b"POST /evaluate HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n" % len(body)
+        ) + body
+        with EvaluationService(port=0) as service:
+            hog = socket.create_connection((service.host, service.port), timeout=60)
+
+            def pipeline():
+                try:
+                    hog.sendall(request * 5000)
+                except OSError:
+                    pass  # closed below, with the server no longer reading
+
+            sender = threading.Thread(target=pipeline, daemon=True)
+            sender.start()
+            try:
+                time.sleep(0.5)  # the loop answers until the replies back up
+                client = ServiceClient(service.url, timeout=10)
+                for _ in range(5):
+                    start = time.perf_counter()
+                    assert client.healthz()["status"] == "ok"
+                    assert time.perf_counter() - start < 1.0
+            finally:
+                hog.close()
+                sender.join(30)
+
+    @pytest.mark.parametrize("held", ["DiskCache.put", "DiskCache.__init__"])
+    def test_disk_work_delays_no_other_request(self, monkeypatch, tmp_path, held):
+        """A cold ``/evaluate`` writes the disk tier, and the first one of a
+        context opens it; while either waits, other connections answer."""
+        from repro.runtime import cache
+
+        entered, release = threading.Event(), threading.Event()
+        name = held.split(".")[1]
+        original = getattr(cache.DiskCache, name)
+
+        def held_call(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                entered.set()
+                release.wait(30)
+            return original(*args, **kwargs)
+
+        results = {}
+
+        def cold():
+            client = ServiceClient(service.url, timeout=60)
+            results["cold"] = client.evaluate(MODEL, BOARD, "segmented", 4)
+
+        with EvaluationService(port=0, cache_dir=str(tmp_path)) as service:
+            client = ServiceClient(service.url, timeout=10)
+            assert client.evaluate(MODEL, "zcu102", "segmented", 3).feasible
+            monkeypatch.setattr(cache.DiskCache, name, held_call)
+            thread = threading.Thread(target=cold)
+            thread.start()
+            try:
+                assert entered.wait(30)
+                for request in (
+                    client.healthz,
+                    lambda: client.evaluate(MODEL, "zcu102", "segmented", 3),
+                ):
+                    start = time.perf_counter()
+                    request()
+                    assert time.perf_counter() - start < 1.0
+                assert not results
+            finally:
+                release.set()
+                thread.join(60)
+        assert results["cold"].report == api_evaluate(MODEL, BOARD, "segmented", 4)
+
+    def test_the_loop_builds_no_context(self):
+        state = ServiceState()
+        try:
+            handlers.never_wait()  # as on a serving loop
+            with pytest.raises(handlers.NeedsThread):
+                state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION)
+            assert state.evaluator_count == 0
+            handlers.never_wait(False)
+            context = state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION)
+            handlers.never_wait()
+            assert state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION) is context
+        finally:
+            handlers.never_wait(False)
+            state.close()
+
+    def test_idle_keepalive_connections_add_no_threads(self):
+        with EvaluationService(port=0) as service:
+            assert ServiceClient(service.url).healthz()["status"] == "ok"
+            before = threading.active_count()
+            connections = []
+            try:
+                for _ in range(32):
+                    connection = http.client.HTTPConnection(service.host, service.port, timeout=10)
+                    connections.append(connection)
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    response.read()
+                    assert response.status == 200
+                assert threading.active_count() <= before
+            finally:
+                for connection in connections:
+                    connection.close()
+
 
 class TestWorkloadRegistration:
     """POST /models and /boards: live registration through the registry."""

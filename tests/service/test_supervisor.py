@@ -289,3 +289,60 @@ def test_sigterm_drains_gracefully(workers):
         assert _connect_refused(url)
     finally:
         stop_server(process)
+
+
+def test_sigterm_drain_answers_an_idle_keepalive_connection():
+    """SIGTERM with a search in flight: the worker keeps serving the
+    connections it has, so the next request on an idle keep-alive one
+    gets a 503 ``draining`` that closes it, the search completes, and the
+    worker exits 0."""
+    import http.client
+    import json
+
+    process, url = spawn_server(1, startup_timeout=60.0)
+    host, port = url.replace("http://", "").split(":")
+    idle = http.client.HTTPConnection(host, int(port), timeout=30.0)
+    try:
+        idle.request("GET", "/healthz")
+        response = idle.getresponse()
+        response.read()
+        assert response.status == 200
+        result = {}
+
+        def search():
+            client = ServiceClient(url, timeout=120.0)
+            try:
+                result["dse"] = client.dse("xception", "vcu110", samples=4000, seed=1)
+            except ServiceError as error:  # pragma: no cover - the failure case
+                result["error"] = error
+
+        thread = threading.Thread(target=search)
+        thread.start()
+        client = ServiceClient(url, timeout=30.0)
+        deadline = time.monotonic() + 60.0
+        while client.healthz()["inflight"] < 1 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        process.send_signal(signal.SIGTERM)
+        time.sleep(0.3)  # the worker is draining now; the search is not done
+        idle.request(
+            "POST",
+            "/evaluate",
+            body=json.dumps(
+                {"model": MODEL, "board": BOARD, "architecture": "segmented", "ce_count": 3}
+            ),
+            headers={"Content-Type": "application/json"},
+        )
+        response = idle.getresponse()
+        payload = json.loads(response.read())
+        assert response.status == 503
+        assert payload["error"]["kind"] == "draining"
+        assert response.getheader("Retry-After") == "1"
+        assert response.getheader("Connection") == "close"
+        assert thread.is_alive(), "the search finished before the idle request was answered"
+        thread.join(timeout=120.0)
+        assert "error" not in result, f"in-flight request failed: {result.get('error')}"
+        assert len(result["dse"].front) > 0
+        assert process.wait(timeout=30.0) == 0
+    finally:
+        idle.close()
+        stop_server(process)
