@@ -13,7 +13,8 @@ import pytest
 
 from repro.analysis.reporting import architecture_of
 from repro.api import resolve_board, resolve_model, sweep
-from repro.dse import CustomDesignSpace, DesignEvaluator, random_search
+from repro.dse import CustomDesignSpace, random_search
+from repro.runtime import BatchEvaluator
 
 MODEL = "xception"
 BOARD = "vcu110"
@@ -31,7 +32,7 @@ def baseline_best_segmented():
 def search_result():
     graph = resolve_model(MODEL)
     board = resolve_board(BOARD)
-    evaluator = DesignEvaluator(graph, board)
+    evaluator = BatchEvaluator(graph, board)
     space = CustomDesignSpace(graph.conv_specs())
     return space, random_search(evaluator, space, samples=SAMPLES, seed=2025)
 
@@ -89,8 +90,8 @@ def test_design_evaluation():
     """Every sampled custom design either evaluates or is infeasible."""
     graph = resolve_model(MODEL)
     board = resolve_board(BOARD)
-    evaluator = DesignEvaluator(graph, board)
+    evaluator = BatchEvaluator(graph, board)
     space = CustomDesignSpace(graph.conv_specs())
     for design in space.sample(256, seed=7):
-        report = evaluator.evaluate(design)
+        [report] = evaluator.evaluate_designs([design])
         assert report is None or report.latency_cycles > 0

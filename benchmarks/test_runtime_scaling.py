@@ -22,7 +22,8 @@ import os
 import time
 
 from repro.api import resolve_board, resolve_model
-from repro.dse import CustomDesignSpace, DesignEvaluator, sample_space
+from repro.dse import CustomDesignSpace, sample_space
+from repro.runtime import BatchEvaluator
 from benchmarks.conftest import show
 
 MODEL = "xception"
@@ -47,22 +48,22 @@ def test_runtime_scaling(tmp_path):
     # Warm the process-global memoization (parallelism/divisor LRUs) first;
     # forked workers inherit it, so timing a cold serial run against warm
     # workers would overstate the parallel speedup.
-    _timed_run(DesignEvaluator(graph, board), space)
+    _timed_run(BatchEvaluator(graph, board), space)
 
     serial, serial_stats, serial_time = _timed_run(
-        DesignEvaluator(graph, board), space
+        BatchEvaluator(graph, board), space
     )
 
-    with DesignEvaluator(graph, board, jobs=PARALLEL_JOBS) as evaluator:
+    with BatchEvaluator(graph, board, jobs=PARALLEL_JOBS) as evaluator:
         parallel, parallel_stats, parallel_time = _timed_run(evaluator, space)
 
-    with DesignEvaluator(graph, board, jobs="auto") as evaluator:
+    with BatchEvaluator(graph, board, jobs="auto") as evaluator:
         auto, auto_stats, auto_time = _timed_run(evaluator, space)
 
     # Populate the on-disk cache, then replay against it cold.
-    with DesignEvaluator(graph, board, cache_dir=cache_dir) as evaluator:
+    with BatchEvaluator(graph, board, cache_dir=cache_dir) as evaluator:
         _timed_run(evaluator, space)
-    with DesignEvaluator(graph, board, cache_dir=cache_dir) as evaluator:
+    with BatchEvaluator(graph, board, cache_dir=cache_dir) as evaluator:
         cached, cached_stats, cached_time = _timed_run(evaluator, space)
 
     speedup = serial_time / parallel_time if parallel_time else float("inf")
@@ -110,11 +111,11 @@ def test_cached_hit():
     graph = resolve_model(MODEL)
     board = resolve_board(BOARD)
     space = CustomDesignSpace(graph.conv_specs())
-    evaluator = DesignEvaluator(graph, board)
+    evaluator = BatchEvaluator(graph, board)
     designs = list(space.sample(32, seed=1))
-    warm = evaluator.evaluate_batch(designs)
+    warm = evaluator.evaluate_designs(designs)
 
-    reports = evaluator.evaluate_batch(designs)
+    reports = evaluator.evaluate_designs(designs)
     assert reports == warm
     assert any(r is not None for r in reports)
-    assert evaluator.runtime.last_run.cache_hits == len(designs)
+    assert evaluator.last_run.cache_hits == len(designs)

@@ -14,12 +14,8 @@ import sys
 
 from repro.analysis.reporting import architecture_of
 from repro.api import resolve_board, resolve_model, sweep
-from repro.dse import (
-    CustomDesignSpace,
-    DesignEvaluator,
-    Objective,
-    guided_search,
-)
+from repro.dse import CustomDesignSpace, Objective, guided_search
+from repro.runtime import BatchEvaluator
 
 
 def main(samples: int = 800) -> None:
@@ -38,7 +34,7 @@ def main(samples: int = 800) -> None:
         f"{best_segmented.buffer_requirement_mib:.2f} MiB buffers"
     )
 
-    evaluator = DesignEvaluator(graph, board)
+    evaluator = BatchEvaluator(graph, board)
     space = CustomDesignSpace(graph.conv_specs())
     print(f"custom design space: {space.size():,} designs")
 

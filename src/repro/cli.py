@@ -232,13 +232,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_dse(args: argparse.Namespace) -> int:
     from repro.analysis.pareto import figure_cost
-    from repro.dse import (
-        CustomDesignSpace,
-        DesignEvaluator,
-        EvolutionConfig,
-        make_strategy,
-    )
+    from repro.dse import CustomDesignSpace, EvolutionConfig, run_search
     from repro.hw.datatypes import DEFAULT_PRECISION
+    from repro.runtime import BatchEvaluator
 
     model_name, board_name = _selected_workloads(args)
     graph = resolve_model(model_name)
@@ -246,20 +242,25 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     # supported_precisions restriction like every other command.
     board = resolve_board(board_name, precision=DEFAULT_PRECISION)
     space = CustomDesignSpace(graph.conv_specs())
-    strategy = make_strategy(
-        args.strategy,
-        samples=args.samples,
-        cost_metric=args.cost,
-        evolution=EvolutionConfig(
+    evolution = (
+        EvolutionConfig(
             population=args.population,
             generations=args.generations,
             cost_metric=args.cost,
         )
         if args.strategy == "evolve"
-        else None,
+        else None
     )
-    with DesignEvaluator(graph, board, jobs=args.jobs, cache_dir=args.cache) as evaluator:
-        result = strategy.search(evaluator, space, seed=args.seed)
+    with BatchEvaluator(graph, board, jobs=args.jobs, cache_dir=args.cache) as runtime:
+        result = run_search(
+            args.strategy,
+            runtime,
+            space,
+            seed=args.seed,
+            samples=args.samples,
+            cost_metric=args.cost,
+            evolution=evolution,
+        )
     if args.json:
         payload = result.to_dict()
         payload.update(

@@ -15,9 +15,9 @@ long-running, crash-prone environments:
   interrupted round from the saved RNG state, so the final front is
   **bit-identical** to an uninterrupted run with the same seed — the CI
   pipeline SIGKILLs a live campaign and asserts exactly that;
-* evaluation runs through one :class:`~repro.dse.sampler.DesignEvaluator`
-  per cell, so its fingerprint cache stays warm across generations, and
-  ``jobs``/``cache_dir`` thread straight through to the batch runtime;
+* evaluation runs through one :class:`~repro.runtime.BatchEvaluator` per
+  cell, so its fingerprint cache stays warm across generations, and
+  ``jobs``/``cache_dir`` thread straight through to it;
 * every round also emits a typed telemetry event
   (:mod:`repro.dse.events`) — ``generation_done`` carries front size,
   hypervolume, best-per-objective and cache hit rates — appended to an
@@ -41,7 +41,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.pareto import front_to_csv, hypervolume, pareto_front
 from repro.core.cost.export import report_from_dict, report_to_dict
@@ -54,11 +54,10 @@ from repro.dse.evolve import (
     design_key,
     distinct_front,
 )
-from repro.dse.sampler import DesignEvaluator
 from repro.dse.search import (
     LOCAL_SEARCH_ITERATIONS,
     LOCAL_SEARCH_NEIGHBOURS,
-    make_strategy,
+    run_search,
 )
 from repro.dse.space import CustomDesign, CustomDesignSpace
 from repro.hw.datatypes import (
@@ -69,6 +68,7 @@ from repro.hw.datatypes import (
 )
 from repro.rules import REGISTRY as RULES
 from repro.rules.engine import evaluate_rules, has_failures
+from repro.runtime import BatchEvaluator
 from repro.utils.atomic import write_atomic
 from repro.utils.errors import CampaignError, MCCMError, reject_unknown_fields
 from repro.workloads import REGISTRY
@@ -111,6 +111,22 @@ def _precision_from_dict(data: Optional[Mapping[str, str]]) -> Precision:
 
 def _reject_unknown(data: Mapping[str, Any], allowed: Sequence[str], where: str) -> None:
     reject_unknown_fields(data, allowed, where, CampaignError)
+
+
+def _pairs_to_dicts(pairs: Iterable[ScoredDesign]) -> List[Dict[str, Any]]:
+    """(design, report) pairs -> their checkpoint and result form, with the
+    lossless report round-trip; :func:`_pairs_from_dicts` inverts it."""
+    return [
+        {"design": design.to_dict(), "report": report_to_dict(report)}
+        for design, report in pairs
+    ]
+
+
+def _pairs_from_dicts(data: Iterable[Mapping[str, Any]]) -> List[ScoredDesign]:
+    return [
+        (CustomDesign.from_dict(entry["design"]), report_from_dict(entry["report"]))
+        for entry in data
+    ]
 
 
 # --- the declarative spec -----------------------------------------------------
@@ -394,25 +410,13 @@ class ParetoArchive:
         )
 
     def to_dicts(self) -> List[Dict[str, Any]]:
-        return [
-            {"design": design.to_dict(), "report": report_to_dict(report)}
-            for design, report in self.front()
-        ]
+        return _pairs_to_dicts(self._entries)
 
     @classmethod
     def from_dicts(
         cls, data: Sequence[Mapping[str, Any]], cost_metric: str
     ) -> "ParetoArchive":
-        return cls(
-            cost_metric,
-            entries=[
-                (
-                    CustomDesign.from_dict(entry["design"]),
-                    report_from_dict(entry["report"]),
-                )
-                for entry in data
-            ],
-        )
+        return cls(cost_metric, entries=_pairs_from_dicts(data))
 
 
 # --- per-cell progress (the checkpointable unit) ------------------------------
@@ -442,10 +446,7 @@ class CellProgress:
             "rng_state": (
                 _rng_state_to_json(self.rng_state) if self.rng_state is not None else None
             ),
-            "population": [
-                {"design": design.to_dict(), "report": report_to_dict(report)}
-                for design, report in self.population
-            ],
+            "population": _pairs_to_dicts(self.population),
             "archive": self.archive.to_dicts() if self.archive is not None else [],
             "evaluations": self.evaluations,
             "infeasible": self.infeasible,
@@ -463,13 +464,7 @@ class CellProgress:
                 if data.get("rng_state") is not None
                 else None
             ),
-            population=[
-                (
-                    CustomDesign.from_dict(entry["design"]),
-                    report_from_dict(entry["report"]),
-                )
-                for entry in data["population"]
-            ],
+            population=_pairs_from_dicts(data["population"]),
             archive=ParetoArchive.from_dicts(data["archive"], cost_metric),
             evaluations=data["evaluations"],
             infeasible=data["infeasible"],
@@ -507,10 +502,7 @@ class CellResult:
             "hypervolume": self.hypervolume,
         }
         if include_front:
-            payload["front"] = [
-                {"design": design.to_dict(), "report": report_to_dict(report)}
-                for design, report in self.front
-            ]
+            payload["front"] = _pairs_to_dicts(self.front)
         return payload
 
 
@@ -899,7 +891,7 @@ class Campaign:
                 graph = REGISTRY.model(cell.model)
                 board = REGISTRY.board(cell.board, precision=cell.precision)
                 space = CustomDesignSpace(graph.conv_specs(), **space_kwargs)
-                with DesignEvaluator(
+                with BatchEvaluator(
                     graph,
                     board,
                     cell.precision,
@@ -1032,7 +1024,7 @@ class Campaign:
     def _run_evolve_cell(
         self,
         index: int,
-        evaluator: DesignEvaluator,
+        evaluator: BatchEvaluator,
         space: CustomDesignSpace,
         rounds: int,
         max_rounds: Optional[int],
@@ -1041,7 +1033,7 @@ class Campaign:
         config = self.spec.evolution_config()
         seed = self.spec.cell_seed(index)
         rng = random.Random(seed)
-        engine = EvolutionEngine(space, config, evaluator.evaluate_batch, rng)
+        engine = EvolutionEngine(space, config, evaluator.evaluate_designs, rng)
         if progress.initialized:
             # Resume: restore the three state values and replay from the
             # exact point the last completed round checkpointed.
@@ -1094,7 +1086,7 @@ class Campaign:
                 round_evaluations=engine.last_submitted,
                 round_infeasible=engine.last_submitted - len(evaluated),
                 round_seconds=round(elapsed, 6),
-                run_stats=evaluator.runtime.last_run,
+                run_stats=evaluator.last_run,
             )
             rounds += 1
             self.save()
@@ -1102,7 +1094,7 @@ class Campaign:
     def _run_oneshot_cell(
         self,
         index: int,
-        evaluator: DesignEvaluator,
+        evaluator: BatchEvaluator,
         space: CustomDesignSpace,
         rounds: int,
     ) -> int:
@@ -1119,13 +1111,15 @@ class Campaign:
             round="search",
             samples=self.spec.samples,
         )
-        strategy = make_strategy(
+        result = run_search(
             self.spec.strategy,
+            evaluator,
+            space,
+            seed=self.spec.cell_seed(index),
             samples=self.spec.samples,
             cost_metric=self.spec.cost_metric,
             refine_top=self.spec.refine_top,
         )
-        result = strategy.search(evaluator, space, seed=self.spec.cell_seed(index))
         admitted = self._admissible(index, list(result.evaluated))
         with self._lock:
             progress.archive.update(admitted)
@@ -1143,7 +1137,7 @@ class Campaign:
             round_evaluations=result.stats.evaluated + result.stats.failed,
             round_infeasible=result.stats.failed,
             round_seconds=round(result.stats.elapsed_seconds, 6),
-            run_stats=evaluator.runtime.totals,
+            run_stats=evaluator.totals,
         )
         self._emit_cell_done(index)
         self.save()

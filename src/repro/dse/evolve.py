@@ -154,11 +154,11 @@ class EvolutionEngine:
 
     The engine never owns the evaluator: ``evaluate`` is any batch
     function mapping designs to ``Optional[CostReport]`` in request order
-    (the campaign passes the shared
-    :class:`~repro.dse.sampler.DesignEvaluator`, so fingerprint/segment
-    caches persist across generations). Each generation is submitted as
-    **one** batched call, so the runtime answers repeated designs from
-    its fingerprint cache and shares segment work across the rest.
+    (the campaign passes its cell's
+    :meth:`~repro.runtime.BatchEvaluator.evaluate_designs`, so the
+    fingerprint cache persists across generations). Each generation is
+    submitted as **one** batched call, so the runtime answers repeated
+    designs from its fingerprint cache and costs the rest together.
     Checkpointable state is exactly
     ``(generation, population, rng state)`` — restore those three and the
     remaining generations replay bit-identically.

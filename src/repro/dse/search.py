@@ -3,26 +3,30 @@
 The paper's Use case 3 evaluates a random sample and reads improvements off
 the Pareto front; this module adds a local-search refinement (hill climbing
 from the sampled front) since MCCM evaluations are cheap enough to spend on
-neighbourhoods of promising designs.
+neighbourhoods of promising designs, and runs the NSGA-II evolution of
+:mod:`repro.dse.evolve` start to finish. :func:`run_search` picks one of the
+three by its :data:`~repro.dse.STRATEGY_NAMES` name.
 
-All strategies evaluate through one shared :class:`DesignEvaluator`, so
-the runtime's caches carry across phases: designs ``guided_search``'s
-local refinements revisit answer from the fingerprint cache outright.
+Every search evaluates through one shared
+:class:`~repro.runtime.BatchEvaluator`, so the runtime's caches carry
+across phases: designs ``guided_search``'s local refinements revisit
+answer from the fingerprint cache outright.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.cost.results import CostReport
 from repro.dse import STRATEGY_NAMES
 from repro.dse.evolve import EvolutionConfig, EvolutionEngine, distinct_front
 from repro.dse.objectives import Objective
-from repro.dse.sampler import DesignEvaluator, SampleStats, sample_space
+from repro.dse.sampler import SampleStats, sample_space
 from repro.dse.space import CustomDesign, CustomDesignSpace
+from repro.runtime import BatchEvaluator
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class SearchResult:
 
 
 def random_search(
-    evaluator: DesignEvaluator,
+    evaluator: BatchEvaluator,
     space: CustomDesignSpace,
     samples: int,
     seed: int = 0,
@@ -94,7 +98,7 @@ LOCAL_SEARCH_NEIGHBOURS = 8
 
 
 def local_search(
-    evaluator: DesignEvaluator,
+    evaluator: BatchEvaluator,
     space: CustomDesignSpace,
     start: CustomDesign,
     objective: Objective,
@@ -109,7 +113,7 @@ def local_search(
     """
     rng = random.Random(seed)
     current = start
-    current_report = evaluator.evaluate(current)
+    current_report = evaluator.evaluate_designs([current])[0]
     current_score = objective.score(current_report) if current_report else float("-inf")
     for _ in range(iterations):
         # Draw the whole neighbourhood first: mutation only consumes the
@@ -118,7 +122,7 @@ def local_search(
         # first-best tie-break over the ordered batch keeps the walk
         # deterministic for any jobs count.
         candidates = [space.mutate(current, rng) for _ in range(neighbours)]
-        reports = evaluator.evaluate_batch(candidates)
+        reports = evaluator.evaluate_designs(candidates)
         best_candidate = None
         best_report = None
         best_score = current_score
@@ -135,7 +139,7 @@ def local_search(
 
 
 def guided_search(
-    evaluator: DesignEvaluator,
+    evaluator: BatchEvaluator,
     space: CustomDesignSpace,
     samples: int,
     objective: Objective,
@@ -159,131 +163,67 @@ def guided_search(
     )
 
 
-# --- the strategy protocol ---------------------------------------------------
-# The campaign engine (and the CLI's ``dse --strategy``) treat every search
-# as one interchangeable object; ``guided_search`` & friends above remain the
-# plain-function surface, and these adapters make each one a Strategy.
-
-
-class Strategy(Protocol):
-    """What a pluggable search strategy provides.
-
-    A strategy owns its tuning (sample counts, rates) but not the
-    evaluation context: ``search`` receives the shared evaluator and
-    space, and must be deterministic for a given ``seed`` regardless of
-    the evaluator's parallelism.
-    """
-
-    name: ClassVar[str]
-
-    @property
-    def cost_metric(self) -> str: ...
-
-    def search(
-        self, evaluator: DesignEvaluator, space: CustomDesignSpace, *, seed: int = 0
-    ) -> SearchResult: ...
-
-
-@dataclass(frozen=True)
-class RandomStrategy:
-    """The Fig. 10 baseline: evaluate a flat random sample."""
-
-    name: ClassVar[str] = "random"
-    samples: int = 500
-    cost_metric: str = "buffers"
-
-    def search(
-        self, evaluator: DesignEvaluator, space: CustomDesignSpace, *, seed: int = 0
-    ) -> SearchResult:
-        return random_search(
-            evaluator, space, self.samples, seed=seed, cost_metric=self.cost_metric
-        )
-
-
-@dataclass(frozen=True)
-class GuidedStrategy:
-    """Random sample plus hill-climbing refinement of the sampled front."""
-
-    name: ClassVar[str] = "guided"
-    samples: int = 500
-    cost_metric: str = "buffers"
-    refine_top: int = 5
-
-    def search(
-        self, evaluator: DesignEvaluator, space: CustomDesignSpace, *, seed: int = 0
-    ) -> SearchResult:
-        return guided_search(
-            evaluator,
-            space,
-            self.samples,
-            Objective(cost_metric=self.cost_metric),
-            refine_top=self.refine_top,
-            seed=seed,
-        )
-
-
-@dataclass(frozen=True)
-class EvolutionStrategy:
+def evolve_search(
+    evaluator: BatchEvaluator,
+    space: CustomDesignSpace,
+    config: EvolutionConfig,
+    seed: int = 0,
+) -> SearchResult:
     """NSGA-II evolution (:mod:`repro.dse.evolve`) run start to finish.
 
     The campaign engine steps the same :class:`EvolutionEngine` itself so
-    it can checkpoint between generations; this adapter is the
-    uninterrupted one-call form the CLI and one-off searches use.
+    it can checkpoint between generations; this is the uninterrupted
+    one-call form the CLI and one-off searches use.
     """
-
-    name: ClassVar[str] = "evolve"
-    config: EvolutionConfig = field(default_factory=EvolutionConfig)
-
-    @property
-    def cost_metric(self) -> str:
-        return self.config.cost_metric
-
-    def search(
-        self, evaluator: DesignEvaluator, space: CustomDesignSpace, *, seed: int = 0
-    ) -> SearchResult:
-        engine = EvolutionEngine(
-            space, self.config, evaluator.evaluate_batch, random.Random(seed)
-        )
-        hits_before = evaluator.runtime.totals.cache_hits
-        start = time.perf_counter()
-        evaluated: List[Tuple[CustomDesign, CostReport]] = list(engine.initialize(seed))
-        submitted = engine.last_submitted
-        for _ in range(self.config.generations):
-            evaluated.extend(engine.step())
-            submitted += engine.last_submitted
-        elapsed = time.perf_counter() - start
-        stats = SampleStats(
-            evaluated=len(evaluated),
-            failed=submitted - len(evaluated),
-            elapsed_seconds=elapsed,
-            cache_hits=evaluator.runtime.totals.cache_hits - hits_before,
-            jobs=evaluator.runtime.last_run.jobs,
-        )
-        return SearchResult(
-            evaluated=evaluated,
-            front=distinct_front(evaluated, self.cost_metric),
-            stats=stats,
-            cost_metric=self.cost_metric,
-        )
+    engine = EvolutionEngine(space, config, evaluator.evaluate_designs, random.Random(seed))
+    hits_before = evaluator.totals.cache_hits
+    start = time.perf_counter()
+    evaluated: List[Tuple[CustomDesign, CostReport]] = list(engine.initialize(seed))
+    submitted = engine.last_submitted
+    for _ in range(config.generations):
+        evaluated.extend(engine.step())
+        submitted += engine.last_submitted
+    elapsed = time.perf_counter() - start
+    stats = SampleStats(
+        evaluated=len(evaluated),
+        failed=submitted - len(evaluated),
+        elapsed_seconds=elapsed,
+        cache_hits=evaluator.totals.cache_hits - hits_before,
+        jobs=evaluator.last_run.jobs,
+    )
+    return SearchResult(
+        evaluated=evaluated,
+        front=distinct_front(evaluated, config.cost_metric),
+        stats=stats,
+        cost_metric=config.cost_metric,
+    )
 
 
-def make_strategy(
+def run_search(
     name: str,
+    runtime: BatchEvaluator,
+    space: CustomDesignSpace,
     *,
+    seed: int = 0,
     samples: int = 500,
     cost_metric: str = "buffers",
     refine_top: int = 5,
     evolution: Optional[EvolutionConfig] = None,
-) -> Strategy:
-    """Build a :class:`Strategy` by name with the relevant knobs applied."""
-    key = name.strip().lower()
-    if key == "random":
-        return RandomStrategy(samples=samples, cost_metric=cost_metric)
-    if key == "guided":
-        return GuidedStrategy(
-            samples=samples, cost_metric=cost_metric, refine_top=refine_top
+) -> SearchResult:
+    """Run the strategy ``name`` (one of :data:`~repro.dse.STRATEGY_NAMES`).
+
+    ``samples`` sizes the random and guided searches and ``refine_top`` the
+    guided refinement; ``evolve`` runs ``evolution`` (by default an
+    :class:`EvolutionConfig` for ``cost_metric``).
+    """
+    if name == "random":
+        return random_search(runtime, space, samples, seed=seed, cost_metric=cost_metric)
+    if name == "guided":
+        objective = Objective(cost_metric=cost_metric)
+        return guided_search(
+            runtime, space, samples, objective, refine_top=refine_top, seed=seed
         )
-    if key == "evolve":
+    if name == "evolve":
         config = evolution or EvolutionConfig(cost_metric=cost_metric)
-        return EvolutionStrategy(config=config)
+        return evolve_search(runtime, space, config, seed=seed)
     raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")

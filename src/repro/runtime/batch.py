@@ -413,36 +413,19 @@ class BatchEvaluator:
         """Batch evaluate; ``None`` marks infeasible specs (request order)."""
         return [item.report for item in self.stream(specs, progress=progress)]
 
-    def evaluate_spec(self, spec: ArchitectureSpec) -> Optional[CostReport]:
-        """Evaluate one spec through the cache (no pool round-trip)."""
-        return self.evaluate_specs([spec])[0]
-
-    def evaluate_entry(self, spec: ArchitectureSpec) -> CacheEntry:
-        """Like :meth:`evaluate_spec` but keeps the infeasibility reason."""
-        # Exhaust the stream so its stats finalization runs deterministically
-        # rather than at garbage collection.
-        item = list(self.stream([spec]))[0]
-        return CacheEntry(report=item.report, reason=item.reason)
-
-    # --- DSE conveniences ----------------------------------------------------
-    def stream_designs(
+    def evaluate_designs(
         self, designs: Iterable, progress: Optional[ProgressCallback] = None
-    ) -> Iterator[BatchItem]:
-        """:meth:`stream` over :class:`~repro.dse.space.CustomDesign` points.
+    ) -> List[Optional[CostReport]]:
+        """Batch evaluate :class:`~repro.dse.space.CustomDesign` points.
 
-        The design-level entry point every DSE batch flows through
-        (campaign generations arrive here via
-        ``DesignEvaluator.evaluate_batch``); yields full
-        :class:`BatchItem` records for callers that need per-design
-        feasibility reasons. The evaluator — and with it the worker pool
-        and fingerprint cache — is meant to be reused across generations,
-        so each generation's batch starts warm.
+        The entry point of every DSE batch (samples, local-search
+        neighbourhoods, campaign generations). The evaluator, and with it
+        the worker pool and fingerprint cache, is meant to be reused across
+        batches, so each generation starts warm.
         """
-        return self.stream([design.to_spec() for design in designs], progress=progress)
-
-    def evaluate_designs(self, designs: Iterable, progress=None) -> List[Optional[CostReport]]:
-        """Batch evaluate :class:`~repro.dse.space.CustomDesign` points."""
-        return [item.report for item in self.stream_designs(designs, progress=progress)]
+        return self.evaluate_specs(
+            [design.to_spec() for design in designs], progress=progress
+        )
 
     def cache_info(self) -> dict:
         """Introspection snapshot used by the CLI and benchmarks."""

@@ -27,40 +27,25 @@ loads the client or the load generator.
 
 from repro.utils.lazy import lazy_exports
 
-__getattr__ = lazy_exports(
-    __name__,
-    {
-        "repro.service.client": (
-            "DseResult",
-            "EvaluateResult",
-            "ServiceClient",
-            "ServiceError",
-            "SweepResult",
-        ),
-        "repro.service.handlers": ("ServiceState",),
-        "repro.service.loadtest": (
-            "format_loadtest",
-            "run_loadtest",
-            "run_worker_comparison",
-        ),
-        "repro.service.schema": ("RequestError",),
-        "repro.service.server": ("EvaluationService", "serve"),
-        "repro.service.supervisor": ("Supervisor",),
-    },
-)
+_EXPORTS = {
+    "repro.service.client": (
+        "DseResult",
+        "EvaluateResult",
+        "ServiceClient",
+        "ServiceError",
+        "SweepResult",
+    ),
+    "repro.service.handlers": ("ServiceState",),
+    "repro.service.loadtest": (
+        "format_loadtest",
+        "run_loadtest",
+        "run_worker_comparison",
+    ),
+    "repro.service.schema": ("RequestError",),
+    "repro.service.server": ("EvaluationService", "serve"),
+    "repro.service.supervisor": ("Supervisor",),
+}
 
-__all__ = [
-    "EvaluationService",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceState",
-    "Supervisor",
-    "RequestError",
-    "EvaluateResult",
-    "SweepResult",
-    "DseResult",
-    "serve",
-    "run_loadtest",
-    "run_worker_comparison",
-    "format_loadtest",
-]
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -87,9 +87,8 @@ MAX_EVALUATOR_CONTEXTS = 32
 #: piling up model work until the host thrashes.
 DEFAULT_MAX_INFLIGHT = 64
 
-#: How often (seconds) a worker refreshes its status snapshot in the shared
-#: run directory as a side effect of request accounting; /healthz always
-#: forces a fresh write.
+#: How often (seconds) a fleet worker's status thread rewrites its snapshot
+#: in the shared run directory; /healthz writes a fresh one as well.
 STATUS_WRITE_INTERVAL = 0.25
 
 #: Campaign ids are used as snapshot file names in the shared run
@@ -476,13 +475,22 @@ class ServiceState:
         self._draining = False
         self.shared_dir = Path(shared_dir) if shared_dir is not None else None
         self._status_path: Optional[Path] = None
-        self._last_status_write = 0.0
+        self._status_stop = threading.Event()
+        self._status_thread: Optional[threading.Thread] = None
         if self.shared_dir is not None:
             self.workers_dir = self.shared_dir / "workers"
             self.campaigns_dir = self.shared_dir / "campaigns"
             self.workers_dir.mkdir(parents=True, exist_ok=True)
             self.campaigns_dir.mkdir(parents=True, exist_ok=True)
             self._status_path = self.workers_dir / f"{self.pid}.json"
+            # Requests only count; this thread publishes the counts, so no
+            # request waits on the write and a burst's tail is not lost.
+            self._status_thread = threading.Thread(
+                target=self._publish_worker_status,
+                name="repro-worker-status",
+                daemon=True,
+            )
+            self._status_thread.start()
         #: O(1) entry counts for /healthz when a disk cache is configured;
         #: reads through the cache's sqlite index, shared across workers.
         self._cache_probe = DiskCache(cache_dir) if cache_dir is not None else None
@@ -551,18 +559,13 @@ class ServiceState:
             "runtime": self.runtime_totals().to_dict(),
         }
 
-    def write_worker_status(self, force: bool = False) -> None:
+    def write_worker_status(self) -> None:
         """Refresh this worker's snapshot in the shared run directory.
 
-        Throttled to :data:`STATUS_WRITE_INTERVAL` so per-request calls stay
-        cheap; best effort — a full disk must not fail the request.
+        Best effort: a full disk must not fail the caller.
         """
         if self._status_path is None:
             return
-        now = time.monotonic()
-        if not force and now - self._last_status_write < STATUS_WRITE_INTERVAL:
-            return
-        self._last_status_write = now
         try:
             write_atomic(
                 self._status_path,
@@ -571,6 +574,10 @@ class ServiceState:
             )
         except OSError:
             pass
+
+    def _publish_worker_status(self) -> None:
+        while not self._status_stop.wait(STATUS_WRITE_INTERVAL):
+            self.write_worker_status()
 
     def read_worker_statuses(self) -> list:
         """Every sibling worker's latest snapshot (including this one's)."""
@@ -839,7 +846,11 @@ class ServiceState:
             return len(self._evaluators)
 
     def close(self) -> None:
-        """Tear down every evaluator's worker pool (idempotent)."""
+        """Stop the status thread and tear down every evaluator's worker
+        pool (idempotent)."""
+        self._status_stop.set()
+        if self._status_thread is not None:
+            self._status_thread.join()
         with self._registry_lock:
             contexts = list(self._evaluators.values())
             self._evaluators.clear()
@@ -908,7 +919,7 @@ def handle_healthz(state: ServiceState) -> Response:
         # Multi-worker fleet: fold every sibling's snapshot in so one
         # /healthz (served by whichever worker accepted it) reports the
         # whole service, with the per-worker breakdown alongside.
-        state.write_worker_status(force=True)
+        state.write_worker_status()
         workers = state.read_worker_statuses()
         payload["workers"] = workers
         payload["worker_count"] = len(workers)
@@ -1235,19 +1246,14 @@ def handle_campaign_path(
 
 
 def handle_dse(state: ServiceState, request: DseRequest) -> Response:
-    from repro.dse import CustomDesignSpace, DesignEvaluator, random_search
+    from repro.dse import CustomDesignSpace, random_search
 
     context = state.evaluator_for(request.model, request.board, request.precision)
     evaluator = context.evaluator
     space = CustomDesignSpace(evaluator.graph.conv_specs())
-    # The DesignEvaluator is a veneer over the *shared* runtime; it is not
-    # closed here because closing it would tear down the service's evaluator.
-    design_evaluator = DesignEvaluator(
-        evaluator.graph, evaluator.board, request.precision, runtime=evaluator
-    )
     with context:
         result = random_search(
-            design_evaluator,
+            evaluator,
             space,
             samples=request.samples,
             seed=request.seed,

@@ -571,7 +571,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _answer(self, path: str, result: Tuple[int, Dict[str, Any]]) -> None:
         status, payload = result
         self.state.count_request(path, ok=status < 400)
-        self.state.write_worker_status()
         self._send_json(status, payload)
 
     def _refuse(self, path: str, error: schema.RequestError) -> None:
@@ -629,7 +628,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
             # (draining waits them out — the generator itself exits early
             # on drain) but are counted once, up front.
             self.state.count_request(path, ok=True)
-            self.state.write_worker_status()
             self.deferred = partial(self._stream, result, gated)
             return
         try:

@@ -108,13 +108,13 @@ def run_worker(
         sock = bound_socket(host, port, reuse_port=True)
     loop = ServingLoop(sock, state)
     stop_on_signals(loop)
-    state.write_worker_status(force=True)
+    state.write_worker_status()
     logger.info(
         "worker %d (pid %d) serving on %s:%d",
         worker_index, os.getpid(), *sock.getsockname()[:2],
     )
     loop.run(drain_seconds)
-    state.write_worker_status(force=True)
+    state.write_worker_status()
     state.close()
     return 0
 

@@ -104,16 +104,16 @@ class TestEvolvePrimitives:
         from tests.conftest import build_tiny_cnn
 
         from repro.dse.evolve import EvolutionEngine
-        from repro.dse.sampler import DesignEvaluator
+        from repro.runtime import BatchEvaluator
 
         cnn = build_tiny_cnn()
         # Sparse set: 3 CEs would be in the min..max range but is excluded.
         space = CustomDesignSpace(cnn.conv_specs(), ce_counts=(2, 4))
-        with DesignEvaluator(cnn, roomy_board) as evaluator:
+        with BatchEvaluator(cnn, roomy_board) as evaluator:
             engine = EvolutionEngine(
                 space,
                 EvolutionConfig(population=8, generations=3),
-                evaluator.evaluate_batch,
+                evaluator.evaluate_designs,
                 random.Random(11),
             )
             seen = list(engine.initialize(11))

@@ -26,8 +26,8 @@ from repro.core.cost.export import report_to_dict
 from repro.core.cost.results import CostReport
 from repro.dse.campaign import ParetoArchive
 from repro.dse.evolve import ScoredDesign, design_key
-from repro.dse.sampler import DesignEvaluator
 from repro.dse.space import CustomDesign, CustomDesignSpace
+from repro.runtime import BatchEvaluator
 
 
 def _dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -261,12 +261,12 @@ def pool(roomy_board):
     function of the design, so a draw never gives one key two reports)."""
     from tests.conftest import build_tiny_cnn
 
-    with DesignEvaluator(build_tiny_cnn(), roomy_board) as evaluator:
+    with BatchEvaluator(build_tiny_cnn(), roomy_board) as evaluator:
         space = CustomDesignSpace(
             evaluator.builder.conv_specs, ce_counts=(2, 3, 4)
         )
         designs = list(space.sample(24, seed=11))
-        reports = evaluator.evaluate_batch(designs)
+        reports = evaluator.evaluate_designs(designs)
     return [pair for pair in zip(designs, reports) if pair[1] is not None]
 
 

@@ -3,13 +3,8 @@
 import pytest
 
 from repro.api import sweep
-from repro.dse import (
-    CustomDesignSpace,
-    DesignEvaluator,
-    Objective,
-    guided_search,
-    sample_space,
-)
+from repro.dse import CustomDesignSpace, Objective, guided_search, sample_space
+from repro.runtime import BatchEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +70,8 @@ class TestSampleSpaceParallel:
     def test_same_designs_any_jobs(self, context):
         cnn, board = context
         space = CustomDesignSpace(cnn.conv_specs(), ce_counts=(2, 3, 4))
-        serial, _ = sample_space(DesignEvaluator(cnn, board), space, 12, seed=3)
-        with DesignEvaluator(cnn, board, jobs=2) as evaluator:
+        serial, _ = sample_space(BatchEvaluator(cnn, board), space, 12, seed=3)
+        with BatchEvaluator(cnn, board, jobs=2) as evaluator:
             parallel, stats = sample_space(evaluator, space, 12, seed=3)
         assert [(d, r) for d, r in parallel] == [(d, r) for d, r in serial]
         assert stats.jobs == 2
@@ -84,7 +79,7 @@ class TestSampleSpaceParallel:
     def test_cache_hits_reported(self, context):
         cnn, board = context
         space = CustomDesignSpace(cnn.conv_specs(), ce_counts=(2, 3, 4))
-        evaluator = DesignEvaluator(cnn, board)
+        evaluator = BatchEvaluator(cnn, board)
         _, first = sample_space(evaluator, space, 10, seed=4)
         _, second = sample_space(evaluator, space, 10, seed=4)
         assert first.cache_hits == 0
@@ -97,9 +92,9 @@ class TestGuidedSearchDeterminism:
         space = CustomDesignSpace(cnn.conv_specs(), ce_counts=(2, 3, 4))
         objective = Objective(cost_metric="buffers")
         serial = guided_search(
-            DesignEvaluator(cnn, board), space, samples=10, objective=objective, seed=11
+            BatchEvaluator(cnn, board), space, samples=10, objective=objective, seed=11
         )
-        with DesignEvaluator(cnn, board, jobs=2) as evaluator:
+        with BatchEvaluator(cnn, board, jobs=2) as evaluator:
             parallel = guided_search(
                 evaluator, space, samples=10, objective=objective, seed=11
             )
@@ -110,7 +105,7 @@ class TestGuidedSearchDeterminism:
         cnn, board = context
         space = CustomDesignSpace(cnn.conv_specs(), ce_counts=(2, 3, 4))
         objective = Objective(cost_metric="buffers")
-        evaluator = DesignEvaluator(cnn, board)
+        evaluator = BatchEvaluator(cnn, board)
         a = guided_search(evaluator, space, samples=8, objective=objective, seed=5)
         b = guided_search(evaluator, space, samples=8, objective=objective, seed=5)
         assert _keys(a) == _keys(b)

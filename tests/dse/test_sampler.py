@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.dse.sampler import DesignEvaluator, sample_space
+from repro.dse.sampler import sample_space
 from repro.dse.space import CustomDesign, CustomDesignSpace
+from repro.runtime import BatchEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -11,28 +12,30 @@ def setup(roomy_board):
     from tests.conftest import build_tiny_cnn
 
     cnn = build_tiny_cnn()
-    evaluator = DesignEvaluator(cnn, roomy_board)
+    evaluator = BatchEvaluator(cnn, roomy_board)
     space = CustomDesignSpace(evaluator.builder.conv_specs, ce_counts=(2, 3, 4))
     return evaluator, space
 
 
-class TestDesignEvaluator:
+class TestEvaluateDesigns:
     def test_returns_report(self, setup):
         evaluator, space = setup
         design = CustomDesign(pipelined_layers=2, cuts=(5,), num_layers=8)
-        report = evaluator.evaluate(design)
+        [report] = evaluator.evaluate_designs([design])
         assert report is not None
         assert report.latency_cycles > 0
 
     def test_caches_results(self, setup):
         evaluator, _ = setup
         design = CustomDesign(pipelined_layers=2, cuts=(5,), num_layers=8)
-        assert evaluator.evaluate(design) is evaluator.evaluate(design)
+        [first] = evaluator.evaluate_designs([design])
+        [second] = evaluator.evaluate_designs([design])
+        assert first is second
 
     def test_custom_name_in_report(self, setup):
         evaluator, _ = setup
         design = CustomDesign(pipelined_layers=1, cuts=(4, 6), num_layers=8)
-        report = evaluator.evaluate(design)
+        [report] = evaluator.evaluate_designs([design])
         assert report.accelerator_name == "Custom-p1-s3"
 
 

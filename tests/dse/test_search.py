@@ -3,9 +3,9 @@
 import pytest
 
 from repro.dse.objectives import Objective, matches_throughput, throughput_at_most_cost
-from repro.dse.sampler import DesignEvaluator
-from repro.dse.search import guided_search, local_search, random_search
+from repro.dse.search import guided_search, local_search, random_search, run_search
 from repro.dse.space import CustomDesignSpace
+from repro.runtime import BatchEvaluator
 
 
 def assert_distinct_front_designs(result):
@@ -19,7 +19,7 @@ def setup(roomy_board):
     from tests.conftest import build_tiny_cnn
 
     cnn = build_tiny_cnn()
-    evaluator = DesignEvaluator(cnn, roomy_board)
+    evaluator = BatchEvaluator(cnn, roomy_board)
     space = CustomDesignSpace(evaluator.builder.conv_specs, ce_counts=(2, 3, 4))
     return evaluator, space
 
@@ -100,14 +100,10 @@ class TestLocalAndGuidedSearch:
         assert_distinct_front_designs(guided)
 
 
-class TestStrategyProtocol:
+class TestRunSearch:
     def test_random_strategy_matches_function(self, setup):
         evaluator, space = setup
-        from repro.dse.search import make_strategy
-
-        via_strategy = make_strategy("random", samples=12).search(
-            evaluator, space, seed=4
-        )
+        via_strategy = run_search("random", evaluator, space, samples=12, seed=4)
         direct = random_search(evaluator, space, samples=12, seed=4)
         assert [design for design, _ in via_strategy.evaluated] == [
             design for design, _ in direct.evaluated
@@ -118,11 +114,7 @@ class TestStrategyProtocol:
 
     def test_guided_strategy_matches_function(self, setup):
         evaluator, space = setup
-        from repro.dse.search import make_strategy
-
-        via_strategy = make_strategy("guided", samples=10).search(
-            evaluator, space, seed=3
-        )
+        via_strategy = run_search("guided", evaluator, space, samples=10, seed=3)
         direct = guided_search(
             evaluator, space, samples=10, objective=Objective(), seed=3
         )
@@ -133,15 +125,10 @@ class TestStrategyProtocol:
     def test_evolve_strategy_is_seed_deterministic(self, setup):
         evaluator, space = setup
         from repro.dse.evolve import EvolutionConfig
-        from repro.dse.search import make_strategy
 
         config = EvolutionConfig(population=6, generations=2)
-        first = make_strategy("evolve", evolution=config).search(
-            evaluator, space, seed=5
-        )
-        second = make_strategy("evolve", evolution=config).search(
-            evaluator, space, seed=5
-        )
+        first = run_search("evolve", evaluator, space, evolution=config, seed=5)
+        second = run_search("evolve", evaluator, space, evolution=config, seed=5)
         assert [design for design, _ in first.evaluated] == [
             design for design, _ in second.evaluated
         ]
@@ -149,8 +136,7 @@ class TestStrategyProtocol:
         assert first.front
         assert_distinct_front_designs(first)
 
-    def test_unknown_strategy_rejected(self):
-        from repro.dse.search import make_strategy
-
+    def test_unknown_strategy_rejected(self, setup):
+        evaluator, space = setup
         with pytest.raises(ValueError):
-            make_strategy("annealing")
+            run_search("annealing", evaluator, space)

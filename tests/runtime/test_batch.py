@@ -77,7 +77,7 @@ class TestAccounting:
         )
         evaluator = BatchEvaluator(cnn, starved)
         bad = build_template("segmented", cnn.conv_specs(), 8)
-        entry = evaluator.evaluate_entry(bad)
+        [entry] = evaluator.stream([bad])
         assert entry.report is None
         assert "8 CEs exceed" in entry.reason
         assert evaluator.last_run.infeasible == 1
@@ -91,7 +91,7 @@ class TestAccounting:
         # Covers only 4 of the 8 conv layers: a caller error, not an
         # infeasible design — it must raise, never be cached as a skip.
         with pytest.raises(NotationError):
-            evaluator.evaluate_spec(parse_notation("{L1-L4: CE1}"))
+            evaluator.evaluate_specs([parse_notation("{L1-L4: CE1}")])
 
     def test_progress_callback_sees_every_item(self, context, specs):
         cnn, board = context
@@ -276,7 +276,7 @@ class TestMissPath:
         cnn, board = context
         evaluator = BatchEvaluator(cnn, board, jobs=1)
         calls = self._spy(evaluator, monkeypatch)
-        assert evaluator.evaluate_spec(specs[0]) is not None
+        assert evaluator.evaluate_specs([specs[0]])[0] is not None
         assert calls == [[specs[0]]]
 
     def test_hits_and_duplicates_never_reach_kernel(self, context, specs, monkeypatch):
@@ -326,7 +326,7 @@ class TestMissPath:
         batch._worker_init(cnn, starved, inline.precision)
         for spec in mixed:
             entry = batch._worker_evaluate(spec)
-            expected = inline.evaluate_entry(spec)
+            [expected] = inline.stream([spec])
             assert entry.report == expected.report
             assert entry.reason == expected.reason
         assert batch._worker_evaluate(mixed[0]).reason.startswith("ResourceError: ")

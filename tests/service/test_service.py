@@ -26,9 +26,10 @@ from repro.api import evaluate as api_evaluate
 from repro.api import resolve_board, resolve_model
 from repro.api import sweep as api_sweep
 from repro.cnn.zoo import available_models
-from repro.dse import CustomDesignSpace, DesignEvaluator, random_search
+from repro.dse import CustomDesignSpace, random_search
 from repro.hw.boards import available_boards
 from repro.hw.datatypes import DEFAULT_PRECISION, INT8, Precision
+from repro.runtime import BatchEvaluator
 from repro.service import EvaluationService, ServiceClient, ServiceError, handlers, schema
 from repro.service import server as service_server
 from repro.service.handlers import ServiceState
@@ -346,7 +347,7 @@ class TestDse:
         over_http = client.dse(MODEL, BOARD, samples=15, seed=7)
         graph, board = resolve_model(MODEL), resolve_board(BOARD)
         space = CustomDesignSpace(graph.conv_specs())
-        evaluator = DesignEvaluator(graph, board)
+        evaluator = BatchEvaluator(graph, board)
         direct = random_search(evaluator, space, samples=15, seed=7)
         assert over_http.space_size == space.size()
         assert [report for _design, report in over_http.front] == [
@@ -881,6 +882,47 @@ class TestLoopNeverWaits:
             finally:
                 for connection in connections:
                     connection.close()
+
+
+class TestWorkerStatusFile:
+    def test_written_off_the_loop_and_reports_a_whole_burst(self, monkeypatch, tmp_path):
+        """A fleet worker's status file is rewritten by its own thread: the
+        serving loop never writes it, and a burst's last request shows up
+        without waiting for another request to come along."""
+        writers = []
+        write_atomic = handlers.write_atomic
+
+        def spy(path, data, **kwargs):
+            writers.append(threading.current_thread().name)
+            write_atomic(path, data, **kwargs)
+
+        monkeypatch.setattr(handlers, "write_atomic", spy)
+        state = ServiceState(shared_dir=tmp_path)
+        loop = service_server.ServingLoop(service_server.bound_socket("127.0.0.1", 0), state)
+        host, port = loop.listener.getsockname()[:2]
+        serving = threading.Thread(target=loop.run, name="serving-loop", daemon=True)
+        serving.start()
+        try:
+            connection = http.client.HTTPConnection(host, port, timeout=10)
+            for _ in range(20):
+                connection.request("GET", "/models")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            connection.close()
+            status_path = tmp_path / "workers" / f"{state.pid}.json"
+            deadline = time.monotonic() + 1.0
+            while True:
+                status = json.loads(status_path.read_text()) if status_path.exists() else {}
+                if status.get("requests") == {"/models": 20} or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            assert status["requests"] == {"/models": 20}
+            assert writers and "serving-loop" not in writers
+        finally:
+            loop.request_stop()
+            serving.join(10)
+            state.close()
 
 
 class TestWorkloadRegistration:
