@@ -146,21 +146,47 @@ def guided_search(
     refine_top: int = 5,
     seed: int = 0,
 ) -> SearchResult:
-    """Random sample followed by local refinement of the sampled front."""
+    """Random sample followed by local refinement of the sampled front;
+    the stats count both phases' designs, cache hits and time."""
+    submitted_before = evaluator.totals.submitted
+    hits_before = evaluator.totals.cache_hits
+    start = time.perf_counter()
     base = random_search(evaluator, space, samples, seed=seed, cost_metric=objective.cost_metric)
     refined: List[Tuple[CustomDesign, CostReport]] = list(base.evaluated)
+    climbs = _FeasibleTally(evaluator)
     for index, (design, _report) in enumerate(list(base.front)[:refine_top]):
         improved, report = local_search(
-            evaluator, space, design, objective, seed=seed + index + 1
+            climbs, space, design, objective, seed=seed + index + 1
         )
         if report is not None:
             refined.append((improved, report))
+    evaluated = base.stats.evaluated + climbs.feasible
+    stats = SampleStats(
+        evaluated=evaluated,
+        failed=evaluator.totals.submitted - submitted_before - evaluated,
+        elapsed_seconds=time.perf_counter() - start,
+        cache_hits=evaluator.totals.cache_hits - hits_before,
+        jobs=base.stats.jobs,
+    )
     return SearchResult(
         evaluated=refined,
         front=distinct_front(refined, objective.cost_metric),
-        stats=base.stats,
+        stats=stats,
         cost_metric=objective.cost_metric,
     )
+
+
+class _FeasibleTally:
+    """An evaluator's ``evaluate_designs`` that counts the feasible reports."""
+
+    def __init__(self, evaluator: BatchEvaluator) -> None:
+        self.evaluator = evaluator
+        self.feasible = 0
+
+    def evaluate_designs(self, designs: Sequence[CustomDesign]) -> List[Optional[CostReport]]:
+        reports = self.evaluator.evaluate_designs(designs)
+        self.feasible += sum(report is not None for report in reports)
+        return reports
 
 
 def evolve_search(

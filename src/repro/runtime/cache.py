@@ -9,26 +9,23 @@ The disk cache writes one JSON document per key, sharded into 256
 two-hex-digit subdirectories to keep directory listings sane at DSE scale,
 and writes atomically (:func:`repro.utils.atomic.write_atomic`) so concurrent readers —
 including sibling worker processes sharing the directory — never observe
-torn files.  A sqlite index alongside the entries makes entry counts O(1)
-for the service /healthz endpoint instead of a directory walk.
+torn files.  The entry files are the directory's only state: its entry
+count is one walk of the shard directories.
 """
 
 from __future__ import annotations
 
 import json
-import threading
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from repro.core.cost.export import report_from_dict, report_to_dict
 from repro.core.cost.results import CostReport
 from repro.utils.atomic import write_atomic
 from repro.utils.errors import MCCMError
-
-if TYPE_CHECKING:  # sqlite3 loads when a disk cache opens its index
-    import sqlite3
 
 #: Format marker stored inside every disk-cache document.
 DISK_CACHE_FORMAT = 1
@@ -86,98 +83,6 @@ class LRUCache:
         self._entries.clear()
 
 
-class _CacheIndex:
-    """Sqlite key index shared by every process using one cache directory.
-
-    Purely an acceleration structure: the JSON entry files stay the source
-    of truth, so a corrupt or missing index degrades to a directory walk
-    rather than to wrong answers.  WAL mode plus a busy timeout lets N
-    pre-forked service workers record entries concurrently.
-    """
-
-    def __init__(self, directory: Path) -> None:
-        import sqlite3
-
-        self.path = directory / "index.sqlite3"
-        self._lock = threading.Lock()
-        self._connection: Optional[sqlite3.Connection] = None
-        try:
-            connection = sqlite3.connect(
-                str(self.path), timeout=5.0, check_same_thread=False
-            )
-            connection.execute("PRAGMA journal_mode=WAL")
-            connection.execute("PRAGMA synchronous=NORMAL")
-            connection.execute(
-                "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY)"
-            )
-            connection.commit()
-            self._connection = connection
-        except sqlite3.Error:
-            self._connection = None
-
-    @property
-    def available(self) -> bool:
-        return self._connection is not None
-
-    def record(self, key: str) -> None:
-        import sqlite3
-
-        if self._connection is None:
-            return
-        try:
-            with self._lock:
-                self._connection.execute(
-                    "INSERT OR IGNORE INTO entries (key) VALUES (?)", (key,)
-                )
-                self._connection.commit()
-        except sqlite3.Error:
-            self._disable()
-
-    def count(self) -> Optional[int]:
-        import sqlite3
-
-        if self._connection is None:
-            return None
-        try:
-            with self._lock:
-                row = self._connection.execute(
-                    "SELECT COUNT(*) FROM entries"
-                ).fetchone()
-            return int(row[0])
-        except sqlite3.Error:
-            self._disable()
-            return None
-
-    def reconcile(self, keys) -> None:
-        """Bulk-register keys found on disk but missing from the index."""
-        import sqlite3
-
-        if self._connection is None:
-            return
-        try:
-            with self._lock:
-                self._connection.executemany(
-                    "INSERT OR IGNORE INTO entries (key) VALUES (?)",
-                    ((key,) for key in keys),
-                )
-                self._connection.commit()
-        except sqlite3.Error:
-            self._disable()
-
-    def _disable(self) -> None:
-        import sqlite3
-
-        connection, self._connection = self._connection, None
-        if connection is not None:
-            try:
-                connection.close()
-            except sqlite3.Error:
-                pass
-
-    def close(self) -> None:
-        self._disable()
-
-
 class DiskCache:
     """One-JSON-file-per-key persistent store under a cache directory.
 
@@ -197,12 +102,6 @@ class DiskCache:
             ) from error
         self.hits = 0
         self.misses = 0
-        self._index = _CacheIndex(self.directory)
-        if self._index.available and not self._index.count():
-            # A fresh index over a directory that already has entries (made
-            # by an older version, or rebuilt after deletion) is seeded from
-            # one directory walk; after that every put() keeps it current.
-            self._index.reconcile(path.stem for path in self._entry_paths())
 
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
@@ -247,23 +146,28 @@ class DiskCache:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, json.dumps(payload).encode("utf-8"))
-        self._index.record(key)
-
-    def _entry_paths(self):
-        # Exclude hidden temp files a killed run may have orphaned
-        # mid-write (older versions named them .tmp-*.json).
-        return (
-            path
-            for path in self.directory.glob("*/*.json")
-            if not path.name.startswith(".")
-        )
 
     def __len__(self) -> int:
-        count = self._index.count()
-        if count is not None:
-            return count
-        return sum(1 for _ in self._entry_paths())
+        """The entry files (``*/*.json``), counted by one directory walk.
 
-    def close(self) -> None:
-        """Release the index connection (entry files need no teardown)."""
-        self._index.close()
+        Hidden files are not entries: a killed run may have orphaned a
+        temp file mid-write (older versions named them ``.tmp-*.json``).
+        """
+        count = 0
+        for shard in _scan(self.directory):
+            if shard.is_dir():
+                count += sum(
+                    entry.name.endswith(".json") and not entry.name.startswith(".")
+                    for entry in _scan(shard.path)
+                )
+        return count
+
+
+def _scan(directory: Union[str, Path]) -> list:
+    """The entries of ``directory``; none when it cannot be read (say, a
+    directory removed while it was counted)."""
+    try:
+        with os.scandir(directory) as entries:
+            return list(entries)
+    except OSError:
+        return []

@@ -110,9 +110,10 @@ STREAM_SETTLED_GRACE_POLLS = 4
 
 class NeedsThread(Exception):
     """A serving loop met work it does not do: a context whose lock another
-    thread holds, a context not built yet, or a design its context's
+    thread holds, a context not built yet, a design its context's
     in-memory cache lacks (answering it evaluates, or reads and writes the
-    disk tier).
+    disk tier), or a ``/healthz`` or ``/campaign`` answer that reads or
+    writes files.
 
     The loop never waits on a lock or on work it cannot bound, so the
     server moves the request to a thread of its own (see :func:`never_wait`).
@@ -124,8 +125,8 @@ _loop_thread = threading.local()
 
 def never_wait(on: bool = True) -> None:
     """On the calling thread, raise :class:`NeedsThread` where a request
-    would wait on a context's lock, build a context or miss the in-memory
-    cache (``on=False`` undoes it)."""
+    would wait on a context's lock, build a context, miss the in-memory
+    cache or touch the disk (``on=False`` undoes it)."""
     _loop_thread.never_wait = on
 
 
@@ -491,8 +492,8 @@ class ServiceState:
                 daemon=True,
             )
             self._status_thread.start()
-        #: O(1) entry counts for /healthz when a disk cache is configured;
-        #: reads through the cache's sqlite index, shared across workers.
+        #: Counts the disk tier's entry files for /healthz, which counts
+        #: off the serving loop; opened here, so no request opens one.
         self._cache_probe = DiskCache(cache_dir) if cache_dir is not None else None
 
     # --- backpressure and draining -------------------------------------------
@@ -810,8 +811,9 @@ class ServiceState:
                         evicted.append(self._evaluators.pop(next(iter(self._evaluators))))
                     break
             # Built outside the registry lock, which a serving loop takes
-            # (the memo hit above, /healthz): opening a disk tier may wait
-            # on other workers' writes. Graph construction is cached by the
+            # (the memo hit above, /healthz): building the context (its
+            # builder's layer table and context fingerprint) takes 1-2 ms
+            # for a zoo model. Graph construction is cached by the
             # registry, so this is the only per-context cost.
             evaluator = BatchEvaluator(
                 graph,
@@ -856,8 +858,6 @@ class ServiceState:
             self._evaluators.clear()
         for context in contexts:
             context.evaluator.close()
-        if self._cache_probe is not None:
-            self._cache_probe.close()
 
     # --- request accounting --------------------------------------------------
     def count_request(self, endpoint: str, ok: bool) -> None:
@@ -891,6 +891,8 @@ def _resolve_spec(
 
 
 def handle_healthz(state: ServiceState) -> Response:
+    if _on_loop() and (state.cache_dir is not None or state.shared_dir is not None):
+        raise NeedsThread()  # counting cache entries, the fleet's status files
     totals = state.runtime_totals()
     with state._counter_lock:
         requests = dict(state.request_counts)
@@ -1143,6 +1145,8 @@ def handle_campaign_get(state: ServiceState, campaign_id: str) -> Response:
 
 def handle_campaign_list(state: ServiceState) -> Response:
     """``GET /campaign``: every job this service (all workers) started."""
+    if _on_loop():
+        raise NeedsThread()  # sibling snapshots, the jobs' locks
     return 200, {"campaigns": state.campaign_listing()}
 
 
@@ -1232,6 +1236,8 @@ def handle_campaign_path(
     state: ServiceState, suffix: str, query: Mapping[str, str]
 ) -> Union[Response, StreamingResponse]:
     """Route ``GET /campaign/<id>`` and ``GET /campaign/<id>/events``."""
+    if _on_loop():
+        raise NeedsThread()  # sibling snapshots, a job's lock and fronts
     campaign_id, _, tail = suffix.partition("/")
     if not tail:
         return handle_campaign_get(state, campaign_id)

@@ -83,9 +83,10 @@ SPIN_SECONDS = 100e-6
 #: Bytes taken from a connection per ``recv``.
 RECV_BYTES = 65536
 
-#: Routes whose model work the loop cannot bound: each such request runs
-#: on a thread of its own.
-THREAD_ROUTES = frozenset({("POST", "/sweep"), ("POST", "/dse")})
+#: Routes whose work the loop cannot bound (model work; a campaign's spec,
+#: which loads the DSE layer, and its first snapshot): each such request
+#: runs on a thread of its own.
+THREAD_ROUTES = frozenset({("POST", "/sweep"), ("POST", "/dse"), ("POST", "/campaign")})
 
 #: ``POST /evaluate`` bodies a loop remembers, by hash (it forgets them all
 #: when it holds this many). A body it has not seen is a cold request,

@@ -5,9 +5,9 @@ processes. Each worker runs one :class:`~repro.service.server.ServingLoop`
 on its main thread, as ``EvaluationService`` does in-process; the
 processes cooperate through two shared pieces of disk state:
 
-* the fingerprint cache's disk tier (``DiskCache``, atomic
-  write-tmp-fsync-rename entries plus a sqlite index), so a design warmed
-  by any worker is a warm hit in every other — including a freshly
+* the fingerprint cache's disk tier (``DiskCache``, one atomic
+  write-tmp-fsync-rename file per entry and nothing else), so a design
+  warmed by any worker is a warm hit in every other — including a freshly
   restarted replacement after a crash;
 * a run directory with per-worker status snapshots (aggregated by
   ``/healthz``) and mirrored campaign snapshots (so ``GET /campaign/<id>``

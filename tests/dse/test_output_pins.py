@@ -33,7 +33,7 @@ CLI_PINS = {
     "guided": (
         ["--samples", "30", "--seed", "3"],
         "6b2ea0412684111a65f6b077024a31242ee55cb8740857efa6c505d9b3dde48a",
-        "66b0672ad3ffc28712cb208b5c5119699a4e3b917e71c755153233d592faaba9",
+        "47b59e095ec19ab8ec1fd81016ee2025436506138e742d2a77c52e1e1eb6a1ac",
     ),
     "evolve": (
         ["--population", "16", "--generations", "5", "--seed", "2"],

@@ -99,6 +99,32 @@ class TestLocalAndGuidedSearch:
         assert guided.stats.evaluated > 0
         assert_distinct_front_designs(guided)
 
+    def test_guided_stats_count_the_refinement(self, monkeypatch):
+        from repro.hw.boards import FPGABoard
+        from tests.conftest import build_tiny_cnn
+
+        # Three DSPs: some of the sample and of the refinement is infeasible.
+        board = FPGABoard(name="tiny", dsp_count=3, bram_bytes=256 * 1024, bandwidth_gbps=2.0)
+        evaluator = BatchEvaluator(build_tiny_cnn(), board)
+        space = CustomDesignSpace(evaluator.builder.conv_specs, ce_counts=(2, 3, 4))
+        reports = []
+        evaluate_designs = evaluator.evaluate_designs
+
+        def spy(designs, progress=None):
+            batch = evaluate_designs(designs, progress=progress)
+            reports.extend(batch)
+            return batch
+
+        monkeypatch.setattr(evaluator, "evaluate_designs", spy)
+        stats = guided_search(evaluator, space, samples=30, objective=Objective(), seed=1).stats
+        totals = evaluator.totals
+        assert len(reports) == totals.submitted > 30  # the refinement submits too
+        feasible = sum(report is not None for report in reports)
+        assert (stats.evaluated, stats.failed) == (feasible, len(reports) - feasible)
+        assert stats.failed > 0
+        assert stats.cache_hits == totals.cache_hits > 0
+        assert stats.elapsed_seconds >= totals.elapsed_seconds
+
 
 class TestRunSearch:
     def test_random_strategy_matches_function(self, setup):

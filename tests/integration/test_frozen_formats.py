@@ -66,13 +66,9 @@ def _resave_checkpoint(scratch):
 
 
 def _resave_cache_entry(scratch):
-    source = DiskCache(scratch / "cache")
-    entry = source.get(CACHE_KEY)
-    source.close()
+    entry = DiskCache(scratch / "cache").get(CACHE_KEY)
     assert entry is not None and entry.report is not None
-    target = DiskCache(scratch / "out")
-    target.put(CACHE_KEY, entry)
-    target.close()
+    DiskCache(scratch / "out").put(CACHE_KEY, entry)
     relative = Path(CACHE_KEY[:2]) / f"{CACHE_KEY}.json"
     return Path("cache") / relative, scratch / "out" / relative
 

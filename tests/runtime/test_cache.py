@@ -166,34 +166,35 @@ class TestDiskCache:
         first = DiskCache(tmp_path / "cache")
         second = DiskCache(tmp_path / "cache")
         first.put("de" * 32, CacheEntry(report=report))
-        # The sqlite index is the shared source for counts, so a sibling
-        # attached to the same directory sees the new entry without a walk.
+        # The entry files are the shared source for counts, so a sibling
+        # attached to the same directory sees the new entry.
         assert len(second) == 1
         second.put("f0" * 32, CacheEntry(report=report))
         assert len(first) == 2
-        first.close()
-        second.close()
 
-    def test_index_rebuilt_from_directory_walk(self, tmp_path, report):
-        cache = DiskCache(tmp_path / "cache")
-        cache.put("0a" * 32, CacheEntry(report=report))
-        cache.put("0b" * 32, CacheEntry(report=report))
-        cache.close()
-        (tmp_path / "cache" / "index.sqlite3").unlink()
-        rebuilt = DiskCache(tmp_path / "cache")
-        assert len(rebuilt) == 2  # reconciled from the entry files
+    def test_stale_index_files_not_counted(self, tmp_path, report):
+        """An older version's sqlite index sits beside the shard
+        directories; only ``<shard>/<key>.json`` files count."""
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        for name in ("index.sqlite3", "index.sqlite3-wal", "index.sqlite3-shm"):
+            (directory / name).write_bytes(b"stale")
+        cache = DiskCache(directory)
+        cache.put("3e" * 32, CacheEntry(report=report))
+        assert len(cache) == 1
 
-    def test_degrades_to_walk_when_index_unavailable(self, tmp_path, report):
-        cache = DiskCache(tmp_path / "cache")
-        cache.put("1c" * 32, CacheEntry(report=report))
-        cache._index._disable()
-        assert not cache._index.available
-        cache.put("2d" * 32, CacheEntry(report=report))  # still succeeds
-        assert len(cache) == 2  # glob fallback
-        assert cache.get("2d" * 32) is not None
+    def test_put_writes_only_shard_directories(self, tmp_path, report):
+        directory = tmp_path / "cache"
+        cache = DiskCache(directory)
+        for key in ("4f" * 32, "4a" * 32):
+            cache.put(key, CacheEntry(report=report))
+        assert sorted(path.name for path in directory.iterdir()) == ["4a", "4f"]
+        assert all(path.is_dir() for path in directory.iterdir())
 
-    def test_close_is_idempotent(self, tmp_path):
+    def test_a_removed_directory_counts_no_entries(self, tmp_path, report):
+        import shutil
+
         cache = DiskCache(tmp_path / "cache")
-        cache.close()
-        cache.close()
+        cache.put("5b" * 32, CacheEntry(report=report))
+        shutil.rmtree(tmp_path / "cache")
         assert len(cache) == 0

@@ -850,6 +850,94 @@ class TestLoopNeverWaits:
                 thread.join(60)
         assert results["cold"].report == api_evaluate(MODEL, BOARD, "segmented", 4)
 
+    def test_a_held_cache_count_delays_no_other_request(self, monkeypatch, tmp_path):
+        """``/healthz`` counts the disk tier's entry files; while the count
+        waits, other connections answer."""
+        from repro.runtime import cache
+
+        entered, release = threading.Event(), threading.Event()
+        count = cache.DiskCache.__len__
+
+        def held_count(self):
+            if threading.current_thread() is not threading.main_thread():
+                entered.set()
+                release.wait(30)
+            return count(self)
+
+        results = {}
+
+        def health():
+            results["health"] = ServiceClient(service.url, timeout=60).healthz()
+
+        with EvaluationService(port=0, cache_dir=str(tmp_path)) as service:
+            client = ServiceClient(service.url, timeout=10)
+            assert client.evaluate(MODEL, BOARD, "segmented", 4).feasible
+            monkeypatch.setattr(cache.DiskCache, "__len__", held_count)
+            thread = threading.Thread(target=health)
+            thread.start()
+            try:
+                assert entered.wait(30)
+                start = time.perf_counter()
+                assert client.models()
+                assert time.perf_counter() - start < 1.0
+                assert not results
+            finally:
+                release.set()
+                thread.join(60)
+        assert results["health"]["shared_cache"] == {"dir": str(tmp_path), "entries": 1}
+
+    @pytest.mark.parametrize(
+        "path", ["/healthz", "/campaign", "/campaign/c1-1", "/campaign/c1-1/events"]
+    )
+    def test_fleet_file_reads_delay_no_other_request(self, monkeypatch, tmp_path, path):
+        """In a fleet, ``/healthz`` reads the workers' status files and the
+        ``/campaign`` routes a sibling's snapshot; while a read waits, other
+        connections answer."""
+        entered, release = threading.Event(), threading.Event()
+        read_json = handlers._read_json
+
+        def held_read(*args):
+            if threading.current_thread() is not threading.main_thread():
+                entered.set()
+                release.wait(30)
+            return read_json(*args)
+
+        state = ServiceState(shared_dir=tmp_path)
+        snapshot = {"id": "c1-1", "state": "done", "started": 1.0, "campaign": {"name": "x"}}
+        (tmp_path / "campaigns" / "c1-1.json").write_text(json.dumps(snapshot))
+        monkeypatch.setattr(handlers, "_read_json", held_read)
+        loop = service_server.ServingLoop(service_server.bound_socket("127.0.0.1", 0), state)
+        host, port = loop.listener.getsockname()[:2]
+        serving = threading.Thread(target=loop.run, daemon=True)
+        serving.start()
+        statuses = {}
+
+        def get(name, target, timeout):
+            connection = http.client.HTTPConnection(host, port, timeout=timeout)
+            try:
+                connection.request("GET", target)
+                response = connection.getresponse()
+                response.read()
+                statuses[name] = response.status
+            finally:
+                connection.close()
+
+        held = threading.Thread(target=get, args=("held", path, 60))
+        held.start()
+        try:
+            assert entered.wait(30)
+            start = time.perf_counter()
+            get("models", "/models", 10)
+            assert time.perf_counter() - start < 1.0
+            assert statuses == {"models": 200}
+        finally:
+            release.set()
+            held.join(60)
+            loop.request_stop()
+            serving.join(10)
+            state.close()
+        assert statuses == {"models": 200, "held": 200}
+
     def test_the_loop_builds_no_context(self):
         state = ServiceState()
         try:

@@ -167,4 +167,3 @@ def test_failing_cache_put_leaves_no_entry(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert cache.get(key) is None
     assert list((tmp_path / "cache" / "ab").iterdir()) == []
-    cache.close()
