@@ -164,8 +164,11 @@ class BatchEvaluator:
         results are identical either way. ``1`` always evaluates inline —
         bit-identical to the historical serial path. ``0`` means "one per
         CPU"; any other integer forces that many workers.
-    cache_entries:
-        Capacity of the in-memory LRU.
+    memory:
+        The in-memory tier: by default a private 65,536-entry
+        :class:`LRUCache`. Evaluators of different contexts may share one
+        (a fingerprint hashes its context, so their keys never collide);
+        a service worker's contexts all do.
     cache_dir:
         Optional directory for the persistent JSON cache shared across
         processes and runs.
@@ -186,7 +189,7 @@ class BatchEvaluator:
         precision: Precision = DEFAULT_PRECISION,
         *,
         jobs: Union[int, str] = "auto",
-        cache_entries: int = 65536,
+        memory: Optional[LRUCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         segment_cache_entries: int = 0,
         progress: Optional[ProgressCallback] = None,
@@ -210,7 +213,7 @@ class BatchEvaluator:
         self.progress = progress
         self._builder = MultipleCEBuilder(graph, board, precision)
         self._context = self._builder.context
-        self._memory = LRUCache(max_entries=cache_entries)
+        self._memory = memory if memory is not None else LRUCache()
         self._disk = DiskCache(cache_dir) if cache_dir is not None else None
         self._kernel = PopulationKernel(self._builder)
         self._pool: Optional[multiprocessing.pool.Pool] = None

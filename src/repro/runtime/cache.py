@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Hashable, Optional, Union
 
 from repro.core.cost.export import report_from_dict, report_to_dict
 from repro.core.cost.results import CostReport
@@ -48,39 +49,41 @@ class CacheEntry:
 
 
 class LRUCache:
-    """A size-bounded least-recently-used map of fingerprint -> entry."""
+    """A size-bounded least-recently-used map, safe to share between
+    threads (a service worker's evaluators, each under its own lock, share
+    one)."""
 
     def __init__(self, max_entries: int = 65536) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def get(self, key: str) -> Optional[CacheEntry]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
+    def get(self, key: Hashable) -> Any:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry
 
-    def put(self, key: str, entry: CacheEntry) -> None:
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
+    def put(self, key: Hashable, entry: Any) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
 
 
 class DiskCache:

@@ -4,8 +4,10 @@ The service's whole point is that many clients share one warm evaluation
 cache: :class:`ServiceState` keeps a single :class:`BatchEvaluator` per
 (CNN, board, precision) context — created lazily on first use, keyed by the
 runtime's context fingerprint — and every endpoint routes its model work
-through it. Repeated and concurrent requests for the same design therefore
-cost one evaluation total, and a request replayed against a warm service
+through it. Every context's evaluator reads and fills one in-memory report
+LRU, and ``/evaluate`` keeps one replay memo; :data:`MEMORY_BUDGET` bounds
+each. Repeated and concurrent requests for the same design therefore cost
+one evaluation total, and a request replayed against a warm service
 answers from memory in microseconds.
 
 Handlers are plain functions ``(state, validated_request) -> (status, dict)``
@@ -22,7 +24,10 @@ import threading
 import time
 from pathlib import Path
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
+    Union,
+)
 
 import repro
 from repro.api import sweep
@@ -38,7 +43,7 @@ from repro.dse.events import (
 )
 from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import Precision
-from repro.runtime import BatchEvaluator, BatchItem, RunStats
+from repro.runtime import BatchEvaluator, RunStats
 from repro.runtime.cache import DiskCache, LRUCache
 from repro.runtime.fingerprint import context_fingerprint
 from repro.rules import BUILTIN_RESOURCES
@@ -78,9 +83,16 @@ MAX_RUNNING_CAMPAIGNS = 4
 
 #: Evaluation contexts kept warm at once. Contexts are content-keyed, so a
 #: client iterating on a registered model (each edit is a new fingerprint)
-#: would otherwise grow the evaluator map — and its caches — forever; the
-#: least-recently-used context beyond this cap is closed and dropped.
+#: would otherwise grow the evaluator map forever; the least-recently-used
+#: context beyond this cap is closed and dropped (its reports stay in the
+#: worker's LRU).
 MAX_EVALUATOR_CONTEXTS = 32
+
+#: Entries a worker keeps warm in each of its two in-memory stores: the
+#: report LRU every context's evaluator shares, and the ``/evaluate``
+#: replay memo. It is the whole bound on a worker's warm state, however
+#: many contexts it serves.
+MEMORY_BUDGET = 65536
 
 #: Default bound on model-work requests (POSTs) in flight per worker.
 #: Beyond it the server answers a typed 429 with Retry-After instead of
@@ -110,10 +122,11 @@ STREAM_SETTLED_GRACE_POLLS = 4
 
 class NeedsThread(Exception):
     """A serving loop met work it does not do: a context whose lock another
-    thread holds, a context not built yet, a design its context's
+    thread holds, a request the replay memo lacks (answering it resolves
+    names, and may hash and build a context), a design the worker's
     in-memory cache lacks (answering it evaluates, or reads and writes the
-    disk tier), or a ``/healthz`` or ``/campaign`` answer that reads or
-    writes files.
+    disk tier), a stale ``/models`` catalog, or a ``/healthz`` or
+    ``/campaign`` answer that reads or writes files.
 
     The loop never waits on a lock or on work it cannot bound, so the
     server moves the request to a thread of its own (see :func:`never_wait`).
@@ -125,8 +138,8 @@ _loop_thread = threading.local()
 
 def never_wait(on: bool = True) -> None:
     """On the calling thread, raise :class:`NeedsThread` where a request
-    would wait on a context's lock, build a context, miss the in-memory
-    cache or touch the disk (``on=False`` undoes it)."""
+    would wait on a context's lock, look up or build a context, miss the
+    in-memory cache or touch the disk (``on=False`` undoes it)."""
     _loop_thread.never_wait = on
 
 
@@ -316,35 +329,17 @@ class CampaignJob:
 
 
 class EvaluationContext:
-    """One (CNN, board, precision) context: its shared evaluator, the lock
-    callers hold around any use of it, and three memos the same lock guards.
+    """One (CNN, board, precision) context: its shared evaluator and the
+    lock callers hold around any use of it (``BatchEvaluator`` is not
+    itself thread-safe: ``last_run``, the worker pool).
 
     ``with context:`` holds the lock; on a :func:`never_wait` thread a held
     lock raises :class:`NeedsThread` instead of waiting.
-
-    ``BatchEvaluator`` is not itself thread-safe (LRU bookkeeping,
-    ``last_run``). The memos let ``/evaluate`` answer a replayed design
-    without rebuilding, hashing, judging or re-encoding anything, and hold
-    at most ``memo_entries`` entries each (the evaluator's LRU capacity):
-
-    * ``specs``: (architecture, ce_count) as requested -> the resolved
-      spec and its fingerprint;
-    * ``reports``: fingerprint -> the report's JSON text, encoded for the
-      first answer that carried it;
-    * ``verdicts``: (fingerprint, ruleset name) -> the verdict list's JSON
-      text, valid for one rule-registry generation (a ruleset replaced
-      under the same name must be judged again).
-
-    Only ``/evaluate`` fills them: sweeps, DSE and campaigns encode nothing.
     """
 
-    def __init__(self, evaluator: BatchEvaluator, memo_entries: int) -> None:
+    def __init__(self, evaluator: BatchEvaluator) -> None:
         self.evaluator = evaluator
         self.lock = threading.Lock()
-        self.specs = LRUCache(memo_entries)
-        self.reports = LRUCache(memo_entries)
-        self.verdicts = LRUCache(memo_entries)
-        self._verdicts_generation: Optional[int] = None
 
     def __enter__(self) -> "EvaluationContext":
         if not self.lock.acquire(not _on_loop()):
@@ -354,56 +349,30 @@ class EvaluationContext:
     def __exit__(self, *_exc) -> None:
         self.lock.release()
 
-    def spec_for(
-        self, architecture: str, ce_count: Optional[int]
-    ) -> Tuple[ArchitectureSpec, str]:
-        """:func:`_resolve_spec` and the spec's fingerprint, memoized
-        (failures are not)."""
-        key = (architecture, ce_count)
-        resolved = self.specs.get(key)
-        if resolved is None:
-            spec = _resolve_spec(self.evaluator, architecture, ce_count)
-            resolved = (spec, self.evaluator.key_for(spec))
-            self.specs.put(key, resolved)
-        return resolved
 
-    def report_json(self, item: BatchItem) -> Optional[RawJSON]:
-        """The wire form of ``item``'s report (None when infeasible)."""
-        if item.report is None:
-            return None
-        text = self.reports.get(item.key)
-        if text is None:
-            text = RawJSON(json.dumps(report_to_dict(item.report)))
-            self.reports.put(item.key, text)
-        return text
+class Replay(NamedTuple):
+    """What a warm ``POST /evaluate`` reuses: the fingerprints of its
+    context and its design, the resolved spec, and the JSON texts of the
+    report (None when infeasible) and of the verdicts; or, for a spec that
+    cannot be built, only why. A tuple, because a worker may hold 65,536
+    of them."""
 
-    def verdicts_json(self, item: BatchItem, ruleset: str) -> Union[RawJSON, list]:
-        """The wire form of ``ruleset``'s verdicts on ``item``'s report.
+    context: str
+    spec: Optional[ArchitectureSpec]
+    key: Optional[str] = None
+    report: Optional[RawJSON] = None
+    verdicts: Optional[RawJSON] = None
+    reason: Optional[str] = None
 
-        Verdicts depend on the report, the ruleset and the context's board
-        and precision, so (fingerprint, ruleset name) keys them while the
-        rule registry's generation stands still. The generation is read
-        before the rules run: a ruleset replaced meanwhile leaves a memo
-        the next request drops.
-        """
-        if item.report is None:
-            return []
-        generation = RULES.generation
-        if generation != self._verdicts_generation:
-            self.verdicts.clear()
-            self._verdicts_generation = generation
-        key = (item.key, ruleset)
-        text = self.verdicts.get(key)
-        if text is None:
-            verdicts = evaluate_rules(
-                item.report,
-                ruleset,
-                board=self.evaluator.board,
-                precision=self.evaluator.precision,
-            )
-            text = RawJSON(json.dumps([verdict.to_dict() for verdict in verdicts]))
-            self.verdicts.put(key, text)
-        return text
+
+def rss_mib() -> Optional[float]:
+    """This process's resident MiB (``VmRSS``), or None without ``/proc``."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            kib = next(line.split()[1] for line in status if line.startswith("VmRSS:"))
+    except (OSError, StopIteration):
+        return None
+    return round(int(kib) / 1024, 2)
 
 
 class ServiceState:
@@ -413,6 +382,10 @@ class ServiceState:
     count of each :class:`BatchEvaluator` (1 = evaluate inline on the thread
     that serves the request), and ``cache_dir`` an optional on-disk cache
     shared by every context and persisted across service restarts.
+
+    The worker's warm state is two stores of at most :data:`MEMORY_BUDGET`
+    entries each: ``memory``, the report LRU every context's evaluator
+    shares, and ``replays``, the ``/evaluate`` replay memo.
 
     ``max_inflight`` bounds concurrent model-work requests (POSTs) before
     the server answers 429 ``backpressure``. ``shared_dir`` (set by the
@@ -426,7 +399,6 @@ class ServiceState:
         *,
         jobs: Union[int, str] = 1,
         cache_dir: Optional[str] = None,
-        cache_entries: int = 65536,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         shared_dir: Optional[Union[str, Path]] = None,
         worker_index: Optional[int] = None,
@@ -435,20 +407,22 @@ class ServiceState:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.jobs = jobs
         self.cache_dir = cache_dir
-        self.cache_entries = cache_entries
         self.started = time.time()
+        self.memory = LRUCache(MEMORY_BUDGET)
+        #: (request, workload generation, rule generation) -> its Replay.
+        self.replays = LRUCache(MEMORY_BUDGET)
+        #: Guards the evaluator map; the serving loop takes it.
         self._registry_lock = threading.Lock()
         #: runtime context fingerprint (graph content + board + precision)
-        #: -> its evaluation context. Content-keyed, so two names for the
-        #: same registered graph share one warm evaluator (and its memos),
-        #: while a re-registered (edited) graph gets a fresh context.
+        #: -> its evaluation context, least recently used first. Content-
+        #: keyed, so two names for the same registered graph share one
+        #: evaluator, while a re-registered (edited) graph gets a fresh one.
         self._evaluators: Dict[str, EvaluationContext] = {}
-        #: Resolved (graph, board, precision), and the request's (model,
-        #: board, precision) as sent, -> its context fingerprint; both
-        #: valid for workload-registry generation ``_context_generation``
-        #: and guarded by ``_registry_lock`` (see :meth:`evaluator_for`).
+        #: Held while a context is hashed or built; the loop never takes it.
+        self._build_lock = threading.Lock()
+        #: Resolved (graph, board, precision) -> its context fingerprint,
+        #: valid for workload-registry generation ``_context_generation``.
         self._context_keys: Dict[Tuple[CNNGraph, FPGABoard, Precision], str] = {}
-        self._request_keys = LRUCache(cache_entries)
         self._context_generation: Optional[int] = None
         self._counter_lock = threading.Lock()
         self.request_counts: Dict[str, int] = {}
@@ -558,6 +532,16 @@ class ServiceState:
             "errors": errors,
             "cpu_seconds": time.process_time(),
             "runtime": self.runtime_totals().to_dict(),
+            "memory": self.memory_status(),
+        }
+
+    def memory_status(self) -> Dict[str, Any]:
+        """This worker's warm state against its budget, and its RSS."""
+        return {
+            "entries": len(self.memory),
+            "replays": len(self.replays),
+            "budget": self.memory.max_entries,
+            "rss_mib": rss_mib(),
         }
 
     def write_worker_status(self) -> None:
@@ -591,11 +575,6 @@ class ServiceState:
                 statuses.append(status)
         statuses.sort(key=lambda s: (s.get("worker") or 0, s.get("pid") or 0))
         return statuses
-
-    def shared_cache_entries(self) -> Optional[int]:
-        if self._cache_probe is None:
-            return None
-        return len(self._cache_probe)
 
     # --- campaign registry ---------------------------------------------------
     def start_campaign(self, campaign: Campaign) -> CampaignJob:
@@ -730,6 +709,8 @@ class ServiceState:
                 and self._catalog_generation == generation
             ):
                 return self._model_catalog
+        if _on_loop():
+            raise NeedsThread()  # a build summarizes every registered graph
         # Build outside the lock: racing requests may duplicate the work,
         # but never block each other behind graph construction.
         catalog = [
@@ -741,94 +722,66 @@ class ServiceState:
         return catalog
 
     # --- evaluator registry --------------------------------------------------
+    def context(self, key: str) -> Optional[EvaluationContext]:
+        """The built context whose fingerprint is ``key`` (now the most
+        recently used), or None."""
+        with self._registry_lock:
+            entry = self._evaluators.pop(key, None)
+            if entry is not None:
+                self._evaluators[key] = entry
+            return entry
+
     def evaluator_for(
         self, model: str, board: str, precision: Precision
     ) -> EvaluationContext:
         """The shared evaluation context for one (model, board, precision).
 
         Callers must hold the context's ``lock`` around any use of its
-        evaluator or memos; contexts are independent, so requests for
-        different (model, board, precision) triples still run concurrently.
+        evaluator; contexts are independent, so requests for different
+        (model, board, precision) triples still run concurrently.
 
         The evaluator map is keyed by the runtime's *content-derived*
-        context fingerprint — the same path every other layer uses. Two
-        memos find that key, both valid for one workload-registry
-        generation (a registration may change what a name means, and
-        ``replace=True`` may even hand back the same graph object with
-        edited content):
-
-        * the request's (model, board, precision) as sent -> its key, so a
-          repeated request neither resolves names nor hashes anything. A
-          hit still moves the context to the LRU end; only names that
-          resolved are memoized, so unknown names and unsupported
-          precisions keep failing on every call;
-        * the resolved (graph, board, precision) -> its key, so spellings
-          of one context (``SqueezeNet``, ``sqz``) share one fingerprint
-          run, which reruns shape inference and hashes the whole context.
-
-        On a serving loop (:func:`never_wait`) only the first memo answers;
-        past it, :class:`NeedsThread` is raised.
+        context fingerprint. A memo maps the resolved (graph, board,
+        precision) to it, so spellings of one context (``SqueezeNet``,
+        ``sqz``) share one fingerprint run (0.4-2.1 ms for a zoo model). The
+        memo is valid for one workload-registry generation: a registration
+        may change what a name means, and ``replace=True`` may even hand
+        back the same graph object with edited content. Hashing and
+        building hold the build lock, so each context is hashed and built
+        once however many requests race for it, while the serving loop,
+        which raises :class:`NeedsThread` here, waits on none of it.
         """
-        request = (model, board, precision)
+        if _on_loop():
+            raise NeedsThread()  # resolving names, hashing, building
         # Read before resolving: a registration racing this call then
         # leaves a memo that the next call drops.
         generation = REGISTRY.generation
-        with self._registry_lock:
-            if generation == self._context_generation:
-                key = self._request_keys.get(request)
-                entry = self._evaluators.pop(key, None) if key is not None else None
-                if entry is not None:
-                    self._evaluators[key] = entry
-                    return entry
-        if _on_loop():
-            raise NeedsThread()  # resolving names and building a context
         graph = REGISTRY.model(model)
         fpga = REGISTRY.board(board, precision=precision)
-        context = (graph, fpga, precision)
-        built: Optional[EvaluationContext] = None
+        resolved = (graph, fpga, precision)
         evicted = []
-        while True:
-            with self._registry_lock:
-                if generation != self._context_generation:
-                    self._context_keys.clear()
-                    self._request_keys.clear()
-                    self._context_generation = generation
-                key = self._context_keys.get(context)
-                if key is None:
-                    key = self._context_keys[context] = context_fingerprint(*context)
-                entry = self._evaluators.pop(key, None)
-                if entry is None:
-                    entry = built
-                elif built is not None:
-                    evicted.append(built)  # another request built it meanwhile
-                if entry is not None:
-                    # Re-insert at the end: the dict doubles as LRU order,
-                    # so re-registered (content-edited) workloads eventually
-                    # push their stale contexts out instead of leaking them.
+        with self._build_lock:
+            if generation != self._context_generation:
+                self._context_keys.clear()
+                self._context_generation = generation
+            key = self._context_keys.get(resolved)
+            if key is None:
+                key = self._context_keys[resolved] = context_fingerprint(*resolved)
+            entry = self.context(key)
+            if entry is None:
+                entry = EvaluationContext(BatchEvaluator(
+                    *resolved, jobs=self.jobs, memory=self.memory, cache_dir=self.cache_dir
+                ))
+                with self._registry_lock:
+                    # The dict doubles as LRU order, so re-registered
+                    # (content-edited) workloads eventually push their
+                    # stale contexts out instead of leaking them.
                     self._evaluators[key] = entry
-                    self._request_keys.put(request, key)
                     while len(self._evaluators) > MAX_EVALUATOR_CONTEXTS:
                         evicted.append(self._evaluators.pop(next(iter(self._evaluators))))
-                    break
-            # Built outside the registry lock, which a serving loop takes
-            # (the memo hit above, /healthz): building the context (its
-            # builder's layer table and context fingerprint) takes 1-2 ms
-            # for a zoo model. Graph construction is cached by the
-            # registry, so this is the only per-context cost.
-            evaluator = BatchEvaluator(
-                graph,
-                fpga,
-                precision,
-                jobs=self.jobs,
-                cache_entries=self.cache_entries,
-                cache_dir=self.cache_dir,
-            )
-            built = EvaluationContext(evaluator, self.cache_entries)
         for stale in evicted:
-            # Close outside the registry lock; taking the per-evaluator lock
-            # waits out any request still using it (requests never acquire
-            # the registry lock while holding an evaluator lock, so this
-            # cannot deadlock, and a serving loop never gets here).
+            # Holding no other lock: taking the context's lock waits out
+            # any request still using it.
             with stale.lock:
                 stale.evaluator.close()
         return entry
@@ -911,12 +864,10 @@ def handle_healthz(state: ServiceState) -> Response:
         "errors": errors,
         "cpu_seconds": time.process_time(),
         "runtime": totals.to_dict(),
+        "memory": state.memory_status(),
     }
     if state.cache_dir is not None:
-        payload["shared_cache"] = {
-            "dir": state.cache_dir,
-            "entries": state.shared_cache_entries(),
-        }
+        payload["shared_cache"] = {"dir": state.cache_dir, "entries": len(state._cache_probe)}
     if state.shared_dir is not None:
         # Multi-worker fleet: fold every sibling's snapshot in so one
         # /healthz (served by whichever worker accepted it) reports the
@@ -941,6 +892,11 @@ def handle_healthz(state: ServiceState) -> Response:
             runtime.get("cache_hits", 0) / submitted if submitted else 0.0
         )
         payload["runtime"] = runtime
+        # Entries and RSS add up; the budget is each worker's.
+        memory = _sum_counter_dicts(w.get("memory", {}) for w in workers)
+        memory["budget"] = state.memory.max_entries
+        memory["rss_mib"] = round(memory["rss_mib"], 2) if "rss_mib" in memory else None
+        payload["memory"] = memory
     return 200, payload
 
 
@@ -1024,46 +980,75 @@ def _verdict_dicts(request, report, board) -> list:
 
 
 def handle_evaluate(state: ServiceState, request: EvaluateRequest) -> Response:
-    """``POST /evaluate``: one design, through the context's shared cache.
+    """``POST /evaluate``: one design, through the worker's shared cache.
 
-    A replayed design costs a cache read: its spec and fingerprint, its
-    report's JSON text and its verdicts' JSON text come from the context's
-    memos, so only the small envelope around them is encoded per request.
+    A replayed request costs one memo lookup: its context, spec and
+    fingerprint, its report's JSON text and its verdicts' JSON text come
+    from the worker's replay memo, so only the small envelope around them
+    is encoded per request. The design still goes through its context's
+    evaluator, whose counters see every replay; a report the worker's LRU
+    has dropped since is evaluated again, to the same text.
     """
-    context = state.evaluator_for(request.model, request.board, request.precision)
-    rules = request.rules if request.rules is not None else BUILTIN_RESOURCES
+    # Read before any name resolves: a registration racing this request
+    # leaves an entry under the old generations, which no later request
+    # looks up.
+    memo_key = (request, REGISTRY.generation, RULES.generation)
+    replay = state.replays.get(memo_key)
+    context = state.context(replay.context) if replay is not None else None
+    if context is None:  # a new request, or its context was evicted
+        replay = None
+        context = state.evaluator_for(request.model, request.board, request.precision)
+    evaluator = context.evaluator
     base = {
         "model": request.model,
         "board": request.board,
         "architecture": request.architecture,
         "ce_count": request.ce_count,
         "precision": precision_to_dict(request.precision),
-        "rules": rules,
+        "rules": request.rules if request.rules is not None else BUILTIN_RESOURCES,
     }
-    with context:
+    if replay is None:
         try:
-            spec, key = context.spec_for(request.architecture, request.ce_count)
+            spec = _resolve_spec(evaluator, request.architecture, request.ce_count)
         except ResourceError as error:
             # Infeasible before evaluation even starts (e.g. more CEs than
             # layers): an answer, not an error — same contract as api.sweep.
-            base.update(
-                {"feasible": False, "cached": False, "report": None,
-                 "reason": f"{type(error).__name__}: {error}", "verdicts": []}
-            )
-            return 200, base
-        if not context.evaluator.in_memory(key) and _on_loop():
-            raise NeedsThread()  # a miss evaluates, or reads the disk tier
-        item = next(iter(context.evaluator.stream([spec], keys=[key])))
-        report = context.report_json(item)
-        verdicts = context.verdicts_json(item, rules)
+            replay = Replay(evaluator.context, None, reason=f"{type(error).__name__}: {error}")
+            state.replays.put(memo_key, replay)
+    if replay is not None and replay.spec is None:
+        base.update(
+            {"feasible": False, "cached": False, "report": None,
+             "reason": replay.reason, "verdicts": []}
+        )
+        return 200, base
+    with context:
+        if replay is None:
+            key = evaluator.key_for(spec)
+        else:
+            spec, key = replay.spec, replay.key
+            # Another context's evaluator may evict the entry before the
+            # read below; the loop then evaluates it, to the same answer.
+            if _on_loop() and not evaluator.in_memory(key):
+                raise NeedsThread()  # a miss evaluates, or reads the disk tier
+        item = next(iter(evaluator.stream([spec], keys=[key])))
+    if replay is None:
+        report = item.report
+        replay = Replay(
+            evaluator.context,
+            spec,
+            key,
+            RawJSON(json.dumps(report_to_dict(report))) if report is not None else None,
+            RawJSON(json.dumps(_verdict_dicts(request, report, evaluator.board))),
+        )
+        state.replays.put(memo_key, replay)
     base.update(
         {
             "feasible": item.feasible,
             "cached": item.cached,
-            "fingerprint": item.key,
-            "report": report,
+            "fingerprint": key,
+            "report": replay.report,
             "reason": item.reason,
-            "verdicts": verdicts,
+            "verdicts": replay.verdicts,
         }
     )
     return 200, base

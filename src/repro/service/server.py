@@ -5,11 +5,12 @@ every keep-alive connection. It frames each request once from the
 connection's receive buffer (:func:`frame_head` keeps ``http.server``'s
 limits and answers), answers ``POST /evaluate`` and the GET routes
 inline, and sends each reply from the connection's output buffer without
-blocking. Work the loop cannot bound — ``POST /sweep``, ``POST /dse``,
-event streams, and an ``/evaluate`` that its context's in-memory cache
-cannot answer or whose context another thread holds — runs on a thread
-that owns the connection until its reply is out and then hands the
-connection back. Every request goes through the process-wide
+blocking. Work the loop cannot bound — ``POST /sweep``, ``/dse``,
+``/campaign`` and the registrations, event streams, a stale ``/models``
+catalog, and an ``/evaluate`` that the replay memo or the worker's
+in-memory cache cannot answer or whose context another thread holds —
+runs on a thread that owns the connection until its reply is out and then
+hands the connection back. Every request goes through the process-wide
 :class:`~repro.service.handlers.ServiceState`, so all clients share one
 warm evaluation cache.
 
@@ -84,9 +85,12 @@ SPIN_SECONDS = 100e-6
 RECV_BYTES = 65536
 
 #: Routes whose work the loop cannot bound (model work; a campaign's spec,
-#: which loads the DSE layer, and its first snapshot): each such request
-#: runs on a thread of its own.
-THREAD_ROUTES = frozenset({("POST", "/sweep"), ("POST", "/dse"), ("POST", "/campaign")})
+#: which loads the DSE layer, and its first snapshot; a registration, which
+#: checks a definition of up to a MiB): each such request runs on a thread
+#: of its own.
+THREAD_ROUTES = frozenset(
+    ("POST", route) for route in ("/sweep", "/dse", "/campaign", "/models", "/boards", "/rules")
+)
 
 #: ``POST /evaluate`` bodies a loop remembers, by hash (it forgets them all
 #: when it holds this many). A body it has not seen is a cold request,
@@ -1060,15 +1064,9 @@ class EvaluationService:
         *,
         jobs: Union[int, str] = 1,
         cache_dir: Optional[str] = None,
-        cache_entries: int = 65536,
         max_inflight: int = handlers.DEFAULT_MAX_INFLIGHT,
     ) -> None:
-        self.state = ServiceState(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            cache_entries=cache_entries,
-            max_inflight=max_inflight,
-        )
+        self.state = ServiceState(jobs=jobs, cache_dir=cache_dir, max_inflight=max_inflight)
         listener = bound_socket(host, port)
         self._address: Tuple[str, int] = listener.getsockname()[:2]
         self._loop = ServingLoop(listener, self.state)

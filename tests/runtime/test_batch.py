@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.architectures import build_template
-from repro.runtime import BatchEvaluator
+from repro.runtime import BatchEvaluator, LRUCache
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +186,25 @@ class TestDiskPersistence:
         again = BatchEvaluator(cnn, board, cache_dir=cache_dir)
         assert again.evaluate_specs(specs) == cold
         assert again.last_run.disk_hits == len(specs)
+
+
+class TestSharedMemory:
+    def test_evaluators_share_one_lru_without_collisions(self, context, specs, small_board):
+        cnn, board = context
+        memory = LRUCache(max_entries=64)
+        first = BatchEvaluator(cnn, board, jobs=1, memory=memory)
+        other = BatchEvaluator(cnn, small_board, jobs=1, memory=memory)
+        reports = first.evaluate_specs(specs)
+        # Same specs, another board: none of the first context's entries.
+        assert other.evaluate_specs(specs) == BatchEvaluator(
+            cnn, small_board, jobs=1
+        ).evaluate_specs(specs)
+        assert other.last_run.memory_hits == 0
+        assert len(memory) == 2 * len(specs)
+        # A new evaluator of the first context starts warm.
+        again = BatchEvaluator(cnn, board, jobs=1, memory=memory)
+        assert again.evaluate_specs(specs) == reports
+        assert again.last_run.memory_hits == len(specs)
 
 
 class TestAutoJobs:

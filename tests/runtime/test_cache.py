@@ -1,6 +1,8 @@
 """Tests for the LRU and on-disk evaluation caches."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -47,6 +49,37 @@ class TestLRUCache:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             LRUCache(max_entries=0)
+
+    def test_shared_between_threads(self):
+        # A tiny switch interval interleaves the threads inside get and
+        # put; unguarded, a get moves the entry another thread's put just
+        # evicted (a KeyError in most runs).
+        cache = LRUCache(max_entries=1)
+        errors = []
+
+        def churn(offset):
+            try:
+                for index in range(10000):
+                    key = (offset + index) % 2
+                    if cache.get(key) is None:
+                        cache.put(key, CacheEntry(report=None, reason=str(key)))
+            except Exception as error:  # pragma: no cover - failure reporting
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and len(cache) == 1
+        assert cache.hits + cache.misses == 6 * 10000
+        assert all(cache.get(key).reason == str(key) for key in list(cache._entries))
 
 
 class TestReportRoundTrip:

@@ -1,14 +1,14 @@
-"""``POST /evaluate``'s per-context memos and the bytes they put on the wire.
+"""``POST /evaluate``'s replay memo and the bytes it puts on the wire.
 
-A replayed design is answered from three memos beside its context's
-evaluator (resolved spec and fingerprint; report JSON text; verdict JSON
-text) with the texts spliced into the encoded envelope, and finds that
-context through a memo of the request's names. These tests pin that the
-spliced body is exactly ``json.dumps`` of its payload, that the report is
-the library's, and that the memos stay bounded, follow re-registered
-models and rulesets, keep name and precision errors, and really skip the
-template build, the hashing, the rules and the report encoding on a warm
-replay.
+A replayed request is answered from the worker's replay memo (its
+context, resolved spec and fingerprint, report JSON text and verdict JSON
+text) with the texts spliced into the encoded envelope, while the design
+itself goes through the worker's shared report LRU. These tests pin that
+the spliced body is exactly ``json.dumps`` of its payload, that the report
+is the library's, and that both stores stay within the worker's budget,
+follow re-registered models and rulesets, keep name and precision errors,
+and really skip the template build, the hashing, the rules and the report
+encoding on a warm replay.
 """
 
 import http.client
@@ -98,6 +98,22 @@ class TestWireBytes:
         assert answers[0] == answers[1]
         assert answers[0]["feasible"] is False and answers[0]["report"] is None
 
+    def test_an_unbuildable_spec_is_tried_once(self, monkeypatch):
+        builds = []
+        build_template = handlers.build_template
+
+        def counting(*args):
+            builds.append(args)
+            return build_template(*args)
+
+        monkeypatch.setattr(handlers, "build_template", counting)
+        with EvaluationService(port=0) as service:
+            answers = [
+                post_evaluate(service, {"architecture": "segmented", "ce_count": 99})
+                for _ in range(3)
+            ]
+        assert len(set(answers)) == 1 and len(builds) == 1
+
 
 class TestDumpPayload:
     REPORT = {"name": "x", "latency_ms": 1.25, "blocks": [{"ce": 1}, {"ce": 2}]}
@@ -128,25 +144,23 @@ class TestDumpPayload:
 
 
 class TestMemos:
-    def test_memos_stay_within_cache_entries(self):
+    def test_memos_stay_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(handlers, "MEMORY_BUDGET", 2)
         cycle = [
             {"architecture": "segmented", "ce_count": 2},
             {"architecture": "segmented", "ce_count": 3},
             {"architecture": "segmentedrr", "ce_count": 2},
         ]
         spellings = ["squeezenet", "SqueezeNet", "sqz"]
-        with EvaluationService(port=0, cache_entries=2) as service:
+        with EvaluationService(port=0) as service:
             first = [post_evaluate(service, design) for design in cycle]
             for _ in range(2):
                 again = [
                     post_evaluate(service, {**design, "model": model})
                     for design, model in zip(cycle, spellings)
                 ]
-                context = service.state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION)
-                assert len(context.specs) <= 2
-                assert len(context.reports) <= 2
-                assert len(context.verdicts) <= 2
-                assert len(service.state._request_keys) <= 2
+                assert len(service.state.replays) <= 2
+                assert len(service.state.memory) <= 2
                 # Evicted designs are costed again, to the same answer.
                 assert [json.loads(data)["report"] for data in again] == [
                     json.loads(data)["report"] for data in first
@@ -155,16 +169,17 @@ class TestMemos:
                     json.loads(data)["verdicts"] for data in first
                 ]
 
-    def test_concurrent_replays_under_eviction(self):
+    def test_concurrent_replays_under_eviction(self, monkeypatch):
         # More threads than cores, a tiny switch interval and memos smaller
         # than the working set: every answer must still be its design's.
+        monkeypatch.setattr(handlers, "MEMORY_BUDGET", 2)
         cycle = [
             {"architecture": "segmented", "ce_count": 2},
             {"architecture": "segmented", "ce_count": 3},
             {"architecture": "segmentedrr", "ce_count": 2},
         ]
         failures = []
-        with EvaluationService(port=0, cache_entries=2) as service:
+        with EvaluationService(port=0) as service:
             expected = [json.loads(post_evaluate(service, design)) for design in cycle]
             for answer in expected:
                 answer.pop("cached")
@@ -189,10 +204,57 @@ class TestMemos:
                 assert not any(thread.is_alive() for thread in threads)
             finally:
                 sys.setswitchinterval(interval)
-            context = service.state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION)
-            assert len(context.specs) <= 2 and len(context.reports) <= 2
-            assert len(context.verdicts) <= 2
+            assert len(service.state.replays) <= 2 and len(service.state.memory) <= 2
         assert failures == []
+
+    def test_both_stores_stay_within_the_budget(self, monkeypatch):
+        """Eight designs across two contexts through a worker whose budget
+        is three: every answer is the library's, in ``json.dumps``'s bytes,
+        and a replay whose report the LRU dropped is evaluated again."""
+        monkeypatch.setattr(handlers, "MEMORY_BUDGET", 3)
+        mix = [
+            {"architecture": architecture, "ce_count": ce_count, "board": board}
+            for board in (BOARD, "vcu110")
+            for architecture, ce_count in (
+                ("segmented", 2), ("segmented", 3), ("segmentedrr", 2), ("hybrid", 3)
+            )
+        ]
+        with EvaluationService(port=0) as service:
+            state = service.state
+            for design in [*mix, *mix, mix[-1]]:
+                data = post_evaluate(service, design)
+                answer = json.loads(data)
+                assert data == json.dumps(answer).encode("utf-8")
+                expected = api.evaluate(
+                    MODEL, design["board"], design["architecture"], design["ce_count"]
+                )
+                assert answer["report"] == report_to_dict(expected)
+                assert len(state.memory) <= 3 and len(state.replays) <= 3
+            assert answer["cached"] is True
+            # A sweep fills the shared LRU but not the replay memo, so the
+            # last design keeps its replay and loses its report.
+            client = ServiceClient(service.url)
+            client.sweep(MODEL, BOARD, architectures=["segmented"], ce_counts=[4, 5, 6])
+            client.close()
+            data = post_evaluate(service, mix[-1])
+            assert len(state.memory) <= 3 and len(state.replays) <= 3
+        replay = json.loads(data)
+        assert data == json.dumps(replay).encode("utf-8")
+        assert (answer.pop("cached"), replay.pop("cached")) == (True, False)
+        assert replay == answer
+
+    def test_a_rebuilt_context_replays_from_the_worker_lru(self, monkeypatch):
+        """An evicted context's reports stay in the worker's LRU, so the
+        context built again for the same model answers from memory."""
+        monkeypatch.setattr(handlers, "MAX_EVALUATOR_CONTEXTS", 1)
+        design = {"architecture": "segmentedrr", "ce_count": 2}
+        with EvaluationService(port=0) as service:
+            first = json.loads(post_evaluate(service, design))
+            post_evaluate(service, {**design, "board": "vcu110"})  # evicts the first context
+            assert service.state.evaluator_count == 1
+            again = json.loads(post_evaluate(service, design))
+        assert (first.pop("cached"), again.pop("cached")) == (False, True)
+        assert again == first
 
     def test_reregistered_model_gets_its_new_report(self):
         from repro import workloads

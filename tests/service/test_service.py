@@ -89,6 +89,30 @@ class TestGetEndpoints:
         second = client.healthz()["cpu_seconds"]
         assert isinstance(first, float) and 0 < first <= second
 
+    def test_healthz_reports_the_memory_budget(self):
+        with EvaluationService(port=0) as service:
+            client = ServiceClient(service.url)
+            for ce_count in (2, 3):
+                client.evaluate(MODEL, BOARD, "segmented", ce_count)
+            client.sweep(MODEL, BOARD, architectures=["hybrid"], ce_counts=[2, 3, 4])
+            memory = client.healthz()["memory"]
+            client.close()
+        assert memory["entries"] == 5 and memory["replays"] == 2
+        assert memory["budget"] == handlers.MEMORY_BUDGET
+        if sys.platform.startswith("linux"):
+            assert memory["rss_mib"] > 0
+
+    def test_rss_is_null_without_proc(self, monkeypatch):
+        def no_file(*_args, **_kwargs):
+            raise FileNotFoundError("/proc/self/status")
+
+        monkeypatch.setattr(handlers, "open", no_file, raising=False)
+        state = ServiceState()
+        try:
+            assert handlers.handle_healthz(state)[1]["memory"]["rss_mib"] is None
+        finally:
+            state.close()
+
     def test_models_match_zoo(self, client):
         models = client.models()
         assert [entry["name"] for entry in models] == sorted(available_models())
@@ -742,6 +766,8 @@ class TestLoopNeverWaits:
         since dropped, misses on the loop and goes on on a thread."""
         from repro.runtime import cache
 
+        monkeypatch.setattr(handlers, "MEMORY_BUDGET", 1)
+
         entered, release = threading.Event(), threading.Event()
         put = cache.DiskCache.put
 
@@ -756,7 +782,7 @@ class TestLoopNeverWaits:
             client = ServiceClient(service.url, timeout=60)
             results["replay"] = client.evaluate(MODEL, BOARD, "segmented", 4)
 
-        with EvaluationService(port=0, cache_dir=str(tmp_path / "a"), cache_entries=1) as service:
+        with EvaluationService(port=0, cache_dir=str(tmp_path / "a")) as service:
             client = ServiceClient(service.url, timeout=10)
             for ce_count in (4, 3):  # the second evicts the first
                 assert client.evaluate(MODEL, BOARD, "segmented", ce_count).feasible
@@ -939,6 +965,7 @@ class TestLoopNeverWaits:
         assert statuses == {"models": 200, "held": 200}
 
     def test_the_loop_builds_no_context(self):
+        """Nor looks one up by name: replays find theirs through the memo."""
         state = ServiceState()
         try:
             handlers.never_wait()  # as on a serving loop
@@ -946,12 +973,103 @@ class TestLoopNeverWaits:
                 state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION)
             assert state.evaluator_count == 0
             handlers.never_wait(False)
-            context = state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION)
+            state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION)
             handlers.never_wait()
-            assert state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION) is context
+            with pytest.raises(handlers.NeedsThread):
+                state.evaluator_for(MODEL, BOARD, DEFAULT_PRECISION)
+            assert state.evaluator_count == 1
         finally:
             handlers.never_wait(False)
             state.close()
+
+    def test_hashing_a_new_context_delays_no_warm_replay(self, monkeypatch):
+        """A cold request hashes its new context off the loop, and no lock
+        the loop takes is held meanwhile."""
+        entered, release = threading.Event(), threading.Event()
+        fingerprint = handlers.context_fingerprint
+
+        def held_fingerprint(*args):
+            if threading.current_thread() is not threading.main_thread():
+                entered.set()
+                release.wait(30)
+            return fingerprint(*args)
+
+        results = {}
+
+        def cold():
+            client = ServiceClient(service.url, timeout=60)
+            results["cold"] = client.evaluate(MODEL, "zcu102", "segmented", 3)
+            client.close()
+
+        with EvaluationService(port=0) as service:
+            client = ServiceClient(service.url, timeout=10)
+            for _ in range(2):  # the second one is a warm replay on the loop
+                assert client.evaluate(MODEL, BOARD, "segmented", 4).feasible
+            monkeypatch.setattr(handlers, "context_fingerprint", held_fingerprint)
+            thread = threading.Thread(target=cold)
+            thread.start()
+            try:
+                assert entered.wait(30)
+                start = time.perf_counter()
+                assert client.evaluate(MODEL, BOARD, "segmented", 4).cached
+                assert time.perf_counter() - start < 1.0
+                assert not results
+            finally:
+                release.set()
+                thread.join(60)
+                client.close()
+        assert results["cold"].report == api_evaluate(MODEL, "zcu102", "segmented", 3)
+
+    @pytest.mark.parametrize("held", ["register", "model_summary"])
+    def test_registry_work_delays_no_other_request(self, monkeypatch, held):
+        """``POST /models`` checks and registers a definition, and
+        ``GET /models`` builds a stale catalog; while either waits, other
+        connections answer."""
+        from repro import workloads
+        from repro.cnn.serialize import graph_to_dict
+
+        entered, release = threading.Event(), threading.Event()
+        owner = workloads.REGISTRY.models if held == "register" else handlers
+        original = getattr(owner, held)
+
+        def held_call(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                entered.set()
+                release.wait(30)
+            return original(*args, **kwargs)
+
+        definition = graph_to_dict(resolve_model(MODEL))
+        definition["name"] = "heldnet"
+        results = {}
+
+        def held_request():
+            client = ServiceClient(service.url, timeout=60)
+            if held == "register":
+                results["held"] = client.register_model(definition)
+            else:
+                results["held"] = client.models()
+            client.close()
+
+        monkeypatch.setattr(owner, held, held_call)
+        try:
+            with EvaluationService(port=0) as service:
+                thread = threading.Thread(target=held_request)
+                thread.start()
+                client = ServiceClient(service.url, timeout=10)
+                try:
+                    assert entered.wait(30)
+                    start = time.perf_counter()
+                    assert client.healthz()["status"] == "ok"
+                    assert time.perf_counter() - start < 1.0
+                    assert not results
+                finally:
+                    release.set()
+                    thread.join(60)
+                    client.close()
+        finally:
+            if "heldnet" in workloads.REGISTRY.models.customs():
+                workloads.unregister_model("heldnet")
+        assert results["held"]
 
     def test_idle_keepalive_connections_add_no_threads(self):
         with EvaluationService(port=0) as service:

@@ -10,6 +10,7 @@ SIGTERM draining, and campaign jobs visible from any worker.
 import os
 import signal
 import socket
+import sys
 import threading
 import time
 
@@ -18,6 +19,7 @@ import pytest
 from repro.api import evaluate as api_evaluate
 from repro.api import sweep as api_sweep
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.handlers import MEMORY_BUDGET
 from repro.service.loadtest import spawn_server, stop_server
 from tests.service.test_service import assert_warm_keepalive_under_10ms
 
@@ -93,6 +95,24 @@ class TestFleetHealth:
         health = client.healthz()
         assert health["requests"].get("/evaluate", 0) >= 4
         assert health["shared_cache"]["entries"] >= 1
+
+
+    def test_memory_summed_across_fleet(self, fleet):
+        _process, url = fleet
+        client = ServiceClient(url, timeout=30.0)
+        for ce_count in (2, 3):
+            client.evaluate(MODEL, BOARD, "segmented", ce_count)
+        health = client.healthz()
+        client.close()
+        memory, workers = health["memory"], health["workers"]
+        for key in ("entries", "replays"):
+            assert memory[key] == sum(w["memory"][key] for w in workers) >= 1
+        assert memory["budget"] == MEMORY_BUDGET
+        assert all(w["memory"]["budget"] == MEMORY_BUDGET for w in workers)
+        rss = [w["memory"]["rss_mib"] for w in workers]
+        if sys.platform.startswith("linux"):
+            assert all(value > 0 for value in rss)
+            assert memory["rss_mib"] == pytest.approx(sum(rss), abs=0.01)
 
 
 class TestBitIdentical:
