@@ -29,7 +29,7 @@ from repro.core.cost.results import CostReport
 from repro.core.notation import ArchitectureSpec, parse_notation
 from repro.hw.boards import FPGABoard
 from repro.hw.datatypes import DEFAULT_PRECISION, Precision
-from repro.runtime import BatchEvaluator, ProgressCallback, RunStats
+from repro.runtime import BatchEvaluator, RunStats
 from repro.runtime.fingerprint import context_fingerprint
 # Ruleset registration is a registry concern; the API re-exports the
 # entry points and threads `rules=` through evaluate/sweep.
@@ -223,7 +223,6 @@ def sweep(
     *,
     jobs: Union[int, str] = 1,
     cache_dir: Optional[Union[str, Path]] = None,
-    progress: Optional[ProgressCallback] = None,
     runtime: Optional[BatchEvaluator] = None,
     rules: Optional[RulesLike] = None,
 ) -> SweepResult:
@@ -292,7 +291,7 @@ def sweep(
     try:
         # stream first in the zip so its StopIteration (and stats
         # finalization) fires before the zip ends.
-        for item, (name, count) in zip(evaluator.stream(specs, progress=progress), grid):
+        for item, (name, count) in zip(evaluator.stream(specs), grid):
             if item.report is None:
                 reason = item.reason or "infeasible"
                 skipped.append(SkippedConfig(name, count, reason))

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.cost.results import CostReport
 from repro.dse.space import CustomDesign, CustomDesignSpace
-from repro.runtime import BatchEvaluator, ProgressCallback
+from repro.runtime import BatchEvaluator
 
 
 @dataclass
@@ -54,7 +54,6 @@ def sample_space(
     space: CustomDesignSpace,
     count: int,
     seed: int = 0,
-    progress: Optional[ProgressCallback] = None,
 ) -> Tuple[List[Tuple[CustomDesign, CostReport]], SampleStats]:
     """Evaluate a random sample of the space; returns results and stats.
 
@@ -64,7 +63,7 @@ def sample_space(
     """
     designs = list(space.sample(count, seed=seed))
     start = time.perf_counter()
-    reports = evaluator.evaluate_designs(designs, progress=progress)
+    reports = evaluator.evaluate_designs(designs)
     elapsed = time.perf_counter() - start
     results: List[Tuple[CustomDesign, CostReport]] = [
         (design, report)

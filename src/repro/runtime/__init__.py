@@ -5,12 +5,7 @@ the DSE samplers/searchers, the CLI). See ``docs/architecture.md`` for the
 cache-key and worker-pool design.
 """
 
-from repro.runtime.batch import (
-    BatchEvaluator,
-    BatchItem,
-    ProgressCallback,
-    RunStats,
-)
+from repro.runtime.batch import BatchEvaluator, BatchItem, RunStats
 from repro.runtime.cache import CacheEntry, DiskCache, LRUCache
 from repro.runtime.fingerprint import (
     CACHE_SCHEMA_VERSION,
@@ -22,7 +17,6 @@ from repro.runtime.fingerprint import (
 __all__ = [
     "BatchEvaluator",
     "BatchItem",
-    "ProgressCallback",
     "RunStats",
     "CacheEntry",
     "DiskCache",

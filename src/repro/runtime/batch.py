@@ -15,7 +15,7 @@ spend them *well*:
   chunked dispatch, while results stream back to the caller **in request
   order** so downstream code stays deterministic;
 * every batch records :class:`RunStats` (evaluations, cache hits, wall
-  time) and can report incremental progress through a callback.
+  time).
 
 ``jobs=1`` short-circuits the pool entirely and evaluates inline with the
 same builder/model objects a serial caller would use, so single-process
@@ -32,7 +32,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cnn.graph import CNNGraph
 from repro.core.builder import MultipleCEBuilder
@@ -47,9 +47,6 @@ from repro.utils.mathutils import ceil_div
 
 if TYPE_CHECKING:  # multiprocessing loads when a pool starts
     import multiprocessing.pool
-
-#: ``progress(completed, total)`` — invoked after each item of a batch.
-ProgressCallback = Callable[[int, int], None]
 
 #: ``jobs="auto"``: smallest miss count worth a worker pool. Pool startup
 #: costs ~100 ms plus per-task pickling; with cold evaluations running
@@ -178,8 +175,6 @@ class BatchEvaluator:
         any other value raises :class:`ValueError`. Its one caller is
         ``perfbench/inproc.py``'s ``recost_front``; the benchmark change
         that drops that argument (``ROADMAP.md``) deletes this one too.
-    progress:
-        Default per-batch progress callback; overridable per call.
     """
 
     def __init__(
@@ -192,7 +187,6 @@ class BatchEvaluator:
         memory: Optional[LRUCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         segment_cache_entries: int = 0,
-        progress: Optional[ProgressCallback] = None,
     ) -> None:
         if segment_cache_entries != 0:
             raise ValueError(
@@ -210,7 +204,6 @@ class BatchEvaluator:
         self.board = board
         self.precision = precision
         self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
-        self.progress = progress
         self._builder = MultipleCEBuilder(graph, board, precision)
         self._context = self._builder.context
         self._memory = memory if memory is not None else LRUCache()
@@ -314,7 +307,6 @@ class BatchEvaluator:
     def stream(
         self,
         specs: Iterable[ArchitectureSpec],
-        progress: Optional[ProgressCallback] = None,
         *,
         keys: Optional[Sequence[str]] = None,
     ) -> Iterator[BatchItem]:
@@ -330,7 +322,6 @@ class BatchEvaluator:
         total = len(spec_list)
         if keys is not None and len(keys) != total:
             raise ValueError(f"{len(keys)} keys for {total} specs")
-        callback = progress if progress is not None else self.progress
         stats = RunStats(submitted=total, jobs=self.jobs)
         self.last_run = stats
         start = time.perf_counter()
@@ -379,8 +370,6 @@ class BatchEvaluator:
                     stats.memory_hits += 1
                 yielded.add(key)
                 stats.elapsed_seconds = time.perf_counter() - start
-                if callback is not None:
-                    callback(index + 1, total)
                 yield BatchItem(
                     index=index,
                     spec=spec,
@@ -408,17 +397,11 @@ class BatchEvaluator:
         chunk = max(1, min(64, ceil_div(len(specs), self._pool_jobs * 4)))
         return pool.imap(_worker_evaluate, specs, chunksize=chunk)
 
-    def evaluate_specs(
-        self,
-        specs: Iterable[ArchitectureSpec],
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Optional[CostReport]]:
+    def evaluate_specs(self, specs: Iterable[ArchitectureSpec]) -> List[Optional[CostReport]]:
         """Batch evaluate; ``None`` marks infeasible specs (request order)."""
-        return [item.report for item in self.stream(specs, progress=progress)]
+        return [item.report for item in self.stream(specs)]
 
-    def evaluate_designs(
-        self, designs: Iterable, progress: Optional[ProgressCallback] = None
-    ) -> List[Optional[CostReport]]:
+    def evaluate_designs(self, designs: Iterable) -> List[Optional[CostReport]]:
         """Batch evaluate :class:`~repro.dse.space.CustomDesign` points.
 
         The entry point of every DSE batch (samples, local-search
@@ -426,9 +409,7 @@ class BatchEvaluator:
         the worker pool and fingerprint cache, is meant to be reused across
         batches, so each generation starts warm.
         """
-        return self.evaluate_specs(
-            [design.to_spec() for design in designs], progress=progress
-        )
+        return self.evaluate_specs([design.to_spec() for design in designs])
 
     def cache_info(self) -> dict:
         """Introspection snapshot used by the CLI and benchmarks."""

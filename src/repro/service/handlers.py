@@ -204,14 +204,36 @@ def _read_json(path: Path) -> Optional[Dict[str, Any]]:
     return payload if isinstance(payload, dict) else None
 
 
-def _sum_counter_dicts(dicts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge per-worker counter dicts by summing numeric values key-wise."""
+#: The fields of a worker's status record (:meth:`ServiceState.worker_status`)
+#: that ``/healthz`` sums over the workers it lists (see :func:`_summed_status`).
+SUMMED_FIELDS = ("evaluators", "inflight", "requests", "errors", "cpu_seconds", "runtime", "memory")
+
+
+def _sum_records(records: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
+    """Key-wise sums of the numbers in ``records``, nested dicts summed
+    the same way; other values (None, booleans, text) drop out."""
     totals: Dict[str, Any] = {}
-    for entry in dicts:
-        for key, value in entry.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            totals[key] = totals.get(key, 0) + value
+    for record in records:
+        for key, value in record.items():
+            if isinstance(value, Mapping):
+                totals[key] = _sum_records([totals.get(key, {}), value])
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                totals[key] = totals.get(key, 0) + value
+    return totals
+
+
+def _summed_status(workers: List[Mapping[str, Any]], budget: int) -> Dict[str, Any]:
+    """The :data:`SUMMED_FIELDS` of ``workers``' status records, summed."""
+    totals = _sum_records({field: worker[field] for field in SUMMED_FIELDS} for worker in workers)
+    runtime, memory = totals["runtime"], totals["memory"]
+    # A pool size and a rate do not add up: jobs is the largest worker's,
+    # and hit_rate is recomputed from the summed counters.
+    runtime["jobs"] = max(worker["runtime"]["jobs"] for worker in workers)
+    submitted = runtime["submitted"]
+    runtime["hit_rate"] = runtime["cache_hits"] / submitted if submitted else 0.0
+    # Entries and RSS add up; the budget is each worker's.
+    memory["budget"] = budget
+    memory["rss_mib"] = round(memory["rss_mib"], 2) if "rss_mib" in memory else None
     return totals
 
 
@@ -225,12 +247,12 @@ class CampaignJob:
     evaluator lock would starve interactive ``/evaluate`` traffic, so each
     cell builds its own evaluator on the campaign thread.
 
-    ``publish`` (optional) is called with the job when it is registered
-    (:meth:`ServiceState.start_campaign`, before the id is handed out),
-    periodically while running, and once after it settles — the
-    multi-worker front uses it to mirror snapshots into the shared run
-    directory so any worker can answer ``GET /campaign/<id>`` for a job
-    started on this one.
+    ``publish`` (optional) writes the job's snapshot where sibling workers
+    read it, so any worker of a fleet can answer ``GET /campaign/<id>``.
+    It runs once at registration (:meth:`ServiceState.start_campaign`,
+    before the id is handed out and the thread starts), then only on the
+    campaign thread: after every event, the only moments the job's state
+    changes, and once when the run settles.
     """
 
     def __init__(
@@ -245,7 +267,6 @@ class CampaignJob:
         self.finished: Optional[float] = None
         self.error: Optional[str] = None
         self._publish = publish
-        self._publish_lock = threading.Lock()
         #: Every event the campaign emitted, in ``seq`` order — the source
         #: a local ``GET /campaign/<id>/events`` stream tails. Subscribed
         #: before the thread starts, so no event can slip past the buffer.
@@ -259,6 +280,7 @@ class CampaignJob:
     def _record_event(self, event: CampaignEvent) -> None:
         with self._events_lock:
             self._events.append(event)
+        self.publish_snapshot()
 
     def events_after(self, seq: int) -> List[CampaignEvent]:
         """Buffered events with ``seq`` beyond the cursor, oldest first."""
@@ -266,30 +288,15 @@ class CampaignJob:
             return [event for event in self._events if event.seq > seq]
 
     def publish_snapshot(self) -> None:
-        """Mirror the current state to the shared store (best effort)."""
+        """Write the current state to the shared store (best effort)."""
         if self._publish is None:
             return
         try:
-            with self._publish_lock:
-                self._publish(self)
-        except Exception:  # noqa: BLE001 - mirroring must never kill the run
+            self._publish(self)
+        except Exception:  # noqa: BLE001 - a snapshot must never kill the run
             pass
 
-    def _refresh_loop(self) -> None:
-        # A late tick racing the final publish is harmless: every publish
-        # serializes under the lock and re-reads the live state, so the
-        # last write always reflects the settled job.
-        while self.finished is None:
-            time.sleep(0.5)
-            self.publish_snapshot()
-
     def _run(self) -> None:
-        if self._publish is not None:
-            threading.Thread(
-                target=self._refresh_loop,
-                name=f"repro-campaign-{self.id}-mirror",
-                daemon=True,
-            ).start()
         try:
             self.campaign.run()
         except Exception as error:  # noqa: BLE001 - reported via polling
@@ -297,6 +304,11 @@ class CampaignJob:
         finally:
             self.finished = time.time()
             self.publish_snapshot()
+
+    @property
+    def ended(self) -> bool:
+        """Whether the thread ran and returned, its last snapshot written."""
+        return self.thread.ident is not None and not self.thread.is_alive()
 
     @property
     def state(self) -> str:
@@ -390,7 +402,7 @@ class ServiceState:
     ``max_inflight`` bounds concurrent model-work requests (POSTs) before
     the server answers 429 ``backpressure``. ``shared_dir`` (set by the
     multi-worker supervisor) is a run directory shared by sibling worker
-    processes: each worker mirrors its status and campaign snapshots there
+    processes: each worker writes its status and campaign snapshots there
     so ``/healthz`` and ``GET /campaign/<id>`` see the whole fleet.
     """
 
@@ -411,13 +423,17 @@ class ServiceState:
         self.memory = LRUCache(MEMORY_BUDGET)
         #: (request, workload generation, rule generation) -> its Replay.
         self.replays = LRUCache(MEMORY_BUDGET)
-        #: Guards the evaluator map; the serving loop takes it.
+        #: Guards the three below; the serving loop takes it.
         self._registry_lock = threading.Lock()
         #: runtime context fingerprint (graph content + board + precision)
         #: -> its evaluation context, least recently used first. Content-
         #: keyed, so two names for the same registered graph share one
         #: evaluator, while a re-registered (edited) graph gets a fresh one.
         self._evaluators: Dict[str, EvaluationContext] = {}
+        #: Evicted contexts whose last requests may still run, and the
+        #: summed counters of the closed ones: lifetime totals include both.
+        self._evicted: List[EvaluationContext] = []
+        self._retired = RunStats(jobs=jobs if isinstance(jobs, int) else 1)
         #: Held while a context is hashed or built; the loop never takes it.
         self._build_lock = threading.Lock()
         #: Resolved (graph, board, precision) -> its context fingerprint,
@@ -514,7 +530,7 @@ class ServiceState:
 
     # --- shared worker status board ------------------------------------------
     def worker_status(self) -> Dict[str, Any]:
-        """This worker's status snapshot (one /healthz worth of counters)."""
+        """This worker's status record, the one place its counters are read."""
         with self._counter_lock:
             requests = dict(self.request_counts)
             errors = self.error_count
@@ -532,20 +548,17 @@ class ServiceState:
             "errors": errors,
             "cpu_seconds": time.process_time(),
             "runtime": self.runtime_totals().to_dict(),
-            "memory": self.memory_status(),
+            "memory": {
+                "entries": len(self.memory),
+                "replays": len(self.replays),
+                "budget": self.memory.max_entries,
+                "rss_mib": rss_mib(),
+            },
         }
 
-    def memory_status(self) -> Dict[str, Any]:
-        """This worker's warm state against its budget, and its RSS."""
-        return {
-            "entries": len(self.memory),
-            "replays": len(self.replays),
-            "budget": self.memory.max_entries,
-            "rss_mib": rss_mib(),
-        }
-
-    def write_worker_status(self) -> None:
-        """Refresh this worker's snapshot in the shared run directory.
+    def write_worker_status(self, status: Dict[str, Any]) -> None:
+        """Write ``status``, a record of :meth:`worker_status`, as this
+        worker's status file in the shared run directory.
 
         Best effort: a full disk must not fail the caller.
         """
@@ -554,7 +567,7 @@ class ServiceState:
         try:
             write_atomic(
                 self._status_path,
-                json.dumps(self.worker_status()).encode("utf-8"),
+                json.dumps(status).encode("utf-8"),
                 fsync=False,
             )
         except OSError:
@@ -562,27 +575,28 @@ class ServiceState:
 
     def _publish_worker_status(self) -> None:
         while not self._status_stop.wait(STATUS_WRITE_INTERVAL):
-            self.write_worker_status()
+            self.write_worker_status(self.worker_status())
 
-    def read_worker_statuses(self) -> list:
-        """Every sibling worker's latest snapshot (including this one's)."""
-        if self.shared_dir is None:
-            return []
-        statuses = []
-        for path in self.workers_dir.glob("*.json"):
-            status = _read_json(path)
-            if status is not None:
-                statuses.append(status)
-        statuses.sort(key=lambda s: (s.get("worker") or 0, s.get("pid") or 0))
-        return statuses
+    def worker_statuses(self, own: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """``own``, this worker's status record, and in a fleet every
+        sibling's latest status file, by worker index. ``own`` is written
+        to this worker's file first, so siblings read it as fresh."""
+        statuses = {self.pid: own}
+        if self.shared_dir is not None:
+            self.write_worker_status(own)
+            for path in self.workers_dir.glob("*.json"):
+                status = _read_json(path)
+                if status is not None:
+                    statuses.setdefault(status.get("pid"), status)
+        return sorted(statuses.values(), key=lambda s: (s.get("worker") or 0, s.get("pid") or 0))
 
     # --- campaign registry ---------------------------------------------------
     def start_campaign(self, campaign: Campaign) -> CampaignJob:
         """Register and launch one background campaign job.
 
-        Settled jobs beyond :data:`MAX_RETAINED_CAMPAIGNS` are evicted
-        oldest-first so a long-lived service does not hoard every finished
-        campaign's archive; running jobs are never evicted. Refuses (429)
+        Jobs whose thread has ended, beyond :data:`MAX_RETAINED_CAMPAIGNS`,
+        are evicted oldest-first so a long-lived service does not hoard
+        every finished campaign's archive; no other job is. Refuses (429)
         when :data:`MAX_RUNNING_CAMPAIGNS` are already in flight.
         """
         evicted = []
@@ -609,17 +623,19 @@ class ServiceState:
                 publish = None
             job = CampaignJob(campaign_id, campaign, publish=publish)
             if self.shared_dir is not None:
-                # Mirror the event stream through the shared run dir as an
+                # Write the event stream through the shared run dir as an
                 # append-only NDJSON file, so ANY worker in the fleet can
                 # serve ``GET /campaign/<id>/events`` for this job — the
                 # snapshot analogue for streams. Attached before the thread
-                # starts; appends are synchronous with each emit, so the
-                # file is always ahead of the 0.5s snapshot mirror.
+                # starts; each emit appends before the job rewrites its
+                # snapshot, so the file is never behind the snapshot.
                 campaign.events.attach_log(
                     EventLog(self.campaigns_dir / f"{job.id}.events")
                 )
             self._campaigns[job.id] = job
-            settled = [j for j in self._campaigns.values() if j.state != "running"]
+            # A settled job whose thread has not ended may still write its
+            # snapshot, which would outlive the files removed below.
+            settled = [j for j in self._campaigns.values() if j.ended]
             for stale in settled[: max(0, len(settled) - MAX_RETAINED_CAMPAIGNS)]:
                 del self._campaigns[stale.id]
                 evicted.append(stale.id)
@@ -642,7 +658,7 @@ class ServiceState:
 
     # --- cross-worker campaign snapshots --------------------------------------
     def _publish_campaign(self, job: CampaignJob) -> None:
-        """Mirror one job's wire snapshot into the shared campaigns dir."""
+        """Write one job's wire snapshot into the shared campaigns dir."""
         if self.shared_dir is None:
             return
         write_atomic(
@@ -662,7 +678,7 @@ class ServiceState:
 
     def campaign_snapshot(self, campaign_id: str) -> Optional[Dict[str, Any]]:
         """One campaign's wire payload: a live local job, or — in a worker
-        fleet — the snapshot a sibling worker mirrored to disk."""
+        fleet — the snapshot a sibling worker wrote to disk."""
         job = self.campaign_job(campaign_id)
         if job is not None:
             return job.to_dict()
@@ -779,20 +795,27 @@ class ServiceState:
                     self._evaluators[key] = entry
                     while len(self._evaluators) > MAX_EVALUATOR_CONTEXTS:
                         evicted.append(self._evaluators.pop(next(iter(self._evaluators))))
+                    self._evicted.extend(evicted)
         for stale in evicted:
             # Holding no other lock: taking the context's lock waits out
-            # any request still using it.
+            # any request still using it, whose counts then stay with the
+            # worker's lifetime totals.
             with stale.lock:
                 stale.evaluator.close()
+                with self._registry_lock:
+                    self._evicted.remove(stale)
+                    self._retired.absorb(stale.evaluator.totals)
         return entry
 
     def runtime_totals(self) -> RunStats:
-        """Lifetime counters aggregated across every context's evaluator."""
-        totals = RunStats(jobs=self.jobs if isinstance(self.jobs, int) else 1)
+        """Lifetime counters of every context this worker has built, so
+        they never decrease: the closed ones' sum plus each other one's."""
+        totals = RunStats(jobs=self._retired.jobs)
         with self._registry_lock:
-            evaluators = [context.evaluator for context in self._evaluators.values()]
-        for evaluator in evaluators:
-            totals.absorb(evaluator.totals)
+            totals.absorb(self._retired)
+            contexts = [*self._evaluators.values(), *self._evicted]
+        for context in contexts:
+            totals.absorb(context.evaluator.totals)
         return totals
 
     @property
@@ -844,59 +867,27 @@ def _resolve_spec(
 
 
 def handle_healthz(state: ServiceState) -> Response:
+    """``GET /healthz``, one shape alone and in a fleet: every worker's
+    status record, their :data:`SUMMED_FIELDS` summed, and this worker's
+    other fields."""
     if _on_loop() and (state.cache_dir is not None or state.shared_dir is not None):
         raise NeedsThread()  # counting cache entries, the fleet's status files
-    totals = state.runtime_totals()
-    with state._counter_lock:
-        requests = dict(state.request_counts)
-        errors = state.error_count
+    own = state.worker_status()
+    workers = state.worker_statuses(own)
     payload = {
         "status": "ok",
         "version": repro.__version__,
-        "uptime_seconds": round(time.time() - state.started, 3),
-        "evaluators": state.evaluator_count,
+        "uptime_seconds": own["uptime_seconds"],
         "jobs": state.jobs,
         "cache_dir": state.cache_dir,
-        "inflight": state.inflight,
-        "max_inflight": state.max_inflight,
-        "draining": state.draining,
-        "requests": requests,
-        "errors": errors,
-        "cpu_seconds": time.process_time(),
-        "runtime": totals.to_dict(),
-        "memory": state.memory_status(),
+        "max_inflight": own["max_inflight"],
+        "draining": own["draining"],
+        **_summed_status(workers, state.memory.max_entries),
+        "worker_count": len(workers),
+        "workers": workers,
     }
     if state.cache_dir is not None:
         payload["shared_cache"] = {"dir": state.cache_dir, "entries": len(state._cache_probe)}
-    if state.shared_dir is not None:
-        # Multi-worker fleet: fold every sibling's snapshot in so one
-        # /healthz (served by whichever worker accepted it) reports the
-        # whole service, with the per-worker breakdown alongside.
-        state.write_worker_status()
-        workers = state.read_worker_statuses()
-        payload["workers"] = workers
-        payload["worker_count"] = len(workers)
-        payload["requests"] = _sum_counter_dicts(w.get("requests", {}) for w in workers)
-        payload["errors"] = sum(w.get("errors", 0) for w in workers)
-        payload["cpu_seconds"] = sum(w.get("cpu_seconds", 0.0) for w in workers)
-        payload["evaluators"] = sum(w.get("evaluators", 0) for w in workers)
-        payload["inflight"] = sum(w.get("inflight", 0) for w in workers)
-        runtime = _sum_counter_dicts(w.get("runtime", {}) for w in workers)
-        # Summing rates and pool sizes is meaningless: jobs is per-worker
-        # (report the max), hit_rate is recomputed from the summed counters.
-        runtime["jobs"] = max(
-            (w.get("runtime", {}).get("jobs", 1) for w in workers), default=1
-        )
-        submitted = runtime.get("submitted", 0)
-        runtime["hit_rate"] = (
-            runtime.get("cache_hits", 0) / submitted if submitted else 0.0
-        )
-        payload["runtime"] = runtime
-        # Entries and RSS add up; the budget is each worker's.
-        memory = _sum_counter_dicts(w.get("memory", {}) for w in workers)
-        memory["budget"] = state.memory.max_entries
-        memory["rss_mib"] = round(memory["rss_mib"], 2) if "rss_mib" in memory else None
-        payload["memory"] = memory
     return 200, payload
 
 
@@ -1110,21 +1101,24 @@ def handle_campaign_start(state: ServiceState, request: CampaignRequest) -> Resp
     }
 
 
+def _unknown_campaign(state: ServiceState, campaign_id: str) -> RequestError:
+    """The 404 for a campaign id no worker knows, listing the known ones."""
+    known = [entry["id"] for entry in state.campaign_listing()]
+    return RequestError(
+        f"no campaign {campaign_id!r}; known: {known}", status=404, kind="unknown_campaign"
+    )
+
+
 def handle_campaign_get(state: ServiceState, campaign_id: str) -> Response:
     """``GET /campaign/<id>``: a live snapshot of one background campaign.
 
-    In a worker fleet the job may live in a sibling process; its mirrored
+    In a worker fleet the job may live in a sibling process; its written
     snapshot from the shared run directory answers then, so clients need
     not care which worker accepted the original ``POST /campaign``.
     """
     snapshot = state.campaign_snapshot(campaign_id)
     if snapshot is None:
-        known = [entry["id"] for entry in state.campaign_listing()]
-        raise RequestError(
-            f"no campaign {campaign_id!r}; known: {known}",
-            status=404,
-            kind="unknown_campaign",
-        )
+        raise _unknown_campaign(state, campaign_id)
     return 200, snapshot
 
 
@@ -1206,12 +1200,7 @@ def handle_campaign_events(
         raise RequestError(f"after must be >= 0, got {after}", kind="bad_request")
     job = state.campaign_job(campaign_id)
     if job is None and state.campaign_snapshot(campaign_id) is None:
-        known = [entry["id"] for entry in state.campaign_listing()]
-        raise RequestError(
-            f"no campaign {campaign_id!r}; known: {known}",
-            status=404,
-            kind="unknown_campaign",
-        )
+        raise _unknown_campaign(state, campaign_id)
     return StreamingResponse(
         chunks=_campaign_event_stream(state, campaign_id, job, after)
     )

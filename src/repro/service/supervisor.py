@@ -9,9 +9,9 @@ processes cooperate through two shared pieces of disk state:
   write-tmp-fsync-rename file per entry and nothing else), so a design
   warmed by any worker is a warm hit in every other — including a freshly
   restarted replacement after a crash;
-* a run directory with per-worker status snapshots (aggregated by
-  ``/healthz``) and mirrored campaign snapshots (so ``GET /campaign/<id>``
-  answers on any worker).
+* a run directory with per-worker status records (summed by
+  ``/healthz``) and the campaign snapshots each owning worker writes (so
+  ``GET /campaign/<id>`` answers on any worker).
 
 Socket strategy: where ``SO_REUSEPORT`` exists (Linux, BSD) the supervisor
 binds the address without listening — reserving the port across worker
@@ -108,13 +108,13 @@ def run_worker(
         sock = bound_socket(host, port, reuse_port=True)
     loop = ServingLoop(sock, state)
     stop_on_signals(loop)
-    state.write_worker_status()
+    state.write_worker_status(state.worker_status())
     logger.info(
         "worker %d (pid %d) serving on %s:%d",
         worker_index, os.getpid(), *sock.getsockname()[:2],
     )
     loop.run(drain_seconds)
-    state.write_worker_status()
+    state.write_worker_status(state.worker_status())
     state.close()
     return 0
 

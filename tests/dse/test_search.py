@@ -110,8 +110,8 @@ class TestLocalAndGuidedSearch:
         reports = []
         evaluate_designs = evaluator.evaluate_designs
 
-        def spy(designs, progress=None):
-            batch = evaluate_designs(designs, progress=progress)
+        def spy(designs):
+            batch = evaluate_designs(designs)
             reports.extend(batch)
             return batch
 

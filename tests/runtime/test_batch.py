@@ -93,15 +93,6 @@ class TestAccounting:
         with pytest.raises(NotationError):
             evaluator.evaluate_specs([parse_notation("{L1-L4: CE1}")])
 
-    def test_progress_callback_sees_every_item(self, context, specs):
-        cnn, board = context
-        seen = []
-        evaluator = BatchEvaluator(
-            cnn, board, progress=lambda done, total: seen.append((done, total))
-        )
-        evaluator.evaluate_specs(specs)
-        assert seen == [(i + 1, len(specs)) for i in range(len(specs))]
-
     def test_stream_yields_in_request_order(self, context, specs):
         cnn, board = context
         evaluator = BatchEvaluator(cnn, board)

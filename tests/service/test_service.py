@@ -623,6 +623,94 @@ class TestCampaign:
             owner.close()
             sibling.close()
 
+    def test_a_fleet_campaign_has_one_writer(self, tmp_path, monkeypatch):
+        """A fleet campaign runs one thread, which writes its snapshot after
+        every event and once when it settles; only the registration write
+        comes from the thread that starts it."""
+        from repro.dse.campaign import Campaign, CampaignSpec
+
+        gate = threading.Event()
+
+        class _Held(Campaign):
+            def run(self, max_rounds=None):
+                gate.wait(timeout=30)
+                return super().run(max_rounds=max_rounds)
+
+        writers = []
+        write_atomic = handlers.write_atomic
+
+        def spy(path, data, **kwargs):
+            if path.parent.name == "campaigns":
+                writers.append(threading.current_thread().name)
+            write_atomic(path, data, **kwargs)
+
+        monkeypatch.setattr(handlers, "write_atomic", spy)
+        state = ServiceState(shared_dir=tmp_path)
+        spec = CampaignSpec.from_dict(
+            {"name": "writer", "population": 4, "generations": 1,
+             "cells": [{"model": MODEL, "board": BOARD}]}
+        )
+        job = state.start_campaign(_Held(spec))
+        try:
+            threads = [t.name for t in threading.enumerate() if job.id in t.name]
+            assert threads == [f"repro-campaign-{job.id}"]
+        finally:
+            gate.set()
+            job.thread.join()
+            state.close()
+        events = len(job.events_after(0))
+        assert events >= 5
+        assert writers == [threading.current_thread().name] + [job.thread.name] * (events + 1)
+        snapshot = json.loads((tmp_path / "campaigns" / f"{job.id}.json").read_text())
+        assert snapshot == job.to_dict()
+
+    def test_an_evicted_job_leaves_no_snapshot(self, tmp_path, monkeypatch):
+        """A settled job whose thread has not yet written its last snapshot
+        is not evicted: its snapshot file exists exactly while the worker
+        lists the job."""
+        from repro.dse.campaign import Campaign, CampaignSpec
+
+        monkeypatch.setattr(handlers, "MAX_RETAINED_CAMPAIGNS", 0)
+        state = ServiceState(shared_dir=tmp_path)
+        held, release = threading.Event(), threading.Event()
+        write_atomic = handlers.write_atomic
+
+        def held_last_write(path, data, **kwargs):
+            job = state.campaign_job(path.stem)
+            if job is not None and job.finished is not None and not held.is_set():
+                held.set()
+                release.wait(30)
+            write_atomic(path, data, **kwargs)
+
+        monkeypatch.setattr(handlers, "write_atomic", held_last_write)
+        spec = CampaignSpec.from_dict(
+            {"name": "evict", "population": 4, "generations": 0,
+             "cells": [{"model": MODEL, "board": BOARD}]}
+        )
+
+        def listed_exactly_while_written(job):
+            listed = state.campaign_job(job.id) is not None
+            return (tmp_path / "campaigns" / f"{job.id}.json").exists() == listed
+
+        first = state.start_campaign(Campaign(spec))
+        try:
+            assert held.wait(30)  # first has settled; its last write waits
+            second = state.start_campaign(Campaign(spec))
+            second.thread.join()
+        finally:
+            release.set()
+            first.thread.join()
+        try:
+            assert listed_exactly_while_written(first)
+            # Once its thread has ended, the next start evicts it, files too.
+            third = state.start_campaign(Campaign(spec))
+            third.thread.join()
+            assert state.campaign_job(first.id) is None
+            assert listed_exactly_while_written(first)
+            assert listed_exactly_while_written(second)
+        finally:
+            state.close()
+
     def test_budget_cap_enforced(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.start_campaign(
@@ -1129,6 +1217,97 @@ class TestWorkerStatusFile:
             loop.request_stop()
             serving.join(10)
             state.close()
+
+
+class TestWorkerStatusRecord:
+    """``/healthz`` has one shape: a lone worker lists its own status record
+    under ``workers``, as a fleet lists its workers' status files."""
+
+    #: Every top-level field of ``/healthz`` without a disk cache.
+    FIELDS = {
+        "status", "version", "uptime_seconds", "evaluators", "jobs", "cache_dir",
+        "inflight", "max_inflight", "draining", "requests", "errors", "cpu_seconds",
+        "runtime", "memory", "worker_count", "workers",
+    }
+
+    def test_a_lone_worker_lists_its_own_record(self):
+        with EvaluationService(port=0) as service:
+            client = ServiceClient(service.url)
+            client.evaluate(MODEL, BOARD, "segmented", 2)
+            health = client.healthz()
+            client.close()
+        assert set(health) == self.FIELDS
+        assert health["worker_count"] == 1
+        [worker] = health["workers"]
+        assert worker["pid"] == service.state.pid
+        for field in handlers.SUMMED_FIELDS:
+            assert health[field] == worker[field], field
+        for field in ("uptime_seconds", "max_inflight", "draining"):
+            assert health[field] == worker[field], field
+        assert health["requests"] == {"/evaluate": 1}
+        assert health["runtime"]["submitted"] == 1
+
+    def test_runtime_counters_survive_context_eviction(self, monkeypatch):
+        """The lifetime counters never decrease: an evicted context's
+        counts stay in them, and its reports stay in the worker's LRU."""
+        monkeypatch.setattr(handlers, "MAX_EVALUATOR_CONTEXTS", 1)
+        readings = []
+        with EvaluationService(port=0) as service:
+            client = ServiceClient(service.url)
+            for board in ("zc706", "vcu110", "zc706"):
+                assert client.evaluate(MODEL, board, "segmentedrr", 2).feasible
+                health = client.healthz()
+                runtime = health["runtime"]
+                readings.append(
+                    (health["evaluators"], runtime["submitted"], runtime["evaluations"],
+                     runtime["memory_hits"])
+                )
+            client.close()
+        assert readings == [(1, 1, 1, 0), (1, 2, 2, 0), (1, 3, 2, 1)]
+
+    def test_lifetime_counters_never_decrease_under_churn(self, monkeypatch):
+        """Four threads cycle three contexts through a one-context cap while
+        another thread samples the totals: no sample is below the last."""
+        monkeypatch.setattr(handlers, "MAX_EVALUATOR_CONTEXTS", 1)
+        requests = [
+            schema.parse_evaluate(
+                {"model": MODEL, "board": board, "architecture": "segmentedrr", "ce_count": ces}
+            )
+            for board in ("zc706", "vcu110", "zcu102")
+            for ces in (2, 3)
+        ]
+        state = ServiceState()
+        samples, stop = [], threading.Event()
+
+        def sample():
+            while not stop.is_set():
+                totals = state.runtime_totals()
+                samples.append((totals.submitted, totals.evaluations, totals.memory_hits))
+
+        def churn(offset):
+            for index in range(100):
+                handlers.handle_evaluate(state, requests[(offset + index) % len(requests)])
+
+        threads = [threading.Thread(target=churn, args=(offset,)) for offset in range(4)]
+        sampler = threading.Thread(target=sample)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sampler.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            stop.set()
+            sampler.join(10)
+            sys.setswitchinterval(interval)
+            state.close()
+        assert not any(thread.is_alive() for thread in [sampler, *threads])
+        assert len(samples) > 100
+        for before, after in zip(samples, samples[1:]):
+            assert all(a <= b for a, b in zip(before, after)), (before, after)
+        assert samples[-1][0] <= 400
 
 
 class TestWorkloadRegistration:

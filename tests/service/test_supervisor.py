@@ -272,6 +272,63 @@ class TestCampaignsAcrossWorkers:
         )
 
 
+#: ``repro serve`` on a host where ``SO_REUSEPORT`` cannot be set: the
+#: supervisor binds one listening socket and its workers accept from it.
+INHERITED_LISTENER_SERVE = """
+import sys
+from repro.service import supervisor
+supervisor._reuse_port_works = lambda host: False
+from repro.cli import main
+sys.exit(main(["serve", "--port", "0", "--workers", "2"]))
+"""
+
+
+def _listening_sockets(port):
+    """LISTEN entries for ``port`` in the kernel's IPv4 socket table."""
+    with open("/proc/net/tcp", encoding="ascii") as table:
+        rows = [line.split() for line in table.readlines()[1:]]
+    return sum(1 for row in rows if int(row[1].split(":")[1], 16) == port and row[3] == "0A")
+
+
+def test_inherited_listener_fleet():
+    """Workers accepting from the supervisor's one listener answer as
+    reuse-port workers do: a SIGKILLed worker is replaced, and SIGTERM
+    drains the fleet to exit 0."""
+    import re
+    import subprocess
+
+    import repro
+
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=source_root + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    process = subprocess.Popen(
+        [sys.executable, "-c", INHERITED_LISTENER_SERVE],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+    )
+    try:
+        banner = process.stdout.readline()
+        url = re.search(r"on (http://\S+) with 2 worker", banner).group(1)
+        client = ServiceClient(url, timeout=30.0)
+        workers = _wait_for_worker_change(client, set(), tries=600)
+        if os.path.exists("/proc/net/tcp"):
+            assert _listening_sockets(int(url.rsplit(":", 1)[1])) == 1
+        expected = api_evaluate(MODEL, BOARD, "segmentedrr", ce_count=2)
+        assert client.evaluate(MODEL, BOARD, "segmentedrr", 2).report == expected
+
+        killed = workers[0]["pid"]
+        os.kill(killed, signal.SIGKILL)
+        _wait_for_worker_change(client, {killed})
+        assert process.poll() is None
+        replayed = client.evaluate(MODEL, BOARD, "segmentedrr", 2)
+        assert replayed.report == expected
+        client.close()
+
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30.0) == 0
+    finally:
+        stop_server(process)
+
+
 def test_fleet_worker_keepalive_round_trip_under_10ms():
     """Fleet workers serve with the same handler class, so the
     delayed-ACK stall fix must hold behind ``--workers`` too."""
