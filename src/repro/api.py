@@ -268,6 +268,29 @@ def sweep(
         jobs=jobs,
         cache_dir=cache_dir,
     )
+    try:
+        result = sweep_grid(evaluator, architectures, ce_counts)
+    finally:
+        if runtime is None:
+            evaluator.close()
+    if ruleset is not None:
+        result[:] = [
+            attach_verdicts(
+                report, evaluate_rules(report, ruleset, board=fpga, precision=precision)
+            )
+            for report in result
+        ]
+    return result
+
+
+def sweep_grid(
+    evaluator: BatchEvaluator,
+    architectures: Optional[Iterable[str]] = None,
+    ce_counts: Optional[Iterable[int]] = None,
+) -> SweepResult:
+    """:func:`sweep`'s grid through ``evaluator``, whose context the caller
+    vouches for: :func:`sweep` checks an explicit ``runtime``, and the
+    service's contexts are keyed by it."""
     names = list(architectures) if architectures is not None else list(PAPER_ARCHITECTURES)
     counts = list(ce_counts) if ce_counts is not None else list(PAPER_CE_COUNTS)
 
@@ -288,25 +311,15 @@ def sweep(
             specs.append(spec)
 
     reports: List[CostReport] = []
-    try:
-        # stream first in the zip so its StopIteration (and stats
-        # finalization) fires before the zip ends.
-        for item, (name, count) in zip(evaluator.stream(specs), grid):
-            if item.report is None:
-                reason = item.reason or "infeasible"
-                skipped.append(SkippedConfig(name, count, reason))
-                logger.debug("sweep skipping %s x %d CEs: %s", name, count, reason)
-            else:
-                report = item.report
-                if ruleset is not None:
-                    verdicts = evaluate_rules(
-                        report, ruleset, board=fpga, precision=precision
-                    )
-                    report = attach_verdicts(report, verdicts)
-                reports.append(report)
-    finally:
-        if runtime is None:
-            evaluator.close()
+    # stream first in the zip so its StopIteration (and stats
+    # finalization) fires before the zip ends.
+    for item, (name, count) in zip(evaluator.stream(specs), grid):
+        if item.report is None:
+            reason = item.reason or "infeasible"
+            skipped.append(SkippedConfig(name, count, reason))
+            logger.debug("sweep skipping %s x %d CEs: %s", name, count, reason)
+        else:
+            reports.append(item.report)
     if skipped:
         logger.info(
             "sweep skipped %d of %d configurations (infeasible)",

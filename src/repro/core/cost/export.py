@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence
 
 from repro.core.cost.results import (
@@ -108,6 +109,56 @@ def report_to_dict(report: CostReport) -> Dict[str, Any]:
 def report_to_json(report: CostReport, indent: int = 2) -> str:
     """One report as a JSON document."""
     return json.dumps(report_to_dict(report), indent=indent)
+
+
+@dataclass(frozen=True)
+class RawJSON:
+    """JSON text that :func:`dump_json` writes where this value stands."""
+
+    text: str
+
+
+def report_json(report: CostReport) -> RawJSON:
+    """One report's compact JSON text, ``json.dumps(report_to_dict(report))``:
+    the form a cache entry, a checkpoint and a reply embed."""
+    return RawJSON(json.dumps(report_to_dict(report)))
+
+
+#: What :func:`dump_json` encodes in place of each raw value before it
+#: splits the text there.
+_SPLICE_MARK = "\x00RawJSON\x00"
+_SPLICE_TEXT = json.dumps(_SPLICE_MARK)
+
+
+def dump_json(value: Any) -> str:
+    """``json.dumps(value)``, with each :class:`RawJSON`'s text put in where
+    it stands, at any depth.
+
+    Byte for byte what ``json.dumps`` gives when each raw value is the
+    object its text was dumped from with ``json.dumps``'s default
+    separators. The raw values are encoded as a marker string and the text
+    is split at the markers, so in a value holding raw texts a plain
+    string that encodes like the marker raises ``ValueError`` instead of
+    taking a raw text's place.
+    """
+    texts: List[str] = []
+
+    def mark(raw: Any) -> str:
+        if not isinstance(raw, RawJSON):
+            raise TypeError(f"Object of type {type(raw).__name__} is not JSON serializable")
+        texts.append(raw.text)
+        return _SPLICE_MARK
+
+    encoded = json.dumps(value, default=mark)
+    if not texts:
+        return encoded
+    parts = encoded.split(_SPLICE_TEXT)
+    if len(parts) != len(texts) + 1:
+        raise ValueError(f"a string in the value encodes like the splice marker {_SPLICE_MARK!r}")
+    spliced = [parts[0]]
+    for text, part in zip(texts, parts[1:]):
+        spliced += (text, part)
+    return "".join(spliced)
 
 
 def _segment_from_dict(data: Dict[str, Any]) -> SegmentCost:

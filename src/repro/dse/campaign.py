@@ -10,7 +10,8 @@ long-running, crash-prone environments:
 * after every evaluation round (the initial sample or one generation) the
   engine atomically rewrites a JSON **checkpoint** holding the spec, the
   ``random.Random`` state, the scored population, and the archive (via the
-  lossless :func:`~repro.core.cost.export.report_to_dict` round-trip);
+  lossless :func:`~repro.core.cost.export.report_to_dict` round-trip; each
+  report is encoded once, however many rounds keep it);
 * a killed campaign resumes from its checkpoint and replays the
   interrupted round from the saved RNG state, so the final front is
   **bit-identical** to an uninterrupted run with the same seed — the CI
@@ -41,10 +42,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.pareto import front_to_csv, hypervolume, pareto_front
-from repro.core.cost.export import report_from_dict, report_to_dict
+from repro.core.cost.export import RawJSON, dump_json, report_from_dict, report_json, report_to_dict
+from repro.core.cost.results import CostReport
 from repro.dse import STRATEGY_NAMES
 from repro.dse.events import CampaignEvent, CampaignEventBus, EventLog
 from repro.dse.evolve import (
@@ -113,13 +115,13 @@ def _reject_unknown(data: Mapping[str, Any], allowed: Sequence[str], where: str)
     reject_unknown_fields(data, allowed, where, CampaignError)
 
 
-def _pairs_to_dicts(pairs: Iterable[ScoredDesign]) -> List[Dict[str, Any]]:
-    """(design, report) pairs -> their checkpoint and result form, with the
-    lossless report round-trip; :func:`_pairs_from_dicts` inverts it."""
-    return [
-        {"design": design.to_dict(), "report": report_to_dict(report)}
-        for design, report in pairs
-    ]
+def _pairs_to_dicts(
+    pairs: Iterable[ScoredDesign], encode: Callable[[CostReport], Any] = report_to_dict
+) -> List[Dict[str, Any]]:
+    """(design, report) pairs -> their checkpoint and result form, each
+    report as ``encode`` gives it: the lossless dict, or in a checkpoint its
+    JSON text; :func:`_pairs_from_dicts` inverts it."""
+    return [{"design": design.to_dict(), "report": encode(report)} for design, report in pairs]
 
 
 def _pairs_from_dicts(data: Iterable[Mapping[str, Any]]) -> List[ScoredDesign]:
@@ -409,8 +411,10 @@ class ParetoArchive:
             cost=lambda pair: pair[1].metric(self.cost_metric),
         )
 
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return _pairs_to_dicts(self._entries)
+    def to_dicts(
+        self, encode: Callable[[CostReport], Any] = report_to_dict
+    ) -> List[Dict[str, Any]]:
+        return _pairs_to_dicts(self._entries, encode)
 
     @classmethod
     def from_dicts(
@@ -438,7 +442,7 @@ class CellProgress:
     infeasible: int = 0
     elapsed_seconds: float = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
+    def to_dict(self, encode: Callable[[CostReport], Any]) -> Dict[str, Any]:
         return {
             "status": self.status,
             "initialized": self.initialized,
@@ -446,8 +450,8 @@ class CellProgress:
             "rng_state": (
                 _rng_state_to_json(self.rng_state) if self.rng_state is not None else None
             ),
-            "population": _pairs_to_dicts(self.population),
-            "archive": self.archive.to_dicts() if self.archive is not None else [],
+            "population": _pairs_to_dicts(self.population, encode),
+            "archive": self.archive.to_dicts(encode) if self.archive is not None else [],
             "evaluations": self.evaluations,
             "infeasible": self.infeasible,
             "elapsed_seconds": self.elapsed_seconds,
@@ -583,6 +587,9 @@ class Campaign:
             CellProgress(archive=ParetoArchive(spec.cost_metric)) for _ in spec.cells
         ]
         self._lock = threading.Lock()
+        #: id -> (report, its JSON text) for each report the last checkpoint
+        #: held (see :meth:`checkpoint_dict`).
+        self._texts: Dict[int, Tuple[CostReport, RawJSON]] = {}
         #: Telemetry fan-out: the NDJSON event log (if any) plus sinks.
         self.events = CampaignEventBus()
         self.event_log_path = self._resolve_event_log(self.checkpoint_path, event_log)
@@ -799,14 +806,32 @@ class Campaign:
                 ) from None
 
     def checkpoint_dict(self) -> Dict[str, Any]:
-        return {
+        """The checkpoint document, each report as its JSON text (a
+        :class:`~repro.core.cost.export.RawJSON` that
+        :func:`~repro.core.cost.export.dump_json` splices in).
+
+        A report the previous checkpoint held keeps that checkpoint's text,
+        so each is encoded once across all the rounds that keep it.
+        """
+        texts: Dict[int, Tuple[CostReport, RawJSON]] = {}
+
+        def encode(report: CostReport) -> RawJSON:
+            # Keyed by identity: the report held in the entry keeps its id
+            # from being reused while the entry lasts.
+            key = id(report)
+            texts[key] = texts.get(key) or self._texts.get(key) or (report, report_json(report))
+            return texts[key][1]
+
+        data = {
             "version": CHECKPOINT_VERSION,
             "fingerprint": self.spec.fingerprint(),
             "spec": self.spec.to_dict(),
             "workloads": self._workload_definitions(),
             "rulesets": self._ruleset_definitions(),
-            "cells": [cell.to_dict() for cell in self.cells],
+            "cells": [cell.to_dict(encode) for cell in self.cells],
         }
+        self._texts = texts
+        return data
 
     def save(self) -> None:
         """Atomically persist the current state (no-op without a path).
@@ -816,7 +841,7 @@ class Campaign:
         """
         if self.checkpoint_path is None:
             return
-        data = json.dumps(self.checkpoint_dict()).encode("utf-8")
+        data = dump_json(self.checkpoint_dict()).encode("utf-8")
         try:
             write_atomic(self.checkpoint_path, data)
         except OSError as error:

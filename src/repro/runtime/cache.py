@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Hashable, Optional, Union
 
-from repro.core.cost.export import report_from_dict, report_to_dict
+from repro.core.cost.export import dump_json, report_from_dict, report_json
 from repro.core.cost.results import CostReport
 from repro.utils.atomic import write_atomic
 from repro.utils.errors import MCCMError
@@ -143,12 +143,12 @@ class DiskCache:
         payload = {
             "format": DISK_CACHE_FORMAT,
             "key": key,
-            "report": report_to_dict(entry.report) if entry.report else None,
+            "report": report_json(entry.report) if entry.report else None,
             "reason": entry.reason,
         }
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, json.dumps(payload).encode("utf-8"))
+        write_atomic(path, dump_json(payload).encode("utf-8"))
 
     def __len__(self) -> int:
         """The entry files (``*/*.json``), counted by one directory walk.

@@ -25,15 +25,15 @@ import time
 from pathlib import Path
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
-    Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set,
+    Tuple, Union,
 )
 
 import repro
-from repro.api import sweep
+from repro.api import sweep_grid
 from repro.cnn.graph import CNNGraph
 from repro.core.architectures import TEMPLATES, build_template
-from repro.core.cost.export import report_to_dict
+from repro.core.cost.export import RawJSON, report_json
 from repro.core.notation import ArchitectureSpec, parse_notation
 from repro.dse.events import (
     TERMINAL_EVENT_TYPES,
@@ -159,40 +159,6 @@ class StreamingResponse:
     chunks: Iterator[bytes]
     status: int = 200
     content_type: str = "application/x-ndjson"
-
-
-@dataclass(frozen=True)
-class RawJSON:
-    """JSON text standing in for a top-level payload value; the server
-    writes it into the reply as it is (see :func:`dump_payload`)."""
-
-    text: str
-
-
-def dump_payload(payload: Mapping[str, Any]) -> str:
-    """``json.dumps(payload)``, with each top-level :class:`RawJSON` value's
-    text put in where the value stands.
-
-    The plain members around a raw value are encoded as one dict per run
-    and joined with ``json.dumps``'s own separators, so the result is
-    byte for byte what ``json.dumps`` gives when each raw value is the
-    object its text was dumped from.
-    """
-    members: List[str] = []
-    run: Dict[str, Any] = {}
-    for key, value in payload.items():
-        if isinstance(value, RawJSON):
-            if run:
-                members.append(json.dumps(run)[1:-1])
-                run = {}
-            members.append(f"{json.dumps(key)}: {value.text}")
-        else:
-            run[key] = value
-    if not members:
-        return json.dumps(payload)
-    if run:
-        members.append(json.dumps(run)[1:-1])
-    return "{" + ", ".join(members) + "}"
 
 
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
@@ -352,6 +318,10 @@ class EvaluationContext:
     def __init__(self, evaluator: BatchEvaluator) -> None:
         self.evaluator = evaluator
         self.lock = threading.Lock()
+        #: Set when the worker evicts the context: what moves the counts of
+        #: a request that took the lock after the eviction into the
+        #: worker's lifetime totals, which no longer read this evaluator.
+        self.retired: Optional[Callable[["EvaluationContext"], None]] = None
 
     def __enter__(self) -> "EvaluationContext":
         if not self.lock.acquire(not _on_loop()):
@@ -359,6 +329,8 @@ class EvaluationContext:
         return self
 
     def __exit__(self, *_exc) -> None:
+        if self.retired is not None:
+            self.retired(self)
         self.lock.release()
 
 
@@ -432,7 +404,7 @@ class ServiceState:
         self._evaluators: Dict[str, EvaluationContext] = {}
         #: Evicted contexts whose last requests may still run, and the
         #: summed counters of the closed ones: lifetime totals include both.
-        self._evicted: List[EvaluationContext] = []
+        self._evicted: Set[EvaluationContext] = set()
         self._retired = RunStats(jobs=jobs if isinstance(jobs, int) else 1)
         #: Held while a context is hashed or built; the loop never takes it.
         self._build_lock = threading.Lock()
@@ -795,17 +767,26 @@ class ServiceState:
                     self._evaluators[key] = entry
                     while len(self._evaluators) > MAX_EVALUATOR_CONTEXTS:
                         evicted.append(self._evaluators.pop(next(iter(self._evaluators))))
-                    self._evicted.extend(evicted)
+                    self._evicted.update(evicted)
         for stale in evicted:
             # Holding no other lock: taking the context's lock waits out
             # any request still using it, whose counts then stay with the
-            # worker's lifetime totals.
+            # worker's lifetime totals; a request that takes it later
+            # moves its own there on leaving.
             with stale.lock:
                 stale.evaluator.close()
-                with self._registry_lock:
-                    self._evicted.remove(stale)
-                    self._retired.absorb(stale.evaluator.totals)
+                self._retire(stale)
+                stale.retired = self._retire
         return entry
+
+    def _retire(self, context: EvaluationContext) -> None:
+        """Move an evicted context's counts so far into the closed
+        contexts' sum."""
+        evaluator = context.evaluator
+        with self._registry_lock:
+            self._evicted.discard(context)
+            self._retired.absorb(evaluator.totals)
+            evaluator.totals = RunStats(jobs=evaluator.jobs)
 
     def runtime_totals(self) -> RunStats:
         """Lifetime counters of every context this worker has built, so
@@ -813,9 +794,12 @@ class ServiceState:
         totals = RunStats(jobs=self._retired.jobs)
         with self._registry_lock:
             totals.absorb(self._retired)
-            contexts = [*self._evaluators.values(), *self._evicted]
-        for context in contexts:
-            totals.absorb(context.evaluator.totals)
+            # Taken under the lock: retiring a context moves its totals
+            # into the closed ones' sum and hands it fresh ones.
+            contexts = (*self._evaluators.values(), *self._evicted)
+            counts = [context.evaluator.totals for context in contexts]
+        for stats in counts:
+            totals.absorb(stats)
         return totals
 
     @property
@@ -1028,7 +1012,7 @@ def handle_evaluate(state: ServiceState, request: EvaluateRequest) -> Response:
             evaluator.context,
             spec,
             key,
-            RawJSON(json.dumps(report_to_dict(report))) if report is not None else None,
+            report_json(report) if report is not None else None,
             RawJSON(json.dumps(_verdict_dicts(request, report, evaluator.board))),
         )
         state.replays.put(memo_key, replay)
@@ -1049,14 +1033,9 @@ def handle_sweep(state: ServiceState, request: SweepRequest) -> Response:
     context = state.evaluator_for(request.model, request.board, request.precision)
     evaluator = context.evaluator
     with context:
-        result = sweep(
-            evaluator.graph,
-            evaluator.board,
-            architectures=request.architectures,
-            ce_counts=request.ce_counts,
-            precision=request.precision,
-            runtime=evaluator,
-        )
+        # The context is keyed by what the request resolved to, so the
+        # grid needs no check of the evaluator against it.
+        result = sweep_grid(evaluator, request.architectures, request.ce_counts)
     payload = result.to_dict()
     payload.update(
         {

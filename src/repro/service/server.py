@@ -45,6 +45,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qsl
 
 import repro
+from repro.core.cost.export import dump_json
 from repro.service import handlers, schema
 from repro.service.handlers import ServiceState
 from repro.utils.errors import MCCMError
@@ -404,7 +405,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         *,
         retry_after: Optional[int] = None,
     ) -> None:
-        body = handlers.dump_payload(payload).encode("utf-8")
+        body = dump_json(payload).encode("utf-8")
         if status >= 400:
             # An errored request may not have consumed its body; keeping the
             # connection alive would desync HTTP/1.1 pipelining.

@@ -29,7 +29,7 @@ import dataclasses
 from typing import List, NamedTuple, Tuple
 
 import pytest
-from hypothesis import given, reject
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from repro.api import resolve_board, resolve_model
@@ -593,6 +593,28 @@ def reference_dual_evaluate(block, allocated, input_extra, output_extra, segment
 heights = st.one_of(st.integers(1, 17), st.integers(1, 512))
 
 
+def conv_spec(index, k, c, h, w, r, stride, copies):
+    """A standard convolution of ``k`` filters over ``c`` channels, its
+    output ``h`` x ``w``, its kernel ``r`` x ``r``, its OFM live ``copies``
+    times."""
+    return ConvSpec(
+        index=index,
+        name=f"L{index}",
+        kind=LayerKind.STANDARD_CONV,
+        filters=k,
+        channels=c,
+        out_height=h,
+        out_width=w,
+        kernel_height=r,
+        kernel_width=r,
+        ifm_elements=h * stride * w * stride * c,
+        ofm_elements=h * w * k,
+        weight_count=k * c * r * r,
+        macs=k * c * h * w * r * r,
+        fms_copies=copies,
+    )
+
+
 @st.composite
 def layer_lists(draw, min_size, max_size):
     shapes = draw(
@@ -610,32 +632,17 @@ def layer_lists(draw, min_size, max_size):
             max_size=max_size,
         )
     )
-    return tuple(
-        ConvSpec(
-            index=index,
-            name=f"L{index}",
-            kind=LayerKind.STANDARD_CONV,
-            filters=k,
-            channels=c,
-            out_height=h,
-            out_width=w,
-            kernel_height=r,
-            kernel_width=r,
-            ifm_elements=h * stride * w * stride * c,
-            ofm_elements=h * w * k,
-            weight_count=k * c * r * r,
-            macs=k * c * h * w * r * r,
-            fms_copies=copies,
-        )
-        for index, (k, c, h, w, r, stride, copies) in enumerate(shapes)
-    )
+    return tuple(conv_spec(index, *shape) for index, shape in enumerate(shapes))
 
 
 #: Degrees of the C, R and S loops: mostly 1, as the Eq. 1 search leaves them.
 minor_degrees = st.sampled_from([1, 1, 1, 2, 3])
 
-engines = st.builds(
-    lambda pk, ph, pw, minor, spare, dataflow: ComputeEngine(
+
+def make_engine(pk, ph, pw, minor, spare, dataflow):
+    """An engine of the given K, H, W and (C, R, S) degrees, with ``spare``
+    PEs beyond their product."""
+    return ComputeEngine(
         name="CE",
         pe_count=pk * ph * pw * minor[0] * minor[1] * minor[2] + spare,
         strategy=ParallelismStrategy.from_dict(
@@ -649,7 +656,11 @@ engines = st.builds(
             }
         ),
         dataflow=dataflow,
-    ),
+    )
+
+
+engines = st.builds(
+    make_engine,
     st.integers(1, 32),
     st.integers(1, 8),
     st.integers(1, 8),
@@ -799,11 +810,17 @@ def builder_dual_tails(draw):
     return tail
 
 
+def footprint_edges(footprint):
+    """The allocations at and beside a block's mandatory and ideal bytes."""
+    mandatory, ideal = footprint
+    return sorted({0, max(0, mandatory - 1), mandatory, max(0, ideal - 1), ideal, ideal + 1})
+
+
 @st.composite
 def evaluation_inputs(draw, footprint):
     """Allocations from 0 to above the ideal footprint, with boundary traffic."""
-    mandatory, ideal = footprint
-    edges = sorted({0, max(0, mandatory - 1), mandatory, max(0, ideal - 1), ideal, ideal + 1})
+    ideal = footprint[1]
+    edges = footprint_edges(footprint)
     allocated = draw(st.one_of(st.sampled_from(edges), st.integers(0, 2 * ideal + 64)))
     extras = st.one_of(st.just(0), st.integers(1, 10**7))
     return allocated, draw(extras), draw(extras), draw(st.integers(0, 20))
@@ -819,15 +836,71 @@ REFERENCE_EVALUATE = {
 
 
 def check_block(block, data):
+    """``block`` against the reference, at drawn allocations, or with
+    ``data`` None (an explicit example) at every edge of its footprint."""
     footprint = reference_footprint(block)
     assert (block.mandatory_buffer_bytes(), block.ideal_buffer_bytes()) == footprint
     if block.kind == "dual":
         reference = ReferenceDualBlock(block)
         assert block.layout.pairs == reference.fused_pairs()
         assert block.buffer_components() == reference.buffer_components()
+    if data is None:
+        evaluations = [(allocated, 0, 0, 0) for allocated in footprint_edges(footprint)]
+    else:
+        evaluations = data.draw(st.lists(evaluation_inputs(footprint), min_size=1, max_size=4))
     # Several evaluations share one layout; each must match on its own.
-    for inputs in data.draw(st.lists(evaluation_inputs(footprint), min_size=1, max_size=4)):
+    for inputs in evaluations:
         assert block.evaluate(*inputs) == REFERENCE_EVALUATE[block.kind](block, *inputs)
+
+
+def dual_example(layers, dw_engine, std_engine):
+    """A dual-engine block of ``layers`` (``conv_spec`` arguments after the
+    index, a leading ``"dw"`` making one depthwise) at int16, on its own
+    layer columns."""
+    specs = tuple(
+        as_depthwise(conv_spec(index, *layer[1:])) if layer[0] == "dw" else conv_spec(index, *layer)
+        for index, layer in enumerate(layers)
+    )
+    return DualEngineBlock(
+        name="B4",
+        dw_engine=dw_engine,
+        std_engine=std_engine,
+        specs=specs,
+        precision=Precision(INT16, INT16),
+        bytes_per_cycle=4.0,
+        columns=LayerColumns(specs, Precision(INT16, INT16)),
+    )
+
+
+#: Dual blocks whose depthwise layer has a weights tile on its own engine
+#: unlike its tile on the standard engine, the one Eq. 6 and the mandatory
+#: bytes read (weight-stationary holds every filter, the other dataflows K
+#: degree filters). In the first three the tile changes what Eq. 6 charges
+#: at the mandatory allocation: it is larger on the depthwise engine, then
+#: smaller, then the depthwise layer sits between two standard ones. In the
+#: last it changes the mandatory bytes.
+DUAL_TILE_EXAMPLES = [
+    dual_example(
+        [(16, 4, 16, 4, 7, 1, 2), ("dw", 4, 16, 16, 8, 3, 1, 1)],
+        make_engine(1, 1, 1, (1, 1, 1), 0, Dataflow.WEIGHT_STATIONARY),
+        make_engine(1, 1, 1, (1, 1, 1), 0, Dataflow.OUTPUT_STATIONARY),
+    ),
+    dual_example(
+        [(16, 8, 4, 8, 3, 1, 2), ("dw", 64, 32, 4, 8, 1, 1, 1)],
+        make_engine(4, 1, 1, (1, 1, 1), 0, Dataflow.OUTPUT_STATIONARY),
+        make_engine(4, 1, 1, (1, 1, 1), 0, Dataflow.WEIGHT_STATIONARY),
+    ),
+    dual_example(
+        [(8, 8, 4, 8, 7, 1, 2), ("dw", 64, 32, 4, 8, 5, 1, 1), (32, 64, 4, 4, 1, 1, 1)],
+        make_engine(1, 1, 1, (1, 1, 1), 0, Dataflow.WEIGHT_STATIONARY),
+        make_engine(8, 1, 1, (1, 1, 1), 0, Dataflow.OUTPUT_STATIONARY),
+    ),
+    dual_example(
+        [("dw", 64, 64, 8, 8, 7, 1, 1), (4, 64, 8, 8, 1, 1, 1)],
+        make_engine(1, 2, 2, (1, 1, 1), 0, Dataflow.WEIGHT_STATIONARY),
+        make_engine(1, 2, 2, (1, 1, 1), 0, Dataflow.OUTPUT_STATIONARY),
+    ),
+]
 
 
 class TestBlocksMatchReference:
@@ -843,6 +916,10 @@ class TestBlocksMatchReference:
         assert block.tile_counts() == tile_counts
 
     @given(block=dual_blocks(), data=st.data())
+    @example(block=DUAL_TILE_EXAMPLES[0], data=None)
+    @example(block=DUAL_TILE_EXAMPLES[1], data=None)
+    @example(block=DUAL_TILE_EXAMPLES[2], data=None)
+    @example(block=DUAL_TILE_EXAMPLES[3], data=None)
     def test_dual_engine_block(self, block, data):
         check_block(block, data)
 

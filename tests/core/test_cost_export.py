@@ -5,15 +5,57 @@ import io
 import json
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.api import evaluate, sweep
+from repro.core.cost import export
 from repro.core.cost.export import (
     CSV_COLUMNS,
+    RawJSON,
     batch_latency_seconds,
+    dump_json,
+    report_json,
     report_to_dict,
     report_to_json,
     reports_to_csv,
 )
+
+#: JSON leaves: text (non-ASCII, control and escaped characters), every
+#: float ``json.dumps`` writes, integers, booleans and null.
+leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+def containers(children):
+    return st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4)
+
+
+#: Plain JSON values, empty containers included.
+values = st.recursive(leaves, containers, max_leaves=12)
+
+#: Values holding raw texts (each ``json.dumps`` of a plain value) at any depth.
+spliced = st.recursive(
+    leaves | values.map(lambda value: RawJSON(json.dumps(value))), containers, max_leaves=24
+)
+
+
+def decoded(value):
+    """``value`` with each raw text replaced by what it encodes."""
+    if isinstance(value, RawJSON):
+        return json.loads(value.text)
+    if isinstance(value, dict):
+        return {key: decoded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [decoded(item) for item in value]
+    return value
+
+
+def holds_raw(value) -> bool:
+    if isinstance(value, RawJSON):
+        return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, list) and any(map(holds_raw, value))
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +85,38 @@ class TestJsonExport:
         data = report_to_dict(report)
         assert data["throughput_fps"] == pytest.approx(report.throughput_fps)
         assert data["latency_ms"] == pytest.approx(report.latency_ms)
+
+
+class TestDumpJson:
+    @pytest.mark.fuzz
+    @given(spliced)
+    def test_equals_json_dumps_of_the_decoded_value(self, value):
+        assert dump_json(value) == json.dumps(decoded(value))
+
+    @pytest.mark.fuzz
+    @given(spliced, st.booleans())
+    def test_a_string_like_the_marker_raises(self, value, as_key):
+        assume(holds_raw(value))
+        holder = {export._SPLICE_MARK: value} if as_key else [value, export._SPLICE_MARK]
+        with pytest.raises(ValueError):
+            dump_json(holder)
+
+    def test_marker_strings_without_raw_texts_encode_as_json_dumps(self):
+        value = {export._SPLICE_MARK: [export._SPLICE_MARK, 'x"' + export._SPLICE_MARK]}
+        assert dump_json(value) == json.dumps(value)
+
+    def test_a_string_holding_the_marker_is_not_spliced(self):
+        value = [RawJSON("[1]"), "x" + export._SPLICE_MARK + "y", {"k": RawJSON("{}")}]
+        assert dump_json(value) == json.dumps(decoded(value))
+        with pytest.raises(ValueError):
+            dump_json([RawJSON("[1]"), 'x"' + export._SPLICE_MARK])
+
+    def test_other_objects_are_not_serializable(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dump_json({"report": RawJSON("1"), "x": object()})
+
+    def test_report_json_is_the_compact_dump(self, report):
+        assert report_json(report).text == json.dumps(report_to_dict(report))
 
 
 class TestCsvExport:

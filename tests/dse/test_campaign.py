@@ -9,12 +9,15 @@ the real-SIGKILL version of the same assertion).
 
 import json
 import random
+import re
 
 import pytest
 
 from repro.analysis.pareto import non_dominated_sort
-from repro.core.cost.export import report_to_dict
+from repro.core.cost import export
+from repro.core.cost.export import dump_json, report_to_dict
 from repro.utils.errors import UnknownWorkloadError
+from repro.dse import campaign as campaign_module
 from repro.dse.campaign import (
     Campaign,
     CampaignError,
@@ -51,6 +54,11 @@ def fronts_of(result):
     return json.dumps(
         [cell.to_dict()["front"] for cell in result.cells], sort_keys=True
     )
+
+
+def without_elapsed(checkpoint: bytes) -> bytes:
+    """A checkpoint's bytes with its wall-clock fields blanked."""
+    return re.sub(rb'"elapsed_seconds": [-+.0-9e]+', b'"elapsed_seconds": 0', checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -201,10 +209,29 @@ class TestCheckpointRoundTrip:
                 assert report_to_dict(original) == entry["report"]
 
     def test_checkpoint_file_reloads_identically(self, reference):
+        # checkpoint_dict() holds each report as its JSON text, so it is
+        # compared through the encoder that writes it.
         _result, path = reference
         stored = json.loads(path.read_text())
         reloaded = Campaign.load(path).checkpoint_dict()
-        assert reloaded == stored
+        assert json.loads(dump_json(reloaded)) == stored
+
+    def test_a_live_checkpoint_resaves_and_resumes_byte_identically(
+        self, spec, reference, tmp_path
+    ):
+        """A multi-round checkpoint, not only the frozen fixture, keeps its
+        bytes when loaded (every report rebuilt) and saved again, and a
+        resume from the re-saved file ends in the uninterrupted run's
+        checkpoint."""
+        ref_result, ref_path = reference
+        path = tmp_path / "checkpoint.json"
+        run_campaign(spec, path, max_rounds=3)
+        written = path.read_bytes()
+        Campaign.load(path, event_log=None).save()
+        assert path.read_bytes() == written
+        resumed = resume_campaign(path)
+        assert fronts_of(resumed) == fronts_of(ref_result)
+        assert without_elapsed(path.read_bytes()) == without_elapsed(ref_path.read_bytes())
 
     def test_archive_dominance_rules(self, reference):
         result, _path = reference
@@ -226,6 +253,32 @@ class TestCheckpointRoundTrip:
         # Canonical order: ascending cost.
         costs = [report.metric(metric) for _design, report in front]
         assert costs == sorted(costs)
+
+
+class TestEncodeOnce:
+    def test_each_report_is_encoded_once_across_saves(self, spec, tmp_path, monkeypatch):
+        encoded = []
+        encode = export.report_to_dict
+
+        def spy(report):
+            encoded.append(report)
+            return encode(report)
+
+        monkeypatch.setattr(export, "report_to_dict", spy)
+        monkeypatch.setattr(campaign_module, "report_to_dict", spy)
+        held = []  # every report each save's checkpoint holds, kept alive
+        save = Campaign.save
+
+        def recording_save(campaign):
+            for cell in campaign.cells:
+                held.extend(report for _design, report in [*cell.population, *cell.archive.front()])
+            save(campaign)
+
+        monkeypatch.setattr(Campaign, "save", recording_save)
+        run_campaign(spec, tmp_path / "checkpoint.json")
+        distinct = {id(report) for report in held}
+        assert len(held) > 2 * len(distinct)  # later rounds keep most reports
+        assert sorted(map(id, encoded)) == sorted(distinct)
 
 
 class TestResume:

@@ -21,14 +21,14 @@ import pytest
 
 from repro import api
 from repro.cnn.serialize import graph_from_dict, graph_to_dict
-from repro.core.cost.export import report_to_dict
+from repro.core.cost import export
+from repro.core.cost.export import RawJSON, dump_json, report_to_dict
 from repro.dse.space import CustomDesignSpace
 from repro.hw.datatypes import DEFAULT_PRECISION
 from repro.rules import REGISTRY as RULES
 from repro.rules.engine import evaluate_rules
 from repro.runtime import batch
 from repro.service import EvaluationService, ServiceClient, handlers
-from repro.service.handlers import RawJSON, dump_payload
 from repro.workloads import REGISTRY as WORKLOADS
 
 MODEL = "squeezenet"
@@ -134,13 +134,13 @@ class TestDumpPayload:
             key: RawJSON(json.dumps(value)) if key in raw_keys else value
             for key, value in payload.items()
         }
-        assert dump_payload(spliced) == json.dumps(payload)
+        assert dump_json(spliced) == json.dumps(payload)
 
     def test_only_raw_values_and_empty_payload(self):
-        assert dump_payload({"report": RawJSON(json.dumps(self.REPORT))}) == json.dumps(
+        assert dump_json({"report": RawJSON(json.dumps(self.REPORT))}) == json.dumps(
             {"report": self.REPORT}
         )
-        assert dump_payload({}) == "{}"
+        assert dump_json({}) == "{}"
 
 
 class TestMemos:
@@ -291,7 +291,7 @@ class TestMemos:
     def test_warm_replays_build_and_encode_nothing(self, monkeypatch):
         modules = {
             "build_template": handlers,
-            "report_to_dict": handlers,
+            "report_to_dict": export,
             "evaluate_rules": handlers,
             "spec_fingerprint": batch,
             "model": WORKLOADS,  # name resolution

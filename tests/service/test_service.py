@@ -185,6 +185,23 @@ class TestContextMemo:
         monkeypatch.setattr(handlers, "context_fingerprint", counting)
         return calls
 
+    def test_a_warm_sweep_hashes_nothing(self, fingerprint_calls, monkeypatch):
+        """The service's context is keyed by what the request resolved to,
+        so a sweep through it runs no check of its own."""
+        from repro import api
+
+        checks = []
+        check = api.context_fingerprint
+        monkeypatch.setattr(
+            api, "context_fingerprint", lambda *args: checks.append(args) or check(*args)
+        )
+        with EvaluationService(port=0) as service:
+            client = ServiceClient(service.url)
+            for _ in range(3):
+                client.sweep(MODEL, BOARD, architectures=["segmented"], ce_counts=[2, 3])
+            client.close()
+        assert len(fingerprint_calls) == 1 and checks == []
+
     def test_fingerprint_once_per_context(self, fingerprint_calls):
         with EvaluationService(port=0) as service:
             client = ServiceClient(service.url)
@@ -1265,17 +1282,22 @@ class TestWorkerStatusRecord:
             client.close()
         assert readings == [(1, 1, 1, 0), (1, 2, 2, 0), (1, 3, 2, 1)]
 
-    def test_lifetime_counters_never_decrease_under_churn(self, monkeypatch):
-        """Four threads cycle three contexts through a one-context cap while
-        another thread samples the totals: no sample is below the last."""
-        monkeypatch.setattr(handlers, "MAX_EVALUATOR_CONTEXTS", 1)
-        requests = [
+    @staticmethod
+    def three_context_requests():
+        """Two designs on each of three boards: three contexts."""
+        return [
             schema.parse_evaluate(
                 {"model": MODEL, "board": board, "architecture": "segmentedrr", "ce_count": ces}
             )
             for board in ("zc706", "vcu110", "zcu102")
             for ces in (2, 3)
         ]
+
+    def test_lifetime_counters_never_decrease_under_churn(self, monkeypatch):
+        """Four threads cycle three contexts through a one-context cap while
+        another thread samples the totals: no sample is below the last."""
+        monkeypatch.setattr(handlers, "MAX_EVALUATOR_CONTEXTS", 1)
+        requests = self.three_context_requests()
         state = ServiceState()
         samples, stop = [], threading.Event()
 
@@ -1308,6 +1330,33 @@ class TestWorkerStatusRecord:
         for before, after in zip(samples, samples[1:]):
             assert all(a <= b for a, b in zip(before, after)), (before, after)
         assert samples[-1][0] <= 400
+
+    def test_a_late_request_on_an_evicted_context_keeps_its_counts(self, monkeypatch):
+        """A request that looked its context up before another request
+        evicted it, and takes its lock after, still counts: six threads x
+        150 requests over three contexts through a one-context cap."""
+        monkeypatch.setattr(handlers, "MAX_EVALUATOR_CONTEXTS", 1)
+        requests = self.three_context_requests()
+        state = ServiceState()
+
+        def churn(offset):
+            for index in range(150):
+                handlers.handle_evaluate(state, requests[(offset + index) % len(requests)])
+
+        threads = [threading.Thread(target=churn, args=(offset,)) for offset in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            submitted = state.runtime_totals().submitted
+        finally:
+            sys.setswitchinterval(interval)
+            state.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert submitted == 900
 
 
 class TestWorkloadRegistration:
