@@ -48,6 +48,8 @@ from repro.utils.mathutils import ceil_div
 if TYPE_CHECKING:  # multiprocessing loads when a pool starts
     import multiprocessing.pool
 
+    from repro.core.cost.export import RawJSON
+
 #: ``jobs="auto"``: smallest miss count worth a worker pool. Pool startup
 #: costs ~100 ms plus per-task pickling; with cold evaluations running
 #: around a millisecond, small batches always lose the fork.
@@ -119,6 +121,9 @@ class BatchItem:
     report: Optional[CostReport]
     reason: Optional[str] = None
     cached: bool = False
+    #: The report's JSON text when this batch's disk tier wrote it (see
+    #: :meth:`DiskCache.put`); None otherwise.
+    report_text: Optional[RawJSON] = None
 
     @property
     def feasible(self) -> bool:
@@ -298,10 +303,10 @@ class BatchEvaluator:
                 return entry
         return None
 
-    def _store(self, key: str, entry: CacheEntry) -> None:
+    def _store(self, key: str, entry: CacheEntry) -> Optional[RawJSON]:
+        """Keep ``entry``; the report's text when the disk tier wrote one."""
         self._memory.put(key, entry)
-        if self._disk is not None:
-            self._disk.put(key, entry)
+        return self._disk.put(key, entry) if self._disk is not None else None
 
     # --- evaluation ----------------------------------------------------------
     def stream(
@@ -353,6 +358,7 @@ class BatchEvaluator:
         inflight = zip((key for key, _spec in pending), entries)
 
         yielded = set()
+        texts: dict = {}  # report texts the disk tier wrote, until yielded
         try:
             for index, (key, spec) in enumerate(zip(keys, spec_list)):
                 while key not in resolved:
@@ -360,7 +366,7 @@ class BatchEvaluator:
                     stats.evaluations += 1
                     if not entry.feasible:
                         stats.infeasible += 1
-                    self._store(ready_key, entry)
+                    texts[ready_key] = self._store(ready_key, entry)
                     resolved[ready_key] = entry
                 entry = resolved[key]
                 duplicate = key in yielded
@@ -377,6 +383,7 @@ class BatchEvaluator:
                     report=entry.report,
                     reason=entry.reason,
                     cached=duplicate or key in cached_keys,
+                    report_text=texts.pop(key, None),
                 )
         finally:
             stats.elapsed_seconds = time.perf_counter() - start

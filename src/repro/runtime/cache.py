@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Hashable, Optional, Union
 
-from repro.core.cost.export import dump_json, report_from_dict, report_json
+from repro.core.cost.export import RawJSON, dump_json, report_from_dict, report_json
 from repro.core.cost.results import CostReport
 from repro.utils.atomic import write_atomic
 from repro.utils.errors import MCCMError
@@ -139,16 +139,20 @@ class DiskCache:
             return CacheEntry(report=None, reason=payload.get("reason"))
         return CacheEntry(report=report_from_dict(payload["report"]))
 
-    def put(self, key: str, entry: CacheEntry) -> None:
+    def put(self, key: str, entry: CacheEntry) -> Optional[RawJSON]:
+        """Store ``entry``; returns the report's JSON text it wrote (None
+        for an infeasible entry), for a caller that needs the same text."""
+        text = report_json(entry.report) if entry.report else None
         payload = {
             "format": DISK_CACHE_FORMAT,
             "key": key,
-            "report": report_json(entry.report) if entry.report else None,
+            "report": text,
             "reason": entry.reason,
         }
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, dump_json(payload).encode("utf-8"))
+        return text
 
     def __len__(self) -> int:
         """The entry files (``*/*.json``), counted by one directory walk.

@@ -1008,11 +1008,14 @@ def handle_evaluate(state: ServiceState, request: EvaluateRequest) -> Response:
         item = next(iter(evaluator.stream([spec], keys=[key])))
     if replay is None:
         report = item.report
+        text = item.report_text  # the disk tier's, when it wrote one
+        if text is None and report is not None:
+            text = report_json(report)
         replay = Replay(
             evaluator.context,
             spec,
             key,
-            report_json(report) if report is not None else None,
+            text,
             RawJSON(json.dumps(_verdict_dicts(request, report, evaluator.board))),
         )
         state.replays.put(memo_key, replay)

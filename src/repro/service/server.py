@@ -4,13 +4,14 @@ Stdlib only (``selectors``): one thread owns the listening socket and
 every keep-alive connection. It frames each request once from the
 connection's receive buffer (:func:`frame_head` keeps ``http.server``'s
 limits and answers), answers ``POST /evaluate`` and the GET routes
-inline, and sends each reply from the connection's output buffer without
-blocking. Work the loop cannot bound — ``POST /sweep``, ``/dse``,
-``/campaign`` and the registrations, event streams, a stale ``/models``
-catalog, and an ``/evaluate`` that the replay memo or the worker's
-in-memory cache cannot answer or whose context another thread holds —
-runs on a thread that owns the connection until its reply is out and then
-hands the connection back. Every request goes through the process-wide
+inline, writing each reply head itself (``http.server``'s bytes), and
+sends each reply from the connection's output buffer without blocking.
+Work the loop cannot bound — ``POST /sweep``, ``/dse``, ``/campaign``
+and the registrations, event streams, a stale ``/models`` catalog, and
+an ``/evaluate`` that the replay memo or the worker's in-memory cache
+cannot answer or whose context another thread holds — runs on a thread
+that owns the connection until its reply is out and then hands the
+connection back. Every request goes through the process-wide
 :class:`~repro.service.handlers.ServiceState`, so all clients share one
 warm evaluation cache.
 
@@ -34,13 +35,13 @@ import re
 import selectors
 import signal
 import socket
+import sys
 import threading
 import time
 from collections import deque
 from functools import partial
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler
-from time import monotonic
+from time import gmtime, monotonic
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qsl
 
@@ -107,6 +108,10 @@ SEEN_BODIES = 4096
 _HEADER_LINE = re.compile(r"From |[\041-\071\073-\176]*:|[\t ]")
 #: Lines as ``email.feedparser`` splits them: a lone CR ends a line too.
 _LINES = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+#: A request's version until its request line names one: HTTP/0.9, whose
+#: replies have no head.
+DEFAULT_REQUEST_VERSION = "HTTP/0.9"
 
 
 def parse_header_block(text: str) -> Dict[str, str]:
@@ -205,7 +210,7 @@ class Head:
         self.requestline = ""
         self.command: Optional[str] = None
         self.path = ""
-        self.request_version = BaseHTTPRequestHandler.default_request_version
+        self.request_version = DEFAULT_REQUEST_VERSION
         self.close = True
         self.headers: Dict[str, str] = {}
         self.expect_continue = False
@@ -358,18 +363,63 @@ DYNAMIC_ROUTES: Dict[str, Tuple[Tuple[str, Callable], ...]] = {
 }
 
 
-class _RequestHandler(BaseHTTPRequestHandler):
+#: Each status's reason phrase and error-page explanation, as
+#: ``BaseHTTPRequestHandler.responses`` has them.
+_RESPONSES = {status: (status.phrase, status.description) for status in HTTPStatus}
+
+#: ``http.server``'s error page (``DEFAULT_ERROR_MESSAGE``), whose prolog
+#: Python 3.11 changed.
+ERROR_PAGE = (
+    '<!DOCTYPE HTML>\n<html lang="en">\n    <head>\n        <meta charset="utf-8">\n'
+    if sys.version_info >= (3, 11)
+    else '<!DOCTYPE HTML PUBLIC "-//W3C//DTD HTML 4.01//EN"\n'
+    '        "http://www.w3.org/TR/html4/strict.dtd">\n<html>\n    <head>\n'
+    '        <meta http-equiv="Content-Type" content="text/html;charset=utf-8">\n'
+) + """\
+        <title>Error response</title>
+    </head>
+    <body>
+        <h1>Error response</h1>
+        <p>Error code: %(code)d</p>
+        <p>Message: %(message)s.</p>
+        <p>Error code explanation: %(code)s - %(explain)s.</p>
+    </body>
+</html>
+"""
+
+#: The interim reply to ``Expect: 100-continue``: a status line alone,
+#: unlogged, as ``handle_expect_100`` writes it.
+CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+#: English names: ``strftime``'s follow the locale.
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def http_date(second: int) -> str:
+    """``second`` (since the epoch) as an IMF-fixdate, the ``Date`` text
+    ``email.utils.formatdate(second, usegmt=True)`` makes."""
+    year, month, day, hour, minute, sec, weekday, _, _ = gmtime(second)
+    return (
+        f"{_DAYS[weekday]}, {day:02d} {_MONTHS[month - 1]} {year:04d} "
+        f"{hour:02d}:{minute:02d}:{sec:02d} GMT"
+    )
+
+
+class _RequestHandler:
     """Answers the requests of one connection.
 
-    Only the reply half of ``BaseHTTPRequestHandler`` runs: ``send_error``,
-    ``send_response`` and friends write into the connection's output
-    buffer, while the serving loop frames each request and calls
-    :meth:`begin` and then ``do_GET``/``do_POST``. Work that must leave
-    the loop is left in :attr:`deferred` for a thread to run.
+    The serving loop frames each request and calls :meth:`begin` and then
+    ``do_GET``/``do_POST``; every reply goes through :meth:`_reply` into
+    the connection's output buffer, in the bytes ``http.server``'s
+    ``send_response``, ``send_header`` and ``end_headers`` wrote. Work
+    that must leave the loop is left in :attr:`deferred` for a thread to
+    run.
     """
 
     server_version = f"repro-serve/{repro.__version__}"
-    protocol_version = "HTTP/1.1"
+    #: The ``Server`` header's text.
+    _server = f"{server_version} Python/{sys.version.split()[0]}"
     #: (second, ``Date`` header text) last formatted; replaced whole, so a
     #: thread reads a consistent pair without a lock.
     _date: Tuple[int, str] = (-1, "")
@@ -377,7 +427,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def __init__(
         self, connection: "_Connection", state: ServiceState, client_address: Any
     ) -> None:
-        # Not BaseRequestHandler.__init__, which would serve the socket itself.
         self.wfile = connection
         self.state = state
         self.client_address = client_address
@@ -392,12 +441,65 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.head = head
         self.requestline = head.requestline
         self.command = head.command
-        self.path = head.path
         self.request_version = head.request_version
         self.close_connection = head.close
         self.headers = head.headers
 
-    # --- plumbing ------------------------------------------------------------
+    # --- replies -------------------------------------------------------------
+    def _reply(
+        self, status: int, fields: str, body: bytes = b"", phrase: Optional[str] = None
+    ) -> None:
+        """Write one reply: its head (the status line, ``Server``,
+        ``Date``, then ``fields``, header lines each ending in CRLF) and
+        ``body``. An HTTP/0.9 reply is its body alone. The access log
+        gets ``log_request``'s line."""
+        self._log('"%s" %d -', self.requestline, status)
+        if self.request_version != "HTTP/0.9":
+            if phrase is None:
+                phrase = _RESPONSES[status][0] if status in _RESPONSES else ""
+            body = (
+                f"HTTP/1.1 {status:d} {phrase}\r\n"
+                f"Server: {self._server}\r\n"
+                f"Date: {self._date_now()}\r\n"
+                f"{fields}\r\n"
+            ).encode("latin-1") + body
+        self.wfile.write(body)
+
+    def _date_now(self) -> str:
+        """The ``Date`` text for now, formatted once per second."""
+        second = int(time.time())
+        cached = _RequestHandler._date
+        if cached[0] != second:
+            cached = _RequestHandler._date = (second, http_date(second))
+        return cached[1]
+
+    def _log(self, format: str, *args: Any) -> None:
+        # The access log goes through logging, each line formatted only
+        # when someone reads it.
+        if logger.isEnabledFor(logging.INFO):
+            logger.info("%s - %s", self.client_address[0], format % args)
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+    ) -> None:
+        """``BaseHTTPRequestHandler.send_error``: the error page, with
+        ``message`` (default: the reason phrase) as the status line's
+        phrase; a ``HEAD`` request gets the head alone."""
+        default_message, default_explain = _RESPONSES[code]
+        message = default_message if message is None else message
+        explain = default_explain if explain is None else explain
+        self._log("code %d, message %s", code, message)
+        self.close_connection = True
+        body = (ERROR_PAGE % {
+            "code": code, "message": _escape(message), "explain": _escape(explain)
+        }).encode("utf-8")
+        fields = (
+            "Connection: close\r\n"
+            "Content-Type: text/html;charset=utf-8\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        self._reply(code, fields, b"" if self.command == "HEAD" else body, message)
+
     def _send_json(
         self,
         status: int,
@@ -410,68 +512,40 @@ class _RequestHandler(BaseHTTPRequestHandler):
             # An errored request may not have consumed its body; keeping the
             # connection alive would desync HTTP/1.1 pipelining.
             self.close_connection = True
-        self.log_request(status)
-        reply = body
-        if self.request_version != "HTTP/0.9":  # HTTP/0.9 replies have no head
-            # The lines send_response and send_header would buffer, in one
-            # string (tests/service/test_framing.py compares the bytes).
-            phrase = self.responses[status][0] if status in self.responses else ""
-            head = (
-                f"{self.protocol_version} {status:d} {phrase}\r\n"
-                f"Server: {self.version_string()}\r\n"
-                f"Date: {self.date_time_string()}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-            )
-            if self.state.worker_index is not None:
-                head += f"X-Repro-Worker: {self.state.pid}\r\n"
-            if retry_after is not None:
-                head += f"Retry-After: {retry_after}\r\n"
-            if self.close_connection:
-                # Announce the close explicitly so keep-alive clients drop
-                # the connection instead of stumbling over the silent
-                # hangup on their next request.
-                head += "Connection: close\r\n"
-            reply = (head + "\r\n").encode("latin-1") + body
-        self.wfile.write(reply)
-
-    def date_time_string(self, timestamp: Optional[float] = None) -> str:
-        """The stdlib's ``Date`` text for now, formatted once per second."""
-        if timestamp is not None:
-            return super().date_time_string(timestamp)
-        second = int(time.time())
-        cached = _RequestHandler._date
-        if cached[0] != second:
-            cached = (second, super().date_time_string(second))
-            _RequestHandler._date = cached
-        return cached[1]
-
-    def _send_worker_header(self) -> None:
-        """In a fleet, say which worker pid answered — clients (and the CI
-        smoke) use it to prove streams are served fleet-wide, not only by
-        the worker that accepted ``POST /campaign``."""
+        fields = f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
         if self.state.worker_index is not None:
-            self.send_header("X-Repro-Worker", str(self.state.pid))
+            fields += f"X-Repro-Worker: {self.state.pid}\r\n"
+        if retry_after is not None:
+            fields += f"Retry-After: {retry_after}\r\n"
+        if self.close_connection:
+            # Announce the close explicitly so keep-alive clients drop
+            # the connection instead of stumbling over the silent
+            # hangup on their next request.
+            fields += "Connection: close\r\n"
+        self._reply(status, fields, body)
 
     def _send_stream(self, stream: "handlers.StreamingResponse") -> None:
         """Write a chunked-transfer NDJSON response, flushing every chunk.
 
-        Manual chunked framing (``http.server`` offers none): each event
-        line goes out as its own chunk, in one write, the moment the
-        handler yields it, so clients see generations live. Runs on a
-        thread that owns the connection. The connection always closes at
-        stream end — re-syncing keep-alive after a potentially abandoned
-        stream is not worth it.
+        Each event line goes out as its own chunk, in one write, the
+        moment the handler yields it, so clients see generations live.
+        Runs on a thread that owns the connection. The connection always
+        closes at stream end — re-syncing keep-alive after a potentially
+        abandoned stream is not worth it. In a fleet, ``X-Repro-Worker``
+        names the worker that answered: clients (and the CI smoke) use it
+        to prove streams are served fleet-wide, not only by the worker
+        that accepted ``POST /campaign``.
         """
         self.close_connection = True
-        self.send_response(stream.status)
-        self.send_header("Content-Type", stream.content_type)
-        self.send_header("Cache-Control", "no-store")
-        self.send_header("Transfer-Encoding", "chunked")
-        self._send_worker_header()
-        self.send_header("Connection", "close")
+        fields = (
+            f"Content-Type: {stream.content_type}\r\n"
+            "Cache-Control: no-store\r\n"
+            "Transfer-Encoding: chunked\r\n"
+        )
+        if self.state.worker_index is not None:
+            fields += f"X-Repro-Worker: {self.state.pid}\r\n"
         try:
-            self.end_headers()
+            self._reply(stream.status, fields + "Connection: close\r\n")
             self.wfile.flush()
             for chunk in stream.chunks:
                 if not chunk:
@@ -487,6 +561,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except Exception:  # pragma: no cover - defensive
             logger.exception("event stream failed mid-flight")
 
+    # --- requests ------------------------------------------------------------
     def _read_body(self) -> Any:
         if self.head.length_error is not None:
             raise self.head.length_error
@@ -652,18 +727,18 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self.state.end_request()
         self.state.untrack_request()
 
-    # --- http.server hooks ---------------------------------------------------
+    # --- request methods -----------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
         self._dispatch("GET")
 
     def do_POST(self) -> None:  # noqa: N802
         self._dispatch("POST")
 
-    def log_message(self, format: str, *args: Any) -> None:
-        # Route the default access log through logging instead of stderr,
-        # formatting each line only when someone reads it.
-        if logger.isEnabledFor(logging.INFO):
-            logger.info("%s - %s", self.address_string(), format % args)
+
+def _escape(text: str) -> str:
+    """``html.escape(text, quote=False)``, without loading ``html`` (and
+    its entity tables)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class _Connection:
@@ -861,7 +936,7 @@ class ServingLoop:
                 conn.head = head
                 handler.begin(head)
                 if head.expect_continue:
-                    handler.handle_expect_100()
+                    conn.write(CONTINUE)
             end = head.end + head.body_length
             if len(conn.inbuf) < end and not conn.eof:
                 break

@@ -28,7 +28,7 @@ from repro.hw.datatypes import DEFAULT_PRECISION
 from repro.rules import REGISTRY as RULES
 from repro.rules.engine import evaluate_rules
 from repro.runtime import batch
-from repro.service import EvaluationService, ServiceClient, handlers
+from repro.service import EvaluationService, ServiceClient, handlers, schema
 from repro.workloads import REGISTRY as WORKLOADS
 
 MODEL = "squeezenet"
@@ -113,6 +113,38 @@ class TestWireBytes:
                 for _ in range(3)
             ]
         assert len(set(answers)) == 1 and len(builds) == 1
+
+
+class TestEncodeOnce:
+    @pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+    def test_a_cold_report_is_encoded_once(self, monkeypatch, tmp_path, disk):
+        # Under a disk tier the replay entry takes the text the cache wrote.
+        encoded = []
+        encode = export.report_to_dict
+
+        def counting(report):
+            encoded.append(report)
+            return encode(report)
+
+        monkeypatch.setattr(export, "report_to_dict", counting)
+        cache = tmp_path / "cache"
+        state = handlers.ServiceState(cache_dir=str(cache) if disk else None)
+        request = schema.parse_evaluate(
+            {"model": MODEL, "board": BOARD, "architecture": "segmentedrr", "ce_count": 2}
+        )
+        try:
+            cold = handlers.handle_evaluate(state, request)[1]
+            warm = handlers.handle_evaluate(state, request)[1]
+        finally:
+            state.close()
+        assert len(encoded) == 1
+        expected = encode(api.evaluate(MODEL, BOARD, "segmentedrr", ce_count=2))
+        assert json.loads(dump_json(cold))["report"] == expected
+        assert dump_json(warm) == dump_json({**cold, "cached": True})
+        entries = list(cache.glob("*/*.json"))
+        assert [json.loads(entry.read_text())["report"] for entry in entries] == (
+            [expected] if disk else []
+        )
 
 
 class TestDumpPayload:

@@ -5,7 +5,9 @@ reads everything the server sends back, so nothing between the test and
 the request parser (no client library) hides what the bytes mean. The
 expected answers are the ``http.server`` + ``email.parser`` behavior the
 service has always had, quirks included: the request-head parser must
-keep every limit, status code and header lookup pinned here.
+keep every limit, status code and header lookup pinned here. The server
+writes its reply heads and error pages itself; ``http.server`` stays
+here as their reference (:class:`TestReplyHead`, :class:`TestErrorPages`).
 
 The serving loop frames requests from whatever bytes have arrived, so
 :class:`TestSplitDelivery` also checks the framer on every prefix of
@@ -322,17 +324,20 @@ def clock(monkeypatch):
 
 class StdlibHead(http.server.BaseHTTPRequestHandler):
     """``send_response`` + ``send_header`` as the stdlib has them, at the
-    patched clock's time, writing into a buffer instead of a socket."""
+    patched clock's time, writing into a buffer instead of a socket and
+    keeping each access-log line it would write."""
 
     server_version = service_server._RequestHandler.server_version
     protocol_version = "HTTP/1.1"
 
     def __init__(self) -> None:  # no socket: only the head methods run
         self.request_version = "HTTP/1.1"
+        self.requestline = ""
         self.wfile = io.BytesIO()
+        self.logged: List[str] = []
 
-    def log_request(self, code="-", size="-") -> None:
-        pass
+    def log_message(self, format, *args) -> None:
+        self.logged.append(format % args)
 
     def date_time_string(self, timestamp=None) -> str:
         return super().date_time_string(CLOCK)
@@ -411,6 +416,18 @@ class TestReplyHead:
             for now in (CLOCK, CLOCK + 0.7, CLOCK + 1.0, CLOCK + 61.5)
         ]
 
+    def test_date_text_matches_email_utils(self):
+        # One second a day for 400 days from 2027-12-30 (two year ends and
+        # a leap day), each at another time of day, plus two edges.
+        start = 1_830_124_800
+        seconds = [start + day * 86_400 + day * 3_671 % 86_400 for day in range(400)]
+        seconds += [0, 2**31 + 1]
+        assert {time.gmtime(second).tm_wday for second in seconds} == set(range(7))
+        assert {time.gmtime(second).tm_mon for second in seconds} == set(range(1, 13))
+        assert [service_server.http_date(second) for second in seconds] == [
+            email.utils.formatdate(second, usegmt=True) for second in seconds
+        ]
+
     def test_json_replies_are_access_logged(self, service, caplog):
         caplog.set_level(logging.INFO, logger=service_server.__name__)
         only_reply(service, plain_post())
@@ -477,6 +494,65 @@ WIRE_REQUESTS = {
     },
     **{f"head case {name}": case[0] for name, case in HEAD_CASES.items()},
 }
+
+
+#: Requests ``http.server`` answers from the head alone: every head the
+#: framer rejects, and a method with no ``do_`` method (501). Some request
+#: lines carry ``<``, ``>`` and ``&``, which the error page escapes.
+STDLIB_ANSWERED = {
+    **{
+        name: data
+        for name, data in WIRE_REQUESTS.items()
+        if service_server.frame_head(data, eof=True).error is not None
+    },
+    "escaped syntax": b"GET /<a>&<b> extra HTTP/1.1\r\nHost: localhost\r\n\r\n",
+    "escaped version": b"GET /evaluate HTTP/<1>&.1\r\nHost: localhost\r\n\r\n",
+    "long request line": b"GET /" + b"a" * service_server.MAX_HEADER_LINE + b" HTTP/1.1\r\n\r\n",
+    "HEAD with a long header line": (
+        b"HEAD /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+    ),
+    "PUT": b"PUT /evaluate HTTP/1.1\r\nHost: localhost\r\n\r\n",
+    "escaped method": b"<&> /evaluate HTTP/1.1\r\nHost: localhost\r\n\r\n",
+    "HEAD": b"HEAD /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n",
+    "HTTP/1.0 PUT": b"PUT /evaluate HTTP/1.0\r\n\r\n",
+}
+
+
+def stdlib_answer(data: bytes) -> StdlibHead:
+    """``http.server`` reading ``data`` as one request, at the patched
+    clock's time; it answers ``data`` itself (see :data:`STDLIB_ANSWERED`)."""
+    handler = StdlibHead()
+    handler.rfile = io.BytesIO(data)
+    handler.handle_one_request()
+    return handler
+
+
+class TestErrorPages:
+    """The server writes ``send_error``'s answers itself: the same bytes,
+    and the same access-log lines, as ``BaseHTTPRequestHandler``'s."""
+
+    @pytest.mark.parametrize("name", list(STDLIB_ANSWERED))
+    def test_answer_matches_the_stdlib(self, service, clock, caplog, name):
+        data = STDLIB_ANSWERED[name]
+        expected = stdlib_answer(data)
+        assert expected.wfile.getvalue() and expected.close_connection
+        caplog.set_level(logging.INFO, logger=service_server.__name__)
+        assert exchange(service, data) == expected.wfile.getvalue()
+        logged = [
+            record.getMessage() for record in caplog.records
+            if record.name == service_server.__name__
+        ]
+        assert logged == [f"127.0.0.1 - {line}" for line in expected.logged]
+
+    def test_cases_cover_every_answer_and_escape(self):
+        answers = [stdlib_answer(data).wfile.getvalue() for data in STDLIB_ANSWERED.values()]
+        pages = b"".join(answers)
+        codes = {int(code) for code in re.findall(rb"Error code: (\d+)<", pages)}
+        assert codes == {400, 414, 431, 501, 505}
+        assert any(not answer.startswith(b"HTTP/") for answer in answers)  # HTTP/0.9
+        assert any(answer.endswith(b"\r\n\r\n") for answer in answers)  # HEAD
+        for escaped in (b"&lt;", b"&gt;", b"&amp;"):
+            assert escaped in pages
 
 
 def framed(data: bytes, eof: bool = False):

@@ -17,12 +17,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+#: Stdlib modules an entry point loads only when it needs them.
+STDLIB = ("multiprocessing", "sqlite3", "http.server", "http.client", "ssl", "email")
+
 #: Runs in the child after the entry point's code; prints what loaded.
-REPORT = """
+REPORT = f"""
 import json, sys
 print(json.dumps(sorted(
     name for name in sys.modules
-    if name.startswith("repro") or name in ("multiprocessing", "sqlite3")
+    if name.startswith("repro") or name in {STDLIB!r}
 )))
 """
 
@@ -91,3 +94,5 @@ def test_server_start_loads_no_search_or_client(tmp_path):
         assert _under(loaded, package) == [], package
     assert "repro.service.loadtest" not in loaded
     assert "repro.service.client" not in loaded
+    for module in ("http.server", "http.client", "ssl", "email"):
+        assert module not in loaded, module
