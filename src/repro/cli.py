@@ -79,23 +79,18 @@ def _selected_workloads(args: argparse.Namespace) -> tuple:
     file on the command line is the source of truth for its name), so the
     rest of the pipeline sees plain registry names either way.
     """
-    if args.model_file:
-        if args.model:
-            raise MCCMError("pass --model or --model-file, not both")
-        model = workloads.register_model(args.model_file, replace=True)
-    elif args.model:
-        model = args.model
-    else:
-        raise MCCMError("one of --model / --model-file is required")
-    if args.board_file:
-        if args.board:
-            raise MCCMError("pass --board or --board-file, not both")
-        board = workloads.register_board(args.board_file, replace=True)
-    elif args.board:
-        board = args.board
-    else:
-        raise MCCMError("one of --board / --board-file is required")
-    return model, board
+    names = []
+    for registry in (workloads.REGISTRY.models, workloads.REGISTRY.boards):
+        kind = registry.codec.kind
+        name, file = getattr(args, kind), getattr(args, f"{kind}_file")
+        if file:
+            if name:
+                raise MCCMError(f"pass --{kind} or --{kind}-file, not both")
+            name = registry.register(file, replace=True)
+        elif not name:
+            raise MCCMError(f"one of --{kind} / --{kind}-file is required")
+        names.append(name)
+    return tuple(names)
 
 
 def _nonnegative_int(text: str) -> int:

@@ -73,6 +73,7 @@ from repro.rules.engine import evaluate_rules, has_failures
 from repro.runtime import BatchEvaluator
 from repro.utils.atomic import write_atomic
 from repro.utils.errors import CampaignError, MCCMError, reject_unknown_fields
+from repro.utils.registry import Registry
 from repro.workloads import REGISTRY
 
 #: Checkpoint schema version; bumped when the on-disk layout changes.
@@ -129,6 +130,23 @@ def _pairs_from_dicts(data: Iterable[Mapping[str, Any]]) -> List[ScoredDesign]:
         (CustomDesign.from_dict(entry["design"]), report_from_dict(entry["report"]))
         for entry in data
     ]
+
+
+def _custom_definitions(registry: Registry, names: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+    """``name -> definition`` of each *custom* entry among ``names``.
+
+    A checkpoint embeds these for the models, boards and ruleset its spec
+    names, which makes it self-contained: a resumed campaign re-registers
+    them before the spec parses (:meth:`Campaign.load`), so a fresh process
+    that never saw the user's JSON files still replays to a byte-identical
+    front. Built-ins need no embedding.
+    """
+    definitions: Dict[str, Dict[str, Any]] = {}
+    for name in names:
+        entry = registry.entry(name)
+        if not entry.builtin:
+            definitions[name] = entry.definition
+    return definitions
 
 
 # --- the declarative spec -----------------------------------------------------
@@ -188,7 +206,9 @@ class CampaignCell:
             ce_counts = tuple(ce_counts)
         max_pipelined = data.get("max_pipelined")
         if max_pipelined is not None and (
-            not isinstance(max_pipelined, int) or max_pipelined < 0
+            isinstance(max_pipelined, bool)
+            or not isinstance(max_pipelined, int)
+            or max_pipelined < 0
         ):
             raise CampaignError("cell max_pipelined must be a non-negative integer")
         return cls(
@@ -322,6 +342,11 @@ class CampaignSpec:
                 isinstance(data[key], bool) or not isinstance(data[key], int)
             ):
                 raise CampaignError(f"campaign field {key!r} must be an integer")
+        for key in ("crossover_rate", "mutation_rate"):
+            if key in data and (
+                isinstance(data[key], bool) or not isinstance(data[key], (int, float))
+            ):
+                raise CampaignError(f"campaign field {key!r} must be a number")
         try:
             return cls(
                 cells=tuple(CampaignCell.from_dict(cell) for cell in cells),
@@ -694,9 +719,24 @@ class Campaign:
             )
         # Custom workloads and rulesets must be back in their registries
         # *before* the spec parses, or its cells (and its ``rules`` name)
-        # would fail resolution.
-        cls._restore_workloads(data.get("workloads") or {})
-        cls._restore_rulesets(data.get("rulesets") or {})
+        # would fail resolution. Identical re-registration is a no-op; a
+        # live registration that *differs* from the checkpointed definition
+        # is refused — silently replacing either side would break the
+        # bit-identical-resume contract.
+        workloads = data.get("workloads") or {}
+        for registry, embedded in (
+            (REGISTRY.models, workloads.get("models")),
+            (REGISTRY.boards, workloads.get("boards")),
+            (RULES, data.get("rulesets")),
+        ):
+            for name, definition in (embedded or {}).items():
+                try:
+                    registry.register(definition, name=name, source="checkpoint")
+                except MCCMError as error:
+                    raise CampaignError(
+                        f"checkpoint embeds {registry.codec.kind} {name!r} that "
+                        f"cannot be restored: {error}"
+                    ) from None
         stored_spec = CampaignSpec.from_dict(data["spec"])
         if data.get("fingerprint") != stored_spec.fingerprint():
             raise CampaignError(f"checkpoint {path} fingerprint mismatch (corrupt?)")
@@ -735,76 +775,6 @@ class Campaign:
         campaign._attach_event_log(resume=True)
         return campaign
 
-    def _workload_definitions(self) -> Dict[str, Dict[str, Any]]:
-        """Full definitions of every *custom* model/board the spec names.
-
-        Embedding them makes the checkpoint self-contained: a resumed
-        campaign re-registers its workloads before resolving any cell, so a
-        fresh process (which has never seen the user's JSON files) still
-        replays to a byte-identical front.
-        """
-        models: Dict[str, Any] = {}
-        boards: Dict[str, Any] = {}
-        for cell in self.spec.cells:
-            model = REGISTRY.models.entry(cell.model)
-            if not model.builtin:
-                models[cell.model] = model.definition
-            board = REGISTRY.boards.entry(cell.board)
-            if not board.builtin:
-                boards[cell.board] = board.definition
-        return {"models": models, "boards": boards}
-
-    @staticmethod
-    def _restore_workloads(data: Mapping[str, Any]) -> None:
-        """Re-register a checkpoint's embedded workload definitions.
-
-        Identical re-registration is a no-op; a live registration that
-        *differs* from the checkpointed definition is refused — silently
-        replacing either side would break the bit-identical-resume contract.
-        """
-        for kind, register in (
-            ("models", REGISTRY.models.register),
-            ("boards", REGISTRY.boards.register),
-        ):
-            for name, definition in (data.get(kind) or {}).items():
-                try:
-                    register(definition, name=name, source="checkpoint")
-                except MCCMError as error:
-                    raise CampaignError(
-                        f"checkpoint embeds {kind[:-1]} {name!r} that cannot "
-                        f"be restored: {error}"
-                    ) from None
-
-    def _ruleset_definitions(self) -> Dict[str, Dict[str, Any]]:
-        """Full definition of the spec's *custom* ruleset, if any.
-
-        Embedded for the same self-containment reason as workloads: a
-        resumed campaign re-registers its constraint ruleset before the
-        spec parses, so the front it replays is byte-identical even in a
-        process that never saw the user's rule files. Built-in rulesets
-        need no embedding.
-        """
-        if self.spec.rules is None:
-            return {}
-        entry = RULES.entry(self.spec.rules)
-        return {} if entry.builtin else {entry.name: entry.definition}
-
-    @staticmethod
-    def _restore_rulesets(data: Mapping[str, Any]) -> None:
-        """Re-register a checkpoint's embedded ruleset definitions.
-
-        Mirrors :meth:`_restore_workloads`: identical re-registration is a
-        no-op; a live registration that differs is refused.
-        """
-        for name, definition in data.items():
-            try:
-                RULES.register(definition, name=name, source="checkpoint")
-            except MCCMError as error:
-                raise CampaignError(
-                    f"checkpoint embeds ruleset {name!r} that cannot be "
-                    f"restored: {error}"
-                ) from None
-
     def checkpoint_dict(self) -> Dict[str, Any]:
         """The checkpoint document, each report as its JSON text (a
         :class:`~repro.core.cost.export.RawJSON` that
@@ -822,12 +792,16 @@ class Campaign:
             texts[key] = texts.get(key) or self._texts.get(key) or (report, report_json(report))
             return texts[key][1]
 
+        spec = self.spec
         data = {
             "version": CHECKPOINT_VERSION,
-            "fingerprint": self.spec.fingerprint(),
-            "spec": self.spec.to_dict(),
-            "workloads": self._workload_definitions(),
-            "rulesets": self._ruleset_definitions(),
+            "fingerprint": spec.fingerprint(),
+            "spec": spec.to_dict(),
+            "workloads": {
+                "models": _custom_definitions(REGISTRY.models, [c.model for c in spec.cells]),
+                "boards": _custom_definitions(REGISTRY.boards, [c.board for c in spec.cells]),
+            },
+            "rulesets": _custom_definitions(RULES, [spec.rules] if spec.rules else []),
             "cells": [cell.to_dict(encode) for cell in self.cells],
         }
         self._texts = texts

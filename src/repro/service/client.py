@@ -116,6 +116,22 @@ def _parse_retry_after(header: Optional[str]) -> Optional[int]:
         return None
 
 
+def _service_error(status: int, raw: bytes, retry_after: Optional[int]) -> ServiceError:
+    """A non-2xx reply as a :class:`ServiceError`: the kind, message and
+    retry hint of its ``{"error": ...}`` payload (``retry_after`` is the
+    ``Retry-After`` header's, used when the payload has none)."""
+    try:
+        detail = json.loads(raw.decode("utf-8"))["error"]
+    except Exception:
+        detail = {"kind": "http_error", "message": f"HTTP {status}"}
+    return ServiceError(
+        status,
+        detail.get("kind", "http_error"),
+        detail.get("message", f"HTTP {status}"),
+        retry_after=detail.get("retry_after", retry_after),
+    )
+
+
 def _precision_payload(precision: PrecisionLike) -> Optional[Dict[str, str]]:
     if precision is None:
         return None
@@ -152,16 +168,17 @@ class ServiceClient:
         self._local = threading.local()
 
     # --- transport -----------------------------------------------------------
+    def _open(self) -> http.client.HTTPConnection:
+        """A new connection to the service (not yet connected)."""
+        factory = (
+            http.client.HTTPSConnection if self._scheme == "https" else http.client.HTTPConnection
+        )
+        return factory(self._host, self._port, timeout=self.timeout)
+
     def _connection(self) -> http.client.HTTPConnection:
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            factory = (
-                http.client.HTTPSConnection
-                if self._scheme == "https"
-                else http.client.HTTPConnection
-            )
-            connection = factory(self._host, self._port, timeout=self.timeout)
-            self._local.connection = connection
+            connection = self._local.connection = self._open()
         return connection
 
     def _drop_connection(self) -> None:
@@ -214,16 +231,7 @@ class ServiceClient:
                     f"connection to {self.base_url} failed: {error}",
                 ) from None
             if status >= 400:
-                try:
-                    detail = json.loads(raw.decode("utf-8"))["error"]
-                except Exception:
-                    detail = {"kind": "http_error", "message": f"HTTP {status}"}
-                raise ServiceError(
-                    status,
-                    detail.get("kind", "http_error"),
-                    detail.get("message", f"HTTP {status}"),
-                    retry_after=detail.get("retry_after", retry_after),
-                ) from None
+                raise _service_error(status, raw, retry_after)
             try:
                 return json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, ValueError) as error:
@@ -438,12 +446,7 @@ class ServiceClient:
         cursor = after
         silent = 0
         while True:
-            factory = (
-                http.client.HTTPSConnection
-                if self._scheme == "https"
-                else http.client.HTTPConnection
-            )
-            connection = factory(self._host, self._port, timeout=self.timeout)
+            connection = self._open()
             progressed = False
             try:
                 connection.request(
@@ -453,19 +456,10 @@ class ServiceClient:
                 )
                 response = connection.getresponse()
                 if response.status >= 400:
-                    raw = response.read()
-                    try:
-                        detail = json.loads(raw.decode("utf-8"))["error"]
-                    except Exception:
-                        detail = {
-                            "kind": "http_error",
-                            "message": f"HTTP {response.status}",
-                        }
-                    raise ServiceError(
+                    raise _service_error(
                         response.status,
-                        detail.get("kind", "http_error"),
-                        detail.get("message", f"HTTP {response.status}"),
-                        retry_after=detail.get("retry_after"),
+                        response.read(),
+                        _parse_retry_after(response.getheader("Retry-After")),
                     )
                 while True:
                     # http.client undoes the chunked framing; each readline

@@ -51,18 +51,17 @@ from repro.rules import REGISTRY as RULES
 from repro.rules.engine import evaluate_rules
 from repro.rules.registry import ruleset_summary
 from repro.service.schema import (
-    BoardRegisterRequest,
     CampaignRequest,
     DseRequest,
     EvaluateRequest,
-    ModelRegisterRequest,
+    RegisterRequest,
     RequestError,
-    RulesetRegisterRequest,
     SweepRequest,
     precision_to_dict,
 )
 from repro.utils.atomic import write_atomic
 from repro.utils.errors import ResourceError
+from repro.utils.registry import Entry, Registry
 from repro.workloads import REGISTRY
 from repro.workloads.registry import model_summary
 
@@ -125,8 +124,8 @@ class NeedsThread(Exception):
     thread holds, a request the replay memo lacks (answering it resolves
     names, and may hash and build a context), a design the worker's
     in-memory cache lacks (answering it evaluates, or reads and writes the
-    disk tier), a stale ``/models`` catalog, or a ``/healthz`` or
-    ``/campaign`` answer that reads or writes files.
+    disk tier), a stale registry catalog (``GET /models|/boards|/rules``),
+    or a ``/healthz`` or ``/campaign`` answer that reads or writes files.
 
     The loop never waits on a lock or on work it cannot bound, so the
     server moves the request to a thread of its own (see :func:`never_wait`).
@@ -415,12 +414,11 @@ class ServiceState:
         self._counter_lock = threading.Lock()
         self.request_counts: Dict[str, int] = {}
         self.error_count = 0
-        #: Cached GET /models catalog plus the registry generation it was
-        #: built against; ``model_catalog()`` rebuilds it whenever a model
-        #: registration moves the generation.
+        #: registry -> (the generation its GET catalog was built against,
+        #: that catalog); ``catalog()`` rebuilds one whenever a
+        #: registration moves its registry's generation.
         self._catalog_lock = threading.Lock()
-        self._model_catalog: Optional[list] = None
-        self._catalog_generation: Optional[int] = None
+        self._catalogs: Dict[Registry, Tuple[int, list]] = {}
         #: id -> background campaign job (POST /campaign, GET /campaign/<id>).
         self._campaign_lock = threading.Lock()
         self._campaigns: Dict[str, CampaignJob] = {}
@@ -681,32 +679,28 @@ class ServiceState:
             }
         return sorted(entries.values(), key=lambda e: (e["started"] or 0, e["id"]))
 
-    # --- workload catalog ----------------------------------------------------
-    def model_catalog(self) -> list:
-        """The ``GET /models`` catalog, tracking live registry state.
+    # --- registry catalogs ---------------------------------------------------
+    def catalog(self, registry: Registry, summary: Callable[[Entry], Dict[str, Any]]) -> list:
+        """A registry's ``GET`` catalog (``summary`` of every entry, by
+        name), tracking live registry state.
 
-        Cached against the workload registry's generation counter: a model
-        registered through ``POST /models`` (or the Python API in an
-        embedded service) bumps the generation, so the next request rebuilds
-        the catalog instead of serving a stale listing.
+        Cached against the registry's generation counter: a registration
+        through ``POST`` (or the Python API in an embedded service) bumps
+        the generation, so the next request rebuilds the catalog instead of
+        serving a stale listing.
         """
-        generation = REGISTRY.models.generation
+        generation = registry.generation
         with self._catalog_lock:
-            if (
-                self._model_catalog is not None
-                and self._catalog_generation == generation
-            ):
-                return self._model_catalog
+            cached = self._catalogs.get(registry)
+        if cached is not None and cached[0] == generation:
+            return cached[1]
         if _on_loop():
-            raise NeedsThread()  # a build summarizes every registered graph
+            raise NeedsThread()  # a models build summarizes every registered graph
         # Build outside the lock: racing requests may duplicate the work,
         # but never block each other behind graph construction.
-        catalog = [
-            model_summary(REGISTRY.models.entry(name)) for name in REGISTRY.models.names()
-        ]
+        catalog = [summary(registry.entry(name)) for name in registry.names()]
         with self._catalog_lock:
-            self._model_catalog = catalog
-            self._catalog_generation = generation
+            self._catalogs[registry] = (generation, catalog)
         return catalog
 
     # --- evaluator registry --------------------------------------------------
@@ -847,6 +841,33 @@ def _resolve_spec(
     return build_template(name, evaluator.builder.conv_specs, ce_count)
 
 
+# --- registry routes ----------------------------------------------------------
+
+
+def board_summary(entry: Entry[FPGABoard]) -> Dict[str, Any]:
+    """One board's ``GET /boards`` entry: its definition, marked custom or not."""
+    return {**entry.definition, "custom": not entry.builtin}
+
+
+class RegistryRoute(NamedTuple):
+    """One registry's HTTP surface: ``GET`` lists its entries under
+    ``list_key`` and ``POST`` registers into it, each entry as ``summary``
+    describes it."""
+
+    registry: Registry
+    list_key: str
+    summary: Callable[[Entry], Dict[str, Any]]
+
+
+#: route -> the registry behind it; :data:`repro.service.server.ROUTES`
+#: builds the ``GET`` and ``POST`` entry of each from this table.
+REGISTRIES: Dict[str, RegistryRoute] = {
+    "/models": RegistryRoute(REGISTRY.models, "models", model_summary),
+    "/boards": RegistryRoute(REGISTRY.boards, "boards", board_summary),
+    "/rules": RegistryRoute(RULES, "rulesets", ruleset_summary),
+}
+
+
 # --- GET endpoints ------------------------------------------------------------
 
 
@@ -875,64 +896,27 @@ def handle_healthz(state: ServiceState) -> Response:
     return 200, payload
 
 
-def handle_models(state: ServiceState) -> Response:
-    return 200, {"models": state.model_catalog()}
-
-
-def handle_boards(state: ServiceState) -> Response:
-    boards = []
-    for name in REGISTRY.boards.names():
-        entry = REGISTRY.boards.entry(name)
-        boards.append({**entry.definition, "custom": not entry.builtin})
-    return 200, {"boards": boards}
-
-
-def handle_rules_list(state: ServiceState) -> Response:
-    """``GET /rules``: every registered constraint ruleset, with definitions."""
-    rulesets = [ruleset_summary(RULES.entry(name)) for name in RULES.names()]
-    return 200, {"rulesets": rulesets}
+def handle_catalog(route: RegistryRoute, state: ServiceState) -> Response:
+    """``GET /models|/boards|/rules``: every entry of the route's registry."""
+    return 200, {route.list_key: state.catalog(route.registry, route.summary)}
 
 
 # --- POST endpoints -----------------------------------------------------------
 
 
-def handle_model_register(
-    state: ServiceState, request: ModelRegisterRequest
+def handle_register(
+    route: RegistryRoute, state: ServiceState, request: RegisterRequest
 ) -> Response:
-    """``POST /models``: register a user-defined CNN with the live registry.
+    """``POST /models|/boards|/rules``: register a definition with the
+    route's live registry; returns 201 with its catalog entry.
 
     Registration is in-memory for the service's lifetime (persistent
-    registration belongs to ``repro models register`` on the host).
-    Conflicts surface as 409 ``workload_conflict``; malformed graphs as
-    400 ``shape_error``. Returns 201 with the catalog entry.
+    registration belongs to ``repro models|boards|rules register`` on the
+    host). Conflicts surface as 409 ``workload_conflict``, malformed
+    definitions as the codec's 400 (``shape_error``, ``rule_error``, ...).
     """
-    name = REGISTRY.models.register(
-        request.definition, replace=request.replace, source="http"
-    )
-    return 201, model_summary(REGISTRY.models.entry(name))
-
-
-def handle_board_register(
-    state: ServiceState, request: BoardRegisterRequest
-) -> Response:
-    """``POST /boards``: register a user-defined FPGA board (in-memory)."""
-    name = REGISTRY.boards.register(
-        request.definition, replace=request.replace, source="http"
-    )
-    entry = REGISTRY.boards.entry(name)
-    return 201, {**entry.definition, "custom": not entry.builtin}
-
-
-def handle_ruleset_register(
-    state: ServiceState, request: RulesetRegisterRequest
-) -> Response:
-    """``POST /rules``: register a constraint ruleset (in-memory).
-
-    Conflicts surface as 409 ``workload_conflict``; malformed rule schemas
-    as 400 ``rule_error``. Returns 201 with the catalog entry.
-    """
-    name = RULES.register(request.definition, replace=request.replace, source="http")
-    return 201, ruleset_summary(RULES.entry(name))
+    name = route.registry.register(request.definition, replace=request.replace, source="http")
+    return 201, route.summary(route.registry.entry(name))
 
 
 def _verdict_dicts(request, report, board) -> list:

@@ -40,6 +40,7 @@ from repro.utils.errors import (
     WorkloadError,
     reject_unknown_fields,
 )
+from repro.utils.registry import Registry
 from repro.workloads import REGISTRY
 
 if TYPE_CHECKING:  # the DSE layer loads only when a campaign request arrives
@@ -176,45 +177,18 @@ def _int_field(
     return value
 
 
-def _model_field(payload: Mapping[str, Any]) -> str:
-    name = _string_field(payload, "model").lower()
+def _name_field(payload: Mapping[str, Any], name: str, registry: Registry) -> str:
+    """A registered name, canonical; a 404 ``unknown_<kind>`` with a
+    suggestion when the live registry has no such entry (a name registered
+    a request ago resolves here)."""
+    value = _string_field(payload, name).lower()
     try:
-        # Live registry state: a model registered a request ago resolves here.
-        return REGISTRY.models.canonical(name)
+        return registry.canonical(value)
     except UnknownWorkloadError as error:
         raise RequestError(
             str(error),
             status=404,
-            kind="unknown_model",
-            extra={"suggestion": error.suggestion, "available": error.available},
-        ) from None
-
-
-def _board_field(payload: Mapping[str, Any]) -> str:
-    name = _string_field(payload, "board").lower()
-    try:
-        return REGISTRY.boards.canonical(name)
-    except UnknownWorkloadError as error:
-        raise RequestError(
-            str(error),
-            status=404,
-            kind="unknown_board",
-            extra={"suggestion": error.suggestion, "available": error.available},
-        ) from None
-
-
-def _ruleset_field(payload: Mapping[str, Any]) -> Optional[str]:
-    """Optional ``rules`` field: a registered ruleset name, or ``None``."""
-    if "rules" not in payload or payload["rules"] is None:
-        return None
-    name = _string_field(payload, "rules").lower()
-    try:
-        return RULES.canonical(name)
-    except UnknownWorkloadError as error:
-        raise RequestError(
-            str(error),
-            status=404,
-            kind="unknown_ruleset",
+            kind=f"unknown_{registry.codec.kind}",
             extra={"suggestion": error.suggestion, "available": error.available},
         ) from None
 
@@ -280,12 +254,12 @@ def parse_evaluate(payload: Any) -> EvaluateRequest:
         body, ("model", "board", "architecture", "ce_count", "precision", "rules")
     )
     return EvaluateRequest(
-        model=_model_field(body),
-        board=_board_field(body),
+        model=_name_field(body, "model", REGISTRY.models),
+        board=_name_field(body, "board", REGISTRY.boards),
         architecture=_string_field(body, "architecture"),
         ce_count=_int_field(body, "ce_count", minimum=1),
         precision=parse_precision(body.get("precision")),
-        rules=_ruleset_field(body),
+        rules=None if body.get("rules") is None else _name_field(body, "rules", RULES),
     )
 
 
@@ -327,29 +301,13 @@ def parse_sweep(payload: Any) -> SweepRequest:
             raise RequestError("architectures entries must be non-empty strings")
         architectures = tuple(name.strip() for name in architectures)
     return SweepRequest(
-        model=_model_field(body),
-        board=_board_field(body),
+        model=_name_field(body, "model", REGISTRY.models),
+        board=_name_field(body, "board", REGISTRY.boards),
         architectures=architectures,
         ce_counts=_ce_counts_field(body),
         precision=parse_precision(body.get("precision")),
-        rules=_ruleset_field(body),
+        rules=None if body.get("rules") is None else _name_field(body, "rules", RULES),
     )
-
-
-@dataclass(frozen=True)
-class ModelRegisterRequest:
-    """Validated body of ``POST /models``."""
-
-    definition: Dict[str, Any]
-    replace: bool = False
-
-
-@dataclass(frozen=True)
-class BoardRegisterRequest:
-    """Validated body of ``POST /boards``."""
-
-    definition: Dict[str, Any]
-    replace: bool = False
 
 
 def _bool_field(payload: Mapping[str, Any], name: str, default: bool = False) -> bool:
@@ -359,66 +317,37 @@ def _bool_field(payload: Mapping[str, Any], name: str, default: bool = False) ->
     return value
 
 
-def parse_model_register(payload: Any) -> ModelRegisterRequest:
-    """``{"model": {...graph schema...}, "replace": false}``.
-
-    The graph schema itself (:mod:`repro.cnn.serialize`) is validated by
-    the registry at registration time; malformed graphs surface as
-    structured 400 ``shape_error`` payloads via the error map.
-    """
-    body = _require_mapping(payload)
-    _reject_unknown(body, ("model", "replace"))
-    definition = body.get("model")
-    if not isinstance(definition, Mapping):
-        raise RequestError(
-            "missing or bad field 'model' (the model JSON object of "
-            "the cnn/serialize schema)"
-        )
-    return ModelRegisterRequest(
-        definition=dict(definition), replace=_bool_field(body, "replace")
-    )
-
-
-def parse_board_register(payload: Any) -> BoardRegisterRequest:
-    """``{"board": {...board schema...}, "replace": false}``."""
-    body = _require_mapping(payload)
-    _reject_unknown(body, ("board", "replace"))
-    definition = body.get("board")
-    if not isinstance(definition, Mapping):
-        raise RequestError(
-            "missing or bad field 'board' (the board JSON object; see docs/api.md)"
-        )
-    return BoardRegisterRequest(
-        definition=dict(definition), replace=_bool_field(body, "replace")
-    )
+#: What a registration body's definition field holds, by registry kind.
+_DEFINITION_HINTS = {
+    "model": "the model JSON object of the cnn/serialize schema",
+    "board": "the board JSON object; see docs/api.md",
+    "ruleset": "the ruleset JSON object; see docs/rules.md",
+}
 
 
 @dataclass(frozen=True)
-class RulesetRegisterRequest:
-    """Validated body of ``POST /rules``."""
+class RegisterRequest:
+    """Validated body of ``POST /models``, ``/boards`` or ``/rules``."""
 
     definition: Dict[str, Any]
     replace: bool = False
 
 
-def parse_ruleset_register(payload: Any) -> RulesetRegisterRequest:
-    """``{"ruleset": {...ruleset schema...}, "replace": false}``.
+def parse_register(registry: Registry, payload: Any) -> RegisterRequest:
+    """``{"<kind>": {...definition...}, "replace": false}``, where
+    ``<kind>`` is ``registry.codec.kind`` (``model``, ``board``, ``ruleset``).
 
-    The ruleset schema itself (:mod:`repro.rules.schema`) is validated by
-    the rule registry at registration time; malformed rules surface as
-    structured 400 ``rule_error`` payloads via the error map.
+    The definition itself is validated by the registry at registration
+    time; a malformed one surfaces as a structured 400 (``shape_error``,
+    ``workload_error``, ``rule_error``) via the error map.
     """
+    kind = registry.codec.kind
     body = _require_mapping(payload)
-    _reject_unknown(body, ("ruleset", "replace"))
-    definition = body.get("ruleset")
+    _reject_unknown(body, (kind, "replace"))
+    definition = body.get(kind)
     if not isinstance(definition, Mapping):
-        raise RequestError(
-            "missing or bad field 'ruleset' (the ruleset JSON object; "
-            "see docs/rules.md)"
-        )
-    return RulesetRegisterRequest(
-        definition=dict(definition), replace=_bool_field(body, "replace")
-    )
+        raise RequestError(f"missing or bad field {kind!r} ({_DEFINITION_HINTS[kind]})")
+    return RegisterRequest(definition=dict(definition), replace=_bool_field(body, "replace"))
 
 
 @dataclass(frozen=True)
@@ -472,8 +401,8 @@ def parse_dse(payload: Any) -> DseRequest:
             f"(use the CLI or library for larger searches)"
         )
     return DseRequest(
-        model=_model_field(body),
-        board=_board_field(body),
+        model=_name_field(body, "model", REGISTRY.models),
+        board=_name_field(body, "board", REGISTRY.boards),
         samples=samples,
         seed=_int_field(body, "seed", default=0, minimum=0),
         cost_metric=cost_metric,

@@ -7,7 +7,7 @@ limits and answers), answers ``POST /evaluate`` and the GET routes
 inline, writing each reply head itself (``http.server``'s bytes), and
 sends each reply from the connection's output buffer without blocking.
 Work the loop cannot bound — ``POST /sweep``, ``/dse``, ``/campaign``
-and the registrations, event streams, a stale ``/models`` catalog, and
+and the registrations, event streams, a stale registry catalog, and
 an ``/evaluate`` that the replay memo or the worker's in-memory cache
 cannot answer or whose context another thread holds — runs on a thread
 that owns the connection until its reply is out and then hands the
@@ -91,7 +91,7 @@ RECV_BYTES = 65536
 #: checks a definition of up to a MiB): each such request runs on a thread
 #: of its own.
 THREAD_ROUTES = frozenset(
-    ("POST", route) for route in ("/sweep", "/dse", "/campaign", "/models", "/boards", "/rules")
+    ("POST", route) for route in ("/sweep", "/dse", "/campaign", *handlers.REGISTRIES)
 )
 
 #: ``POST /evaluate`` bodies a loop remembers, by hash (it forgets them all
@@ -333,24 +333,30 @@ def frame_head(data, eof: bool = False) -> Optional[Head]:
 #: The ``request_counts`` key of every request to a path no route has.
 UNKNOWN_PATH = "<unknown>"
 
-#: method -> path -> (request parser or None, handler).
+#: method -> path -> (request parser or None, handler). Each registry
+#: route (:data:`handlers.REGISTRIES`) lists its registry on GET and
+#: registers into it on POST; the GET list reflects a registration at once.
 ROUTES: Dict[str, Dict[str, Tuple[Optional[Callable], Callable]]] = {
     "GET": {
         "/healthz": (None, handlers.handle_healthz),
-        "/models": (None, handlers.handle_models),
-        "/boards": (None, handlers.handle_boards),
-        "/rules": (None, handlers.handle_rules_list),
         "/campaign": (None, handlers.handle_campaign_list),
+        **{
+            path: (None, partial(handlers.handle_catalog, route))
+            for path, route in handlers.REGISTRIES.items()
+        },
     },
     "POST": {
         "/evaluate": (schema.parse_evaluate, handlers.handle_evaluate),
         "/sweep": (schema.parse_sweep, handlers.handle_sweep),
         "/dse": (schema.parse_dse, handlers.handle_dse),
         "/campaign": (schema.parse_campaign, handlers.handle_campaign_start),
-        # Workload/ruleset registration: GET lists reflect these immediately.
-        "/models": (schema.parse_model_register, handlers.handle_model_register),
-        "/boards": (schema.parse_board_register, handlers.handle_board_register),
-        "/rules": (schema.parse_ruleset_register, handlers.handle_ruleset_register),
+        **{
+            path: (
+                partial(schema.parse_register, route.registry),
+                partial(handlers.handle_register, route),
+            )
+            for path, route in handlers.REGISTRIES.items()
+        },
     },
 }
 

@@ -164,7 +164,7 @@ class Registry(Generic[T]):
     def generation(self) -> int:
         """Mutation counter: bumped on every (re)registration or removal.
 
-        Derived state (the service's model catalog) caches against this and
+        Derived state (the service's catalogs) caches against this and
         rebuilds when it moves.
         """
         with self._lock:

@@ -306,6 +306,23 @@ class TestWorkloadCli:
         assert code == 2
         assert "--model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "selectors, message",
+        [
+            (["--model", MODEL, "--model-file", "m.json", "--board", BOARD],
+             "pass --model or --model-file, not both"),
+            (["--board", BOARD], "one of --model / --model-file is required"),
+            (["--model", MODEL, "--board", BOARD, "--board-file", "b.json"],
+             "pass --board or --board-file, not both"),
+            (["--model", MODEL], "one of --board / --board-file is required"),
+        ],
+        ids=["model-both", "model-neither", "board-both", "board-neither"],
+    )
+    def test_selector_errors(self, selectors, message, capsys):
+        code = main(["evaluate", *selectors, "--arch", "segmentedrr", "--ces", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_register_persists_into_workload_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MCCM_WORKLOAD_DIR", str(tmp_path / "wl"))
         path, _ = self._write_tiny(tmp_path)

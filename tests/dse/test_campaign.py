@@ -162,6 +162,10 @@ class TestSpec:
                         "precision": {"weights": 8}}]},
             {"cells": [{"model": "squeezenet", "board": "zc706",
                         "precision": {"weighs": "int8"}}]},
+            # Booleans are not numbers, though Python compares them as 1 and 0.
+            {"crossover_rate": True},
+            {"mutation_rate": False},
+            {"cells": [{"model": "squeezenet", "board": "zc706", "max_pipelined": True}]},
         ],
     )
     def test_rejects_bad_specs(self, mutation):

@@ -525,6 +525,20 @@ class TestCampaign:
         assert excinfo.value.status == 400
         assert excinfo.value.kind == "campaign_error"
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"crossover_rate": True, "cells": [{"model": MODEL, "board": BOARD}]},
+            {"cells": [{"model": MODEL, "board": BOARD, "max_pipelined": True}]},
+        ],
+        ids=["rate", "max_pipelined"],
+    )
+    def test_a_boolean_number_is_rejected(self, client, spec):
+        with pytest.raises(ServiceError) as excinfo:
+            client.start_campaign(spec)
+        assert excinfo.value.status == 400
+        assert excinfo.value.kind == "campaign_error"
+
     def test_unknown_cell_model_is_404_with_suggestion(self, client):
         # Unknown workloads in campaign cells use the registry's typed error.
         with pytest.raises(ServiceError) as excinfo:
@@ -1128,14 +1142,19 @@ class TestLoopNeverWaits:
     @pytest.mark.parametrize("held", ["register", "model_summary"])
     def test_registry_work_delays_no_other_request(self, monkeypatch, held):
         """``POST /models`` checks and registers a definition, and
-        ``GET /models`` builds a stale catalog; while either waits, other
-        connections answer."""
+        ``GET /models`` builds a stale catalog (``model_summary`` collects
+        each graph's stats); while either waits, other connections answer."""
         from repro import workloads
         from repro.cnn.serialize import graph_to_dict
+        from repro.workloads import registry as workload_registry
 
         entered, release = threading.Event(), threading.Event()
-        owner = workloads.REGISTRY.models if held == "register" else handlers
-        original = getattr(owner, held)
+        owner, attr = (
+            (workloads.REGISTRY.models, "register")
+            if held == "register"
+            else (workload_registry, "collect_stats")
+        )
+        original = getattr(owner, attr)
 
         def held_call(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
@@ -1155,7 +1174,7 @@ class TestLoopNeverWaits:
                 results["held"] = client.models()
             client.close()
 
-        monkeypatch.setattr(owner, held, held_call)
+        monkeypatch.setattr(owner, attr, held_call)
         try:
             with EvaluationService(port=0) as service:
                 thread = threading.Thread(target=held_request)
